@@ -12,7 +12,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .bns import ClassCentroids
-from .network import Network, layer_from_dict, layer_to_dict
+from .network import Network, layer_from_dict, layer_state_shapes, layer_to_dict
 from .quantizer import QuantParams, QuantPolicy
 
 MAGIC = b"FDA1"
@@ -109,6 +109,24 @@ def save_model(path, archive: ModelArchive | Network) -> None:
             fh.write(raw)
 
 
+_ARRAY_KEYS = {"name", "shape", "offset", "nbytes"}
+
+
+def _check_state(path, values: dict[str, np.ndarray], layers) -> None:
+    """Every parameter and buffer the layer specs read is present, with its shape."""
+    for layer in layers:
+        params, buffers = layer_state_shapes(layer)
+        need = {f"param:{k}": v for k, v in params.items()}
+        need.update({f"buffer:{k}": v for k, v in buffers.items()})
+        for name, shape in need.items():
+            if name not in values:
+                raise ArchiveCorruptError(f"{path}: missing array {name}")
+            if values[name].shape != shape:
+                raise ArchiveCorruptError(
+                    f"{path}: array {name} has shape {values[name].shape}, expected {shape}"
+                )
+
+
 def load_model(path) -> ModelArchive:
     """Read an archive back; raises ArchiveCorruptError / ArchiveVersionError
     on malformed input instead of crashing."""
@@ -123,13 +141,20 @@ def load_model(path) -> ModelArchive:
         manifest = json.loads(raw[8 : 8 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveCorruptError(f"{path}: unparsable manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ArchiveCorruptError(f"{path}: manifest is not a JSON object")
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise ArchiveVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    for section in ("arrays", "layers"):
+        if not isinstance(manifest.get(section), list):
+            raise ArchiveCorruptError(f"{path}: manifest has no {section!r} list")
 
     payload = raw[8 + mlen :]
     values: dict[str, np.ndarray] = {}
     for entry in manifest["arrays"]:
+        if not isinstance(entry, dict) or not _ARRAY_KEYS <= entry.keys():
+            raise ArchiveCorruptError(f"{path}: bad array entry {entry!r}")
         lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
         if hi > len(payload):
             raise ArchiveCorruptError(f"{path}: truncated payload at {entry['name']}")
@@ -139,7 +164,11 @@ def load_model(path) -> ModelArchive:
             raise ArchiveCorruptError(f"{path}: bad blob for {entry['name']} ({exc})") from exc
         values[entry["name"]] = arr.copy()
 
-    layers = [layer_from_dict(d) for d in manifest["layers"]]
+    try:
+        layers = [layer_from_dict(d) for d in manifest["layers"]]
+    except ValueError as exc:
+        raise ArchiveCorruptError(f"{path}: {exc}") from exc
+    _check_state(path, values, layers)
     params = {name[len("param:"):]: Tensor(arr, requires_grad=True)
               for name, arr in values.items() if name.startswith("param:")}
     buffers = {name[len("buffer:"):]: arr

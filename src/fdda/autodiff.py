@@ -5,6 +5,13 @@ float64 for gradient verification). Operations executed while gradients are
 enabled are recorded on a process-global tape; ``backward`` replays the tape
 in reverse exactly once and then clears it, so a tape covers a single
 forward pass.
+
+The conv, pooling and upsampling kernels avoid numpy's slow copies and
+multi-axis reductions, but they keep numpy's order of floating-point
+additions on purpose: each returns the same bits as the plain formula it
+replaces (a sliding-window im2col, ``reshape(...).mean`` or ``.sum`` over the
+block axes), so seeded runs stay byte-identical. The tests keep those
+formulas as references.
 """
 
 from __future__ import annotations
@@ -129,10 +136,6 @@ def grad_enabled() -> bool:
 
 def tape_size() -> int:
     return len(_tape)
-
-
-def clear_tape() -> None:
-    _tape.clear()
 
 
 def record_op(data: np.ndarray, inputs: Sequence[Tensor], bwd: Callable) -> Tensor:
@@ -356,14 +359,21 @@ def _conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
-    # xp: (N, C, Hp, Wp) -> (C*kh*kw, N*Ho*Wo), a single-GEMM layout
-    n, c = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (N, C, Ho, Wo, kh, kw)
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
-    return cols, ho, wo
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    # x: (N, C, H, W) -> (C*kh*kw, N*Ho*Wo), a single-GEMM layout
+    n, c, h, w = x.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xc = x.transpose(1, 0, 2, 3)  # channel-major, so each tap fills one row block
+    if pad:
+        xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = xc
+        xc = xp
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xc[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
 
 
 def _col2im(dcols, xshape, kh, kw, stride, pad, ho, wo):
@@ -385,8 +395,7 @@ def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
     """Cross-correlation on raw arrays; returns (out (N,O,Ho,Wo), cols)."""
     n, c = x.shape[:2]
     o, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols, ho, wo = _im2col(xp, kh, kw, stride)
+    cols, ho, wo = _im2col(x, kh, kw, stride, pad)
     out_mat = w.reshape(o, c * kh * kw) @ cols  # (O, N*Ho*Wo)
     out = out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
     return out, cols
@@ -421,7 +430,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                 dcols = w.data.reshape(o, -1).T @ g_mat
                 gx = _col2im(dcols, x.shape, kh, kw, stride, pad, ho, wo)
         if w.requires_grad:
-            gw = (g_mat @ cols.T).reshape(w.shape)
+            # the transpose of g_mat @ cols.T: the same bits on OpenBLAS, and
+            # about twice as fast when O is small (the GEMM's M and N swap)
+            gw = (cols @ g_mat.T).T.reshape(w.shape)
         if b is not None and b.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gw) if b is None else (gx, gw, gb)
@@ -429,12 +440,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     return record_op(out, inputs, bwd)
 
 
+def _block_sum(x: np.ndarray, k: int) -> np.ndarray:
+    """Sum over non-overlapping k x k spatial blocks of (N, C, H, W).
+
+    Adds along width first, then height: the order in which
+    ``x.reshape(n, c, h // k, k, w // k, k).sum(axis=(3, 5))`` reduces.
+    """
+    total = None
+    for i in range(k):
+        row = x[:, :, i::k, 0::k]
+        for j in range(1, k):
+            row = row + x[:, :, i::k, j::k]
+        total = row if total is None else total + row
+    return total
+
+
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
     """Non-overlapping k x k average pooling; extents must divide by k."""
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ValueError(f"avg_pool2d: extents ({h},{w}) not divisible by {k}")
-    out = x.data.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    out = _block_sum(x.data, k) / (k * k)
 
     def bwd(g):
         gx = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
@@ -445,11 +471,14 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
 
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x spatial upsampling."""
-    out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
+    n, c, h, w = x.shape
+    out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
+    for i in range(2):
+        for j in range(2):
+            out[:, :, i::2, j::2] = x.data
 
     def bwd(g):
-        n, c, h2, w2 = g.shape
-        return (g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5)),)
+        return (_block_sum(g, 2),)
 
     return record_op(out, (x,), bwd)
 
@@ -462,15 +491,6 @@ def sq_dist(a: Tensor, target: np.ndarray) -> Tensor:
         return (g * 2.0 * diff,)
 
     return record_op(np.asarray((diff * diff).sum(), dtype=a.dtype), (a,), bwd)
-
-
-def scale_shift(x: Tensor, scale: np.ndarray, shift: np.ndarray) -> Tensor:
-    """y = x * scale + shift with constant (non-tensor) coefficients."""
-
-    def bwd(g):
-        return (g * scale,)
-
-    return record_op(x.data * scale + shift, (x,), bwd)
 
 
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor,

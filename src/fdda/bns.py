@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .network import Network, channel_stats, forward
+from .network import Network, forward
 
 LayerStats = tuple[Tensor, Tensor]  # (mean, variance), each shape (C_l,)
 
@@ -131,11 +131,6 @@ def build_class_centroids(net: Network, calib, deep_start: int) -> ClassCentroid
 # ---------------------------------------------------------------------------
 # batch statistics of synthetic batches
 # ---------------------------------------------------------------------------
-
-def batch_bns(bn_inputs: Sequence[Tensor]) -> list[LayerStats]:
-    """Whole-batch per-channel stats at each captured BN input (taped)."""
-    return [channel_stats(t) for t in bn_inputs]
-
 
 def per_class_bns(bn_inputs: Sequence[Tensor], labels: np.ndarray,
                   classes: Sequence[int], deep_start: int = 1,

@@ -14,7 +14,6 @@ from .bns import (
     BnRunningStats,
     ClassCentroids,
     DistortionParams,
-    batch_bns,
     bns_loss,
     cbns_loss,
     dbns_loss,
@@ -111,7 +110,7 @@ def generator_total_loss(
     cap = forward(f_net, images, train=False, capture_bn=True)
     parts: dict = {
         "ce": ad.softmax_cross_entropy(cap.output, labels),
-        "bns": bns_loss(batch_bns(cap.bn_inputs), running),
+        "bns": bns_loss(cap.bn_stats, running),
     }
 
     want_centroid_terms = (use_cbns or use_dbns) and centroids.available_classes

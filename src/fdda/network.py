@@ -99,11 +99,34 @@ def layer_to_dict(layer) -> dict:
 
 
 def layer_from_dict(d: dict):
-    cls = LAYER_KINDS[d["kind"]]
+    """Inverse of :func:`layer_to_dict`; raises ValueError on a malformed spec."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown layer spec {d!r}")
     kwargs = {k: v for k, v in d.items() if k != "kind"}
-    if cls is Reshape:
-        kwargs["shape"] = tuple(kwargs["shape"])
-    return cls(**kwargs)
+    try:
+        if cls is Reshape:
+            kwargs["shape"] = tuple(kwargs["shape"])
+        return cls(**kwargs)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad {d['kind']} layer spec {d!r} ({exc})") from exc
+
+
+def layer_state_shapes(layer) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
+    """Names and shapes of the parameters and buffers a layer spec reads."""
+    if isinstance(layer, Dense):
+        return {f"{layer.name}.w": (layer.out_features, layer.in_features),
+                f"{layer.name}.b": (layer.out_features,)}, {}
+    if isinstance(layer, Conv2d):
+        k = layer.kernel
+        return {f"{layer.name}.w": (layer.out_channels, layer.in_channels, k, k),
+                f"{layer.name}.b": (layer.out_channels,)}, {}
+    if isinstance(layer, BatchNorm):
+        c = (layer.channels,)
+        return ({f"{layer.name}.gamma": c, f"{layer.name}.beta": c},
+                {f"{layer.name}.running_mean": c, f"{layer.name}.running_var": c})
+    return {}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +254,8 @@ def batchnorm_forward(
             running_var += momentum * bv_arr.astype(running_var.dtype)
         return y, Tensor(bm_arr), Tensor(bv_arr)
 
-    bm = bv = None
-    if train or need_stats:
-        bm, bv = channel_stats(x)
-
     if train:
+        bm, bv = channel_stats(x)
         if update_running:
             running_mean *= 1.0 - momentum
             running_mean += momentum * bm.data.astype(running_mean.dtype)
@@ -251,9 +271,14 @@ def batchnorm_forward(
         y = xhat * _bcast_channel(gamma, x.ndim, c) + _bcast_channel(beta, x.ndim, c)
         return y, bm, bv
 
-    # eval mode: normalization against constant running statistics
+    # eval mode: normalization against constant running statistics. The
+    # statistics are taped after the normalization, so backward adds their
+    # gradient into x first; seeded reports depend on that order of sums.
     inv_std = (1.0 / np.sqrt(running_var + BN_EPS)).astype(x.dtype)
     y = ad.batchnorm_eval(x, gamma, beta, running_mean.astype(x.dtype), inv_std)
+    bm = bv = None
+    if need_stats:
+        bm, bv = channel_stats(x)
     return y, bm, bv
 
 

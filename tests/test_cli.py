@@ -2,6 +2,7 @@
 config, and validation failures exit nonzero with a one-line diagnostic."""
 
 import json
+import struct
 
 import pytest
 
@@ -135,6 +136,22 @@ def test_missing_model_exits_nonzero(tiny_cfg, capsys):
     rc = main(["eval", "--config", str(cfg), "--model", str(root / "missing.fdda")])
     assert rc != 0
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_of_malformed_archive_exits_2_with_one_line(pretrained, capsys, tmp_path):
+    root, cfg, model = pretrained
+    raw = model.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    manifest = json.loads(raw[8 : 8 + mlen])
+    manifest["layers"][0]["kind"] = "deconv"
+    blob = json.dumps(manifest).encode()
+    bad = tmp_path / "bad.fdda"
+    bad.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + mlen :])
+    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown layer spec" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_seeded_reports_are_byte_identical(pretrained):

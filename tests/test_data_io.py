@@ -2,6 +2,7 @@
 and config validation."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -178,6 +179,63 @@ def test_archive_version_mismatch(tmp_path):
 def test_archive_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "nope.fdda")
+
+
+def rewrite_manifest(src, dst, edit):
+    """Copy archive ``src`` to ``dst`` with its manifest replaced by
+    ``edit(manifest)``; the blobs follow unchanged."""
+    raw = src.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    manifest = edit(json.loads(raw[8 : 8 + mlen]))
+    blob = json.dumps(manifest).encode()
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + mlen :])
+    return dst
+
+
+@pytest.fixture
+def saved_classifier(tmp_path):
+    path = tmp_path / "f.fdda"
+    save_model(path, build_toy_classifier(seed=6))
+    return path
+
+
+def _drop_array(name):
+    def edit(m):
+        m["arrays"] = [a for a in m["arrays"] if a["name"] != name]
+        return m
+    return edit
+
+
+def _rename_first_kind(m):
+    m["layers"][0]["kind"] = "deconv"
+    return m
+
+
+def _shrink_array(name):
+    def edit(m):
+        for a in m["arrays"]:
+            if a["name"] == name:
+                rows = a["shape"][0]
+                a["nbytes"] = a["nbytes"] // rows * (rows - 1)
+                a["shape"] = [rows - 1] + a["shape"][1:]
+        return m
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda m: [m], "not a JSON object"),
+    (lambda m: {k: v for k, v in m.items() if k != "arrays"}, "'arrays'"),
+    (lambda m: {**m, "arrays": [{"name": "param:conv1.w"}] + m["arrays"]}, "bad array entry"),
+    (_rename_first_kind, "unknown layer spec"),
+    (_drop_array("param:conv1.w"), "missing array param:conv1.w"),
+    (_drop_array("buffer:bn6.running_var"), "missing array buffer:bn6.running_var"),
+    (_shrink_array("param:fc2.b"), "param:fc2.b has shape"),
+], ids=["list-manifest", "no-arrays", "bad-array-entry", "unknown-kind", "missing-param", "missing-buffer",
+        "wrong-shape"])
+def test_archive_malformed_manifest_is_corrupt(saved_classifier, tmp_path, edit, match):
+    bad = rewrite_manifest(saved_classifier, tmp_path / "bad.fdda", edit)
+    with pytest.raises(ArchiveCorruptError, match=match):
+        load_model(bad)
 
 
 # ---------------------------------------------------------------------------
