@@ -12,7 +12,13 @@ import numpy as np
 
 from .autodiff import Tensor
 from .bns import ClassCentroids
-from .network import Network, layer_from_dict, layer_state_shapes, layer_to_dict
+from .network import (
+    Network,
+    layer_from_dict,
+    layer_state_shapes,
+    layer_to_dict,
+    quant_point_count,
+)
 from .quantizer import QuantParams, QuantPolicy
 
 MAGIC = b"FDA1"
@@ -127,6 +133,51 @@ def _check_state(path, values: dict[str, np.ndarray], layers) -> None:
                 )
 
 
+def _load_centroids(info, values: dict[str, np.ndarray], net: Network) -> ClassCentroids:
+    """The centroid section: a (mean, variance) pair per class and deep layer,
+    each shaped like its BN layer's channels. Raises ValueError if malformed."""
+    deep_start, layer_count = int(info["deep_start"]), int(info["layer_count"])
+    if not 1 <= deep_start <= layer_count == net.bn_layer_count:
+        raise ValueError(f"layers {deep_start}..{layer_count} do not fit "
+                         f"{net.bn_layer_count} BN layers")
+    channels = [l.channels for l in net.bn_layers()]
+
+    def array(name: str, l: int) -> np.ndarray:
+        if name not in values:
+            raise ValueError(f"missing array {name}")
+        if values[name].shape != (channels[l - 1],):
+            raise ValueError(f"array {name} has shape {values[name].shape}, "
+                             f"expected ({channels[l - 1]},)")
+        return values[name]
+
+    per_class = {
+        int(c): {l: (array(f"centroid:{c}:{l}:mean", l), array(f"centroid:{c}:{l}:var", l))
+                 for l in range(deep_start, layer_count + 1)}
+        for c in info["classes"]
+    }
+    return ClassCentroids(deep_start, layer_count, per_class)
+
+
+def _load_act_quant(entries, values, net: Network) -> list[QuantParams]:
+    """One activation quantizer per quantization point of ``net``."""
+    act_quant = [QuantParams(q["bits"], q["lower"], q["upper"]) for q in entries]
+    if not np.isfinite([(q.lower, q.upper) for q in act_quant]).all():
+        raise ValueError("non-finite activation bounds")
+    if len(act_quant) != quant_point_count(net):
+        raise ValueError(f"{len(act_quant)} quantizers for "
+                         f"{quant_point_count(net)} quantization points")
+    return act_quant
+
+
+# optional manifest sections; each loader raises KeyError, TypeError or
+# ValueError on a malformed section
+_SECTIONS = {
+    "centroids": _load_centroids,
+    "act_quant": _load_act_quant,
+    "policy": lambda fields, values, net: QuantPolicy(**fields),
+}
+
+
 def load_model(path) -> ModelArchive:
     """Read an archive back; raises ArchiveCorruptError / ArchiveVersionError
     on malformed input instead of crashing."""
@@ -175,23 +226,12 @@ def load_model(path) -> ModelArchive:
                for name, arr in values.items() if name.startswith("buffer:")}
     net = Network(layers, params, buffers, manifest.get("meta", {}))
 
-    centroids = None
-    if "centroids" in manifest:
-        info = manifest["centroids"]
-        per_class = {}
-        for c in info["classes"]:
-            per_class[int(c)] = {
-                l: (values[f"centroid:{c}:{l}:mean"], values[f"centroid:{c}:{l}:var"])
-                for l in range(info["deep_start"], info["layer_count"] + 1)
-            }
-        centroids = ClassCentroids(info["deep_start"], info["layer_count"], per_class)
-
-    act_quant = None
-    if "act_quant" in manifest:
-        act_quant = [QuantParams(q["bits"], q["lower"], q["upper"])
-                     for q in manifest["act_quant"]]
-    policy = None
-    if "policy" in manifest:
-        policy = QuantPolicy(**manifest["policy"])
-
-    return ModelArchive(net, centroids=centroids, act_quant=act_quant, policy=policy)
+    sections = {}
+    for name, load in _SECTIONS.items():
+        if name not in manifest:
+            continue
+        try:
+            sections[name] = load(manifest[name], values, net)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchiveCorruptError(f"{path}: bad {name} section ({exc})") from exc
+    return ModelArchive(net, **sections)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .network import Network, forward
+from .network import EVAL_BATCH, Network, forward
 
 LayerStats = tuple[Tensor, Tensor]  # (mean, variance), each shape (C_l,)
 
@@ -36,7 +36,8 @@ class BnRunningStats:
 
 @dataclass(frozen=True)
 class PerImageBns:
-    """One image's per-channel mean/variance at each BN layer input."""
+    """Per-channel mean/variance at each BN layer input of N images: the
+    arrays of layer l are (N, C_l), row i belongs to image i."""
 
     means: tuple[np.ndarray, ...]
     variances: tuple[np.ndarray, ...]
@@ -95,36 +96,60 @@ def collect_running_stats(net: Network) -> BnRunningStats:
     return BnRunningStats(means, variances)
 
 
-def per_image_bns(net: Network, image: np.ndarray | Tensor) -> PerImageBns:
-    """Per-channel mean and biased variance of one image's activations at
-    each BN layer input (spatial statistics; a dense BN input yields the
-    value itself with zero variance)."""
-    x = image if isinstance(image, Tensor) else Tensor(np.asarray(image))
-    if x.shape[0] != 1:
-        raise ValueError(f"per-image statistics need batch size 1, got {x.shape[0]}")
+def _image_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-image, per-channel mean and biased variance of a BN input; a dense
+    (N, C) input is its own mean with zero variance."""
+    if x.ndim == 2:
+        return x, np.zeros_like(x)
+    m = x.mean(axis=(2, 3), keepdims=True)
+    centered = x - m
+    return m[:, :, 0, 0], (centered * centered).mean(axis=(2, 3))
+
+
+def per_image_bns(net: Network, images: np.ndarray) -> PerImageBns:
+    """Each image's per-channel statistics at every BN layer input.
+
+    ``images`` is an (N, C, H, W) stack with N >= 1. The statistics come
+    from eval-mode forward passes over chunks of at most ``EVAL_BATCH``
+    images; eval-mode BN treats every image on its own, so row i equals,
+    bit for bit, the statistics of a forward pass over image i alone.
+    """
+    images = np.asarray(images)
+    if len(images) == 0:
+        raise ValueError("per-image statistics need at least one image")
+    chunks = []
     with ad.no_grad():
-        cap = forward(net, x, train=False, capture_bn=True)
-    means = tuple(m.data.copy() for m, _ in cap.bn_stats)
-    variances = tuple(v.data.copy() for _, v in cap.bn_stats)
+        for lo in range(0, len(images), EVAL_BATCH):
+            cap = forward(net, Tensor(images[lo : lo + EVAL_BATCH]), train=False,
+                          capture_bn=True)
+            chunks.append([_image_moments(x.data) for x in cap.bn_inputs])
+    layers = list(zip(*chunks))
+    means = tuple(np.concatenate([m for m, _ in layer]) for layer in layers)
+    variances = tuple(np.concatenate([v for _, v in layer]) for layer in layers)
     return PerImageBns(means, variances)
 
 
 def build_class_centroids(net: Network, calib, deep_start: int) -> ClassCentroids:
-    """Per-class targets from the calibration set: each class's centroid is
-    its single calibration image's statistics, restricted to deep layers."""
+    """Per-class targets from the calibration set (``images`` and one label
+    per image): each class's centroid is its single calibration image's
+    statistics, restricted to deep layers."""
     layer_count = net.bn_layer_count
+    labels = [int(c) for c in calib.labels]
     seen: set[int] = set()
-    per_class: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
-    for image, label in calib.items():
-        label = int(label)
+    for label in labels:
         if label in seen:
             raise ValueError(f"duplicate class {label} in calibration set")
         seen.add(label)
-        stats = per_image_bns(net, image[None] if image.ndim == 3 else image)
-        per_class[label] = {
-            l: (stats.means[l - 1], stats.variances[l - 1])
+    if not labels:  # BN rejects an empty batch
+        return ClassCentroids(deep_start, layer_count, {})
+    stats = per_image_bns(net, calib.images)
+    per_class = {
+        label: {
+            l: (stats.means[l - 1][row], stats.variances[l - 1][row])
             for l in range(deep_start, layer_count + 1)
         }
+        for row, label in enumerate(labels)
+    }
     return ClassCentroids(deep_start, layer_count, per_class)
 
 

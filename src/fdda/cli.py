@@ -91,13 +91,13 @@ def cmd_analyze_bns(args) -> int:
 
     rng = np.random.default_rng([settings.train.seed, 7])
     per_class = args.samples_per_class
-    samples = []
+    picks = []
     for c in range(settings.dataset.num_classes):
         idx = np.nonzero(train.labels == c)[0]
-        take = idx if len(idx) <= per_class else rng.choice(idx, size=per_class, replace=False)
-        for i in take:
-            samples.append((per_image_bns(net, train.images[i : i + 1]), c))
-    ds = LabeledBnsDataset(tuple(samples))
+        picks.append(idx if len(idx) <= per_class
+                     else rng.choice(idx, size=per_class, replace=False))
+    picks = np.concatenate(picks)
+    ds = LabeledBnsDataset(per_image_bns(net, train.images[picks]), train.labels[picks])
 
     sc_mean = mean_silhouette_per_layer(ds, "mean")
     sc_var = mean_silhouette_per_layer(ds, "variance")

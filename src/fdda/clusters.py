@@ -13,23 +13,22 @@ from .bns import PerImageBns
 
 @dataclass(frozen=True)
 class LabeledBnsDataset:
-    """Per-image BN statistics paired with class labels."""
+    """Per-image BN statistics of N images with their class labels."""
 
-    samples: tuple[tuple[PerImageBns, int], ...]
+    stats: PerImageBns  # every layer's arrays have N rows
+    labels: np.ndarray  # (N,) int
 
     def __post_init__(self):
-        if self.samples:
-            counts = {s.layer_count for s, _ in self.samples}
-            if len(counts) != 1:
-                raise ValueError("samples come from differently shaped networks")
+        n = len(self.labels)
+        if any(len(a) != n for a in self.stats.means + self.stats.variances):
+            raise ValueError(f"every layer needs one row of statistics per label ({n})")
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
     @property
     def layer_count(self) -> int:
-        return self.samples[0][0].layer_count if self.samples else 0
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([lab for _, lab in self.samples], dtype=np.int64)
+        return self.stats.layer_count
 
     def layer_matrix(self, layer: int, stat: str) -> np.ndarray:
         """Rows of per-image vectors for a 1-based layer; stat selects
@@ -37,73 +36,60 @@ class LabeledBnsDataset:
         if not 1 <= layer <= self.layer_count:
             raise ValueError(f"layer {layer} out of range 1..{self.layer_count}")
         if stat == "mean":
-            rows = [s.means[layer - 1] for s, _ in self.samples]
+            rows = self.stats.means[layer - 1]
         elif stat == "variance":
-            rows = [s.variances[layer - 1] for s, _ in self.samples]
+            rows = self.stats.variances[layer - 1]
         else:
             raise ValueError(f"stat must be 'mean' or 'variance', got {stat!r}")
-        return np.stack(rows).astype(np.float64)
+        return rows.astype(np.float64)
 
 
-def silhouette_sample(v: np.ndarray, own_cluster: np.ndarray,
-                      other_clusters: list[np.ndarray]) -> float:
-    """Silhouette value (b - a) / max(a, b) for one vector.
-
-    ``a`` is the mean Euclidean distance from ``v`` to the other members of
-    its own cluster (``own_cluster`` includes ``v`` itself); ``b`` is the
-    smallest mean distance to any other cluster. A singleton own cluster
-    scores 0 by convention.
-    """
-    others = [np.asarray(c, dtype=np.float64) for c in other_clusters if len(c)]
-    if not others:
-        raise ValueError("silhouette needs at least one other non-empty cluster")
-    v = np.asarray(v, dtype=np.float64)
-    own = np.asarray(own_cluster, dtype=np.float64)
-    if len(own) <= 1:
-        return 0.0
-    d_own = np.linalg.norm(own - v, axis=1)
-    # v is a member: drop exactly one zero-distance entry (itself)
-    self_idx = int(np.argmin(d_own))
-    a = float(np.delete(d_own, self_idx).mean())
-    b = min(float(np.linalg.norm(c - v, axis=1).mean()) for c in others)
-    denom = max(a, b)
-    if denom == 0.0:
-        return 0.0
-    return (b - a) / denom
+def _distances(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix, one channel's squared differences at a time,
+    so memory stays at a few (n, n) buffers whatever the channel count."""
+    n = len(vectors)
+    sq = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for col in vectors.T:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
 def silhouette_values(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Silhouette value per row, clusters given by integer labels."""
+    """Silhouette value (b - a) / max(a, b) per row, clusters given by
+    integer labels.
+
+    ``a`` is a row's mean Euclidean distance to the other members of its
+    cluster; ``b`` is its smallest mean distance to another cluster. A row
+    alone in its cluster, and a row with a = b = 0, score 0.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes, cluster, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if len(classes) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    diff = vectors[:, None, :] - vectors[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    n = len(vectors)
-    out = np.zeros(n)
-    masks = {c: labels == c for c in classes}
-    sizes = {c: int(masks[c].sum()) for c in classes}
-    for i in range(n):
-        c = labels[i]
-        if sizes[c] <= 1:
-            out[i] = 0.0
-            continue
-        a = dist[i, masks[c]].sum() / (sizes[c] - 1)
-        b = min(dist[i, masks[o]].mean() for o in classes if o != c)
-        denom = max(a, b)
-        out[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    dist = _distances(vectors)
+    # summed distance from every row to every cluster, one cluster at a time
+    sums = np.stack([dist[:, cluster == k].sum(axis=1) for k in range(len(classes))], axis=1)
+    rows = np.arange(len(vectors))
+    own_size = sizes[cluster]
+    a = sums[rows, cluster] / np.maximum(own_size - 1, 1)  # the row itself adds 0
+    to_other = sums / sizes
+    to_other[rows, cluster] = np.inf
+    b = to_other.min(axis=1)
+    denom = np.maximum(a, b)
+    out = np.zeros(len(vectors))
+    np.divide(b - a, denom, out=out, where=(own_size > 1) & (denom != 0.0))
     return out
 
 
 def mean_silhouette_per_layer(ds: LabeledBnsDataset, stat: str) -> np.ndarray:
     """Average silhouette over all samples, one value per BN layer."""
-    labels = ds.labels
-    if len(np.unique(labels)) < 2:
+    if len(np.unique(ds.labels)) < 2:
         raise ValueError("silhouette needs at least two classes")
     return np.array([
-        silhouette_values(ds.layer_matrix(layer, stat), labels).mean()
+        silhouette_values(ds.layer_matrix(layer, stat), ds.labels).mean()
         for layer in range(1, ds.layer_count + 1)
     ])
 
@@ -112,19 +98,17 @@ def export_bns_csv(ds: LabeledBnsDataset, layer: int, path) -> None:
     """Write one layer's raw per-image statistics as CSV.
 
     Header is ``label,stat,c0,c1,...``; each sample contributes a 'mean' row
-    and a 'variance' row.
+    and a 'variance' row. An empty dataset writes the bare header.
     """
-    if ds.samples:
-        channels = len(ds.samples[0][0].means[layer - 1])
+    channels = 0
+    if len(ds):
         if not 1 <= layer <= ds.layer_count:
             raise ValueError(f"layer {layer} out of range 1..{ds.layer_count}")
-    else:
-        channels = 0
+        means, variances = ds.stats.means[layer - 1], ds.stats.variances[layer - 1]
+        channels = means.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "stat"] + [f"c{i}" for i in range(channels)])
-        for stats, label in ds.samples:
-            writer.writerow([label, "mean"] + [f"{x:.6g}" for x in stats.means[layer - 1]])
-            writer.writerow(
-                [label, "variance"] + [f"{x:.6g}" for x in stats.variances[layer - 1]]
-            )
+        for i, label in enumerate(ds.labels):
+            writer.writerow([int(label), "mean"] + [f"{x:.6g}" for x in means[i]])
+            writer.writerow([int(label), "variance"] + [f"{x:.6g}" for x in variances[i]])

@@ -108,10 +108,6 @@ class CalibrationSet:
     def available_classes(self) -> frozenset[int]:
         return frozenset(int(c) for c in self.labels)
 
-    def items(self):
-        for i in range(len(self.labels)):
-            yield self.images[i : i + 1], int(self.labels[i])
-
 
 def extract_calibration(train: LabeledImages, num_classes: int,
                         classes: list[int] | None = None) -> CalibrationSet:

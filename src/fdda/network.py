@@ -17,6 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 BN_EPS = 1e-5
+EVAL_BATCH = 256  # images per eval-mode forward pass
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .generator import (
     sample_labels,
 )
 from .models import build_generator, build_toy_classifier
-from .network import Network, forward
+from .network import EVAL_BATCH, Network, forward
 from .optim import Adam, NesterovSGD
 from .quantizer import FakeQuantRuntime, QuantPolicy, calibrate_activation_bounds
 
@@ -50,7 +50,7 @@ def lr_schedule(kind: str, lr0: float, epoch: int, total_epochs: int) -> float:
 
 
 def evaluate(net: Network, data: LabeledImages, quant: FakeQuantRuntime | None = None,
-             batch: int = 256) -> float:
+             batch: int = EVAL_BATCH) -> float:
     """Top-1 accuracy with eval-mode BN (and quantizers active when given)."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty set")

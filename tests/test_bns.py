@@ -90,10 +90,53 @@ def test_per_image_stats_hand_values():
     np.testing.assert_allclose(v.data, [0.0, 0.0])
 
 
-def test_per_image_bns_requires_batch_one():
+def test_per_image_bns_requires_an_image():
     net = build_toy_classifier(seed=0)
     with pytest.raises(ValueError):
-        per_image_bns(net, np.zeros((2, 1, 16, 16), dtype=np.float32))
+        per_image_bns(net, np.zeros((0, 1, 16, 16), dtype=np.float32))
+
+
+def batch_one_bns(net, images):
+    """Reference: one eval-mode forward pass per image, its BN batch statistics."""
+    means, variances = [], []
+    with ad.no_grad():
+        for i in range(len(images)):
+            cap = forward(net, Tensor(images[i : i + 1]), train=False, capture_bn=True)
+            means.append([m.data for m, _ in cap.bn_stats])
+            variances.append([v.data for _, v in cap.bn_stats])
+    return [np.stack(layer) for layer in zip(*means)], [np.stack(layer) for layer in zip(*variances)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])  # 300 spans two forward chunks
+def test_per_image_bns_is_bit_identical_to_batch_one_passes(n):
+    net = build_toy_classifier(seed=5)
+    net.set_requires_grad(False)
+    images = np.random.default_rng(n).uniform(-1, 1, size=(n, 1, 16, 16)).astype(np.float32)
+    stats = per_image_bns(net, images)
+    ref_means, ref_vars = batch_one_bns(net, images)
+    assert stats.layer_count == net.bn_layer_count
+    for l in range(stats.layer_count):
+        assert stats.means[l].shape == (n, net.bn_layers()[l].channels)
+        np.testing.assert_array_equal(stats.means[l], ref_means[l])
+        np.testing.assert_array_equal(stats.variances[l], ref_vars[l])
+
+
+def test_per_image_bns_of_dense_input_is_value_with_zero_variance():
+    from fdda.network import BatchNorm, Dense, Network
+
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(4, 3)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    net = Network(
+        [Dense("fc", 3, 4), BatchNorm("bn", 4)],
+        {"fc.w": Tensor(w), "fc.b": Tensor(b),
+         "bn.gamma": Tensor(np.ones(4, np.float32)), "bn.beta": Tensor(np.zeros(4, np.float32))},
+        {"bn.running_mean": np.zeros(4, np.float32), "bn.running_var": np.ones(4, np.float32)},
+    )
+    x = rng.normal(size=(5, 3)).astype(np.float32)
+    stats = per_image_bns(net, x)
+    np.testing.assert_array_equal(stats.means[0], x @ w.T + b)
+    np.testing.assert_array_equal(stats.variances[0], np.zeros((5, 4), np.float32))
 
 
 def _bn_channels(net):
@@ -115,8 +158,8 @@ def test_per_image_equals_batchnorm_batch_stats():
                 train=True, running_mean=np.zeros(c, np.float32),
                 running_var=np.ones(c, np.float32), update_running=False,
             )
-            np.testing.assert_allclose(stats.means[l], bm.data, atol=1e-6)
-            np.testing.assert_allclose(stats.variances[l], bv.data, atol=1e-6)
+            np.testing.assert_allclose(stats.means[l][0], bm.data, atol=1e-6)
+            np.testing.assert_allclose(stats.variances[l][0], bv.data, atol=1e-6)
 
 
 def test_identical_images_batch_stats_match_per_image():
@@ -129,8 +172,8 @@ def test_identical_images_batch_stats_match_per_image():
     with ad.no_grad():
         cap = forward(net, Tensor(batch), train=False, capture_bn=True)
     for l, (bm, bv) in enumerate(cap.bn_stats):
-        np.testing.assert_allclose(stats.means[l], bm.data, atol=1e-5)
-        np.testing.assert_allclose(stats.variances[l], bv.data, atol=1e-5)
+        np.testing.assert_allclose(stats.means[l][0], bm.data, atol=1e-5)
+        np.testing.assert_allclose(stats.variances[l][0], bv.data, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +199,19 @@ def test_centroid_equals_per_image_stats():
     img = calib.images[0:1]
     stats = per_image_bns(net, img)
     for l in cen.deep_layers():
-        np.testing.assert_array_equal(cen.per_class[3][l][0], stats.means[l - 1])
-        np.testing.assert_array_equal(cen.per_class[3][l][1], stats.variances[l - 1])
+        np.testing.assert_array_equal(cen.per_class[3][l][0], stats.means[l - 1][0])
+        np.testing.assert_array_equal(cen.per_class[3][l][1], stats.variances[l - 1][0])
+
+
+def test_centroids_are_the_per_image_rows_of_every_class():
+    net = build_toy_classifier(seed=1)
+    calib = _calib_subset([5, 0, 2, 7])
+    cen = build_class_centroids(net, calib, deep_start=2)
+    ref_means, ref_vars = batch_one_bns(net, calib.images)
+    for row, c in enumerate(calib.labels):
+        for l in cen.deep_layers():
+            np.testing.assert_array_equal(cen.per_class[int(c)][l][0], ref_means[l - 1][row])
+            np.testing.assert_array_equal(cen.per_class[int(c)][l][1], ref_vars[l - 1][row])
 
 
 def test_empty_calibration_gives_empty_centroids():
@@ -167,16 +221,13 @@ def test_empty_calibration_gives_empty_centroids():
 
 
 def test_duplicate_class_rejected():
+    from types import SimpleNamespace
+
     net = build_toy_classifier(seed=0)
-    imgs = np.zeros((2, 1, 16, 16), dtype=np.float32)
-
-    class FakeCalib:
-        def items(self):
-            yield imgs[0:1], 3
-            yield imgs[1:2], 3
-
+    calib = SimpleNamespace(images=np.zeros((2, 1, 16, 16), dtype=np.float32),
+                            labels=np.array([3, 3]))
     with pytest.raises(ValueError, match="duplicate"):
-        build_class_centroids(net, FakeCalib(), deep_start=1)
+        build_class_centroids(net, calib, deep_start=1)
 
 
 # ---------------------------------------------------------------------------

@@ -138,19 +138,45 @@ def test_missing_model_exits_nonzero(tiny_cfg, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_eval_of_malformed_archive_exits_2_with_one_line(pretrained, capsys, tmp_path):
-    root, cfg, model = pretrained
-    raw = model.read_bytes()
+def _rewrite_manifest(src, dst, edit):
+    raw = src.read_bytes()
     (mlen,) = struct.unpack("<I", raw[4:8])
     manifest = json.loads(raw[8 : 8 + mlen])
-    manifest["layers"][0]["kind"] = "deconv"
+    edit(manifest)
     blob = json.dumps(manifest).encode()
-    bad = tmp_path / "bad.fdda"
-    bad.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + mlen :])
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + mlen :])
+    return dst
+
+
+def test_eval_of_malformed_archive_exits_2_with_one_line(pretrained, capsys, tmp_path):
+    root, cfg, model = pretrained
+    bad = _rewrite_manifest(model, tmp_path / "bad.fdda",
+                            lambda m: m["layers"][0].update(kind="deconv"))
     rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown layer spec" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_of_archive_with_bad_policy_exits_2_with_one_line(pretrained, capsys, tmp_path):
+    root, cfg, model = pretrained
+    bad = _rewrite_manifest(model, tmp_path / "bad.fdda",
+                            lambda m: m.update(policy={"default_bits": 4, "bogus": 1}))
+    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad policy section" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_analyze_bns_csv_layer_out_of_range_exits_2(pretrained, capsys, tmp_path):
+    root, cfg, model = pretrained
+    rc = main(["analyze-bns", "--config", str(cfg), "--model", str(model),
+               "--samples-per-class", "2", "--csv", str(tmp_path / "l7.csv"), "--layer", "7"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "layer 7 out of range 1..6" in err
     assert len(err.strip().splitlines()) == 1
 
 

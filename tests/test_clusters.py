@@ -1,8 +1,9 @@
 """Silhouette diagnostics: hand-worked values, a pure-Python brute-force
-oracle, metric invariances, and the CSV export contract."""
+oracle, metric invariances, the memory bound, and the CSV export contract."""
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fdda.clusters import (
     LabeledBnsDataset,
     export_bns_csv,
     mean_silhouette_per_layer,
-    silhouette_sample,
     silhouette_values,
 )
 
@@ -43,13 +43,13 @@ def brute_silhouette(vectors, labels):
 
 
 # ---------------------------------------------------------------------------
-# silhouette_sample
+# silhouette_values
 # ---------------------------------------------------------------------------
 
 def test_silhouette_hand_example():
     a_cluster = np.array([[0.0], [0.1]])
     b_cluster = np.array([[10.0], [10.1]])
-    sc = silhouette_sample(np.array([0.0]), a_cluster, [b_cluster])
+    sc = silhouette_values(np.vstack([a_cluster, b_cluster]), [0, 0, 1, 1])[0]
     assert sc == pytest.approx((10.05 - 0.1) / 10.05)
     assert sc == pytest.approx(0.99005, abs=1e-5)
 
@@ -57,7 +57,7 @@ def test_silhouette_hand_example():
 def test_silhouette_equal_distances_is_zero():
     own = np.array([[0.0], [2.0]])
     other = np.array([[4.0], [0.0]])  # b = (4 + 0)/2 = 2 = a
-    assert silhouette_sample(np.array([0.0]), own, [other]) == pytest.approx(0.0)
+    assert silhouette_values(np.vstack([own, other]), [0, 0, 1, 1])[0] == pytest.approx(0.0)
 
 
 def test_silhouette_negative_when_inside_other_cluster():
@@ -66,18 +66,47 @@ def test_silhouette_negative_when_inside_other_cluster():
     labels = [0, 0, 1, 1]
     brute = brute_silhouette(vectors, labels)
     assert brute[0] < 0  # point 0 sits on top of cluster 1's member at 0.4
-    own = np.array([[0.0], [10.0]])
-    other = np.array([[10.2], [0.4]])
-    assert silhouette_sample(np.array([0.0]), own, [other]) == pytest.approx(brute[0], abs=1e-9)
+    assert silhouette_values(np.array(vectors), labels)[0] == pytest.approx(brute[0], abs=1e-9)
 
 
 def test_silhouette_singleton_cluster_is_zero():
-    assert silhouette_sample(np.array([1.0]), np.array([[1.0]]), [np.array([[2.0]])]) == 0.0
+    assert silhouette_values(np.array([[1.0], [2.0]]), [0, 1])[0] == 0.0
 
 
 def test_silhouette_requires_other_cluster():
     with pytest.raises(ValueError):
-        silhouette_sample(np.array([1.0]), np.array([[1.0], [2.0]]), [])
+        silhouette_values(np.array([[1.0], [2.0]]), [0, 0])
+
+
+def test_silhouette_coincident_cluster_is_zero_without_warnings():
+    # a = b = 0: the 0/0 case scores 0 (warnings are errors in this suite)
+    vals = silhouette_values(np.zeros((4, 2)), [0, 0, 1, 1])
+    np.testing.assert_array_equal(vals, 0.0)
+
+
+def test_silhouette_matches_brute_force_unequal_classes_with_singleton():
+    rng = np.random.default_rng(9)
+    sizes = [1, 7, 30, 50, 112]  # n = 200, one singleton class
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(labels)
+    x = rng.normal(size=(len(labels), 6)) + labels[:, None] * 0.3
+    vals = silhouette_values(x, labels)
+    np.testing.assert_allclose(vals, brute_silhouette(x.tolist(), labels.tolist()), atol=1e-9)
+    assert vals[labels == 0] == 0.0
+
+
+def test_silhouette_memory_stays_small():
+    # n = 320 images x 32 channels: an (n, n, C) float64 temporary alone is 26 MB
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(320, 32)).astype(np.float32)
+    labels = np.repeat(np.arange(8), 40)
+    tracemalloc.start()
+    try:
+        silhouette_values(x, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_silhouette_range_random():
@@ -119,12 +148,17 @@ def test_silhouette_translation_and_scale_invariance():
 
 def _fake_dataset(layer_vectors, labels):
     """layer_vectors: list over layers of (n, C_l) arrays."""
-    samples = []
-    for i, lab in enumerate(labels):
-        means = tuple(lv[i].astype(np.float32) for lv in layer_vectors)
-        variances = tuple(np.abs(lv[i]).astype(np.float32) for lv in layer_vectors)
-        samples.append((PerImageBns(means, variances), int(lab)))
-    return LabeledBnsDataset(tuple(samples))
+    stats = PerImageBns(
+        tuple(lv.astype(np.float32) for lv in layer_vectors),
+        tuple(np.abs(lv).astype(np.float32) for lv in layer_vectors),
+    )
+    return LabeledBnsDataset(stats, np.array(labels, dtype=np.int64))
+
+
+def test_dataset_rows_must_match_labels():
+    stats = PerImageBns((np.zeros((3, 2), np.float32),), (np.zeros((3, 2), np.float32),))
+    with pytest.raises(ValueError):
+        LabeledBnsDataset(stats, np.array([0, 1]))
 
 
 def test_mean_silhouette_overlapping_classes_near_zero():
@@ -183,15 +217,24 @@ def test_csv_shape_and_roundtrip(tmp_path):
     assert rows[0] == ["label", "stat", "c0", "c1", "c2"]
     assert len(rows) == 1 + 4  # 2 samples x {mean, variance}
     # 6-significant-digit round trip
-    sample0 = ds.samples[0][0]
     parsed = [float(v) for v in rows[1][2:]]
-    np.testing.assert_allclose(parsed, sample0.means[0], rtol=1e-5)
+    np.testing.assert_allclose(parsed, ds.stats.means[0][0], rtol=1e-5)
 
 
 def test_csv_empty_dataset_header_only(tmp_path):
-    ds = LabeledBnsDataset(())
+    ds = LabeledBnsDataset(PerImageBns((), ()), np.zeros(0, dtype=np.int64))
     path = tmp_path / "empty.csv"
     export_bns_csv(ds, 1, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows == [["label", "stat"]]
+
+
+def test_csv_layer_out_of_range_rejected_before_writing(tmp_path):
+    rng = np.random.default_rng(11)
+    ds = _fake_dataset([rng.normal(size=(2, 3))], labels=[0, 1])
+    path = tmp_path / "bns.csv"
+    for layer in (0, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            export_bns_csv(ds, layer, path)
+    assert not path.exists()

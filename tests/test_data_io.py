@@ -24,6 +24,7 @@ from fdda.data import (
     make_toy_dataset,
 )
 from fdda.models import build_toy_classifier
+from fdda.network import quant_point_count
 from fdda.quantizer import QuantParams, QuantPolicy
 
 
@@ -133,7 +134,9 @@ def test_archive_roundtrip_with_sections(tmp_path):
     train, _ = make_toy_dataset(ToyDatasetSpec())
     calib = extract_calibration(train, 8, classes=[0, 1, 2])
     cen = build_class_centroids(net, calib, deep_layer_start(net.bn_layer_count))
-    act = [QuantParams(4, -1.0, 1.0), QuantParams(4, 0.0, 2.5)]
+    # one activation quantizer per quantization point, as load_model requires
+    points = quant_point_count(net)
+    act = [QuantParams(4, -1.0, 1.0)] + [QuantParams(4, 0.0, 2.5)] * (points - 1)
     policy = QuantPolicy(default_bits=4, first_layer_bits=8)
     path = tmp_path / "q.fdda"
     save_model(path, ModelArchive(net, centroids=cen, act_quant=act, policy=policy))
@@ -144,7 +147,7 @@ def test_archive_roundtrip_with_sections(tmp_path):
         for l in cen.deep_layers():
             np.testing.assert_array_equal(back.centroids.per_class[c][l][0],
                                           cen.per_class[c][l][0])
-    assert [q.bits for q in back.act_quant] == [4, 4]
+    assert [q.bits for q in back.act_quant] == [4] * points
     assert back.act_quant[1].upper == 2.5
     assert back.policy == policy
 
@@ -234,6 +237,43 @@ def _shrink_array(name):
         "wrong-shape"])
 def test_archive_malformed_manifest_is_corrupt(saved_classifier, tmp_path, edit, match):
     bad = rewrite_manifest(saved_classifier, tmp_path / "bad.fdda", edit)
+    with pytest.raises(ArchiveCorruptError, match=match):
+        load_model(bad)
+
+
+@pytest.fixture
+def saved_quantized(tmp_path):
+    """An archive with every optional section: centroids, activation
+    quantizers and policy."""
+    net = build_toy_classifier(seed=7)
+    train, _ = make_toy_dataset(ToyDatasetSpec())
+    cen = build_class_centroids(net, extract_calibration(train, 8, classes=[0, 1]), 5)
+    act = [QuantParams(4, -1.0, 1.0)] * quant_point_count(net)
+    path = tmp_path / "q.fdda"
+    save_model(path, ModelArchive(net, centroids=cen, act_quant=act, policy=QuantPolicy()))
+    return path
+
+
+def _edit_section(name, change):
+    def edit(m):
+        change(m[name])
+        return m
+    return edit
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_edit_section("policy", lambda p: p.update(bogus=1)), "bad policy section"),
+    (_drop_array("centroid:1:6:var"), "missing array centroid:1:6:var"),
+    (_edit_section("act_quant", lambda q: q.pop()), "7 quantizers for 8 quantization points"),
+    (_edit_section("act_quant", lambda q: q[3].update(lower=2.0, upper=-2.0)),
+     "bad act_quant section"),
+    (_edit_section("act_quant", lambda q: q[0].update(lower=float("nan"))),
+     "non-finite activation bounds"),
+], ids=["unknown-policy-key", "missing-centroid", "short-act-quant", "inverted-bounds",
+        "nan-bound"])
+def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path, edit, match):
+    load_model(saved_quantized)  # the unedited archive loads
+    bad = rewrite_manifest(saved_quantized, tmp_path / "bad.fdda", edit)
     with pytest.raises(ArchiveCorruptError, match=match):
         load_model(bad)
 
