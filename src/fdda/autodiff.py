@@ -12,6 +12,15 @@ additions on purpose: each returns the same bits as the plain formula it
 replaces (a sliding-window im2col, ``reshape(...).mean`` or ``.sum`` over the
 block axes), so seeded runs stay byte-identical. The tests keep those
 formulas as references.
+
+The conv's im2col fills the same ``(C*kh*kw, N*Ho*Wo)`` column matrix in two
+stages. For each column tap j, one ``(C, N, H + 2*pad, Wo)`` buffer receives
+the input shifted by j, with only its padding zeroed; the kh row taps are
+then copied out of it as contiguous ``Ho*Wo`` blocks (for stride 1), instead
+of kh*kw copies whose inner loops are only Wo long. The matrix, and so the
+GEMM, is unchanged. The buffer is reused by every tap on purpose: a buffer
+kw times larger, holding all column taps at once, costs more in page faults
+on first touch than the copies it saves.
 """
 
 from __future__ import annotations
@@ -365,14 +374,23 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     xc = x.transpose(1, 0, 2, 3)  # channel-major, so each tap fills one row block
-    if pad:
-        xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad : pad + h, pad : pad + w] = xc
-        xc = xp
     cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xc[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    # one shift buffer, reused by every column tap: rows keep their padding,
+    # columns are already the tap's output columns
+    shifted = np.empty((c, n, h + 2 * pad, wo), dtype=x.dtype)
+    shifted[:, :, :pad] = 0
+    shifted[:, :, pad + h :] = 0
+    body = shifted[:, :, pad : pad + h]
+    for j in range(kw):
+        # output column q reads input column q * stride + j - pad
+        lo = min(wo, max(0, -((j - pad) // stride)))
+        hi = max(lo, min(wo, -((j - pad - w) // stride)))
+        body[..., :lo] = 0
+        body[..., hi:] = 0
+        src = lo * stride + j - pad
+        body[..., lo:hi] = xc[..., src : src + stride * (hi - lo) : stride]
+        for i in range(kh):
+            cols[:, i, j] = shifted[:, :, i : i + stride * ho : stride]
     return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
 
 

@@ -16,7 +16,7 @@ from .clusters import LabeledBnsDataset, export_bns_csv, mean_silhouette_per_lay
 from .config import ConfigError, load_settings
 from .data import make_toy_dataset
 from .quantizer import FakeQuantRuntime
-from .trainer import evaluate, pretrain_classifier, run_fdda
+from .trainer import TrainingDiverged, evaluate, pretrain_classifier, run_fdda
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -72,7 +72,7 @@ def cmd_quantize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _, report = run_fdda(settings, args.model, out_model_path=out_dir / "quantized.fdda")
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(json.dumps({
         "report": str(report_path),
         "final_acc": report["final_acc"],
@@ -181,6 +181,9 @@ def main(argv=None) -> int:
     except (ConfigError, ArchiveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

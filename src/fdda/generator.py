@@ -19,7 +19,7 @@ from .bns import (
     dbns_loss,
     per_class_bns_stacked,
 )
-from .network import Network, forward
+from .network import Network, channel_stats, forward
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,12 @@ def generator_total_loss(
     because the classifier's parameters do not require gradients.
     """
     cap = forward(f_net, images, train=False, capture_bn=True)
+    # the batch statistics are taped after the forward pass, so backward adds
+    # into each BN input the per-class terms, then these, then BN's own
+    # gradient; seeded reports depend on that order of sums
     parts: dict = {
         "ce": ad.softmax_cross_entropy(cap.output, labels),
-        "bns": bns_loss(cap.bn_stats, running),
+        "bns": bns_loss([channel_stats(x) for x in cap.bn_inputs], running),
     }
 
     want_centroid_terms = (use_cbns or use_dbns) and centroids.available_classes

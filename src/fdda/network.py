@@ -233,9 +233,10 @@ def batchnorm_forward(
 
     Train mode normalizes with the current batch's per-channel statistics
     (biased variance) and, when ``update_running`` is set, folds them into the
-    running buffers with ``(1 - momentum) * old + momentum * new``. Eval mode
-    normalizes with the running buffers; batch statistics are then only
-    computed when ``need_stats`` asks for them.
+    running buffers with ``(1 - momentum) * old + momentum * new``;
+    ``need_stats`` puts the statistics on the tape (the composed path) instead
+    of the fused op. Eval mode normalizes with the running buffers and returns
+    no batch statistics.
     """
     if x.shape[0] == 0:
         raise ValueError("batchnorm on zero-size batch")
@@ -272,15 +273,10 @@ def batchnorm_forward(
         y = xhat * _bcast_channel(gamma, x.ndim, c) + _bcast_channel(beta, x.ndim, c)
         return y, bm, bv
 
-    # eval mode: normalization against constant running statistics. The
-    # statistics are taped after the normalization, so backward adds their
-    # gradient into x first; seeded reports depend on that order of sums.
+    # eval mode: normalization against constant running statistics
     inv_std = (1.0 / np.sqrt(running_var + BN_EPS)).astype(x.dtype)
     y = ad.batchnorm_eval(x, gamma, beta, running_mean.astype(x.dtype), inv_std)
-    bm = bv = None
-    if need_stats:
-        bm, bv = channel_stats(x)
-    return y, bm, bv
+    return y, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +309,9 @@ def forward(
     update_running: bool = True,
 ) -> ForwardResult:
     """Run the layer stack. ``capture_bn`` records each BN layer's input
-    tensor and its per-channel batch statistics (taped, so losses built from
-    them differentiate back to ``x``)."""
+    tensor; in train mode also its per-channel batch statistics (taped, so
+    losses built from them differentiate back to ``x``). Eval-mode callers
+    take what statistics they need from ``bn_inputs``."""
     bn_inputs: list[Tensor] = []
     bn_stats: list[tuple[Tensor, Tensor]] = []
     weight_layers = net.weight_layers()
@@ -353,7 +350,7 @@ def forward(
                 update_running=update_running,
                 need_stats=capture_bn,
             )
-            if capture_bn:
+            if capture_bn and train:
                 bn_stats.append((bm, bv))
         elif isinstance(layer, ReLU):
             x = ad.relu(x)
@@ -379,7 +376,7 @@ def forward(
     return ForwardResult(
         output=x,
         bn_inputs=bn_inputs if capture_bn else None,
-        bn_stats=bn_stats if capture_bn else None,
+        bn_stats=bn_stats if capture_bn and train else None,
     )
 
 

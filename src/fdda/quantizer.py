@@ -147,13 +147,18 @@ def fake_quantize_ste(x: Tensor, q: QuantParams | ChannelQuantParams,
     op differentiable so finite differences can validate the backward rule.
     """
     lower, upper, scale = _bounds_for(x, q)
-    clipped = np.clip(x.data, lower, upper)
-    if surrogate:
-        out = clipped
-    else:
+    out = np.clip(x.data, lower, upper)
+    if not surrogate:
+        # dequantize(quantize(x)) in x's dtype, in place: divide, round half
+        # away from zero, clamp to the level window, scale back
         qmin, qmax = _level_window(lower, scale, q.bits)
-        levels = np.clip(_round_half_away(clipped / scale), qmin.astype(x.dtype), qmax.astype(x.dtype))
-        out = (levels * scale).astype(x.dtype)
+        np.divide(out, scale, out=out)
+        mag = np.abs(out)
+        mag += 0.5
+        np.floor(mag, out=mag)
+        np.copysign(mag, out, out=out)
+        np.clip(out, qmin.astype(x.dtype), qmax.astype(x.dtype), out=out)
+        np.multiply(out, scale, out=out)
 
     def bwd(g):
         mask = (x.data >= lower) & (x.data <= upper)
@@ -206,18 +211,14 @@ class FakeQuantRuntime:
         return fake_quantize_ste(x, self.act_params[point], surrogate=self.surrogate)
 
 
-class RangeCalibrator:
-    """Observes per-point activation min/max while weights run fake-quantized."""
+class RangeCalibrator(FakeQuantRuntime):
+    """Observes per-point activation min/max while weights run fake-quantized
+    exactly as in :class:`FakeQuantRuntime`."""
 
     def __init__(self, policy: QuantPolicy, n_points: int):
-        self.policy = policy
+        super().__init__(policy, None)
         self.lo = [np.inf] * n_points
         self.hi = [-np.inf] * n_points
-
-    def on_weight(self, w: Tensor, layer_name: str, index: int, total: int) -> Tensor:
-        bits = self.policy.weight_bits(index, total)
-        fq, _ = quantize_weights_per_channel(w, bits)
-        return fq
 
     def on_activation(self, x: Tensor, point: int) -> Tensor:
         self.lo[point] = min(self.lo[point], float(x.data.min()))

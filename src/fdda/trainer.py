@@ -63,18 +63,27 @@ def evaluate(net: Network, data: LabeledImages, quant: FakeQuantRuntime | None =
     return correct / len(data)
 
 
-def quantized_model_loss(q_net: Network, f_net: Network, images: Tensor,
+class TrainingDiverged(RuntimeError):
+    """A training loss became non-finite; the message names where."""
+
+
+def _check_finite(loss: float, kind: str, phase: str, epoch: int, step: int) -> None:
+    if not math.isfinite(loss):
+        raise TrainingDiverged(
+            f"{kind} loss became {loss} at {phase} epoch {epoch}, step {step}")
+
+
+def quantized_model_loss(q_net: Network, teacher_logits: np.ndarray, images: Tensor,
                          labels: np.ndarray, w: LossWeights,
                          quant: FakeQuantRuntime) -> tuple[Tensor, dict]:
     """Cross-entropy on the mixed batch plus weighted distillation from the
-    frozen full-precision model (teacher side carries no gradient)."""
+    frozen full-precision model, whose logits for ``images`` are given (the
+    teacher side carries no gradient)."""
     if images.shape[0] == 0:
         raise ValueError("quantized-model loss needs a non-empty batch")
     logits_q = forward(q_net, images, train=False, quant=quant).output
     ce = ad.softmax_cross_entropy(logits_q, labels)
-    with ad.no_grad():
-        logits_f = forward(f_net, images, train=False).output
-    kd = ad.kl_divergence(logits_q, Tensor(logits_f.data))
+    kd = ad.kl_divergence(logits_q, Tensor(teacher_logits))
     total = ce + kd * w.kd
     return total, {"ce": float(ce.data), "kd": float(kd.data)}
 
@@ -96,11 +105,35 @@ class TrainState:
     rng_noise: np.random.Generator
     rng_distort: np.random.Generator
     rng_mix: np.random.Generator
+    # the frozen teacher's logits for each calibration image, built on first use
+    teacher_calib: np.ndarray | None = None
+
+
+def _teacher_calib_logits(state: TrainState, cfg: TrainConfig) -> np.ndarray:
+    """The frozen teacher's logits for every calibration image, one row per
+    image, computed once per run.
+
+    Each forward pass cycles the images up to ``cfg.batch_size`` rows, so its
+    GEMMs have the shape of a training step's; row i then equals, bit for
+    bit, the logits of image i inside a step's batch.
+    """
+    if state.teacher_calib is None:
+        n, rows = len(state.calib), cfg.batch_size
+        chunks = []
+        with ad.no_grad():
+            for lo in range(0, n, rows):
+                cycled = state.calib.images[(lo + np.arange(rows)) % n]
+                logits = forward(state.f_net, Tensor(cycled), train=False).output
+                chunks.append(logits.data[: min(rows, n - lo)])
+        state.teacher_calib = np.concatenate(chunks)
+    return state.teacher_calib
 
 
 def _mixed_batch(state: TrainState, cfg: TrainConfig, settings: RunSettings
-                 ) -> tuple[Tensor, np.ndarray] | None:
-    """Fresh synthetic images mixed with resampled calibration items."""
+                 ) -> tuple[Tensor, np.ndarray, np.ndarray] | None:
+    """Fresh synthetic images mixed with resampled calibration items, their
+    labels and the frozen teacher's logits. The teacher runs on the synthetic
+    rows only; the calibration rows come from :func:`_teacher_calib_logits`."""
     n_total = cfg.batch_size
     have_calib = len(state.calib) > 0
     n_cal = int(round(cfg.mix_ratio * n_total)) if have_calib else 0
@@ -108,20 +141,23 @@ def _mixed_batch(state: TrainState, cfg: TrainConfig, settings: RunSettings
         n_cal = n_total if have_calib else 0
     n_syn = n_total - n_cal if settings.use_synthetic else 0
 
-    xs, ys = [], []
+    xs, ys, ts = [], [], []
     if n_syn > 0:
         labels = sample_labels(state.f_net.meta["num_classes"], n_syn, state.rng_labels)
         with ad.no_grad():
             images = generate(state.g_net, labels, state.rng_noise)
+            logits = forward(state.f_net, images, train=False).output
         xs.append(images.data)
         ys.append(labels)
+        ts.append(logits.data)
     if n_cal > 0:
         pick = state.rng_mix.integers(0, len(state.calib), size=n_cal)
         xs.append(state.calib.images[pick])
         ys.append(state.calib.labels[pick])
+        ts.append(_teacher_calib_logits(state, cfg)[pick])
     if not xs:
         return None
-    return Tensor(np.concatenate(xs)), np.concatenate(ys)
+    return Tensor(np.concatenate(xs)), np.concatenate(ys), np.concatenate(ts)
 
 
 def _generator_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
@@ -145,8 +181,8 @@ def _quantized_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
     batch = _mixed_batch(state, cfg, settings)
     if batch is None:
         return None
-    images, labels = batch
-    loss, _ = quantized_model_loss(state.q_net, state.f_net, images, labels,
+    images, labels, teacher_logits = batch
+    loss, _ = quantized_model_loss(state.q_net, teacher_logits, images, labels,
                                    settings.weights, state.quant)
     state.q_net.zero_grad()
     ad.backward(loss)
@@ -155,27 +191,32 @@ def _quantized_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
 
 
 def warmup_generator(state: TrainState, cfg: TrainConfig, settings: RunSettings) -> list[float]:
-    """Generator-only updates before the quantized model starts training."""
+    """Generator-only updates before the quantized model starts training;
+    raises :class:`TrainingDiverged` on a non-finite loss."""
     losses = []
     for epoch in range(cfg.warmup_epochs):
         lr = lr_schedule(cfg.generator_schedule, cfg.lr_generator, epoch, cfg.total_epochs)
-        for _ in range(cfg.steps_per_epoch):
+        for step in range(cfg.steps_per_epoch):
             losses.append(_generator_step(state, cfg, settings, lr))
+            _check_finite(losses[-1], "generator", "warm-up", epoch, step)
     return losses
 
 
 def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
                 epoch: int) -> dict:
     """One epoch of per-step alternation: a generator update on its composite
-    loss, then a quantized-model update on a fresh mixed batch."""
+    loss, then a quantized-model update on a fresh mixed batch. Raises
+    :class:`TrainingDiverged` on a non-finite loss."""
     lr_g = lr_schedule(cfg.generator_schedule, cfg.lr_generator, epoch, cfg.total_epochs)
     lr_q = lr_schedule(cfg.quantized_schedule, cfg.lr_quantized, epoch, cfg.total_epochs)
     g_losses, q_losses = [], []
-    for _ in range(cfg.steps_per_epoch):
+    for step in range(cfg.steps_per_epoch):
         if settings.use_synthetic:
             g_losses.append(_generator_step(state, cfg, settings, lr_g))
+            _check_finite(g_losses[-1], "generator", "training", epoch, step)
         q = _quantized_step(state, cfg, settings, lr_q)
         if q is not None:
+            _check_finite(q, "quantized-model", "training", epoch, step)
             q_losses.append(q)
     metrics = {
         "epoch": epoch,

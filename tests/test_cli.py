@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from fdda import trainer
 from fdda.cli import main
 
 
@@ -189,3 +190,31 @@ def test_seeded_reports_are_byte_identical(pretrained):
         assert rc == 0
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "quantized.fdda").read_bytes() == (out_b / "quantized.fdda").read_bytes()
+
+
+@pytest.mark.parametrize("step", ["_generator_step", "_quantized_step"])
+def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, monkeypatch, step):
+    root, cfg, model = pretrained
+    monkeypatch.setattr(trainer, step, lambda *a: float("nan"))
+    out_dir = root / f"diverged{step}"
+    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
+               "--out", str(out_dir), "--seed", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "loss became nan" in err and "epoch 0, step 0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--classes", "0"]],
+                         ids=["no-epochs", "no-calibration"])
+def test_teacher_table_not_built_without_calibration_steps(pretrained, monkeypatch, flags):
+    root, cfg, model = pretrained
+
+    def refuse(*args):
+        raise AssertionError("teacher logits table built")
+
+    monkeypatch.setattr(trainer, "_teacher_calib_logits", refuse)
+    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
+               "--out", str(root / f"table{flags[0]}{flags[1]}"), "--seed", "1"] + flags)
+    assert rc == 0

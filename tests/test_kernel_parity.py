@@ -115,6 +115,15 @@ CONV_CASES = (
         ("non-square-valid", (3, 2, 6, 9), 4, 3, 1, 0),
         ("stride2", (4, 3, 9, 9), 5, 3, 2, 1),
         ("stride2-valid", (2, 3, 7, 11), 2, 3, 2, 0),
+        # window edges of the two-stage im2col fill: taps whose shifted
+        # columns lie partly or wholly in the padding
+        ("k5-pad2", (3, 2, 7, 6), 4, 5, 1, 2),
+        ("k5-pad2-2x2", (2, 3, 2, 2), 3, 5, 1, 2),
+        ("2x2-k3", (4, 3, 2, 2), 5, 3, 1, 1),
+        ("one-pixel-wide", (3, 2, 6, 1), 4, 3, 1, 1),
+        ("one-pixel-wide-k5", (2, 2, 5, 1), 3, 5, 1, 2),
+        ("k7-pad3-two-wide", (2, 2, 3, 2), 3, 7, 1, 3),
+        ("stride2-k5-pad2", (2, 2, 9, 7), 3, 5, 2, 2),
     ]
 )
 
@@ -196,3 +205,27 @@ def test_upsample2x_forward_and_backward_equal_reference(shape, layout):
     out, (gx,) = _taped(ad.upsample2x, x, g=g)
     np.testing.assert_array_equal(out, ref_upsample(x))
     np.testing.assert_array_equal(gx, ref_upsample_bwd(g))
+
+
+# ---------------------------------------------------------------------------
+# im2col memory
+# ---------------------------------------------------------------------------
+
+def test_im2col_peak_memory_is_columns_plus_one_shift_buffer():
+    # gconv2 at batch 64: the column matrix and one (C, N, Hp, Wo) buffer,
+    # reused by every column tap; a buffer per tap costs page faults
+    import tracemalloc
+
+    n, c, h, w, k, pad = 64, 16, 16, 16, 3, 1
+    x = _rand(np.random.default_rng(0), (n, c, h, w))
+    itemsize = x.dtype.itemsize
+    cols_bytes = c * k * k * n * h * w * itemsize
+    shift_bytes = c * n * (h + 2 * pad) * w * itemsize
+    tracemalloc.start()
+    try:
+        cols, _, _ = ad._im2col(x, k, k, 1, pad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cols.nbytes == cols_bytes
+    assert peak <= 1.1 * (cols_bytes + shift_bytes)

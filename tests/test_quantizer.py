@@ -124,6 +124,65 @@ def test_ste_gradient_mask():
     np.testing.assert_allclose(x.grad, [1.0, 0.0, 0.0, 1.0, 1.0])
 
 
+def ref_fake_quantize(x, q):
+    """The earlier fake_quantize_ste forward: a new array per step, then a
+    cast back to x's dtype; and its straight-through mask."""
+    from fdda.quantizer import _bounds_for, _level_window, _round_half_away
+
+    lower, upper, scale = _bounds_for(Tensor(x), q)
+    clipped = np.clip(x, lower, upper)
+    qmin, qmax = _level_window(lower, scale, q.bits)
+    levels = np.clip(_round_half_away(clipped / scale), qmin.astype(x.dtype), qmax.astype(x.dtype))
+    return (levels * scale).astype(x.dtype), (x >= lower) & (x <= upper)
+
+
+def _with_ties_and_outliers(rng, shape, q, dtype):
+    """Random values plus exact rounding ties (l/s + k + 1/2 steps, exact
+    because the scales are powers of two) and values beyond both bounds."""
+    x = rng.uniform(-2, 2, size=shape)
+    flat = x.reshape(shape[0], -1)
+    lower = np.asarray(q.lower, np.float64).reshape(-1, 1)
+    scale = np.asarray(q.scale, np.float64).reshape(-1, 1)
+    ties = (np.round(lower / scale) + rng.integers(0, 2**q.bits - 1, size=flat.shape) + 0.5) * scale
+    flat[:, ::3] = ties[:, ::3]
+    flat[:, 1::7] = lower - 3.0
+    flat[:, 2::7] = lower + scale * 2**q.bits + 3.0
+    return x.astype(dtype)
+
+
+def _params(kind, bits):
+    """Bounds on power-of-two scales; l/s = -2.5 puts both ends on rounding
+    ties, where only the level-window clamp keeps 2^bits levels."""
+    levels = 2**bits - 1
+    if kind == "per-layer":
+        return QuantParams(bits, -0.625, -0.625 + 0.25 * levels)
+    scale = np.array([0.25, 0.5, 0.125, 0.0625, 1.0, 0.25])
+    lower = np.array([-0.625, -1.5, 0.1875, -0.25, -2.0, 0.0])
+    return ChannelQuantParams(bits, lower, lower + scale * levels)
+
+
+@pytest.mark.parametrize("kind", ["per-layer", "per-channel"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bits", [2, 3, 4, 8])
+def test_fake_quantize_equals_reference(kind, dtype, bits):
+    rng = np.random.default_rng(bits)
+    q = _params(kind, bits)
+    x = _with_ties_and_outliers(rng, (6, 5, 4, 4), q, dtype)
+    scale = np.asarray(q.scale).reshape(-1, 1, 1, 1)
+    assert np.any(np.abs(x / scale) % 1 == 0.5)
+    x0 = x.copy()
+    xt = Tensor(x, requires_grad=True)
+    y = fake_quantize_ste(xt, q)
+    ref, mask = ref_fake_quantize(x0, q)
+    assert y.data.dtype == dtype
+    np.testing.assert_array_equal(y.data, ref)
+    np.testing.assert_array_equal(x, x0)  # the input is not overwritten
+    g = rng.standard_normal(x.shape).astype(dtype)
+    ad.backward((y * Tensor(g)).sum())
+    np.testing.assert_array_equal(xt.grad, g * mask)
+    assert mask.any() and not mask.all()
+
+
 def test_ste_surrogate_matches_finite_differences():
     # with rounding disabled the op is clip(), whose true gradient is the STE rule
     rng = np.random.default_rng(1)

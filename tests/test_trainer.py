@@ -1,10 +1,12 @@
 """Training-loop contracts: schedules, the quantized-model loss, frozen
-teacher, null updates, selective weight decay, and the missing-class rule."""
+teacher, the teacher-logit table of the calibration images, null updates,
+divergence, selective weight decay, and the missing-class rule."""
 
 import numpy as np
 import pytest
 
 from fdda import autodiff as ad
+from fdda import trainer
 from fdda.autodiff import Tensor
 from fdda.bns import (
     DistortionParams,
@@ -20,7 +22,9 @@ from fdda.network import forward
 from fdda.optim import Adam, NesterovSGD, decays_weight
 from fdda.quantizer import FakeQuantRuntime, QuantPolicy, calibrate_activation_bounds
 from fdda.trainer import (
+    TrainingDiverged,
     TrainState,
+    _mixed_batch,
     evaluate,
     lr_schedule,
     quantized_model_loss,
@@ -121,11 +125,12 @@ def test_qloss_identity_case_kd_zero(world):
     none_rt = FakeQuantRuntime(QuantPolicy(default_bits=8), None)
     with ad.no_grad():
         logits_f = forward(f, xs, train=False).output
-    loss, parts = quantized_model_loss(q, f, xs, ys, LossWeights(kd=20.0),
+    loss, parts = quantized_model_loss(q, logits_f.data, xs, ys, LossWeights(kd=20.0),
                                        FakeQuantRuntime(QuantPolicy(8), None))
     # weights are still per-channel fake-quantized at 8 bits; compare up to that
     assert parts["kd"] < 1e-3
-    ce_only, parts0 = quantized_model_loss(q, f, xs, ys, LossWeights(kd=0.0), none_rt)
+    ce_only, parts0 = quantized_model_loss(q, logits_f.data, xs, ys, LossWeights(kd=0.0),
+                                           none_rt)
     assert float(ce_only.data) == pytest.approx(parts0["ce"], rel=1e-6)
 
 
@@ -140,7 +145,8 @@ def test_qloss_empty_batch_errors(world):
     q = f.copy()
     rt = FakeQuantRuntime(QuantPolicy(8), None)
     with pytest.raises(ValueError):
-        quantized_model_loss(q, f, Tensor(np.zeros((0, 1, 16, 16), np.float32)),
+        quantized_model_loss(q, np.zeros((0, 8), np.float32),
+                             Tensor(np.zeros((0, 1, 16, 16), np.float32)),
                              np.zeros(0, np.int64), LossWeights(), rt)
 
 
@@ -238,6 +244,75 @@ def test_no_synthetic_uses_calibration_batches(world):
     metrics = train_epoch(state, settings.train, settings, epoch=0)
     assert metrics["lossG"] is None
     assert metrics["lossQ"] is not None
+
+
+# ---------------------------------------------------------------------------
+# teacher logits of the calibration images
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("use_synthetic", [True, False], ids=["mixed", "calibration-only"])
+def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, use_synthetic):
+    settings = tiny_settings(use_synthetic=use_synthetic, train_kw={"batch_size": 64})
+    state = make_state(world, settings)
+    images, _, teacher = _mixed_batch(state, settings.train, settings)
+    assert images.shape[0] == 64
+    with ad.no_grad():
+        ref = forward(state.f_net, images, train=False).output.data
+    np.testing.assert_array_equal(teacher, ref)
+    assert state.teacher_calib.shape == (len(state.calib), 8)
+
+
+def test_teacher_table_is_built_once_per_run(world):
+    settings = tiny_settings(use_synthetic=False)
+    state = make_state(world, settings)
+    assert state.teacher_calib is None
+    train_epoch(state, settings.train, settings, epoch=0)
+    table = state.teacher_calib
+    assert table is not None
+    train_epoch(state, settings.train, settings, epoch=1)
+    assert state.teacher_calib is table
+
+
+def test_teacher_table_covers_more_images_than_one_batch(world):
+    settings = tiny_settings(use_synthetic=False, train_kw={"batch_size": 3})
+    state = make_state(world, settings)
+    _mixed_batch(state, settings.train, settings)
+    with ad.no_grad():
+        ref = forward(state.f_net, Tensor(state.calib.images), train=False).output.data
+    # chunks of 3 rows, not one batch of 8: equal up to GEMM blocking
+    np.testing.assert_allclose(state.teacher_calib, ref, rtol=1e-5, atol=1e-5)
+
+
+def test_teacher_table_not_built_without_calibration_rows(world):
+    f, train, _, _ = world
+    empty = extract_calibration(train, 8, classes=[])
+    settings = tiny_settings()
+    state = make_state(world, settings, calib=empty)
+    train_epoch(state, settings.train, settings, epoch=0)
+    assert state.teacher_calib is None
+
+
+# ---------------------------------------------------------------------------
+# divergence
+# ---------------------------------------------------------------------------
+
+def test_non_finite_quantized_loss_raises_naming_epoch_and_step(world, monkeypatch):
+    settings = tiny_settings(use_synthetic=False)
+    state = make_state(world, settings)
+    losses = iter([0.5, float("nan")])
+    monkeypatch.setattr(trainer, "_quantized_step", lambda *a: next(losses))
+    with pytest.raises(TrainingDiverged, match="quantized-model loss became nan at "
+                                               "training epoch 4, step 1"):
+        train_epoch(state, settings.train, settings, epoch=4)
+
+
+def test_non_finite_generator_loss_raises_in_warmup(world, monkeypatch):
+    settings = tiny_settings()
+    state = make_state(world, settings)
+    monkeypatch.setattr(trainer, "_generator_step", lambda *a: float("inf"))
+    with pytest.raises(TrainingDiverged, match="generator loss became inf at "
+                                               "warm-up epoch 0, step 0"):
+        warmup_generator(state, settings.train, settings)
 
 
 # ---------------------------------------------------------------------------
