@@ -22,7 +22,7 @@ from .network import (
 from .quantizer import QuantParams, QuantPolicy
 
 MAGIC = b"FDA1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ArchiveError(Exception):

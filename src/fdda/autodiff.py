@@ -13,14 +13,16 @@ replaces (a sliding-window im2col, ``reshape(...).mean`` or ``.sum`` over the
 block axes), so seeded runs stay byte-identical. The tests keep those
 formulas as references.
 
-The conv's im2col fills the same ``(C*kh*kw, N*Ho*Wo)`` column matrix in two
-stages. For each column tap j, one ``(C, N, H + 2*pad, Wo)`` buffer receives
-the input shifted by j, with only its padding zeroed; the kh row taps are
-then copied out of it as contiguous ``Ho*Wo`` blocks (for stride 1), instead
-of kh*kw copies whose inner loops are only Wo long. The matrix, and so the
-GEMM, is unchanged. The buffer is reused by every tap on purpose: a buffer
-kw times larger, holding all column taps at once, costs more in page faults
-on first touch than the copies it saves.
+The conv moves its window one pixel at a time, with a square k x k kernel
+and 0 <= pad < k: that is all the models use, and it keeps the input
+gradient a cross-correlation too. Its im2col fills the ``(C*k*k, N*Ho*Wo)``
+column matrix in two stages. For each column tap j, one
+``(C, N, H + 2*pad, Wo)`` buffer receives the input shifted by j, with only
+its padding zeroed; the k row taps are then copied out of it as contiguous
+``Ho*Wo`` blocks, instead of k*k copies whose inner loops are only Wo long.
+The matrix, and so the GEMM, is unchanged. The buffer is reused by every tap
+on purpose: a buffer k times larger, holding all column taps at once, costs
+more in page faults on first touch than the copies it saves.
 """
 
 from __future__ import annotations
@@ -73,9 +75,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -137,10 +136,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 def tape_size() -> int:
@@ -356,78 +351,54 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return record_op(x.data @ w.data.T + b.data, (x, w, b), bwd)
 
 
-def _conv_out_extent(size: int, k: int, stride: int, pad: int) -> int:
-    span = size + 2 * pad - k
-    if span < 0:
-        raise ValueError(f"kernel {k} larger than padded input {size + 2 * pad}")
-    if span % stride != 0:
-        raise ValueError(
-            f"non-integral conv output extent: (size={size}, k={k}, "
-            f"stride={stride}, pad={pad})"
-        )
-    return span // stride + 1
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    # x: (N, C, H, W) -> (C*kh*kw, N*Ho*Wo), a single-GEMM layout
+def _im2col(x: np.ndarray, k: int, pad: int):
+    # x: (N, C, H, W) -> (C*k*k, N*Ho*Wo), a single-GEMM layout
     n, c, h, w = x.shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     xc = x.transpose(1, 0, 2, 3)  # channel-major, so each tap fills one row block
-    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    cols = np.empty((c, k, k, n, ho, wo), dtype=x.dtype)
     # one shift buffer, reused by every column tap: rows keep their padding,
     # columns are already the tap's output columns
     shifted = np.empty((c, n, h + 2 * pad, wo), dtype=x.dtype)
     shifted[:, :, :pad] = 0
     shifted[:, :, pad + h :] = 0
     body = shifted[:, :, pad : pad + h]
-    for j in range(kw):
-        # output column q reads input column q * stride + j - pad
-        lo = min(wo, max(0, -((j - pad) // stride)))
-        hi = max(lo, min(wo, -((j - pad - w) // stride)))
+    for j in range(k):
+        # output column q reads input column q + j - pad
+        lo = min(wo, max(0, pad - j))
+        hi = max(lo, min(wo, w + pad - j))
         body[..., :lo] = 0
         body[..., hi:] = 0
-        src = lo * stride + j - pad
-        body[..., lo:hi] = xc[..., src : src + stride * (hi - lo) : stride]
-        for i in range(kh):
-            cols[:, i, j] = shifted[:, :, i : i + stride * ho : stride]
-    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
+        body[..., lo:hi] = xc[..., lo + j - pad : hi + j - pad]
+        for i in range(k):
+            cols[:, i, j] = shifted[:, :, i : i + ho]
+    return cols.reshape(c * k * k, n * ho * wo), ho, wo
 
 
-def _col2im(dcols, xshape, kh, kw, stride, pad, ho, wo):
-    # dcols: (C*kh*kw, N*Ho*Wo)
-    n, c, h, w = xshape
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    d6 = dcols.reshape(c, kh, kw, n, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                d6[:, i, j].transpose(1, 0, 2, 3)
-            )
-    if pad:
-        return dxp[:, :, pad : pad + h, pad : pad + w]
-    return dxp
-
-
-def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
+def _conv_raw(x: np.ndarray, w: np.ndarray, pad: int):
     """Cross-correlation on raw arrays; returns (out (N,O,Ho,Wo), cols)."""
     n, c = x.shape[:2]
-    o, _, kh, kw = w.shape
-    cols, ho, wo = _im2col(x, kh, kw, stride, pad)
-    out_mat = w.reshape(o, c * kh * kw) @ cols  # (O, N*Ho*Wo)
+    o, _, k, _ = w.shape
+    cols, ho, wo = _im2col(x, k, pad)
+    out_mat = w.reshape(o, c * k * k) @ cols  # (O, N*Ho*Wo)
     out = out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
     return out, cols
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of x (N,C,H,W) with w (O,C,kh,kw)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
+    """Cross-correlation of x (N,C,H,W) with a square kernel w (O,C,k,k),
+    moved one pixel at a time, x zero-padded by 0 <= pad < k on each side."""
     n, c, h, wd = x.shape
-    o, cw, kh, kw = w.shape
+    o, cw, k, kw = w.shape
     if cw != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {cw}")
-    ho = _conv_out_extent(h, kh, stride, pad)
-    wo = _conv_out_extent(wd, kw, stride, pad)
-    out, cols = _conv_raw(x.data, w.data, stride, pad)
+    if kw != k or not 0 <= pad < k:
+        raise ValueError(f"conv2d needs a square kernel and 0 <= pad < kernel, "
+                         f"got kernel {k}x{kw}, pad {pad}")
+    if min(h, wd) + 2 * pad < k:
+        raise ValueError(f"kernel {k} larger than padded input {(h + 2 * pad, wd + 2 * pad)}")
+    out, cols = _conv_raw(x.data, w.data, pad)
+    ho, wo = out.shape[2:]
     if b is not None:
         out = out + b.data.reshape(1, o, 1, 1)
 
@@ -435,19 +406,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     def bwd(g):
         gx = gw = gb = None
-        g_mat = None
-        if w.requires_grad or not (stride == 1 and kh == kw and kh - 1 - pad >= 0):
-            g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
         if x.requires_grad:
-            if stride == 1 and kh == kw and kh - 1 - pad >= 0:
-                # gradient w.r.t. the input is itself a cross-correlation
-                # with the channel-swapped, spatially flipped kernel
-                w_t = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-                gx, _ = _conv_raw(g, w_t, 1, kh - 1 - pad)
-            else:
-                dcols = w.data.reshape(o, -1).T @ g_mat
-                gx = _col2im(dcols, x.shape, kh, kw, stride, pad, ho, wo)
+            # gradient w.r.t. the input is itself a cross-correlation
+            # with the channel-swapped, spatially flipped kernel
+            w_t = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            gx, _ = _conv_raw(g, w_t, k - 1 - pad)
         if w.requires_grad:
+            g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
             # the transpose of g_mat @ cols.T: the same bits on OpenBLAS, and
             # about twice as fast when O is small (the GEMM's M and N swap)
             gw = (cols @ g_mat.T).T.reshape(w.shape)
@@ -540,8 +505,8 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
 
     Normalizes per channel over the batch (and spatial) axes with biased
     variance. Returns (y, batch_mean, batch_var); the statistics are plain
-    arrays, so use the composed path when a loss must differentiate through
-    them.
+    arrays that carry no gradient. A loss on batch statistics takes them
+    from the captured BN input with ``network.channel_stats`` instead.
     """
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
     count = 1

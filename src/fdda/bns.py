@@ -3,6 +3,11 @@ running, per-image, per-class centroid) and the alignment losses built on
 them: coarse alignment to running stats, centroid alignment for deep layers,
 and noise-distorted centroid alignment.
 
+Each granularity has one path. Batch statistics of a synthetic batch are
+``network.channel_stats`` of its captured BN inputs; per-class statistics
+are :func:`per_class_bns_stacked`, which both centroid losses score; per-image
+statistics are :func:`per_image_bns`, which the centroids are built from.
+
 Layers are 1-indexed; variances are biased (population) everywhere so the
 three granularities compare directly.
 """
@@ -154,67 +159,38 @@ def build_class_centroids(net: Network, calib, deep_start: int) -> ClassCentroid
 
 
 # ---------------------------------------------------------------------------
-# batch statistics of synthetic batches
+# per-class statistics of synthetic batches
 # ---------------------------------------------------------------------------
-
-def per_class_bns(bn_inputs: Sequence[Tensor], labels: np.ndarray,
-                  classes: Sequence[int], deep_start: int = 1,
-                  ) -> dict[int, list[LayerStats | None]]:
-    """Per-class batch statistics at each BN input for layers >= deep_start.
-
-    For every requested class present in ``labels``, computes the mean and
-    biased variance over all of that class's samples jointly (samples x
-    spatial positions). Entries for layers below ``deep_start`` are None.
-    Classes absent from the batch are omitted.
-    """
-    stacked = per_class_bns_stacked(bn_inputs, labels, classes, deep_start)
-    return {} if stacked is None else stacked.as_map()
-
 
 @dataclass
 class StackedClassBns:
-    """Per-class statistics packed as (n_classes, C_l) matrices per layer.
-
-    Semantically identical to the per-class map from :func:`per_class_bns`
-    (row i of each matrix is class ``classes[i]``) but far cheaper to score:
-    one tape node per layer instead of one per class.
-    """
+    """Per-class batch statistics packed as (n_classes, C_l) matrices: row i
+    of each matrix is class ``classes[i]``, and ``layers`` maps each deep
+    layer l to its (means, variances) pair. One tape node per layer instead
+    of one per class."""
 
     classes: tuple[int, ...]
-    layers: list[tuple[Tensor, Tensor] | None]  # None below deep_start
-
-    def as_map(self) -> dict[int, list[LayerStats | None]]:
-        out: dict[int, list[LayerStats | None]] = {c: [] for c in self.classes}
-        for entry in self.layers:
-            for row, c in enumerate(self.classes):
-                if entry is None:
-                    out[c].append(None)
-                else:
-                    m2, v2 = entry
-                    ch = m2.shape[1]
-                    out[c].append((
-                        ad.take(m2, np.array([row])).reshape((ch,)),
-                        ad.take(v2, np.array([row])).reshape((ch,)),
-                    ))
-        return out
+    layers: dict[int, tuple[Tensor, Tensor]]
 
 
 def per_class_bns_stacked(bn_inputs: Sequence[Tensor], labels: np.ndarray,
-                          classes: Sequence[int], deep_start: int = 1,
-                          ) -> StackedClassBns | None:
-    """Stacked form of :func:`per_class_bns`; None when no class is present."""
+                          centroids: ClassCentroids) -> StackedClassBns | None:
+    """Per-class batch statistics at the BN inputs of the deep layers.
+
+    Covers every class that is in ``labels`` and has a centroid; each class's
+    mean and biased variance are taken over all of its samples jointly
+    (samples x spatial positions). Returns None when no such class exists.
+    """
     labels = np.asarray(labels)
-    present = sorted({int(c) for c in classes} & {int(l) for l in labels})
+    present = sorted(set(centroids.per_class) & {int(l) for l in labels})
     if not present:
         return None
     counts = np.array([(labels == c).sum() for c in present], dtype=np.float64)
     lab_rows = np.searchsorted(present, np.clip(labels, present[0], present[-1]))
 
-    layers: list[tuple[Tensor, Tensor] | None] = []
-    for layer_idx, t in enumerate(bn_inputs, start=1):
-        if layer_idx < deep_start:
-            layers.append(None)
-            continue
+    layers: dict[int, tuple[Tensor, Tensor]] = {}
+    for l in centroids.deep_layers():
+        t = bn_inputs[l - 1]
         if t.ndim == 4:
             n, ch = t.shape[0], t.shape[1]
             spatial = t.shape[2] * t.shape[3]
@@ -236,7 +212,7 @@ def per_class_bns_stacked(bn_inputs: Sequence[Tensor], labels: np.ndarray,
             centered = t - per_sample_mean
             sq = centered * centered
         variances = ad.matmul(sel_t, sq)
-        layers.append((means, variances))
+        layers[l] = (means, variances)
     return StackedClassBns(tuple(present), layers)
 
 
@@ -262,38 +238,13 @@ def bns_loss(batch_stats: Sequence[LayerStats], running: BnRunningStats) -> Tens
     return total
 
 
-def _centroid_terms(per_class_stats, centroids: ClassCentroids, noise=None):
-    """Per-class alignment terms over deep layers; ``noise`` optionally maps
-    (class, layer) to (mean_noise, var_noise) arrays added to the targets."""
-    terms: dict[int, Tensor] = {}
-    for c in sorted(per_class_stats):
-        if c not in centroids.per_class:
-            continue
-        stats = per_class_stats[c]
-        term = None
-        for l in centroids.deep_layers():
-            entry = stats[l - 1]
-            if entry is None:
-                raise ValueError(f"class {c} missing statistics for deep layer {l}")
-            m, v = entry
-            tm, tv = centroids.per_class[c][l]
-            if noise is not None:
-                nm, nv = noise[(c, l)]
-                tm, tv = tm + nm, tv + nv
-            contrib = _sq_dist(m, tm) + _sq_dist(v, tv)
-            term = contrib if term is None else term + contrib
-        terms[c] = term
-    return terms
-
-
-def _stacked_centroid_loss(stacked: StackedClassBns, centroids: ClassCentroids,
-                           noise=None) -> Tensor:
+def _centroid_loss(stacked: StackedClassBns, centroids: ClassCentroids,
+                   noise=None) -> Tensor:
+    """Sum over deep layers and classes of squared distances to the centroids;
+    ``noise`` optionally maps (class, layer) to (mean, variance) offsets
+    added to the targets."""
     total = None
-    for l in centroids.deep_layers():
-        entry = stacked.layers[l - 1]
-        if entry is None:
-            raise ValueError(f"missing statistics for deep layer {l}")
-        m2, v2 = entry
+    for l, (m2, v2) in stacked.layers.items():
         tm = np.stack([centroids.per_class[c][l][0] for c in stacked.classes])
         tv = np.stack([centroids.per_class[c][l][1] for c in stacked.classes])
         if noise is not None:
@@ -304,61 +255,27 @@ def _stacked_centroid_loss(stacked: StackedClassBns, centroids: ClassCentroids,
     return total
 
 
-def _draw_noise(classes, centroids: ClassCentroids, distortion: DistortionParams,
-                rng: np.random.Generator) -> dict:
-    """Fresh per-(class, layer) target noise, drawn in a fixed order."""
+def cbns_loss(stacked: StackedClassBns, centroids: ClassCentroids) -> Tensor:
+    """Centroid alignment over the deep layers of the stacked classes."""
+    return _centroid_loss(stacked, centroids)
+
+
+def dbns_loss(stacked: StackedClassBns, centroids: ClassCentroids,
+              distortion: DistortionParams, rng: np.random.Generator) -> Tensor:
+    """Centroid alignment against noise-distorted targets.
+
+    Each centroid entry is perturbed elementwise with fresh Gaussian noise on
+    every call (std ``mean_std`` for means, ``var_std`` for variances), drawn
+    class by class, then layer by layer; the distorted targets carry no
+    gradient. Distorted variance targets may go negative; they are
+    regression targets, not normalizers, and are used as-is.
+    """
     noise = {}
-    for c in sorted(classes):
-        if c not in centroids.per_class:
-            continue
-        for l in centroids.deep_layers():
+    for c in stacked.classes:
+        for l in stacked.layers:
             tm, tv = centroids.per_class[c][l]
             noise[(c, l)] = (
                 rng.normal(0.0, distortion.mean_std, size=tm.shape),
                 rng.normal(0.0, distortion.var_std, size=tv.shape),
             )
-    return noise
-
-
-def _zero_scalar() -> Tensor:
-    return Tensor(np.zeros((), dtype=np.float32))
-
-
-def _sum_terms(terms: dict[int, Tensor]) -> Tensor:
-    if not terms:
-        return _zero_scalar()
-    total = None
-    for c in sorted(terms):
-        total = terms[c] if total is None else total + terms[c]
-    return total
-
-
-def cbns_loss(per_class_stats, centroids: ClassCentroids) -> Tensor:
-    """Centroid alignment over deep layers; classes without a centroid are
-    skipped silently. Accepts the per-class map or the stacked form."""
-    if isinstance(per_class_stats, StackedClassBns):
-        if set(per_class_stats.classes) <= set(centroids.per_class):
-            return _stacked_centroid_loss(per_class_stats, centroids)
-        per_class_stats = per_class_stats.as_map()
-    return _sum_terms(_centroid_terms(per_class_stats, centroids))
-
-
-def dbns_loss(per_class_stats, centroids: ClassCentroids,
-              distortion: DistortionParams, rng: np.random.Generator) -> Tensor:
-    """Centroid alignment against noise-distorted targets.
-
-    Each centroid entry is perturbed elementwise with fresh Gaussian noise on
-    every call (std ``mean_std`` for means, ``var_std`` for variances); the
-    distorted targets carry no gradient. Distorted variance targets may go
-    negative; they are regression targets, not normalizers, and are used
-    as-is. Accepts the per-class map or the stacked form.
-    """
-    if isinstance(per_class_stats, StackedClassBns):
-        noise = _draw_noise(per_class_stats.classes, centroids, distortion, rng)
-        if set(per_class_stats.classes) <= set(centroids.per_class):
-            return _stacked_centroid_loss(per_class_stats, centroids, noise=noise)
-        per_class_stats = per_class_stats.as_map()
-    else:
-        noise = _draw_noise(per_class_stats, centroids, distortion, rng)
-    terms = _centroid_terms(per_class_stats, centroids, noise=noise)
-    return _sum_terms(terms)
+    return _centroid_loss(stacked, centroids, noise=noise)

@@ -70,8 +70,11 @@ def cmd_quantize(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, report = run_fdda(settings, args.model, out_model_path=out_dir / "quantized.fdda")
-    report_path = out_dir / "report.json"
+    model_path, report_path = out_dir / "quantized.fdda", out_dir / "report.json"
+    # a run that fails must not leave an earlier run's outputs behind
+    model_path.unlink(missing_ok=True)
+    report_path.unlink(missing_ok=True)
+    _, report = run_fdda(settings, args.model, out_model_path=model_path)
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(json.dumps({
         "report": str(report_path),

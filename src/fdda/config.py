@@ -37,7 +37,6 @@ class TrainConfig:
     quantized_schedule: str = "cosine"
     weight_decay: float = 1e-4
     momentum: float = 0.9
-    bn_momentum: float = 0.1
     mix_ratio: float = 0.25
     seed: int = 0
 

@@ -3,7 +3,7 @@ calibration-set extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,17 +87,13 @@ def make_toy_dataset(spec: ToyDatasetSpec) -> tuple[LabeledImages, LabeledImages
 
 @dataclass
 class CalibrationSet:
-    """At most one labelled image per class; tracks which classes are covered
-    and whether each label came from the data or was predicted."""
+    """At most one labelled image per class; tracks which classes are covered."""
 
     images: np.ndarray  # (M, C, H, W)
     labels: np.ndarray  # (M,) int64
     num_classes: int
-    predicted: np.ndarray = field(default=None)  # (M,) bool
 
     def __post_init__(self):
-        if self.predicted is None:
-            self.predicted = np.zeros(len(self.labels), dtype=bool)
         if len(np.unique(self.labels)) != len(self.labels):
             raise ValueError("calibration labels must be unique")
 

@@ -40,11 +40,10 @@ class LossWeights:
                 raise ValueError(f"loss weight {name} must be >= 0")
 
 
-def sample_labels(num_classes: int, batch: int, rng: np.random.Generator,
-                  stratify: bool = True) -> np.ndarray:
+def sample_labels(num_classes: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform class labels; when the batch is at least one per class,
     stratified so every class appears at least once."""
-    if stratify and batch >= num_classes:
+    if batch >= num_classes:
         labels = np.concatenate([
             np.arange(num_classes),
             rng.integers(0, num_classes, size=batch - num_classes),
@@ -116,14 +115,8 @@ def generator_total_loss(
         "bns": bns_loss([channel_stats(x) for x in cap.bn_inputs], running),
     }
 
-    want_centroid_terms = (use_cbns or use_dbns) and centroids.available_classes
-    if want_centroid_terms:
-        per_class = per_class_bns_stacked(
-            cap.bn_inputs,
-            labels,
-            classes=sorted(centroids.available_classes),
-            deep_start=centroids.deep_start,
-        )
+    if use_cbns or use_dbns:
+        per_class = per_class_bns_stacked(cap.bn_inputs, labels, centroids)
         if per_class is not None:
             if use_cbns:
                 parts["cbns"] = cbns_loss(per_class, centroids)

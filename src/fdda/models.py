@@ -25,8 +25,8 @@ def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> n
 
 
 def _add_conv(layers, params, name: str, c_in: int, c_out: int, rng,
-              stride: int = 1, kernel: int = 3, pad: int = 1) -> None:
-    layers.append(Conv2d(name, c_in, c_out, kernel, stride=stride, pad=pad))
+              kernel: int = 3, pad: int = 1) -> None:
+    layers.append(Conv2d(name, c_in, c_out, kernel, pad=pad))
     params[f"{name}.w"] = Tensor(
         _he_init(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel),
         requires_grad=True,

@@ -17,6 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1  # weight of the newest batch in the running statistics
 EVAL_BATCH = 256  # images per eval-mode forward pass
 
 
@@ -37,7 +38,6 @@ class Conv2d:
     in_channels: int
     out_channels: int
     kernel: int
-    stride: int = 1
     pad: int = 0
 
 
@@ -213,11 +213,6 @@ def channel_stats(x: Tensor) -> tuple[Tensor, Tensor]:
     return m.reshape((c,)), v.reshape((c,))
 
 
-def _bcast_channel(t: Tensor, ndim: int, c: int) -> Tensor:
-    shape = (1, c, 1, 1) if ndim == 4 else (1, c)
-    return t.reshape(shape)
-
-
 def batchnorm_forward(
     x: Tensor,
     gamma: Tensor,
@@ -225,58 +220,32 @@ def batchnorm_forward(
     train: bool,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    momentum: float = 0.1,
     update_running: bool = True,
-    need_stats: bool | None = None,
-) -> tuple[Tensor, Tensor | None, Tensor | None]:
-    """Batch normalization returning (output, batch_mean, batch_var).
+) -> Tensor:
+    """Batch normalization.
 
     Train mode normalizes with the current batch's per-channel statistics
     (biased variance) and, when ``update_running`` is set, folds them into the
-    running buffers with ``(1 - momentum) * old + momentum * new``;
-    ``need_stats`` puts the statistics on the tape (the composed path) instead
-    of the fused op. Eval mode normalizes with the running buffers and returns
-    no batch statistics.
+    running buffers with ``(1 - BN_MOMENTUM) * old + BN_MOMENTUM * new``.
+    Eval mode normalizes with the running buffers.
     """
     if x.shape[0] == 0:
         raise ValueError("batchnorm on zero-size batch")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(f"batchnorm affine shape mismatch for {c} channels")
-    if need_stats is None:
-        need_stats = train
-
-    if train and not need_stats:
-        # fused fast path; statistics only feed the running-buffer update
-        y, bm_arr, bv_arr = ad.batchnorm_train(x, gamma, beta, BN_EPS)
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * bm_arr.astype(running_mean.dtype)
-            running_var *= 1.0 - momentum
-            running_var += momentum * bv_arr.astype(running_var.dtype)
-        return y, Tensor(bm_arr), Tensor(bv_arr)
 
     if train:
-        bm, bv = channel_stats(x)
+        y, bm, bv = ad.batchnorm_train(x, gamma, beta, BN_EPS)
         if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * bm.data.astype(running_mean.dtype)
-            running_var *= 1.0 - momentum
-            running_var += momentum * bv.data.astype(running_var.dtype)
-        mean_b = _bcast_channel(bm, x.ndim, c)
-        var_b = _bcast_channel(bv, x.ndim, c)
-        inv = ad.div(
-            Tensor(np.ones((), dtype=x.dtype)),
-            ad.sqrt(var_b + Tensor(np.asarray(BN_EPS, dtype=x.dtype))),
-        )
-        xhat = (x - mean_b) * inv
-        y = xhat * _bcast_channel(gamma, x.ndim, c) + _bcast_channel(beta, x.ndim, c)
-        return y, bm, bv
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * bm.astype(running_mean.dtype)
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * bv.astype(running_var.dtype)
+        return y
 
-    # eval mode: normalization against constant running statistics
     inv_std = (1.0 / np.sqrt(running_var + BN_EPS)).astype(x.dtype)
-    y = ad.batchnorm_eval(x, gamma, beta, running_mean.astype(x.dtype), inv_std)
-    return y, None, None
+    return ad.batchnorm_eval(x, gamma, beta, running_mean.astype(x.dtype), inv_std)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +264,6 @@ class QuantHooks(Protocol):
 class ForwardResult:
     output: Tensor
     bn_inputs: list[Tensor] | None = None
-    bn_stats: list[tuple[Tensor, Tensor]] | None = None
 
 
 def forward(
@@ -305,15 +273,13 @@ def forward(
     train: bool,
     capture_bn: bool = False,
     quant: QuantHooks | None = None,
-    momentum: float = 0.1,
     update_running: bool = True,
 ) -> ForwardResult:
     """Run the layer stack. ``capture_bn`` records each BN layer's input
-    tensor; in train mode also its per-channel batch statistics (taped, so
-    losses built from them differentiate back to ``x``). Eval-mode callers
-    take what statistics they need from ``bn_inputs``."""
+    tensor, in either mode; callers take the statistics they need from
+    ``bn_inputs`` (``channel_stats`` for batch statistics), so losses built
+    on them differentiate back to ``x``."""
     bn_inputs: list[Tensor] = []
-    bn_stats: list[tuple[Tensor, Tensor]] = []
     weight_layers = net.weight_layers()
     n_weights = len(weight_layers)
     w_index = {id(l): i for i, l in enumerate(weight_layers)}
@@ -335,23 +301,19 @@ def forward(
             b = net.params[f"{layer.name}.b"]
             if quant is not None:
                 w = quant.on_weight(w, layer.name, w_index[id(layer)], n_weights)
-            x = ad.conv2d(x, w, b, stride=layer.stride, pad=layer.pad)
+            x = ad.conv2d(x, w, b, pad=layer.pad)
         elif isinstance(layer, BatchNorm):
             if capture_bn:
                 bn_inputs.append(x)
-            x, bm, bv = batchnorm_forward(
+            x = batchnorm_forward(
                 x,
                 net.params[f"{layer.name}.gamma"],
                 net.params[f"{layer.name}.beta"],
                 train=train,
                 running_mean=net.buffers[f"{layer.name}.running_mean"],
                 running_var=net.buffers[f"{layer.name}.running_var"],
-                momentum=momentum,
                 update_running=update_running,
-                need_stats=capture_bn,
             )
-            if capture_bn and train:
-                bn_stats.append((bm, bv))
         elif isinstance(layer, ReLU):
             x = ad.relu(x)
             if quant is not None:
@@ -373,11 +335,7 @@ def forward(
         else:
             raise TypeError(f"unknown layer spec {layer!r}")
 
-    return ForwardResult(
-        output=x,
-        bn_inputs=bn_inputs if capture_bn else None,
-        bn_stats=bn_stats if capture_bn and train else None,
-    )
+    return ForwardResult(output=x, bn_inputs=bn_inputs if capture_bn else None)
 
 
 def quant_point_count(net: Network) -> int:

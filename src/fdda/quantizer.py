@@ -110,20 +110,6 @@ def _level_window(lower, scale, bits: int):
     return qmin, qmin + (2**bits - 1)
 
 
-def quantize(x, q: QuantParams) -> np.ndarray:
-    """Map values to integer levels: round(clip(x, l, u) / s), clamped to the
-    2^bits-level window anchored at round(l / s)."""
-    clipped = np.clip(np.asarray(x, dtype=np.float64), q.lower, q.upper)
-    qmin, qmax = _level_window(q.lower, q.scale, q.bits)
-    levels = np.clip(_round_half_away(clipped / q.scale), qmin, qmax)
-    return levels.astype(np.int64)
-
-
-def dequantize(qv, q: QuantParams) -> np.ndarray:
-    """Reconstruct real values from integer levels: q * s."""
-    return np.asarray(qv, dtype=np.float64) * q.scale
-
-
 def _bounds_for(x: Tensor, q: QuantParams | ChannelQuantParams):
     if isinstance(q, QuantParams):
         return q.lower, q.upper, q.scale
@@ -141,7 +127,8 @@ def fake_quantize_ste(x: Tensor, q: QuantParams | ChannelQuantParams,
                       surrogate: bool = False) -> Tensor:
     """Quantize-dequantize in float with a clipped straight-through gradient.
 
-    Forward is dequantize(quantize(x)); the backward rule passes gradients
+    Forward is round(clip(x, l, u) / s) * s, the rounded level clamped to the
+    2^bits-level window anchored at round(l / s); the backward rule passes gradients
     unchanged where l <= x <= u and blocks them outside. With ``surrogate``
     the rounding is disabled (forward becomes clip(x, l, u)), which makes the
     op differentiable so finite differences can validate the backward rule.
@@ -149,8 +136,8 @@ def fake_quantize_ste(x: Tensor, q: QuantParams | ChannelQuantParams,
     lower, upper, scale = _bounds_for(x, q)
     out = np.clip(x.data, lower, upper)
     if not surrogate:
-        # dequantize(quantize(x)) in x's dtype, in place: divide, round half
-        # away from zero, clamp to the level window, scale back
+        # in x's dtype, in place: divide, round half away from zero, clamp to
+        # the level window, scale back
         qmin, qmax = _level_window(lower, scale, q.bits)
         np.divide(out, scale, out=out)
         mag = np.abs(out)
@@ -178,11 +165,10 @@ def channel_bounds(w: np.ndarray, bits: int) -> ChannelQuantParams:
     return ChannelQuantParams(bits, lo, hi)
 
 
-def quantize_weights_per_channel(w: Tensor, bits: int,
-                                 surrogate: bool = False) -> tuple[Tensor, ChannelQuantParams]:
+def quantize_weights_per_channel(w: Tensor, bits: int) -> tuple[Tensor, ChannelQuantParams]:
     """Fake-quantize each output-channel slice against its own min/max."""
     q = channel_bounds(w.data, bits)
-    return fake_quantize_ste(w, q, surrogate=surrogate), q
+    return fake_quantize_ste(w, q), q
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +180,19 @@ class FakeQuantRuntime:
     the current float values on every pass, activations use frozen calibrated
     bounds (pass ``act_params=None`` to leave activations unquantized)."""
 
-    def __init__(self, policy: QuantPolicy, act_params: list[QuantParams] | None,
-                 surrogate: bool = False):
+    def __init__(self, policy: QuantPolicy, act_params: list[QuantParams] | None):
         self.policy = policy
         self.act_params = act_params
-        self.surrogate = surrogate
 
     def on_weight(self, w: Tensor, layer_name: str, index: int, total: int) -> Tensor:
         bits = self.policy.weight_bits(index, total)
-        fq, _ = quantize_weights_per_channel(w, bits, surrogate=self.surrogate)
+        fq, _ = quantize_weights_per_channel(w, bits)
         return fq
 
     def on_activation(self, x: Tensor, point: int) -> Tensor:
         if self.act_params is None:
             return x
-        return fake_quantize_ste(x, self.act_params[point], surrogate=self.surrogate)
+        return fake_quantize_ste(x, self.act_params[point])
 
 
 class RangeCalibrator(FakeQuantRuntime):

@@ -35,7 +35,7 @@ from .generator import (
 from .models import build_generator, build_toy_classifier
 from .network import EVAL_BATCH, Network, forward
 from .optim import Adam, NesterovSGD
-from .quantizer import FakeQuantRuntime, QuantPolicy, calibrate_activation_bounds
+from .quantizer import FakeQuantRuntime, calibrate_activation_bounds
 
 
 def lr_schedule(kind: str, lr0: float, epoch: int, total_epochs: int) -> float:
@@ -280,10 +280,7 @@ def _resolve_calibration(settings: RunSettings, train: LabeledImages,
                 continue
             seen.add(int(label))
             keep.append(i)
-        calib = CalibrationSet(
-            calib.images[keep], pred[keep], settings.dataset.num_classes,
-            predicted=np.ones(len(keep), dtype=bool),
-        )
+        calib = CalibrationSet(calib.images[keep], pred[keep], settings.dataset.num_classes)
     return calib, dropped
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from fdda import autodiff as ad
 from fdda.autodiff import Tensor
-from fdda.network import batchnorm_forward
+from fdda.network import BN_EPS, BN_MOMENTUM, batchnorm_forward
 
 
 def tensor64(arr, requires_grad=False):
@@ -44,14 +44,14 @@ def test_dense_shape_mismatch():
 def test_conv_scalar_product():
     x = Tensor(np.full((1, 1, 1, 1), 2.0))
     w = Tensor(np.full((1, 1, 1, 1), 3.0))
-    out = ad.conv2d(x, w, stride=1, pad=0)
+    out = ad.conv2d(x, w, pad=0)
     np.testing.assert_allclose(out.data, np.full((1, 1, 1, 1), 6.0))
 
 
 def test_conv_all_ones_sums_window():
     x = Tensor(np.ones((1, 1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
-    out = ad.conv2d(x, w, stride=1, pad=0)
+    out = ad.conv2d(x, w, pad=0)
     np.testing.assert_allclose(out.data, np.full((1, 1, 1, 1), 9.0))
 
 
@@ -59,15 +59,17 @@ def test_conv_identity_kernel():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 1, 4, 5)).astype(np.float32))
     w = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-    out = ad.conv2d(x, w, stride=1, pad=0)
+    out = ad.conv2d(x, w, pad=0)
     np.testing.assert_allclose(out.data, x.data)
 
 
-def test_conv_non_integral_extent_errors():
-    x = Tensor(np.ones((1, 1, 16, 16)))
-    w = Tensor(np.ones((1, 1, 3, 3)))
-    with pytest.raises(ValueError, match="non-integral"):
-        ad.conv2d(x, w, stride=2, pad=1)
+@pytest.mark.parametrize("wshape,pad", [((1, 1, 3, 3), 3), ((1, 1, 3, 3), 4), ((1, 1, 1, 1), 1),
+                                         ((1, 1, 3, 2), 1), ((1, 1, 2, 3), 0)],
+                         ids=["pad-eq-k", "pad-gt-k", "k1-pad1", "non-square", "non-square-valid"])
+def test_conv_rejects_pad_not_below_kernel_and_non_square_kernel(wshape, pad):
+    x = Tensor(np.ones((1, 1, 8, 8)))
+    with pytest.raises(ValueError, match="square kernel and 0 <= pad < kernel"):
+        ad.conv2d(x, Tensor(np.ones(wshape)), pad=pad)
 
 
 def test_conv_matches_brute_force():
@@ -75,8 +77,8 @@ def test_conv_matches_brute_force():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 3, 6, 6))
     w = rng.normal(size=(4, 3, 3, 3))
-    stride, pad = 1, 1
-    out = ad.conv2d(tensor64(x), tensor64(w), stride=stride, pad=pad).data
+    pad = 1
+    out = ad.conv2d(tensor64(x), tensor64(w), pad=pad).data
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     expect = np.zeros_like(out)
     for n in range(2):
@@ -102,7 +104,7 @@ def test_batchnorm_already_normalized_is_identity():
     x -= x.mean(axis=(0, 2, 3), keepdims=True)
     x /= x.std(axis=(0, 2, 3), keepdims=True)
     rm, rv = _bn_buffers(3, np.float64)
-    y, _, _ = batchnorm_forward(
+    y = batchnorm_forward(
         tensor64(x), tensor64(np.ones(3)), tensor64(np.zeros(3)),
         train=True, running_mean=rm, running_var=rv,
     )
@@ -112,7 +114,7 @@ def test_batchnorm_already_normalized_is_identity():
 def test_batchnorm_constant_channel_outputs_zero():
     x = Tensor(np.full((4, 2, 3, 3), 7.0))
     rm, rv = _bn_buffers(2)
-    y, _, _ = batchnorm_forward(
+    y = batchnorm_forward(
         x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
         train=True, running_mean=rm, running_var=rv,
     )
@@ -121,20 +123,16 @@ def test_batchnorm_constant_channel_outputs_zero():
 
 def test_batchnorm_batch_stats_biased():
     x = Tensor(np.array([[1.0], [3.0]]))
-    rm, rv = _bn_buffers(1)
-    _, bm, bv = batchnorm_forward(
-        x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
-        train=True, running_mean=rm, running_var=rv,
-    )
-    np.testing.assert_allclose(bm.data, [2.0])
-    np.testing.assert_allclose(bv.data, [1.0])  # ((1-2)^2 + (3-2)^2) / 2
+    _, bm, bv = ad.batchnorm_train(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), BN_EPS)
+    np.testing.assert_allclose(bm, [2.0])
+    np.testing.assert_allclose(bv, [1.0])  # ((1-2)^2 + (3-2)^2) / 2
 
 
 def test_batchnorm_normalizes_to_unit_stats():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(2.0, 3.0, size=(64, 4, 8, 8)).astype(np.float32))
     rm, rv = _bn_buffers(4)
-    y, _, _ = batchnorm_forward(
+    y = batchnorm_forward(
         x, Tensor(np.ones(4)), Tensor(np.zeros(4)),
         train=True, running_mean=rm, running_var=rv,
     )
@@ -146,13 +144,14 @@ def test_batchnorm_running_update_is_ema():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(32, 2, 4, 4)).astype(np.float32))
     rm, rv = _bn_buffers(2)
-    momentum = 0.1
-    _, bm, bv = batchnorm_forward(
+    momentum = BN_MOMENTUM
+    batchnorm_forward(
         x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
-        train=True, running_mean=rm, running_var=rv, momentum=momentum,
+        train=True, running_mean=rm, running_var=rv,
     )
-    np.testing.assert_allclose(rm, momentum * bm.data, rtol=1e-6)
-    np.testing.assert_allclose(rv, (1 - momentum) * 1.0 + momentum * bv.data, rtol=1e-6)
+    bm, bv = x.data.mean(axis=(0, 2, 3)), x.data.var(axis=(0, 2, 3))
+    np.testing.assert_allclose(rm, momentum * bm, rtol=1e-6)
+    np.testing.assert_allclose(rv, (1 - momentum) * 1.0 + momentum * bv, rtol=1e-6)
 
 
 def test_batchnorm_zero_batch_errors():
@@ -165,22 +164,23 @@ def test_batchnorm_zero_batch_errors():
 
 
 def test_batchnorm_fused_and_composed_paths_agree():
+    """The fused train-mode op against the composed float64 formula and the
+    EMA update of the running buffers."""
     rng = np.random.default_rng(5)
     x = rng.normal(size=(8, 3, 4, 4))
     gam = rng.normal(size=3)
     bet = rng.normal(size=3)
-    rm1, rv1 = _bn_buffers(3, np.float64)
-    rm2, rv2 = _bn_buffers(3, np.float64)
-    y_fast, _, _ = batchnorm_forward(
+    rm, rv = _bn_buffers(3, np.float64)
+    y = batchnorm_forward(
         tensor64(x), tensor64(gam), tensor64(bet), train=True,
-        running_mean=rm1, running_var=rv1, need_stats=False,
+        running_mean=rm, running_var=rv,
     )
-    y_slow, _, _ = batchnorm_forward(
-        tensor64(x), tensor64(gam), tensor64(bet), train=True,
-        running_mean=rm2, running_var=rv2, need_stats=True,
-    )
-    np.testing.assert_allclose(y_fast.data, y_slow.data, rtol=1e-12)
-    np.testing.assert_allclose(rm1, rm2, rtol=1e-12)
+    bm, bv = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    c = (1, 3, 1, 1)
+    expect = (x - bm.reshape(c)) / np.sqrt(bv.reshape(c) + BN_EPS) * gam.reshape(c) + bet.reshape(c)
+    np.testing.assert_allclose(y.data, expect, rtol=1e-12)
+    np.testing.assert_allclose(rm, BN_MOMENTUM * bm, rtol=1e-12)
+    np.testing.assert_allclose(rv, (1 - BN_MOMENTUM) + BN_MOMENTUM * bv, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +357,12 @@ def test_grad_check_conv_and_dense():
     db = tensor64(rng.normal(size=4), requires_grad=True)
 
     def f():
-        h = ad.conv2d(x, w, b, stride=1, pad=1)
+        h = ad.conv2d(x, w, b, pad=1)
         h = ad.avg_pool2d(h, 5).reshape((2, 3))
         out = ad.dense(h, dw, db)
         return (out * out).sum()
 
     assert ad.grad_check(f, [x, w, b, dw, db], h=1e-4) < 1e-6
-
-
-def test_grad_check_strided_conv_path():
-    rng = np.random.default_rng(10)
-    x = tensor64(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
-    w = tensor64(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
-
-    def f():
-        out = ad.conv2d(x, w, stride=2, pad=0)
-        return (out * out).sum()
-
-    assert ad.grad_check(f, [x, w], h=1e-4) < 1e-6
 
 
 def test_grad_check_softmax_ce_and_kl():
@@ -388,24 +376,22 @@ def test_grad_check_softmax_ce_and_kl():
 
 
 def test_grad_check_batchnorm_both_paths():
+    """Train mode (the fused op); eval mode is checked below."""
     rng = np.random.default_rng(12)
     x = tensor64(rng.normal(size=(6, 3, 2, 2)), requires_grad=True)
     gam = tensor64(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
     bet = tensor64(rng.normal(size=3), requires_grad=True)
 
-    def make_f(need_stats):
-        def f():
-            rm = np.zeros(3)
-            rv = np.ones(3)
-            y, _, _ = batchnorm_forward(
-                x, gam, bet, train=True, running_mean=rm, running_var=rv,
-                update_running=False, need_stats=need_stats,
-            )
-            return (y * y * y).sum()
-        return f
+    def f():
+        rm = np.zeros(3)
+        rv = np.ones(3)
+        y = batchnorm_forward(
+            x, gam, bet, train=True, running_mean=rm, running_var=rv,
+            update_running=False,
+        )
+        return (y * y * y).sum()
 
-    assert ad.grad_check(make_f(False), [x, gam, bet], h=1e-4) < 1e-6
-    assert ad.grad_check(make_f(True), [x, gam, bet], h=1e-4) < 1e-6
+    assert ad.grad_check(f, [x, gam, bet], h=1e-4) < 1e-6
 
 
 def test_grad_check_batchnorm_eval_mode():
@@ -417,7 +403,7 @@ def test_grad_check_batchnorm_eval_mode():
     rv = rng.uniform(0.5, 2.0, size=2)
 
     def f():
-        y, _, _ = batchnorm_forward(
+        y = batchnorm_forward(
             x, gam, bet, train=False, running_mean=rm, running_var=rv,
         )
         return (y * y).sum()

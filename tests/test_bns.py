@@ -11,19 +11,19 @@ from fdda.bns import (
     BnRunningStats,
     ClassCentroids,
     DistortionParams,
+    StackedClassBns,
     bns_loss,
     build_class_centroids,
     cbns_loss,
     collect_running_stats,
     dbns_loss,
     deep_layer_start,
-    per_class_bns,
     per_class_bns_stacked,
     per_image_bns,
 )
-from fdda.data import CalibrationSet, ToyDatasetSpec, extract_calibration, make_toy_dataset
+from fdda.data import ToyDatasetSpec, extract_calibration, make_toy_dataset
 from fdda.models import build_toy_classifier
-from fdda.network import batchnorm_forward, channel_stats, forward
+from fdda.network import BN_EPS, channel_stats, forward
 
 
 def t64(a, rg=False):
@@ -76,9 +76,24 @@ def test_running_stats_converge_to_stationary_source():
             forward(net, Tensor(base), train=True)
         cap = forward(net, Tensor(base), train=True, capture_bn=True)
     stats = collect_running_stats(net)
-    for (bm, bv), rm, rv in zip(cap.bn_stats, stats.means, stats.variances):
+    batch_stats = [channel_stats(x) for x in cap.bn_inputs]
+    for (bm, bv), rm, rv in zip(batch_stats, stats.means, stats.variances):
         np.testing.assert_allclose(rm, bm.data, atol=1e-2)
         np.testing.assert_allclose(rv, bv.data, rtol=0.05, atol=1e-2)
+
+
+def test_train_mode_capture_records_bn_inputs_on_the_tape():
+    net = build_toy_classifier(seed=4)
+    net.set_requires_grad(False)
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(-1, 1, size=(4, 1, 16, 16)).astype(np.float32), requires_grad=True)
+    cap = forward(net, x, train=True, capture_bn=True, update_running=False)
+    assert [t.shape[1] for t in cap.bn_inputs] == _bn_channels(net)
+    conv1 = ad.conv2d(x.detach(), net.params["conv1.w"], net.params["conv1.b"], pad=1)
+    np.testing.assert_array_equal(cap.bn_inputs[0].data, conv1.data)
+    m, v = channel_stats(cap.bn_inputs[-1])
+    ad.backward(m.sum() + v.sum())
+    assert x.grad is not None and np.abs(x.grad).sum() > 0
 
 
 def test_per_image_stats_hand_values():
@@ -154,13 +169,10 @@ def test_per_image_equals_batchnorm_batch_stats():
     with ad.no_grad():
         cap = forward(net, Tensor(img), train=False, capture_bn=True)
         for l, (x_in, c) in enumerate(zip(cap.bn_inputs, _bn_channels(net))):
-            _, bm, bv = batchnorm_forward(
-                x_in.detach(), Tensor(np.ones(c)), Tensor(np.zeros(c)),
-                train=True, running_mean=np.zeros(c, np.float32),
-                running_var=np.ones(c, np.float32), update_running=False,
-            )
-            np.testing.assert_allclose(stats.means[l][0], bm.data, atol=1e-6)
-            np.testing.assert_allclose(stats.variances[l][0], bv.data, atol=1e-6)
+            _, bm, bv = ad.batchnorm_train(
+                x_in.detach(), Tensor(np.ones(c)), Tensor(np.zeros(c)), BN_EPS)
+            np.testing.assert_allclose(stats.means[l][0], bm, atol=1e-6)
+            np.testing.assert_allclose(stats.variances[l][0], bv, atol=1e-6)
 
 
 def test_identical_images_batch_stats_match_per_image():
@@ -294,18 +306,32 @@ def _simple_centroids(deep_start=2, layer_count=3, channels=2, classes=(0, 1), s
     return ClassCentroids(deep_start, layer_count, per_class)
 
 
-def _matching_stats(cen, classes=None):
-    out = {}
-    for c in (classes if classes is not None else cen.per_class):
-        per_layer = []
-        for l in range(1, cen.layer_count + 1):
-            if l < cen.deep_start:
-                per_layer.append(None)
-            else:
-                m, v = cen.per_class[c][l]
-                per_layer.append((t64(m.copy()), t64(v.copy())))
-        out[c] = per_layer
-    return out
+def _stacked(per_class):
+    """StackedClassBns from {class: {layer: (mean, variance)}} arrays."""
+    classes = tuple(sorted(per_class))
+    layers = sorted(per_class[classes[0]])
+    return StackedClassBns(classes, {
+        l: (t64(np.stack([per_class[c][l][0] for c in classes])),
+            t64(np.stack([per_class[c][l][1] for c in classes])))
+        for l in layers
+    })
+
+
+def _matching_stats(cen):
+    return _stacked(cen.per_class)
+
+
+def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, seed=13):
+    """Dense BN inputs with one sample per label, and centroids that the
+    samples of each class hit exactly (a lone dense sample has zero variance)."""
+    rng = np.random.default_rng(seed)
+    inputs = [t64(rng.normal(size=(len(labels), channels))) for _ in range(layer_count)]
+    per_class = {
+        int(c): {l: (inputs[l - 1].data[row].copy(), np.zeros(channels))
+                 for l in range(deep_start, layer_count + 1)}
+        for row, c in enumerate(labels)
+    }
+    return inputs, ClassCentroids(deep_start, layer_count, per_class)
 
 
 def test_cbns_zero_at_centroids():
@@ -314,16 +340,17 @@ def test_cbns_zero_at_centroids():
 
 
 def test_cbns_ignores_shallow_layers():
-    cen = _simple_centroids(deep_start=2)
-    stats = _matching_stats(cen)
-    for c in stats:
-        stats[c][0] = (t64(np.full(2, 100.0)), t64(np.full(2, 100.0)))  # layer 1 < K
-    assert float(cbns_loss(stats, cen).data) == 0.0
+    labels = np.array([0, 1])
+    inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
+    inputs[0] = t64(np.full((2, 2), 100.0))  # layer 1 < K
+    stacked = per_class_bns_stacked(inputs, labels, cen)
+    assert sorted(stacked.layers) == [2, 3]
+    assert float(cbns_loss(stacked, cen).data) == 0.0
 
 
 def test_cbns_hand_value():
     cen = ClassCentroids(1, 1, {0: {1: (np.zeros(2), np.ones(2))}})
-    stats = {0: [(t64(np.array([1.0, 1.0])), t64(np.ones(2)))]}
+    stats = _stacked({0: {1: (np.array([1.0, 1.0]), np.ones(2))}})
     assert float(cbns_loss(stats, cen).data) == pytest.approx(2.0)
 
 
@@ -333,22 +360,23 @@ def test_cbns_decomposes_over_classes_and_layers():
     stats = {}
     expect = 0.0
     for c in cen.per_class:
-        per_layer = []
+        stats[c] = {}
         for l in range(1, 3):
             m = rng.normal(size=2)
             v = rng.uniform(0.5, 2, size=2)
             tm, tv = cen.per_class[c][l]
             expect += ((m - tm) ** 2).sum() + ((v - tv) ** 2).sum()
-            per_layer.append((t64(m), t64(v)))
-        stats[c] = per_layer
-    assert float(cbns_loss(stats, cen).data) == pytest.approx(expect, rel=1e-12)
+            stats[c][l] = (m, v)
+    assert float(cbns_loss(_stacked(stats), cen).data) == pytest.approx(expect, rel=1e-12)
 
 
 def test_cbns_skips_classes_without_centroid():
-    cen = _simple_centroids(classes=(0,))
-    stats = _matching_stats(cen, classes=(0,))
-    stats[5] = stats[0]  # class 5 has no centroid: silently skipped
-    assert float(cbns_loss(stats, cen).data) == 0.0
+    labels = np.array([0, 5])
+    inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
+    del cen.per_class[5]  # class 5 has no centroid: silently skipped
+    stacked = per_class_bns_stacked(inputs, labels, cen)
+    assert stacked.classes == (0,)
+    assert float(cbns_loss(stacked, cen).data) == 0.0
 
 
 def test_dbns_zero_noise_equals_cbns_exactly():
@@ -411,13 +439,16 @@ def test_loss_gradients_match_finite_differences():
     assert ad.grad_check(lambda: bns_loss([(m, v)], running), [m, v], h=1e-4) < 1e-6
 
     cen = _simple_centroids(deep_start=1, layer_count=1, channels=3, classes=(0,))
-    stats = {0: [(m, v)]}
-    assert ad.grad_check(lambda: cbns_loss(stats, cen), [m, v], h=1e-4) < 1e-6
+
+    def stats():  # the reshapes go on the tape of each call
+        return StackedClassBns((0,), {1: (m.reshape((1, 3)), v.reshape((1, 3)))})
+
+    assert ad.grad_check(lambda: cbns_loss(stats(), cen), [m, v], h=1e-4) < 1e-6
 
     d = DistortionParams(0.5, 1.0)
     # frozen draw: rebuild the rng inside the closure so FD sees one function
     assert ad.grad_check(
-        lambda: dbns_loss(stats, cen, d, np.random.default_rng(5)), [m, v], h=1e-4
+        lambda: dbns_loss(stats(), cen, d, np.random.default_rng(5)), [m, v], h=1e-4
     ) < 1e-6
 
 
@@ -430,15 +461,17 @@ def test_per_class_stats_match_direct_computation():
     t1 = Tensor(rng.normal(size=(6, 3, 2, 2)).astype(np.float64))
     t2 = Tensor(rng.normal(size=(6, 4)).astype(np.float64))
     labels = np.array([0, 1, 0, 2, 1, 0])
-    out = per_class_bns([t1, t2], labels, classes=[0, 1, 2])
-    for c in (0, 1, 2):
+    cen = _simple_centroids(deep_start=1, layer_count=2, classes=(0, 1, 2))
+    out = per_class_bns_stacked([t1, t2], labels, cen)
+    assert out.classes == (0, 1, 2)
+    for row, c in enumerate(out.classes):
         rows = labels == c
         sub = t1.data[rows]
-        np.testing.assert_allclose(out[c][0][0].data, sub.mean(axis=(0, 2, 3)), rtol=1e-10)
-        np.testing.assert_allclose(out[c][0][1].data, sub.var(axis=(0, 2, 3)), rtol=1e-10)
+        np.testing.assert_allclose(out.layers[1][0].data[row], sub.mean(axis=(0, 2, 3)), rtol=1e-10)
+        np.testing.assert_allclose(out.layers[1][1].data[row], sub.var(axis=(0, 2, 3)), rtol=1e-10)
         sub2 = t2.data[rows]
-        np.testing.assert_allclose(out[c][1][0].data, sub2.mean(axis=0), rtol=1e-10)
-        np.testing.assert_allclose(out[c][1][1].data, sub2.var(axis=0), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.layers[2][0].data[row], sub2.mean(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(out.layers[2][1].data[row], sub2.var(axis=0), rtol=1e-10, atol=1e-12)
 
 
 def test_per_class_stats_skip_absent_and_deep_start():
@@ -446,13 +479,34 @@ def test_per_class_stats_skip_absent_and_deep_start():
     t1 = Tensor(rng.normal(size=(4, 2, 2, 2)).astype(np.float64))
     t2 = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
     labels = np.array([0, 0, 1, 1])
-    out = per_class_bns([t1, t2], labels, classes=[0, 1, 5], deep_start=2)
-    assert set(out) == {0, 1}
-    assert out[0][0] is None  # layer 1 below the cutoff
-    assert out[0][1] is not None
+    cen = _simple_centroids(deep_start=2, layer_count=2, classes=(0, 1, 5))
+    out = per_class_bns_stacked([t1, t2], labels, cen)
+    assert out.classes == (0, 1)
+    assert 1 not in out.layers  # layer 1 below the cutoff
+    assert 2 in out.layers
+    absent = _simple_centroids(deep_start=2, layer_count=2, classes=(5,))
+    assert per_class_bns_stacked([t1, t2], labels, absent) is None
+
+
+def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
+    """Plain-numpy cbns and dbns: a loop over the classes present in the
+    batch and the deep layers, drawing noise class by class, then layer by
+    layer."""
+    cbns = dbns = 0.0
+    for c in sorted(set(cen.per_class) & set(labels.tolist())):
+        for l in cen.deep_layers():
+            x = bn_inputs[l - 1].data[labels == c].astype(np.float64)
+            m, v = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+            tm, tv = cen.per_class[c][l]
+            nm = rng.normal(0.0, d.mean_std, size=tm.shape)
+            nv = rng.normal(0.0, d.var_std, size=tv.shape)
+            cbns += ((m - tm) ** 2).sum() + ((v - tv) ** 2).sum()
+            dbns += ((m - tm - nm) ** 2).sum() + ((v - tv - nv) ** 2).sum()
+    return cbns, dbns
 
 
 def test_stacked_and_map_losses_agree():
+    """The stacked losses against a per-class, per-layer numpy loop."""
     net = build_toy_classifier(seed=3)
     net.set_requires_grad(False)
     rng = np.random.default_rng(12)
@@ -460,14 +514,12 @@ def test_stacked_and_map_losses_agree():
     labels = np.tile(np.arange(8), 2)
     calib = _calib_subset(list(range(8)))
     cen = build_class_centroids(net, calib, deep_start=3)
-    with ad.no_grad():
-        cap = forward(net, imgs, train=False, capture_bn=True)
-        stacked = per_class_bns_stacked(cap.bn_inputs, labels, list(range(8)), deep_start=3)
-        a = float(cbns_loss(stacked, cen).data)
-        b = float(cbns_loss(stacked.as_map(), cen).data)
-    assert a == pytest.approx(b, rel=1e-5)
     d = DistortionParams(0.5, 1.0)
     with ad.no_grad():
+        cap = forward(net, imgs, train=False, capture_bn=True)
+        stacked = per_class_bns_stacked(cap.bn_inputs, labels, cen)
+        a = float(cbns_loss(stacked, cen).data)
         da = float(dbns_loss(stacked, cen, d, np.random.default_rng(3)).data)
-        db = float(dbns_loss(stacked.as_map(), cen, d, np.random.default_rng(3)).data)
+    b, db = _oracle_centroid_losses(cap.bn_inputs, labels, cen, d, np.random.default_rng(3))
+    assert a == pytest.approx(b, rel=1e-5)
     assert da == pytest.approx(db, rel=1e-5)

@@ -171,6 +171,39 @@ def test_eval_of_archive_with_bad_policy_exits_2_with_one_line(pretrained, capsy
     assert len(err.strip().splitlines()) == 1
 
 
+def _as_version_1(m):
+    m["version"] = 1
+    for layer in m["layers"]:
+        if layer["kind"] == "conv2d":
+            layer["stride"] = 1
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_as_version_1, "format version 1, expected 2"),
+    (lambda m: m["layers"][0].update(pad=3), "0 <= pad < kernel, got kernel 3x3, pad 3"),
+], ids=["version-1", "conv-pad-not-below-kernel"])
+def test_eval_of_unusable_archive_exits_2_with_one_line(pretrained, capsys, tmp_path, edit, match):
+    root, cfg, model = pretrained
+    bad = _rewrite_manifest(model, tmp_path / "bad.fdda", edit)
+    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_config_with_bn_momentum_exits_2(pretrained, capsys, tmp_path):
+    root, _, model = pretrained
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"bn_momentum": 0.1}}))
+    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown key(s) in 'train': bn_momentum" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_analyze_bns_csv_layer_out_of_range_exits_2(pretrained, capsys, tmp_path):
     root, cfg, model = pretrained
     rc = main(["analyze-bns", "--config", str(cfg), "--model", str(model),
@@ -195,15 +228,20 @@ def test_seeded_reports_are_byte_identical(pretrained):
 @pytest.mark.parametrize("step", ["_generator_step", "_quantized_step"])
 def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, monkeypatch, step):
     root, cfg, model = pretrained
-    monkeypatch.setattr(trainer, step, lambda *a: float("nan"))
     out_dir = root / f"diverged{step}"
-    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
-               "--out", str(out_dir), "--seed", "1"])
+    argv = ["quantize", "--config", str(cfg), "--model", str(model),
+            "--out", str(out_dir), "--seed", "1"]
+    assert main(argv) == 0  # outputs of an earlier run in the same directory
+    assert (out_dir / "report.json").exists() and (out_dir / "quantized.fdda").exists()
+    capsys.readouterr()
+    monkeypatch.setattr(trainer, step, lambda *a: float("nan"))
+    rc = main(argv)
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "loss became nan" in err and "epoch 0, step 0" in err
     assert len(err.strip().splitlines()) == 1
     assert not (out_dir / "report.json").exists()
+    assert not (out_dir / "quantized.fdda").exists()
 
 
 @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--classes", "0"]],

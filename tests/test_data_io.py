@@ -179,6 +179,19 @@ def test_archive_version_mismatch(tmp_path):
         load_model(path)
 
 
+def test_version_1_archive_is_rejected(saved_classifier, tmp_path):
+    def as_version_1(m):
+        m["version"] = 1
+        for layer in m["layers"]:
+            if layer["kind"] == "conv2d":
+                layer["stride"] = 1
+        return m
+
+    old = rewrite_manifest(saved_classifier, tmp_path / "v1.fdda", as_version_1)
+    with pytest.raises(ArchiveVersionError, match="format version 1, expected 2"):
+        load_model(old)
+
+
 def test_archive_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "nope.fdda")

