@@ -22,7 +22,7 @@ from .network import (
 from .quantizer import QuantParams, QuantPolicy
 
 MAGIC = b"FDA1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ArchiveError(Exception):
@@ -75,20 +75,17 @@ def save_model(path, archive: ModelArchive | Network) -> None:
         "version": FORMAT_VERSION,
         "layers": [layer_to_dict(l) for l in net.layers],
         "meta": net.meta,
-        "bn_layer_count": net.bn_layer_count,
     }
 
     if archive.centroids is not None:
         cen = archive.centroids
-        for c in sorted(cen.per_class):
-            for l in cen.deep_layers():
-                m, v = cen.per_class[c][l]
-                offset = _emit(arrays, payload, f"centroid:{c}:{l}:mean", m, offset)
-                offset = _emit(arrays, payload, f"centroid:{c}:{l}:var", v, offset)
+        for l in cen.deep_layers():
+            offset = _emit(arrays, payload, f"centroid:{l}:mean", cen.means[l], offset)
+            offset = _emit(arrays, payload, f"centroid:{l}:var", cen.variances[l], offset)
         manifest["centroids"] = {
             "deep_start": cen.deep_start,
             "layer_count": cen.layer_count,
-            "classes": sorted(cen.per_class),
+            "classes": list(cen.classes),
         }
 
     if archive.act_quant is not None:
@@ -115,7 +112,13 @@ def save_model(path, archive: ModelArchive | Network) -> None:
             fh.write(raw)
 
 
-_ARRAY_KEYS = {"name", "shape", "offset", "nbytes"}
+def _is_array_entry(entry) -> bool:
+    """A string name, a list of integer extents, and a non-negative integer
+    offset and size in bytes."""
+    return (isinstance(entry, dict) and {"name", "shape", "offset", "nbytes"} <= entry.keys()
+            and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+            and all(type(n) is int for n in entry["shape"])
+            and all(type(entry[k]) is int and entry[k] >= 0 for k in ("offset", "nbytes")))
 
 
 def _check_state(path, values: dict[str, np.ndarray], layers) -> None:
@@ -134,28 +137,30 @@ def _check_state(path, values: dict[str, np.ndarray], layers) -> None:
 
 
 def _load_centroids(info, values: dict[str, np.ndarray], net: Network) -> ClassCentroids:
-    """The centroid section: a (mean, variance) pair per class and deep layer,
-    each shaped like its BN layer's channels. Raises ValueError if malformed."""
+    """The centroid section: a sorted list of distinct classes and, for each
+    deep layer, a mean and a variance matrix with one row per class and one
+    column per channel of that BN layer. Raises ValueError if malformed."""
     deep_start, layer_count = int(info["deep_start"]), int(info["layer_count"])
     if not 1 <= deep_start <= layer_count == net.bn_layer_count:
         raise ValueError(f"layers {deep_start}..{layer_count} do not fit "
                          f"{net.bn_layer_count} BN layers")
+    classes = info["classes"]
+    if not isinstance(classes, list) or any(type(c) is not int for c in classes):
+        raise ValueError(f"classes {classes!r} is not a list of integers")
     channels = [l.channels for l in net.bn_layers()]
 
-    def array(name: str, l: int) -> np.ndarray:
+    def matrix(l: int, stat: str) -> np.ndarray:
+        name, shape = f"centroid:{l}:{stat}", (len(classes), channels[l - 1])
         if name not in values:
             raise ValueError(f"missing array {name}")
-        if values[name].shape != (channels[l - 1],):
-            raise ValueError(f"array {name} has shape {values[name].shape}, "
-                             f"expected ({channels[l - 1]},)")
+        if values[name].shape != shape:
+            raise ValueError(f"array {name} has shape {values[name].shape}, expected {shape}")
         return values[name]
 
-    per_class = {
-        int(c): {l: (array(f"centroid:{c}:{l}:mean", l), array(f"centroid:{c}:{l}:var", l))
-                 for l in range(deep_start, layer_count + 1)}
-        for c in info["classes"]
-    }
-    return ClassCentroids(deep_start, layer_count, per_class)
+    deep = range(deep_start, layer_count + 1)
+    return ClassCentroids(deep_start, layer_count, tuple(classes),
+                          {l: matrix(l, "mean") for l in deep},
+                          {l: matrix(l, "var") for l in deep})
 
 
 def _load_act_quant(entries, values, net: Network) -> list[QuantParams]:
@@ -204,7 +209,7 @@ def load_model(path) -> ModelArchive:
     payload = raw[8 + mlen :]
     values: dict[str, np.ndarray] = {}
     for entry in manifest["arrays"]:
-        if not isinstance(entry, dict) or not _ARRAY_KEYS <= entry.keys():
+        if not _is_array_entry(entry):
             raise ArchiveCorruptError(f"{path}: bad array entry {entry!r}")
         lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
         if hi > len(payload):

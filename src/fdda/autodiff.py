@@ -506,7 +506,7 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     Normalizes per channel over the batch (and spatial) axes with biased
     variance. Returns (y, batch_mean, batch_var); the statistics are plain
     arrays that carry no gradient. A loss on batch statistics takes them
-    from the captured BN input with ``network.channel_stats`` instead.
+    from the captured BN input with ``bns.sample_moments`` instead.
     """
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
     count = 1

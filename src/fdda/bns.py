@@ -1,12 +1,16 @@
-"""Batch-normalization statistics at three granularities (whole-dataset
-running, per-image, per-class centroid) and the alignment losses built on
-them: coarse alignment to running stats, centroid alignment for deep layers,
-and noise-distorted centroid alignment.
+"""Batch-normalization statistics (BNS) at three granularities and the
+alignment losses built on them: coarse alignment of a synthetic batch to the
+pre-trained running statistics, centroid alignment of its per-class
+statistics in the deep layers, and noise-distorted centroid alignment.
 
-Each granularity has one path. Batch statistics of a synthetic batch are
-``network.channel_stats`` of its captured BN inputs; per-class statistics
-are :func:`per_class_bns_stacked`, which both centroid losses score; per-image
-statistics are :func:`per_image_bns`, which the centroids are built from.
+Every statistic is a reduction of one pair of per-sample moments.
+:func:`sample_moments` takes a captured BN input to each sample's
+per-channel mean and biased variance, both (N, C), on the tape; those rows
+are the per-image statistics (:func:`per_image_bns`) that the class
+centroids are built from. :func:`group_moments` pools the rows of a group of
+samples: one group gives the batch statistics of the coarse loss, one group
+per class the per-class statistics (:func:`per_class_bns_stacked`) that both
+centroid losses score.
 
 Layers are 1-indexed; variances are biased (population) everywhere so the
 three granularities compare directly.
@@ -22,9 +26,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import CalibrationSet
 from .network import EVAL_BATCH, Network, forward
 
-LayerStats = tuple[Tensor, Tensor]  # (mean, variance), each shape (C_l,)
+Moments = tuple[Tensor, Tensor]  # (mean, variance) rows, each (rows, C_l)
 
 
 @dataclass(frozen=True)
@@ -68,17 +73,24 @@ class DistortionParams:
 class ClassCentroids:
     """Per-class BN-statistics targets for layers deep_start..layer_count.
 
-    ``per_class[c]`` maps a 1-based layer index l (deep_start <= l <=
-    layer_count) to that class's calibration-image (mean, variance) pair.
+    ``classes`` is strictly increasing. For each deep layer l, ``means[l]``
+    and ``variances[l]`` are (len(classes), C_l) matrices whose row i is
+    the centroid of class ``classes[i]``.
     """
 
     deep_start: int
     layer_count: int
-    per_class: Mapping[int, Mapping[int, tuple[np.ndarray, np.ndarray]]]
+    classes: tuple[int, ...]
+    means: Mapping[int, np.ndarray]
+    variances: Mapping[int, np.ndarray]
+
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
+            raise ValueError(f"centroid classes {list(self.classes)} are not sorted and unique")
 
     @property
     def available_classes(self) -> frozenset[int]:
-        return frozenset(self.per_class)
+        return frozenset(self.classes)
 
     def deep_layers(self) -> range:
         return range(self.deep_start, self.layer_count + 1)
@@ -101,14 +113,35 @@ def collect_running_stats(net: Network) -> BnRunningStats:
     return BnRunningStats(means, variances)
 
 
-def _image_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-image, per-channel mean and biased variance of a BN input; a dense
-    (N, C) input is its own mean with zero variance."""
-    if x.ndim == 2:
-        return x, np.zeros_like(x)
-    m = x.mean(axis=(2, 3), keepdims=True)
-    centered = x - m
-    return m[:, :, 0, 0], (centered * centered).mean(axis=(2, 3))
+# ---------------------------------------------------------------------------
+# moments and their reductions
+# ---------------------------------------------------------------------------
+
+def sample_moments(x: Tensor) -> Moments:
+    """Each sample's per-channel mean and biased variance of a captured BN
+    input, both (N, C) and on the tape. The input is (N, C, H, W) or (N, C);
+    a dense sample is its own mean with zero variance."""
+    n, c = x.shape[:2]
+    flat = x.reshape((n, c, -1))
+    m = flat.mean(axis=2, keepdims=True)
+    centered = flat - m
+    return m.reshape((n, c)), (centered * centered).mean(axis=2)
+
+
+def group_moments(m: Tensor, v: Tensor, groups: np.ndarray, k: int) -> Moments:
+    """Mean and biased variance of each of k groups of samples, both (k, C).
+
+    ``m`` and ``v`` are per-sample moments from :func:`sample_moments`.
+    Sample i belongs to group ``groups[i]``, or to none if that is negative;
+    every group needs a sample. As all samples of a layer have the same
+    size, the parallel-variance identity pools them exactly: mean_k = avg m_i
+    and var_k = avg(v_i + (m_i - mean_k)^2), averages over group k.
+    """
+    member = groups == np.arange(k)[:, None]
+    avg = Tensor((member / member.sum(axis=1, keepdims=True)).astype(m.dtype))
+    mean = ad.matmul(avg, m)
+    dev = m - ad.take(mean, np.maximum(groups, 0))  # a row in no group weighs 0
+    return mean, ad.matmul(avg, v + dev * dev)
 
 
 def per_image_bns(net: Network, images: np.ndarray) -> PerImageBns:
@@ -127,93 +160,59 @@ def per_image_bns(net: Network, images: np.ndarray) -> PerImageBns:
         for lo in range(0, len(images), EVAL_BATCH):
             cap = forward(net, Tensor(images[lo : lo + EVAL_BATCH]), train=False,
                           capture_bn=True)
-            chunks.append([_image_moments(x.data) for x in cap.bn_inputs])
+            chunks.append([sample_moments(x) for x in cap.bn_inputs])
     layers = list(zip(*chunks))
-    means = tuple(np.concatenate([m for m, _ in layer]) for layer in layers)
-    variances = tuple(np.concatenate([v for _, v in layer]) for layer in layers)
+    means = tuple(np.concatenate([m.data for m, _ in layer]) for layer in layers)
+    variances = tuple(np.concatenate([v.data for _, v in layer]) for layer in layers)
     return PerImageBns(means, variances)
 
 
-def build_class_centroids(net: Network, calib, deep_start: int) -> ClassCentroids:
-    """Per-class targets from the calibration set (``images`` and one label
-    per image): each class's centroid is its single calibration image's
-    statistics, restricted to deep layers."""
+def build_class_centroids(net: Network, calib: CalibrationSet,
+                          deep_start: int) -> ClassCentroids:
+    """Per-class targets from the calibration set, which holds one image per
+    class: each class's centroid is that image's statistics, restricted to
+    deep layers."""
     layer_count = net.bn_layer_count
-    labels = [int(c) for c in calib.labels]
-    seen: set[int] = set()
-    for label in labels:
-        if label in seen:
-            raise ValueError(f"duplicate class {label} in calibration set")
-        seen.add(label)
-    if not labels:  # BN rejects an empty batch
-        return ClassCentroids(deep_start, layer_count, {})
-    stats = per_image_bns(net, calib.images)
-    per_class = {
-        label: {
-            l: (stats.means[l - 1][row], stats.variances[l - 1][row])
-            for l in range(deep_start, layer_count + 1)
-        }
-        for row, label in enumerate(labels)
-    }
-    return ClassCentroids(deep_start, layer_count, per_class)
+    order = np.argsort(calib.labels)
+    if len(order):
+        stats = per_image_bns(net, calib.images)
+        means = [m[order] for m in stats.means]
+        variances = [v[order] for v in stats.variances]
+    else:  # BN rejects an empty batch
+        means = variances = [np.zeros((0, l.channels), net.dtype) for l in net.bn_layers()]
+    deep = range(deep_start, layer_count + 1)
+    return ClassCentroids(deep_start, layer_count, tuple(int(c) for c in calib.labels[order]),
+                          {l: means[l - 1] for l in deep}, {l: variances[l - 1] for l in deep})
 
-
-# ---------------------------------------------------------------------------
-# per-class statistics of synthetic batches
-# ---------------------------------------------------------------------------
 
 @dataclass
 class StackedClassBns:
     """Per-class batch statistics packed as (n_classes, C_l) matrices: row i
     of each matrix is class ``classes[i]``, and ``layers`` maps each deep
-    layer l to its (means, variances) pair. One tape node per layer instead
-    of one per class."""
+    layer l to its (means, variances) pair."""
 
     classes: tuple[int, ...]
-    layers: dict[int, tuple[Tensor, Tensor]]
+    layers: dict[int, Moments]
 
 
-def per_class_bns_stacked(bn_inputs: Sequence[Tensor], labels: np.ndarray,
+def per_class_bns_stacked(moments: Sequence[Moments], labels: np.ndarray,
                           centroids: ClassCentroids) -> StackedClassBns | None:
-    """Per-class batch statistics at the BN inputs of the deep layers.
+    """Per-class batch statistics of the deep layers, from every layer's
+    per-sample moments.
 
     Covers every class that is in ``labels`` and has a centroid; each class's
     mean and biased variance are taken over all of its samples jointly
     (samples x spatial positions). Returns None when no such class exists.
     """
     labels = np.asarray(labels)
-    present = sorted(set(centroids.per_class) & {int(l) for l in labels})
-    if not present:
+    present = np.intersect1d(centroids.classes, labels)
+    if not len(present):
         return None
-    counts = np.array([(labels == c).sum() for c in present], dtype=np.float64)
-    lab_rows = np.searchsorted(present, np.clip(labels, present[0], present[-1]))
-
-    layers: dict[int, tuple[Tensor, Tensor]] = {}
-    for l in centroids.deep_layers():
-        t = bn_inputs[l - 1]
-        if t.ndim == 4:
-            n, ch = t.shape[0], t.shape[1]
-            spatial = t.shape[2] * t.shape[3]
-            sums = t.sum(axis=(2, 3))
-        else:
-            n, ch = t.shape
-            spatial = 1
-            sums = t
-        sel = np.zeros((len(present), n), dtype=t.dtype)
-        for row, c in enumerate(present):
-            sel[row, labels == c] = 1.0 / (counts[row] * spatial)
-        sel_t = Tensor(sel)
-        means = ad.matmul(sel_t, sums)
-        per_sample_mean = ad.take(means, lab_rows)
-        if t.ndim == 4:
-            centered = t - per_sample_mean.reshape((n, ch, 1, 1))
-            sq = (centered * centered).sum(axis=(2, 3))
-        else:
-            centered = t - per_sample_mean
-            sq = centered * centered
-        variances = ad.matmul(sel_t, sq)
-        layers[l] = (means, variances)
-    return StackedClassBns(tuple(present), layers)
+    groups = np.searchsorted(present, labels)
+    groups[~np.isin(labels, present)] = -1  # no centroid: in no group
+    layers = {l: group_moments(*moments[l - 1], groups, len(present))
+              for l in centroids.deep_layers()}
+    return StackedClassBns(tuple(int(c) for c in present), layers)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +223,10 @@ def _sq_dist(a: Tensor, target: np.ndarray) -> Tensor:
     return ad.sq_dist(a, target.astype(a.dtype))
 
 
-def bns_loss(batch_stats: Sequence[LayerStats], running: BnRunningStats) -> Tensor:
+def bns_loss(batch_stats: Sequence[Moments], running: BnRunningStats) -> Tensor:
     """Coarse alignment: sum over all layers of squared L2 distances between
-    batch statistics and the pre-trained running statistics."""
+    batch statistics, each (C_l,) or (1, C_l), and the pre-trained running
+    statistics."""
     if len(batch_stats) != running.layer_count:
         raise ValueError(
             f"layer count mismatch: {len(batch_stats)} batch vs {running.layer_count} running"
@@ -241,16 +241,15 @@ def bns_loss(batch_stats: Sequence[LayerStats], running: BnRunningStats) -> Tens
 def _centroid_loss(stacked: StackedClassBns, centroids: ClassCentroids,
                    noise=None) -> Tensor:
     """Sum over deep layers and classes of squared distances to the centroids;
-    ``noise`` optionally maps (class, layer) to (mean, variance) offsets
-    added to the targets."""
+    ``noise`` optionally maps a layer to (mean, variance) offset matrices
+    added to its targets."""
+    rows = np.searchsorted(centroids.classes, stacked.classes)
     total = None
-    for l, (m2, v2) in stacked.layers.items():
-        tm = np.stack([centroids.per_class[c][l][0] for c in stacked.classes])
-        tv = np.stack([centroids.per_class[c][l][1] for c in stacked.classes])
+    for l, (m, v) in stacked.layers.items():
+        tm, tv = centroids.means[l][rows], centroids.variances[l][rows]
         if noise is not None:
-            tm = tm + np.stack([noise[(c, l)][0] for c in stacked.classes])
-            tv = tv + np.stack([noise[(c, l)][1] for c in stacked.classes])
-        contrib = _sq_dist(m2, tm) + _sq_dist(v2, tv)
+            tm, tv = tm + noise[l][0], tv + noise[l][1]
+        contrib = _sq_dist(m, tm) + _sq_dist(v, tv)
         total = contrib if total is None else total + contrib
     return total
 
@@ -265,17 +264,15 @@ def dbns_loss(stacked: StackedClassBns, centroids: ClassCentroids,
     """Centroid alignment against noise-distorted targets.
 
     Each centroid entry is perturbed elementwise with fresh Gaussian noise on
-    every call (std ``mean_std`` for means, ``var_std`` for variances), drawn
-    class by class, then layer by layer; the distorted targets carry no
-    gradient. Distorted variance targets may go negative; they are
-    regression targets, not normalizers, and are used as-is.
+    every call (std ``mean_std`` for means, ``var_std`` for variances),
+    drawn layer by layer as one (classes, C_l) matrix for the means, then one
+    for the variances; the distorted targets carry no gradient. Distorted
+    variance targets may go negative; they are regression targets, not
+    normalizers, and are used as-is.
     """
-    noise = {}
-    for c in stacked.classes:
-        for l in stacked.layers:
-            tm, tv = centroids.per_class[c][l]
-            noise[(c, l)] = (
-                rng.normal(0.0, distortion.mean_std, size=tm.shape),
-                rng.normal(0.0, distortion.var_std, size=tv.shape),
-            )
+    noise = {
+        l: (rng.normal(0.0, distortion.mean_std, size=m.shape),
+            rng.normal(0.0, distortion.var_std, size=v.shape))
+        for l, (m, v) in stacked.layers.items()
+    }
     return _centroid_loss(stacked, centroids, noise=noise)

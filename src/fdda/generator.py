@@ -17,9 +17,11 @@ from .bns import (
     bns_loss,
     cbns_loss,
     dbns_loss,
+    group_moments,
     per_class_bns_stacked,
+    sample_moments,
 )
-from .network import Network, channel_stats, forward
+from .network import Network, forward
 
 
 @dataclass(frozen=True)
@@ -107,16 +109,19 @@ def generator_total_loss(
     because the classifier's parameters do not require gradients.
     """
     cap = forward(f_net, images, train=False, capture_bn=True)
-    # the batch statistics are taped after the forward pass, so backward adds
-    # into each BN input the per-class terms, then these, then BN's own
-    # gradient; seeded reports depend on that order of sums
+    # every statistic is a reduction of one pair of per-sample moments per
+    # layer, taped after the forward pass: backward sums the alignment terms'
+    # gradients into the moments, then adds theirs into each BN input before
+    # BN's own gradient; seeded reports depend on that order of sums
+    moments = [sample_moments(x) for x in cap.bn_inputs]
+    whole_batch = np.zeros(len(labels), dtype=np.intp)
     parts: dict = {
         "ce": ad.softmax_cross_entropy(cap.output, labels),
-        "bns": bns_loss([channel_stats(x) for x in cap.bn_inputs], running),
+        "bns": bns_loss([group_moments(m, v, whole_batch, 1) for m, v in moments], running),
     }
 
     if use_cbns or use_dbns:
-        per_class = per_class_bns_stacked(cap.bn_inputs, labels, centroids)
+        per_class = per_class_bns_stacked(moments, labels, centroids)
         if per_class is not None:
             if use_cbns:
                 parts["cbns"] = cbns_loss(per_class, centroids)

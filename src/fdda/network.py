@@ -40,6 +40,11 @@ class Conv2d:
     kernel: int
     pad: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.pad < self.kernel:
+            raise ValueError(f"conv2d layer {self.name!r} needs kernel >= 1 and "
+                             f"0 <= pad < kernel, got kernel {self.kernel}, pad {self.pad}")
+
 
 @dataclass(frozen=True)
 class BatchNorm:
@@ -100,7 +105,8 @@ def layer_to_dict(layer) -> dict:
 
 
 def layer_from_dict(d: dict):
-    """Inverse of :func:`layer_to_dict`; raises ValueError on a malformed spec."""
+    """Inverse of :func:`layer_to_dict`; raises ValueError on a malformed spec,
+    such as a conv whose padding is not below its kernel size."""
     kind = d.get("kind") if isinstance(d, dict) else None
     cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -195,24 +201,6 @@ class Network:
 # batch normalization
 # ---------------------------------------------------------------------------
 
-def channel_stats(x: Tensor) -> tuple[Tensor, Tensor]:
-    """Per-channel mean and biased variance over batch and spatial axes.
-
-    Accepts (N, C, H, W) or (N, C); returns two (C,) tensors on the tape.
-    """
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-    elif x.ndim == 2:
-        axes = (0,)
-    else:
-        raise ValueError(f"unsupported input rank {x.ndim} for channel stats")
-    m = x.mean(axis=axes, keepdims=True)
-    centered = x - m
-    v = (centered * centered).mean(axis=axes, keepdims=True)
-    c = x.shape[1]
-    return m.reshape((c,)), v.reshape((c,))
-
-
 def batchnorm_forward(
     x: Tensor,
     gamma: Tensor,
@@ -277,8 +265,8 @@ def forward(
 ) -> ForwardResult:
     """Run the layer stack. ``capture_bn`` records each BN layer's input
     tensor, in either mode; callers take the statistics they need from
-    ``bn_inputs`` (``channel_stats`` for batch statistics), so losses built
-    on them differentiate back to ``x``."""
+    ``bn_inputs`` (``bns.sample_moments``), so losses built on them
+    differentiate back to ``x``."""
     bn_inputs: list[Tensor] = []
     weight_layers = net.weight_layers()
     n_weights = len(weight_layers)

@@ -1,6 +1,7 @@
-"""BN-statistics granularities and alignment losses: identity cases, the
-Monte-Carlo oracle for noise-distorted targets, and finite-difference
-gradients w.r.t. batch statistics."""
+"""BN-statistics granularities and alignment losses: the moment reductions
+against plain numpy formulas, identity cases, the Monte-Carlo oracle for
+noise-distorted targets, and finite-difference gradients w.r.t. batch
+statistics."""
 
 import numpy as np
 import pytest
@@ -18,16 +19,47 @@ from fdda.bns import (
     collect_running_stats,
     dbns_loss,
     deep_layer_start,
+    group_moments,
     per_class_bns_stacked,
     per_image_bns,
+    sample_moments,
 )
-from fdda.data import ToyDatasetSpec, extract_calibration, make_toy_dataset
+from fdda.data import CalibrationSet, ToyDatasetSpec, extract_calibration, make_toy_dataset
 from fdda.models import build_toy_classifier
-from fdda.network import BN_EPS, channel_stats, forward
+from fdda.network import BN_EPS, forward
+
+# float32 tolerance of the moment reductions against the numpy references
+# below, for values of order 1 (measured error: about 3e-7 relative)
+F32 = dict(rtol=1e-6, atol=1e-6)
 
 
 def t64(a, rg=False):
     return Tensor(np.asarray(a, dtype=np.float64), requires_grad=rg)
+
+
+def ref_batch_stats(x):
+    """Reference: per-channel mean and biased variance over the batch and
+    spatial axes of an (N, C, H, W) or (N, C) array."""
+    axes = (0, 2, 3) if x.ndim == 4 else (0,)
+    centered = x - x.mean(axis=axes, keepdims=True)
+    return x.mean(axis=axes), (centered * centered).mean(axis=axes)
+
+
+def ref_class_stats(x, labels, classes):
+    """Reference: the batch statistics of each class's samples, stacked."""
+    stats = [ref_batch_stats(x[labels == c]) for c in classes]
+    return np.stack([m for m, _ in stats]), np.stack([v for _, v in stats])
+
+
+def batch_stats(x):
+    """A batch's statistics the way the generator loss takes them: one group
+    of per-sample moments."""
+    m, v = sample_moments(x)
+    return group_moments(m, v, np.zeros(x.shape[0], dtype=np.intp), 1)
+
+
+def moments_of(inputs):
+    return [sample_moments(x) for x in inputs]
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +108,10 @@ def test_running_stats_converge_to_stationary_source():
             forward(net, Tensor(base), train=True)
         cap = forward(net, Tensor(base), train=True, capture_bn=True)
     stats = collect_running_stats(net)
-    batch_stats = [channel_stats(x) for x in cap.bn_inputs]
-    for (bm, bv), rm, rv in zip(batch_stats, stats.means, stats.variances):
-        np.testing.assert_allclose(rm, bm.data, atol=1e-2)
-        np.testing.assert_allclose(rv, bv.data, rtol=0.05, atol=1e-2)
+    for x, rm, rv in zip(cap.bn_inputs, stats.means, stats.variances):
+        bm, bv = ref_batch_stats(x.data)
+        np.testing.assert_allclose(rm, bm, atol=1e-2)
+        np.testing.assert_allclose(rv, bv, rtol=0.05, atol=1e-2)
 
 
 def test_train_mode_capture_records_bn_inputs_on_the_tape():
@@ -91,18 +123,22 @@ def test_train_mode_capture_records_bn_inputs_on_the_tape():
     assert [t.shape[1] for t in cap.bn_inputs] == _bn_channels(net)
     conv1 = ad.conv2d(x.detach(), net.params["conv1.w"], net.params["conv1.b"], pad=1)
     np.testing.assert_array_equal(cap.bn_inputs[0].data, conv1.data)
-    m, v = channel_stats(cap.bn_inputs[-1])
+    m, v = sample_moments(cap.bn_inputs[-1])
     ad.backward(m.sum() + v.sum())
     assert x.grad is not None and np.abs(x.grad).sum() > 0
 
 
 def test_per_image_stats_hand_values():
-    m, v = channel_stats(Tensor(np.array([[[[1.0, 3.0]]]])))
-    np.testing.assert_allclose(m.data, [2.0])
-    np.testing.assert_allclose(v.data, [1.0])
+    m, v = sample_moments(Tensor(np.array([[[[1.0, 3.0]]], [[[5.0, 5.0]]]])))
+    np.testing.assert_allclose(m.data, [[2.0], [5.0]])
+    np.testing.assert_allclose(v.data, [[1.0], [0.0]])
 
-    m, v = channel_stats(Tensor(np.full((1, 2, 3, 3), 4.0)))
-    np.testing.assert_allclose(v.data, [0.0, 0.0])
+    m, v = sample_moments(Tensor(np.full((1, 2, 3, 3), 4.0)))
+    np.testing.assert_allclose(v.data, [[0.0, 0.0]])
+
+    m, v = sample_moments(Tensor(np.array([[1.0, -2.0]])))  # dense: the value itself
+    np.testing.assert_array_equal(m.data, [[1.0, -2.0]])
+    np.testing.assert_array_equal(v.data, [[0.0, 0.0]])
 
 
 def test_per_image_bns_requires_an_image():
@@ -117,9 +153,9 @@ def batch_one_bns(net, images):
     with ad.no_grad():
         for i in range(len(images)):
             cap = forward(net, Tensor(images[i : i + 1]), train=False, capture_bn=True)
-            stats = [channel_stats(x) for x in cap.bn_inputs]
-            means.append([m.data for m, _ in stats])
-            variances.append([v.data for _, v in stats])
+            stats = [ref_batch_stats(x.data) for x in cap.bn_inputs]
+            means.append([m for m, _ in stats])
+            variances.append([v for _, v in stats])
     return [np.stack(layer) for layer in zip(*means)], [np.stack(layer) for layer in zip(*variances)]
 
 
@@ -184,10 +220,51 @@ def test_identical_images_batch_stats_match_per_image():
     stats = per_image_bns(net, img)
     with ad.no_grad():
         cap = forward(net, Tensor(batch), train=False, capture_bn=True)
-        batch_stats = [channel_stats(x) for x in cap.bn_inputs]
-    for l, (bm, bv) in enumerate(batch_stats):
-        np.testing.assert_allclose(stats.means[l][0], bm.data, atol=1e-5)
-        np.testing.assert_allclose(stats.variances[l][0], bv.data, atol=1e-5)
+        stats_of_batch = [batch_stats(x) for x in cap.bn_inputs]
+    for l, (bm, bv) in enumerate(stats_of_batch):
+        np.testing.assert_allclose(stats.means[l][0], bm.data[0], atol=1e-5)
+        np.testing.assert_allclose(stats.variances[l][0], bv.data[0], atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# moment reductions against the numpy references
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(12, 5, 4, 4), (12, 5)], ids=["conv", "dense"])
+def test_one_group_is_the_batch_statistics(shape):
+    x = np.random.default_rng(20).normal(1.0, 2.0, size=shape).astype(np.float32)
+    m, v = batch_stats(Tensor(x))
+    assert m.shape == v.shape == (1, shape[1]) and m.dtype == np.float32
+    ref_m, ref_v = ref_batch_stats(x)
+    np.testing.assert_allclose(m.data[0], ref_m, **F32)
+    np.testing.assert_allclose(v.data[0], ref_v, **F32)
+
+
+@pytest.mark.parametrize("shape", [(12, 5, 4, 4), (12, 5)], ids=["conv", "dense"])
+def test_class_groups_are_the_per_class_statistics(shape):
+    rng = np.random.default_rng(21)
+    x = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
+    labels = np.array([3, 0, 3, 1, 0, 3, 1, 1, 3, 0, 2, 3])
+    classes = [0, 1, 3]  # class 2 is in no group
+    groups = np.array([classes.index(c) if c in classes else -1 for c in labels])
+    m, v = group_moments(*sample_moments(Tensor(x)), groups, len(classes))
+    ref_m, ref_v = ref_class_stats(x, labels, classes)
+    np.testing.assert_allclose(m.data, ref_m, **F32)
+    np.testing.assert_allclose(v.data, ref_v, **F32)
+
+
+def test_group_moments_gradient_matches_finite_differences():
+    rng = np.random.default_rng(22)
+    x = t64(rng.normal(size=(6, 2, 2, 3)), rg=True)
+    groups = np.array([1, 0, -1, 1, 1, 0])
+    wm, wv = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+
+    def loss():
+        m, v = group_moments(*sample_moments(x), groups, 2)
+        return (m * Tensor(wm)).sum() + (v * Tensor(wv)).sum()
+
+    assert ad.grad_check(loss, [x], h=1e-5) < 1e-6
+    assert np.all(x.grad[2] == 0.0)  # the sample in no group
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +289,10 @@ def test_centroid_equals_per_image_stats():
     cen = build_class_centroids(net, calib, deep_start=4)
     img = calib.images[0:1]
     stats = per_image_bns(net, img)
+    assert cen.classes == (3,)
     for l in cen.deep_layers():
-        np.testing.assert_array_equal(cen.per_class[3][l][0], stats.means[l - 1][0])
-        np.testing.assert_array_equal(cen.per_class[3][l][1], stats.variances[l - 1][0])
+        np.testing.assert_array_equal(cen.means[l][0], stats.means[l - 1][0])
+        np.testing.assert_array_equal(cen.variances[l][0], stats.variances[l - 1][0])
 
 
 def test_centroids_are_the_per_image_rows_of_every_class():
@@ -222,26 +300,39 @@ def test_centroids_are_the_per_image_rows_of_every_class():
     calib = _calib_subset([5, 0, 2, 7])
     cen = build_class_centroids(net, calib, deep_start=2)
     ref_means, ref_vars = batch_one_bns(net, calib.images)
+    assert cen.classes == (0, 2, 5, 7)
     for row, c in enumerate(calib.labels):
         for l in cen.deep_layers():
-            np.testing.assert_array_equal(cen.per_class[int(c)][l][0], ref_means[l - 1][row])
-            np.testing.assert_array_equal(cen.per_class[int(c)][l][1], ref_vars[l - 1][row])
+            i = cen.classes.index(int(c))
+            np.testing.assert_array_equal(cen.means[l][i], ref_means[l - 1][row])
+            np.testing.assert_array_equal(cen.variances[l][i], ref_vars[l - 1][row])
+
+
+def test_centroid_rows_follow_sorted_classes():
+    # calibration labels out of order, as predicted labels may be
+    net = build_toy_classifier(seed=1)
+    calib = _calib_subset([0, 2, 5])
+    shuffled = CalibrationSet(calib.images[[2, 0, 1]], np.array([7, 1, 4]), 8)
+    cen = build_class_centroids(net, shuffled, deep_start=2)
+    assert cen.classes == (1, 4, 7)
+    stats = per_image_bns(net, shuffled.images)
+    for l in cen.deep_layers():
+        np.testing.assert_array_equal(cen.means[l], stats.means[l - 1][[1, 2, 0]])
+        np.testing.assert_array_equal(cen.variances[l], stats.variances[l - 1][[1, 2, 0]])
 
 
 def test_empty_calibration_gives_empty_centroids():
     net = build_toy_classifier(seed=0)
     cen = build_class_centroids(net, _calib_subset([]), deep_start=1)
     assert cen.available_classes == frozenset()
+    assert [cen.means[l].shape for l in cen.deep_layers()] == [(0, c) for c in _bn_channels(net)]
 
 
-def test_duplicate_class_rejected():
-    from types import SimpleNamespace
-
-    net = build_toy_classifier(seed=0)
-    calib = SimpleNamespace(images=np.zeros((2, 1, 16, 16), dtype=np.float32),
-                            labels=np.array([3, 3]))
-    with pytest.raises(ValueError, match="duplicate"):
-        build_class_centroids(net, calib, deep_start=1)
+@pytest.mark.parametrize("classes", [(1, 0), (2, 2)], ids=["unsorted", "duplicate"])
+def test_centroid_classes_must_be_sorted_and_unique(classes):
+    rows = {1: np.zeros((2, 3))}
+    with pytest.raises(ValueError, match="not sorted and unique"):
+        ClassCentroids(1, 1, classes, rows, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -296,42 +387,31 @@ def test_bns_loss_nonnegative_random():
 
 def _simple_centroids(deep_start=2, layer_count=3, channels=2, classes=(0, 1), seed=5):
     rng = np.random.default_rng(seed)
-    per_class = {
-        c: {
-            l: (rng.normal(size=channels), rng.uniform(0.5, 2.0, size=channels))
-            for l in range(deep_start, layer_count + 1)
-        }
-        for c in classes
-    }
-    return ClassCentroids(deep_start, layer_count, per_class)
-
-
-def _stacked(per_class):
-    """StackedClassBns from {class: {layer: (mean, variance)}} arrays."""
-    classes = tuple(sorted(per_class))
-    layers = sorted(per_class[classes[0]])
-    return StackedClassBns(classes, {
-        l: (t64(np.stack([per_class[c][l][0] for c in classes])),
-            t64(np.stack([per_class[c][l][1] for c in classes])))
-        for l in layers
-    })
+    deep = range(deep_start, layer_count + 1)
+    means = {l: rng.normal(size=(len(classes), channels)) for l in deep}
+    variances = {l: rng.uniform(0.5, 2.0, size=(len(classes), channels)) for l in deep}
+    return ClassCentroids(deep_start, layer_count, tuple(classes), means, variances)
 
 
 def _matching_stats(cen):
-    return _stacked(cen.per_class)
+    """StackedClassBns equal to the centroids of every class."""
+    return StackedClassBns(cen.classes, {
+        l: (t64(cen.means[l]), t64(cen.variances[l])) for l in cen.deep_layers()
+    })
 
 
 def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, seed=13):
-    """Dense BN inputs with one sample per label, and centroids that the
-    samples of each class hit exactly (a lone dense sample has zero variance)."""
+    """Dense BN inputs with one sample per distinct label, and centroids that
+    the samples of each class hit exactly (a lone dense sample has zero
+    variance)."""
     rng = np.random.default_rng(seed)
     inputs = [t64(rng.normal(size=(len(labels), channels))) for _ in range(layer_count)]
-    per_class = {
-        int(c): {l: (inputs[l - 1].data[row].copy(), np.zeros(channels))
-                 for l in range(deep_start, layer_count + 1)}
-        for row, c in enumerate(labels)
-    }
-    return inputs, ClassCentroids(deep_start, layer_count, per_class)
+    order = np.argsort(labels)
+    deep = range(deep_start, layer_count + 1)
+    return inputs, ClassCentroids(
+        deep_start, layer_count, tuple(int(c) for c in labels[order]),
+        {l: inputs[l - 1].data[order] for l in deep},
+        {l: np.zeros((len(labels), channels)) for l in deep})
 
 
 def test_cbns_zero_at_centroids():
@@ -343,38 +423,40 @@ def test_cbns_ignores_shallow_layers():
     labels = np.array([0, 1])
     inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
     inputs[0] = t64(np.full((2, 2), 100.0))  # layer 1 < K
-    stacked = per_class_bns_stacked(inputs, labels, cen)
+    stacked = per_class_bns_stacked(moments_of(inputs), labels, cen)
     assert sorted(stacked.layers) == [2, 3]
     assert float(cbns_loss(stacked, cen).data) == 0.0
 
 
 def test_cbns_hand_value():
-    cen = ClassCentroids(1, 1, {0: {1: (np.zeros(2), np.ones(2))}})
-    stats = _stacked({0: {1: (np.array([1.0, 1.0]), np.ones(2))}})
+    cen = ClassCentroids(1, 1, (0,), {1: np.zeros((1, 2))}, {1: np.ones((1, 2))})
+    stats = StackedClassBns((0,), {1: (t64([[1.0, 1.0]]), t64([[1.0, 1.0]]))})
     assert float(cbns_loss(stats, cen).data) == pytest.approx(2.0)
 
 
 def test_cbns_decomposes_over_classes_and_layers():
     cen = _simple_centroids(deep_start=1, layer_count=2, classes=(0, 1, 2))
     rng = np.random.default_rng(6)
-    stats = {}
+    layers = {}
     expect = 0.0
-    for c in cen.per_class:
-        stats[c] = {}
-        for l in range(1, 3):
-            m = rng.normal(size=2)
-            v = rng.uniform(0.5, 2, size=2)
-            tm, tv = cen.per_class[c][l]
-            expect += ((m - tm) ** 2).sum() + ((v - tv) ** 2).sum()
-            stats[c][l] = (m, v)
-    assert float(cbns_loss(_stacked(stats), cen).data) == pytest.approx(expect, rel=1e-12)
+    for l in range(1, 3):
+        m, v = rng.normal(size=(3, 2)), rng.uniform(0.5, 2, size=(3, 2))
+        for row in range(3):
+            tm, tv = cen.means[l][row], cen.variances[l][row]
+            expect += ((m[row] - tm) ** 2).sum() + ((v[row] - tv) ** 2).sum()
+        layers[l] = (t64(m), t64(v))
+    stats = StackedClassBns(cen.classes, layers)
+    assert float(cbns_loss(stats, cen).data) == pytest.approx(expect, rel=1e-12)
 
 
 def test_cbns_skips_classes_without_centroid():
     labels = np.array([0, 5])
     inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
-    del cen.per_class[5]  # class 5 has no centroid: silently skipped
-    stacked = per_class_bns_stacked(inputs, labels, cen)
+    # class 5 has no centroid: silently skipped
+    cen = ClassCentroids(cen.deep_start, cen.layer_count, (0,),
+                         {l: m[:1] for l, m in cen.means.items()},
+                         {l: v[:1] for l, v in cen.variances.items()})
+    stacked = per_class_bns_stacked(moments_of(inputs), labels, cen)
     assert stacked.classes == (0,)
     assert float(cbns_loss(stacked, cen).data) == 0.0
 
@@ -462,16 +544,12 @@ def test_per_class_stats_match_direct_computation():
     t2 = Tensor(rng.normal(size=(6, 4)).astype(np.float64))
     labels = np.array([0, 1, 0, 2, 1, 0])
     cen = _simple_centroids(deep_start=1, layer_count=2, classes=(0, 1, 2))
-    out = per_class_bns_stacked([t1, t2], labels, cen)
+    out = per_class_bns_stacked(moments_of([t1, t2]), labels, cen)
     assert out.classes == (0, 1, 2)
-    for row, c in enumerate(out.classes):
-        rows = labels == c
-        sub = t1.data[rows]
-        np.testing.assert_allclose(out.layers[1][0].data[row], sub.mean(axis=(0, 2, 3)), rtol=1e-10)
-        np.testing.assert_allclose(out.layers[1][1].data[row], sub.var(axis=(0, 2, 3)), rtol=1e-10)
-        sub2 = t2.data[rows]
-        np.testing.assert_allclose(out.layers[2][0].data[row], sub2.mean(axis=0), rtol=1e-10)
-        np.testing.assert_allclose(out.layers[2][1].data[row], sub2.var(axis=0), rtol=1e-10, atol=1e-12)
+    for l, t in ((1, t1), (2, t2)):
+        ref_m, ref_v = ref_class_stats(t.data, labels, out.classes)
+        np.testing.assert_allclose(out.layers[l][0].data, ref_m, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.layers[l][1].data, ref_v, rtol=1e-10, atol=1e-12)
 
 
 def test_per_class_stats_skip_absent_and_deep_start():
@@ -480,28 +558,31 @@ def test_per_class_stats_skip_absent_and_deep_start():
     t2 = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
     labels = np.array([0, 0, 1, 1])
     cen = _simple_centroids(deep_start=2, layer_count=2, classes=(0, 1, 5))
-    out = per_class_bns_stacked([t1, t2], labels, cen)
+    out = per_class_bns_stacked(moments_of([t1, t2]), labels, cen)
     assert out.classes == (0, 1)
     assert 1 not in out.layers  # layer 1 below the cutoff
     assert 2 in out.layers
     absent = _simple_centroids(deep_start=2, layer_count=2, classes=(5,))
-    assert per_class_bns_stacked([t1, t2], labels, absent) is None
+    assert per_class_bns_stacked(moments_of([t1, t2]), labels, absent) is None
 
 
 def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
-    """Plain-numpy cbns and dbns: a loop over the classes present in the
-    batch and the deep layers, drawing noise class by class, then layer by
-    layer."""
+    """Plain-numpy cbns and dbns: a loop over the deep layers and the classes
+    present in the batch, drawing each layer's noise as one matrix for the
+    means, then one for the variances, a row per class."""
+    present = sorted(set(cen.classes) & set(labels.tolist()))
     cbns = dbns = 0.0
-    for c in sorted(set(cen.per_class) & set(labels.tolist())):
-        for l in cen.deep_layers():
+    for l in cen.deep_layers():
+        shape = (len(present), cen.means[l].shape[1])
+        nm = rng.normal(0.0, d.mean_std, size=shape)
+        nv = rng.normal(0.0, d.var_std, size=shape)
+        for row, c in enumerate(present):
             x = bn_inputs[l - 1].data[labels == c].astype(np.float64)
             m, v = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-            tm, tv = cen.per_class[c][l]
-            nm = rng.normal(0.0, d.mean_std, size=tm.shape)
-            nv = rng.normal(0.0, d.var_std, size=tv.shape)
+            i = cen.classes.index(c)
+            tm, tv = cen.means[l][i], cen.variances[l][i]
             cbns += ((m - tm) ** 2).sum() + ((v - tv) ** 2).sum()
-            dbns += ((m - tm - nm) ** 2).sum() + ((v - tv - nv) ** 2).sum()
+            dbns += ((m - tm - nm[row]) ** 2).sum() + ((v - tv - nv[row]) ** 2).sum()
     return cbns, dbns
 
 
@@ -517,7 +598,7 @@ def test_stacked_and_map_losses_agree():
     d = DistortionParams(0.5, 1.0)
     with ad.no_grad():
         cap = forward(net, imgs, train=False, capture_bn=True)
-        stacked = per_class_bns_stacked(cap.bn_inputs, labels, cen)
+        stacked = per_class_bns_stacked(moments_of(cap.bn_inputs), labels, cen)
         a = float(cbns_loss(stacked, cen).data)
         da = float(dbns_loss(stacked, cen, d, np.random.default_rng(3)).data)
     b, db = _oracle_centroid_losses(cap.bn_inputs, labels, cen, d, np.random.default_rng(3))

@@ -179,8 +179,10 @@ def _as_version_1(m):
 
 
 @pytest.mark.parametrize("edit,match", [
-    (_as_version_1, "format version 1, expected 2"),
-    (lambda m: m["layers"][0].update(pad=3), "0 <= pad < kernel, got kernel 3x3, pad 3"),
+    (_as_version_1, "format version 1, expected 3"),
+    (lambda m: m["layers"][0].update(pad=3),
+     "bad.fdda: conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, "
+     "got kernel 3, pad 3"),
 ], ids=["version-1", "conv-pad-not-below-kernel"])
 def test_eval_of_unusable_archive_exits_2_with_one_line(pretrained, capsys, tmp_path, edit, match):
     root, cfg, model = pretrained

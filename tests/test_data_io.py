@@ -6,9 +6,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdda.archive import (
     ArchiveCorruptError,
+    ArchiveError,
     ArchiveVersionError,
     ModelArchive,
     load_model,
@@ -141,12 +144,11 @@ def test_archive_roundtrip_with_sections(tmp_path):
     path = tmp_path / "q.fdda"
     save_model(path, ModelArchive(net, centroids=cen, act_quant=act, policy=policy))
     back = load_model(path)
-    assert back.centroids.available_classes == {0, 1, 2}
+    assert back.centroids.classes == (0, 1, 2)
     assert back.centroids.deep_start == cen.deep_start
-    for c in cen.per_class:
-        for l in cen.deep_layers():
-            np.testing.assert_array_equal(back.centroids.per_class[c][l][0],
-                                          cen.per_class[c][l][0])
+    for l in cen.deep_layers():
+        np.testing.assert_array_equal(back.centroids.means[l], cen.means[l])
+        np.testing.assert_array_equal(back.centroids.variances[l], cen.variances[l])
     assert [q.bits for q in back.act_quant] == [4] * points
     assert back.act_quant[1].upper == 2.5
     assert back.policy == policy
@@ -188,8 +190,32 @@ def test_version_1_archive_is_rejected(saved_classifier, tmp_path):
         return m
 
     old = rewrite_manifest(saved_classifier, tmp_path / "v1.fdda", as_version_1)
-    with pytest.raises(ArchiveVersionError, match="format version 1, expected 2"):
+    with pytest.raises(ArchiveVersionError, match="format version 1, expected 3"):
         load_model(old)
+
+
+def _as_version_2(m):
+    """A format-2 manifest: a bn_layer_count key, and centroid arrays
+    named per class and layer."""
+    m["version"] = 2
+    m["bn_layer_count"] = sum(layer["kind"] == "batchnorm" for layer in m["layers"])
+    for a in m["arrays"]:
+        if a["name"].startswith("centroid:"):
+            _, l, stat = a["name"].split(":")
+            a["name"] = f"centroid:{m['centroids']['classes'][0]}:{l}:{stat}"
+    return m
+
+
+def test_version_2_archive_is_rejected(saved_quantized, tmp_path):
+    old = rewrite_manifest(saved_quantized, tmp_path / "v2.fdda", _as_version_2)
+    with pytest.raises(ArchiveVersionError, match="format version 2, expected 3"):
+        load_model(old)
+
+
+def test_manifest_has_no_bn_layer_count(saved_classifier):
+    raw = saved_classifier.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    assert "bn_layer_count" not in json.loads(raw[8 : 8 + mlen])
 
 
 def test_archive_missing_file_is_oserror(tmp_path):
@@ -227,6 +253,13 @@ def _rename_first_kind(m):
     return m
 
 
+def _edit_first(section, **fields):
+    def edit(m):
+        m[section][0].update(fields)
+        return m
+    return edit
+
+
 def _shrink_array(name):
     def edit(m):
         for a in m["arrays"]:
@@ -246,8 +279,15 @@ def _shrink_array(name):
     (_drop_array("param:conv1.w"), "missing array param:conv1.w"),
     (_drop_array("buffer:bn6.running_var"), "missing array buffer:bn6.running_var"),
     (_shrink_array("param:fc2.b"), "param:fc2.b has shape"),
+    (_edit_first("layers", pad=3),
+     "conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, got kernel 3, pad 3"),
+    (_edit_first("layers", kernel=0, pad=0),
+     "conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, got kernel 0, pad 0"),
+    (_edit_first("layers", pad=-1), "got kernel 3, pad -1"),
+    (_edit_first("arrays", nbytes=2.5), "bad array entry"),
 ], ids=["list-manifest", "no-arrays", "bad-array-entry", "unknown-kind", "missing-param", "missing-buffer",
-        "wrong-shape"])
+        "wrong-shape", "conv-pad-not-below-kernel", "conv-kernel-zero", "conv-pad-negative",
+        "float-nbytes"])
 def test_archive_malformed_manifest_is_corrupt(saved_classifier, tmp_path, edit, match):
     bad = rewrite_manifest(saved_classifier, tmp_path / "bad.fdda", edit)
     with pytest.raises(ArchiveCorruptError, match=match):
@@ -276,19 +316,73 @@ def _edit_section(name, change):
 
 @pytest.mark.parametrize("edit,match", [
     (_edit_section("policy", lambda p: p.update(bogus=1)), "bad policy section"),
-    (_drop_array("centroid:1:6:var"), "missing array centroid:1:6:var"),
+    (_drop_array("centroid:6:var"), "missing array centroid:6:var"),
     (_edit_section("act_quant", lambda q: q.pop()), "7 quantizers for 8 quantization points"),
     (_edit_section("act_quant", lambda q: q[3].update(lower=2.0, upper=-2.0)),
      "bad act_quant section"),
     (_edit_section("act_quant", lambda q: q[0].update(lower=float("nan"))),
      "non-finite activation bounds"),
+    (_edit_section("centroids", lambda c: c.update(classes=[1, 0])), "not sorted and unique"),
+    (_edit_section("centroids", lambda c: c.update(classes=[1, 1])), "not sorted and unique"),
+    (_edit_section("centroids", lambda c: c.update(classes=[0, 1, 2])),
+     r"centroid:5:mean has shape \(2, 32\), expected \(3, 32\)"),
+    (_edit_section("centroids", lambda c: c.update(classes=[0, True])), "not a list of integers"),
 ], ids=["unknown-policy-key", "missing-centroid", "short-act-quant", "inverted-bounds",
-        "nan-bound"])
+        "nan-bound", "unsorted-classes", "duplicate-classes", "class-row-count",
+        "non-integer-class"])
 def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path, edit, match):
     load_model(saved_quantized)  # the unedited archive loads
     bad = rewrite_manifest(saved_quantized, tmp_path / "bad.fdda", edit)
     with pytest.raises(ArchiveCorruptError, match=match):
         load_model(bad)
+
+
+@pytest.fixture(scope="module")
+def archive_bytes(tmp_path_factory):
+    """The bytes of an archive with every optional section, the positions of
+    the digits in its manifest, and a scratch path for mutated copies."""
+    root = tmp_path_factory.mktemp("mutated")
+    net = build_toy_classifier(seed=8)
+    train, _ = make_toy_dataset(ToyDatasetSpec())
+    cen = build_class_centroids(net, extract_calibration(train, 8, classes=[0, 2, 5]), 4)
+    act = [QuantParams(3, -1.0, 1.0)] * quant_point_count(net)
+    save_model(root / "q.fdda", ModelArchive(net, centroids=cen, act_quant=act,
+                                             policy=QuantPolicy(default_bits=3)))
+    raw = (root / "q.fdda").read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    digits = [i for i in range(8, 8 + mlen) if raw[i : i + 1].isdigit()]
+    return raw, digits, root / "mutated.fdda"
+
+
+def _loads_or_raises_archive_error(path, raw):
+    path.write_bytes(raw)
+    try:
+        load_model(path)
+    except ArchiveError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(min_value=0, max_value=2**31))
+def test_truncated_archive_loads_or_raises_archive_error(archive_bytes, cut):
+    raw, _, path = archive_bytes
+    _loads_or_raises_archive_error(path, raw[: cut % len(raw)])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_mutated_archive_loads_or_raises_archive_error(archive_bytes, data):
+    raw, digits, path = archive_bytes
+    head = digits[-1] + 1
+    at, byte = data.draw(st.one_of(
+        # a number of the manifest turned into another number, often a float
+        st.tuples(st.sampled_from(digits), st.sampled_from(list(b"0123456789.e-"))),
+        # any byte of the manifest, as a byte that keeps it parsable as often as not
+        st.tuples(st.integers(0, head - 1), st.sampled_from(list(b'0123456789-.e,:[]{}" tfnul'))),
+        # any byte of the file, as any byte
+        st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+    ))
+    _loads_or_raises_archive_error(path, raw[:at] + bytes([byte]) + raw[at + 1 :])
 
 
 # ---------------------------------------------------------------------------

@@ -384,14 +384,15 @@ def test_missing_class_changes_only_its_own_terms(world):
 
     # per-class decomposition: difference equals class `drop`'s own terms,
     # with the same frozen noise draw on the shared classes
-    from fdda.bns import ClassCentroids, cbns_loss, per_class_bns_stacked
+    from fdda.bns import cbns_loss, per_class_bns_stacked, sample_moments
     from fdda.network import forward as fwd
 
-    cen_only = ClassCentroids(K, cen_full.layer_count, {drop: cen_full.per_class[drop]})
+    cen_only = build_class_centroids(f64, extract_calibration(train, 8, [drop]), K)
     with ad.no_grad():
         cap = fwd(f64, images, train=False, capture_bn=True)
+        moments = [sample_moments(x) for x in cap.bn_inputs]
         cb_full, cb_wo, cb_only = (
-            float(cbns_loss(per_class_bns_stacked(cap.bn_inputs, labels, cen), cen).data)
+            float(cbns_loss(per_class_bns_stacked(moments, labels, cen), cen).data)
             for cen in (cen_full, cen_wo, cen_only))
     assert cb_full - cb_wo == pytest.approx(cb_only, rel=1e-9, abs=1e-12)
 
