@@ -19,7 +19,7 @@ from .config import RunSettings, TrainConfig
 from .generator import LossWeights, generate, generator_total_loss, predict_labels
 from .network import Network, forward
 from .quantizer import QuantParams, QuantPolicy, fake_quantize_ste
-from .trainer import evaluate, lr_schedule, run_fdda
+from .trainer import cosine_lr, evaluate, run_fdda, step_lr
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,6 @@ __all__ = [
     "LossWeights", "generate", "generator_total_loss", "predict_labels",
     "Network", "forward",
     "QuantParams", "QuantPolicy", "fake_quantize_ste",
-    "evaluate", "lr_schedule", "run_fdda",
+    "cosine_lr", "evaluate", "run_fdda", "step_lr",
     "__version__",
 ]

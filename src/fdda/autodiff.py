@@ -104,9 +104,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other, self.dtype), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self.dtype))
-
     def __neg__(self):
         return neg(self)
 
@@ -227,29 +224,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(a.data * b.data, (a, b), bwd)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-            if b.requires_grad
-            else None,
-        )
-
-    return record_op(a.data / b.data, (a, b), bwd)
-
-
 def neg(a: Tensor) -> Tensor:
     return record_op(-a.data, (a,), lambda g: (-g,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        return (g * (0.5 / out_data),)
-
-    return record_op(out_data, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -4,6 +4,7 @@ pipeline, inspect per-layer BN-statistics clustering, evaluate archives."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -57,16 +58,19 @@ def cmd_quantize(args) -> int:
         "steps": "train.steps_per_epoch",
     })
     if args.no_cbns:
-        overrides["use_cbns"] = False
+        overrides["weights.cbns"] = 0.0
     if args.no_dbns:
-        overrides["use_dbns"] = False
+        overrides["weights.dbns"] = 0.0
     if args.no_synthetic:
-        overrides["use_synthetic"] = False
+        overrides["train.mix_ratio"] = 1.0
     if args.predict_labels:
         overrides["predict_labels"] = True
-    if args.classes is not None:
-        overrides["classes"] = list(range(args.classes))
     settings = load_settings(args.config, overrides)
+    if args.classes is not None:
+        num_classes = settings.dataset.num_classes
+        if not 0 <= args.classes <= num_classes:
+            raise ConfigError(f"--classes must lie in [0, {num_classes}], got {args.classes}")
+        settings = dataclasses.replace(settings, classes=tuple(range(args.classes)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -79,7 +83,6 @@ def cmd_quantize(args) -> int:
     print(json.dumps({
         "report": str(report_path),
         "final_acc": report["final_acc"],
-        "best_epoch": report["best_epoch"],
         "float_test_acc": report["float_test_acc"],
     }))
     return 0
@@ -151,9 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None, help="override total epochs")
     p.add_argument("--warmup", type=int, default=None, help="override warm-up epochs")
     p.add_argument("--steps", type=int, default=None, help="override steps per epoch")
-    p.add_argument("--no-cbns", action="store_true", help="disable centroid alignment")
-    p.add_argument("--no-dbns", action="store_true", help="disable distorted-centroid alignment")
-    p.add_argument("--no-synthetic", action="store_true", help="fine-tune on calibration data only")
+    p.add_argument("--no-cbns", action="store_true",
+                   help="no centroid alignment (sets weights.cbns to 0)")
+    p.add_argument("--no-dbns", action="store_true",
+                   help="no distorted-centroid alignment (sets weights.dbns to 0)")
+    p.add_argument("--no-synthetic", action="store_true",
+                   help="fine-tune on calibration data only (sets train.mix_ratio to 1)")
     p.add_argument("--predict-labels", action="store_true",
                    help="replace calibration labels with the classifier's predictions")
     p.add_argument("--classes", type=int, default=None,

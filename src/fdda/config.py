@@ -1,11 +1,13 @@
 """Run configuration: training hyper-parameters, loss weights, quantization
-policy, dataset spec, and ablation switches. Stored as a JSON file; every CLI
-flag overrides its config entry."""
+policy, dataset spec and calibration choices. Stored as a JSON file; every
+CLI flag overrides its config entry."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .bns import DistortionParams
@@ -24,7 +26,9 @@ class TrainConfig:
 
     The committed defaults are desk-scale; the large-scale reference settings
     (50 warm-up epochs, 350 training epochs, generator lr 1e-3, quantized lr
-    1e-6) remain expressible through the config file.
+    1e-6) remain expressible through the config file. ``mix_ratio`` is the
+    share of calibration rows in each quantized-model batch: 1 fine-tunes on
+    calibration images only and trains no generator.
     """
 
     warmup_epochs: int = 10
@@ -33,18 +37,12 @@ class TrainConfig:
     batch_size: int = 64
     lr_generator: float = 1e-3
     lr_quantized: float = 1e-4
-    generator_schedule: str = "step"
-    quantized_schedule: str = "cosine"
     weight_decay: float = 1e-4
     momentum: float = 0.9
     mix_ratio: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
-        if self.generator_schedule not in ("step", "cosine"):
-            raise ConfigError(f"unknown generator_schedule {self.generator_schedule!r}")
-        if self.quantized_schedule not in ("step", "cosine"):
-            raise ConfigError(f"unknown quantized_schedule {self.quantized_schedule!r}")
         if self.warmup_epochs < 0 or self.total_epochs < 0:
             raise ConfigError("epoch counts must be >= 0")
         if self.steps_per_epoch <= 0 or self.batch_size <= 0:
@@ -64,62 +62,60 @@ class RunSettings:
     weights: LossWeights = field(default_factory=LossWeights)
     distortion: DistortionParams = field(default_factory=DistortionParams)
     policy: QuantPolicy = field(default_factory=QuantPolicy)
-    use_synthetic: bool = True
-    use_cbns: bool = True
-    use_dbns: bool = True
     predict_labels: bool = False
     classes: tuple[int, ...] | None = None  # None = all classes
 
     def to_dict(self) -> dict:
-        def enc(obj):
-            if dataclasses.is_dataclass(obj):
-                out = {}
-                for f in dataclasses.fields(obj):
-                    if f.init:
-                        out[f.name] = enc(getattr(obj, f.name))
-                return out
-            if isinstance(obj, tuple):
-                return list(obj)
-            return obj
-
-        return enc(self)
+        return dataclasses.asdict(self)
 
 
-_SECTIONS = {
-    "dataset": ToyDatasetSpec,
-    "train": TrainConfig,
-    "weights": LossWeights,
-    "distortion": DistortionParams,
-    "policy": QuantPolicy,
-}
-_TUPLE_FIELDS = {("dataset", "image_size")}
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a field's type. An integer field takes only
+    JSON integers (no bools, no floats); a float field takes finite numbers."""
+    if hint is int:
+        return type(value) is int
+    if hint is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    if hint is bool or hint is type(None):
+        return type(value) is hint
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return any(_fits(value, a) for a in args)  # a union
+
+
+def _build(cls, raw, where: str):
+    """An instance of dataclass ``cls`` from a JSON object, checking names,
+    types and values; nested dataclass fields are sections of their own."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls) if f.init}
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    kwargs = {}
+    for key, value in raw.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _build(hint, value, f"'{key}'")
+        elif _fits(value, hint):
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
+        else:
+            kind = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{where} key {key!r} must be of type {kind}, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {where} config: {exc}") from exc
 
 
 def settings_from_dict(raw: dict) -> RunSettings:
     """Build RunSettings from a nested dict, validating field names/values."""
-    kwargs: dict = {}
-    for section, cls in _SECTIONS.items():
-        entries = dict(raw.get(section, {}))
-        names = {f.name for f in dataclasses.fields(cls) if f.init}
-        unknown = set(entries) - names
-        if unknown:
-            raise ConfigError(f"unknown key(s) in '{section}': {', '.join(sorted(unknown))}")
-        for key in list(entries):
-            if (section, key) in _TUPLE_FIELDS and entries[key] is not None:
-                entries[key] = tuple(entries[key])
-        try:
-            kwargs[section] = cls(**entries)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad '{section}' config: {exc}") from exc
-
-    flat = {k: v for k, v in raw.items() if k not in _SECTIONS}
-    allowed = {"use_synthetic", "use_cbns", "use_dbns", "predict_labels", "classes"}
-    unknown = set(flat) - allowed
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
-    if "classes" in flat and flat["classes"] is not None:
-        flat["classes"] = tuple(int(c) for c in flat["classes"])
-    return RunSettings(**kwargs, **flat)
+    return _build(RunSettings, raw, "the config")
 
 
 def load_settings(path=None, overrides: dict | None = None) -> RunSettings:
@@ -138,5 +134,7 @@ def load_settings(path=None, overrides: dict | None = None) -> RunSettings:
         *parents, leaf = dotted.split(".")
         for p in parents:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"'{p}' must be an object, got {node!r}")
         node[leaf] = value
     return settings_from_dict(raw)

@@ -25,6 +25,8 @@ class ToyDatasetSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
+        if self.samples_per_class < 2:
+            raise ValueError("need at least two samples per class (one train, one test)")
         if len(self.image_size) != 3 or any(s <= 0 for s in self.image_size):
             raise ValueError(f"bad image size {self.image_size}")
         if self.noise_std < 0:

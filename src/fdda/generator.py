@@ -80,7 +80,7 @@ def predict_labels(f_net: Network, images: Tensor | np.ndarray) -> np.ndarray:
 
 
 def combine_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> Tensor:
-    """Weighted sum of the four generator terms (absent terms contribute 0)."""
+    """Weighted sum of the generator terms; an absent centroid term adds 0."""
     total = parts["ce"] * w.ce + parts["bns"] * w.bns
     if "dbns" in parts:
         total = total + parts["dbns"] * w.dbns
@@ -98,15 +98,14 @@ def generator_total_loss(
     w: LossWeights,
     distortion: DistortionParams,
     rng: np.random.Generator,
-    use_cbns: bool = True,
-    use_dbns: bool = True,
-) -> tuple[Tensor, dict]:
+) -> tuple[Tensor, dict[str, Tensor]]:
     """One pass of the synthetic batch through the frozen classifier, scoring
     Eq-style weighted sum of classification + alignment terms.
 
-    Classes without a centroid are skipped by the centroid terms (their count
-    is reported in the parts dict); gradients reach only the generator side
-    because the classifier's parameters do not require gradients.
+    A centroid term is computed only when its weight is nonzero, and only over
+    the batch's classes that have a centroid (it is absent when none has);
+    gradients reach only the generator side because the classifier's
+    parameters do not require gradients.
     """
     cap = forward(f_net, images, train=False, capture_bn=True)
     # every statistic is a reduction of one pair of per-sample moments per
@@ -115,23 +114,15 @@ def generator_total_loss(
     # BN's own gradient; seeded reports depend on that order of sums
     moments = [sample_moments(x) for x in cap.bn_inputs]
     whole_batch = np.zeros(len(labels), dtype=np.intp)
-    parts: dict = {
+    parts = {
         "ce": ad.softmax_cross_entropy(cap.output, labels),
         "bns": bns_loss([group_moments(m, v, whole_batch, 1) for m, v in moments], running),
     }
-
-    if use_cbns or use_dbns:
+    if w.cbns or w.dbns:
         per_class = per_class_bns_stacked(moments, labels, centroids)
         if per_class is not None:
-            if use_cbns:
+            if w.cbns:
                 parts["cbns"] = cbns_loss(per_class, centroids)
-            if use_dbns:
+            if w.dbns:
                 parts["dbns"] = dbns_loss(per_class, centroids, distortion, rng)
-    batch_classes = {int(c) for c in np.unique(labels)}
-    parts["skipped_classes"] = sorted(batch_classes - set(centroids.available_classes)) \
-        if (use_cbns or use_dbns) else []
-
-    total = combine_generator_loss(
-        {k: v for k, v in parts.items() if isinstance(v, Tensor)}, w
-    )
-    return total, parts
+    return combine_generator_loss(parts, w), parts

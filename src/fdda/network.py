@@ -243,7 +243,7 @@ def batchnorm_forward(
 class QuantHooks(Protocol):
     """Injected by the quantizer: transforms weights and activation tensors."""
 
-    def on_weight(self, w: Tensor, layer_name: str, index: int, total: int) -> Tensor: ...
+    def on_weight(self, w: Tensor, index: int, total: int) -> Tensor: ...
 
     def on_activation(self, x: Tensor, point: int) -> Tensor: ...
 
@@ -282,13 +282,13 @@ def forward(
             w = net.params[f"{layer.name}.w"]
             b = net.params[f"{layer.name}.b"]
             if quant is not None:
-                w = quant.on_weight(w, layer.name, w_index[id(layer)], n_weights)
+                w = quant.on_weight(w, w_index[id(layer)], n_weights)
             x = ad.dense(x, w, b)
         elif isinstance(layer, Conv2d):
             w = net.params[f"{layer.name}.w"]
             b = net.params[f"{layer.name}.b"]
             if quant is not None:
-                w = quant.on_weight(w, layer.name, w_index[id(layer)], n_weights)
+                w = quant.on_weight(w, w_index[id(layer)], n_weights)
             x = ad.conv2d(x, w, b, pad=layer.pad)
         elif isinstance(layer, BatchNorm):
             if capture_bn:

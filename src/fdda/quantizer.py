@@ -184,7 +184,7 @@ class FakeQuantRuntime:
         self.policy = policy
         self.act_params = act_params
 
-    def on_weight(self, w: Tensor, layer_name: str, index: int, total: int) -> Tensor:
+    def on_weight(self, w: Tensor, index: int, total: int) -> Tensor:
         bits = self.policy.weight_bits(index, total)
         fq, _ = quantize_weights_per_channel(w, bits)
         return fq

@@ -38,15 +38,16 @@ from .optim import Adam, NesterovSGD
 from .quantizer import FakeQuantRuntime, calibrate_activation_bounds
 
 
-def lr_schedule(kind: str, lr0: float, epoch: int, total_epochs: int) -> float:
-    """'step': lr0 * 0.1^floor(epoch/100); 'cosine': half-cosine to zero."""
-    if kind == "step":
-        return lr0 * 0.1 ** (epoch // 100)
-    if kind == "cosine":
-        if total_epochs <= 0:
-            return lr0
-        return lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
-    raise ValueError(f"unknown schedule kind {kind!r}")
+def step_lr(lr0: float, epoch: int) -> float:
+    """The generator's schedule: lr0 * 0.1^floor(epoch/100)."""
+    return lr0 * 0.1 ** (epoch // 100)
+
+
+def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
+    """The quantized model's schedule: a half cosine from lr0 to zero."""
+    if total_epochs <= 0:
+        return lr0
+    return lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
 def evaluate(net: Network, data: LabeledImages, quant: FakeQuantRuntime | None = None,
@@ -105,6 +106,7 @@ class TrainState:
     rng_noise: np.random.Generator
     rng_distort: np.random.Generator
     rng_mix: np.random.Generator
+    split: tuple[int, int]  # calibration and synthetic rows of each batch
     # the frozen teacher's logits for each calibration image, built on first use
     teacher_calib: np.ndarray | None = None
 
@@ -129,18 +131,26 @@ def _teacher_calib_logits(state: TrainState, cfg: TrainConfig) -> np.ndarray:
     return state.teacher_calib
 
 
-def _mixed_batch(state: TrainState, cfg: TrainConfig, settings: RunSettings
-                 ) -> tuple[Tensor, np.ndarray, np.ndarray] | None:
+def batch_split(cfg: TrainConfig, n_calib: int) -> tuple[int, int]:
+    """Calibration and synthetic rows of every quantized-model batch:
+    round(mix_ratio * batch_size) calibration rows when there are calibration
+    images, none otherwise, and the rest synthetic. Raises ValueError when
+    that leaves a batch with no data source."""
+    n_cal = int(round(cfg.mix_ratio * cfg.batch_size))
+    if n_calib == 0:
+        if n_cal == cfg.batch_size:
+            raise ValueError(f"no training data: no calibration images, and mix_ratio "
+                             f"{cfg.mix_ratio} leaves no synthetic rows in a batch of "
+                             f"{cfg.batch_size}")
+        n_cal = 0
+    return n_cal, cfg.batch_size - n_cal
+
+
+def _mixed_batch(state: TrainState, cfg: TrainConfig) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Fresh synthetic images mixed with resampled calibration items, their
     labels and the frozen teacher's logits. The teacher runs on the synthetic
     rows only; the calibration rows come from :func:`_teacher_calib_logits`."""
-    n_total = cfg.batch_size
-    have_calib = len(state.calib) > 0
-    n_cal = int(round(cfg.mix_ratio * n_total)) if have_calib else 0
-    if not settings.use_synthetic:
-        n_cal = n_total if have_calib else 0
-    n_syn = n_total - n_cal if settings.use_synthetic else 0
-
+    n_cal, n_syn = state.split
     xs, ys, ts = [], [], []
     if n_syn > 0:
         labels = sample_labels(state.f_net.meta["num_classes"], n_syn, state.rng_labels)
@@ -155,8 +165,6 @@ def _mixed_batch(state: TrainState, cfg: TrainConfig, settings: RunSettings
         xs.append(state.calib.images[pick])
         ys.append(state.calib.labels[pick])
         ts.append(_teacher_calib_logits(state, cfg)[pick])
-    if not xs:
-        return None
     return Tensor(np.concatenate(xs)), np.concatenate(ys), np.concatenate(ts)
 
 
@@ -168,7 +176,6 @@ def _generator_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
     loss, _ = generator_total_loss(
         images, labels, state.f_net, state.running, state.centroids,
         settings.weights, settings.distortion, state.rng_distort,
-        use_cbns=settings.use_cbns, use_dbns=settings.use_dbns,
     )
     state.g_net.zero_grad()
     ad.backward(loss)
@@ -177,11 +184,8 @@ def _generator_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
 
 
 def _quantized_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
-                    lr: float) -> float | None:
-    batch = _mixed_batch(state, cfg, settings)
-    if batch is None:
-        return None
-    images, labels, teacher_logits = batch
+                    lr: float) -> float:
+    images, labels, teacher_logits = _mixed_batch(state, cfg)
     loss, _ = quantized_model_loss(state.q_net, teacher_logits, images, labels,
                                    settings.weights, state.quant)
     state.q_net.zero_grad()
@@ -195,7 +199,7 @@ def warmup_generator(state: TrainState, cfg: TrainConfig, settings: RunSettings)
     raises :class:`TrainingDiverged` on a non-finite loss."""
     losses = []
     for epoch in range(cfg.warmup_epochs):
-        lr = lr_schedule(cfg.generator_schedule, cfg.lr_generator, epoch, cfg.total_epochs)
+        lr = step_lr(cfg.lr_generator, epoch)
         for step in range(cfg.steps_per_epoch):
             losses.append(_generator_step(state, cfg, settings, lr))
             _check_finite(losses[-1], "generator", "warm-up", epoch, step)
@@ -205,29 +209,24 @@ def warmup_generator(state: TrainState, cfg: TrainConfig, settings: RunSettings)
 def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
                 epoch: int) -> dict:
     """One epoch of per-step alternation: a generator update on its composite
-    loss, then a quantized-model update on a fresh mixed batch. Raises
-    :class:`TrainingDiverged` on a non-finite loss."""
-    lr_g = lr_schedule(cfg.generator_schedule, cfg.lr_generator, epoch, cfg.total_epochs)
-    lr_q = lr_schedule(cfg.quantized_schedule, cfg.lr_quantized, epoch, cfg.total_epochs)
+    loss (when the run has a generator), then a quantized-model update on a
+    fresh mixed batch. Raises :class:`TrainingDiverged` on a non-finite loss."""
+    lr_g = step_lr(cfg.lr_generator, epoch)
+    lr_q = cosine_lr(cfg.lr_quantized, epoch, cfg.total_epochs)
     g_losses, q_losses = [], []
     for step in range(cfg.steps_per_epoch):
-        if settings.use_synthetic:
+        if state.g_net is not None:
             g_losses.append(_generator_step(state, cfg, settings, lr_g))
             _check_finite(g_losses[-1], "generator", "training", epoch, step)
-        q = _quantized_step(state, cfg, settings, lr_q)
-        if q is not None:
-            _check_finite(q, "quantized-model", "training", epoch, step)
-            q_losses.append(q)
-    metrics = {
+        q_losses.append(_quantized_step(state, cfg, settings, lr_q))
+        _check_finite(q_losses[-1], "quantized-model", "training", epoch, step)
+    return {
         "epoch": epoch,
         "lossG": float(np.mean(g_losses)) if g_losses else None,
-        "lossQ": float(np.mean(q_losses)) if q_losses else None,
+        "lossQ": float(np.mean(q_losses)),
         "lossG_steps": g_losses,
         "lossQ_steps": q_losses,
     }
-    if not q_losses:
-        metrics["no_quantized_updates"] = True
-    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +285,15 @@ def _resolve_calibration(settings: RunSettings, train: LabeledImages,
 
 def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Network, dict]:
     """Quantize the archived classifier and fine-tune it with synthetic plus
-    calibration data; returns the best checkpoint and the run report."""
+    calibration data; returns the last epoch's model and the run report.
+    Raises ValueError when a batch would have no data source."""
     cfg = settings.train
     f_net = load_model(model_path).network
     f_net.set_requires_grad(False)
 
     train, test = make_toy_dataset(settings.dataset)
     calib, dropped = _resolve_calibration(settings, train, f_net)
+    n_cal, n_syn = batch_split(cfg, len(calib))
 
     running = collect_running_stats(f_net)
     deep_start = deep_layer_start(f_net.bn_layer_count)
@@ -305,7 +306,7 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         settings.dataset.num_classes,
         out_shape=tuple(settings.dataset.image_size),
         seed=cfg.seed,
-    ) if settings.use_synthetic else None
+    ) if n_syn else None
 
     state = TrainState(
         g_net=g_net,
@@ -322,48 +323,33 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         rng_noise=np.random.default_rng([cfg.seed, 4]),
         rng_distort=np.random.default_rng([cfg.seed, 5]),
         rng_mix=np.random.default_rng([cfg.seed, 6]),
+        split=(n_cal, n_syn),
     )
 
-    warmup_losses = warmup_generator(state, cfg, settings) if settings.use_synthetic else []
+    warmup_losses = warmup_generator(state, cfg, settings) if g_net is not None else []
 
     # activation bounds come from real calibration data when there is any;
-    # the synthetic-only arm calibrates on a post-warm-up synthetic batch.
-    # With no data source at all, activations stay unquantized and the run
-    # degenerates to a reported no-op.
-    no_training_data = len(calib) == 0 and not settings.use_synthetic
+    # the synthetic-only arm calibrates on a post-warm-up synthetic batch
     if len(calib) > 0:
         calib_images = calib.images
-    elif settings.use_synthetic:
+    else:
         labels = sample_labels(settings.dataset.num_classes, cfg.batch_size,
                                state.rng_labels)
         with ad.no_grad():
             calib_images = generate(g_net, labels, state.rng_noise).data
-    else:
-        calib_images = None
-    act_quant = calibrate_activation_bounds(f_net, calib_images, settings.policy) \
-        if calib_images is not None else None
+    act_quant = calibrate_activation_bounds(f_net, calib_images, settings.policy)
     state.quant = FakeQuantRuntime(settings.policy, act_quant)
 
     per_epoch = []
-    best_acc, best_epoch = -1.0, -1
-    best_params = {k: p.data.copy() for k, p in q_net.params.items()}
     for epoch in range(cfg.total_epochs):
         metrics = train_epoch(state, cfg, settings, epoch)
-        acc = evaluate(q_net, test, quant=state.quant)
         per_epoch.append({
             "epoch": epoch,
             "lossG": metrics["lossG"],
             "lossQ": metrics["lossQ"],
-            "acc": acc,
+            "acc": evaluate(q_net, test, quant=state.quant),
         })
-        if acc > best_acc:
-            best_acc = acc
-            best_epoch = epoch
-            best_params = {k: p.data.copy() for k, p in q_net.params.items()}
-
-    for k, p in q_net.params.items():
-        p.data = best_params[k]
-    final_acc = evaluate(q_net, test, quant=state.quant)
+    final_acc = per_epoch[-1]["acc"] if per_epoch else evaluate(q_net, test, quant=state.quant)
 
     report = {
         "config": settings.to_dict(),
@@ -371,12 +357,10 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         "warmup_loss_first": warmup_losses[0] if warmup_losses else None,
         "warmup_loss_last": warmup_losses[-1] if warmup_losses else None,
         "final_acc": final_acc,
-        "best_epoch": best_epoch,
         "float_test_acc": evaluate(f_net, test),
         "policy": settings.to_dict()["policy"],
         "available_classes": sorted(centroids.available_classes),
         "dropped_calibration_classes": dropped,
-        "no_training_data": no_training_data,
     }
     if out_model_path is not None:
         save_model(out_model_path, ModelArchive(

@@ -85,8 +85,8 @@ def test_quantize_ablation_flags(pretrained):
                "--out", str(out_dir), "--no-cbns", "--no-dbns", "--seed", "1"])
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert report["config"]["use_cbns"] is False
-    assert report["config"]["use_dbns"] is False
+    assert report["config"]["weights"]["cbns"] == 0.0
+    assert report["config"]["weights"]["dbns"] == 0.0
 
 
 def test_quantize_no_synthetic_arm(pretrained):
@@ -258,3 +258,97 @@ def test_teacher_table_not_built_without_calibration_steps(pretrained, monkeypat
     rc = main(["quantize", "--config", str(cfg), "--model", str(model),
                "--out", str(root / f"table{flags[0]}{flags[1]}"), "--seed", "1"] + flags)
     assert rc == 0
+
+
+def _config_with(tmp_path, base_cfg, **sections):
+    raw = json.loads(base_cfg.read_text())
+    for section, entries in sections.items():
+        raw.setdefault(section, {}).update(entries)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("flags,sections", [
+    (["--no-cbns", "--no-dbns"], {"weights": {"cbns": 0.0, "dbns": 0.0}}),
+    (["--no-synthetic"], {"train": {"mix_ratio": 1.0}}),
+], ids=["no-centroid-terms", "no-synthetic"])
+def test_ablation_flag_equals_its_config_values(pretrained, tmp_path, flags, sections):
+    root, cfg, model = pretrained
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert main(["quantize", "--config", str(cfg), "--model", str(model),
+                 "--out", str(by_flag), "--seed", "1"] + flags) == 0
+    assert main(["quantize", "--config", str(_config_with(tmp_path, cfg, **sections)),
+                 "--model", str(model), "--out", str(by_config), "--seed", "1"]) == 0
+    for name in ("report.json", "quantized.fdda"):
+        assert (by_flag / name).read_bytes() == (by_config / name).read_bytes()
+
+
+def test_calibration_only_config_builds_no_generator(pretrained, tmp_path, monkeypatch):
+    root, cfg, model = pretrained
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator built")
+
+    monkeypatch.setattr(trainer, "build_generator", refuse)
+    out_dir = tmp_path / "run"
+    rc = main(["quantize", "--config", str(_config_with(tmp_path, cfg, train={"mix_ratio": 1.0})),
+               "--model", str(model), "--out", str(out_dir), "--seed", "1"])
+    assert rc == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["warmup_loss_first"] is None and report["warmup_loss_last"] is None
+    assert all(e["lossG"] is None for e in report["per_epoch"])
+
+
+def test_no_data_run_exits_2_with_one_line_and_no_outputs(pretrained, capsys, tmp_path):
+    root, cfg, model = pretrained
+    out_dir = tmp_path / "run"
+    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
+               "--out", str(out_dir), "--classes", "0", "--no-synthetic"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no training data" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out_dir / "report.json").exists()
+    assert not (out_dir / "quantized.fdda").exists()
+
+
+@pytest.mark.parametrize("raw,match", [
+    ({"use_cbns": False}, "unknown key(s) in the config: use_cbns"),
+    ({"use_dbns": False}, "unknown key(s) in the config: use_dbns"),
+    ({"use_synthetic": False}, "unknown key(s) in the config: use_synthetic"),
+    ({"train": {"generator_schedule": "step"}}, "unknown key(s) in 'train': generator_schedule"),
+    ({"train": {"quantized_schedule": "cosine"}}, "unknown key(s) in 'train': quantized_schedule"),
+    ({"dataset": {"image_size": 5}}, "'dataset' key 'image_size' must be of type"),
+    ({"classes": 5}, "the config key 'classes' must be of type"),
+    ({"train": [1]}, "'train' must be an object"),
+    ({"train": {"steps_per_epoch": 1.5}}, "'train' key 'steps_per_epoch' must be of type int"),
+    ({"policy": {"default_bits": 2.5}}, "'policy' key 'default_bits' must be of type int"),
+    ({"policy": {"default_bits": True}}, "'policy' key 'default_bits' must be of type int"),
+    ({"dataset": {"samples_per_class": 1}}, "need at least two samples per class"),
+], ids=["use_cbns", "use_dbns", "use_synthetic", "generator_schedule", "quantized_schedule",
+        "image-size-not-a-list", "classes-not-a-list", "section-not-an-object",
+        "float-steps", "float-bits", "bool-bits", "one-sample-per-class"])
+def test_bad_config_exits_2_with_one_line(pretrained, capsys, tmp_path, raw, match):
+    root, _, model = pretrained
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out_dir = tmp_path / "run"
+    rc = main(["quantize", "--config", str(cfg), "--model", str(model), "--out", str(out_dir),
+               "--seed", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("n", ["-1", "9"])
+def test_classes_out_of_range_exits_2(pretrained, capsys, tmp_path, n):
+    root, cfg, model = pretrained
+    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
+               "--out", str(tmp_path / "run"), "--classes", n])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--classes must lie in [0, 8], got {n}" in err
+    assert len(err.strip().splitlines()) == 1

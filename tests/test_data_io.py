@@ -401,11 +401,11 @@ def test_settings_from_dict_and_overrides(tmp_path):
     cfg = {"train": {"total_epochs": 5, "seed": 3}, "policy": {"default_bits": 8}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    s = load_settings(path, overrides={"train.total_epochs": 7, "use_cbns": False})
+    s = load_settings(path, overrides={"train.total_epochs": 7, "weights.cbns": 0.0})
     assert s.train.total_epochs == 7  # flag wins over file
     assert s.train.seed == 3
     assert s.policy.default_bits == 8
-    assert s.use_cbns is False
+    assert s.weights.cbns == 0.0
 
 
 def test_config_rejects_unknown_keys():
@@ -438,3 +438,57 @@ def test_settings_to_dict_roundtrip():
     d = s.to_dict()
     s2 = settings_from_dict(json.loads(json.dumps(d)))
     assert s2 == s
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_BASE = json.loads(json.dumps(RunSettings(classes=(0, 1)).to_dict()))
+_SECTIONS = [k for k, v in _BASE.items() if isinstance(v, dict)]
+_KEYS = [(k,) for k in _BASE] + [(s, k) for s in _SECTIONS for k in _BASE[s]]
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_config_loads_or_raises_config_error(config_path, data):
+    raw = json.loads(json.dumps(_BASE))
+    kind = data.draw(st.sampled_from(["value", "unknown key", "section"]))
+    if kind == "value":  # a random JSON value for any key
+        *parents, leaf = data.draw(st.sampled_from(_KEYS))
+        node = raw[parents[0]] if parents else raw
+        # small numbers, often in range, load more often than arbitrary JSON
+        node[leaf] = data.draw(st.one_of(st.integers(-1, 9), st.floats(-1, 9), _JSON))
+    elif kind == "unknown key":
+        where = data.draw(st.sampled_from([None] + _SECTIONS))
+        node = raw if where is None else raw[where]
+        node[data.draw(st.text(max_size=8).filter(lambda k: k not in node))] = data.draw(_JSON)
+    else:  # a section that is not an object
+        raw[data.draw(st.sampled_from(_SECTIONS))] = data.draw(
+            _JSON.filter(lambda v: not isinstance(v, dict)))
+    config_path.write_text(json.dumps(raw))
+    overrides = data.draw(st.sampled_from([{}, {"train.seed": 3}, {"weights.cbns": 0.0}]))
+    try:
+        s = load_settings(config_path, overrides)
+    except ConfigError:
+        return
+    # what loads has the types of the defaults and survives the report's JSON round trip
+    assert _has_types_of(s.to_dict(), _BASE)
+    assert settings_from_dict(json.loads(json.dumps(s.to_dict()))) == s
+
+
+def _has_types_of(value, default) -> bool:
+    """Whether a loaded value has the type of the default it stands for; an
+    integer may stand for a float, and a None default says nothing."""
+    if isinstance(default, dict):
+        return all(_has_types_of(value[k], default[k]) for k in default)
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and all(_has_types_of(v, default[0]) for v in value)
+    return default is None or type(value) is type(default) or \
+        (type(default) is float and type(value) is int)

@@ -171,7 +171,6 @@ def test_coarse_reduction_matches_manual_sum(setup):
         total, parts = generator_total_loss(
             images, labels, f, running, centroids, w,
             DistortionParams(), np.random.default_rng(11),
-            use_cbns=False, use_dbns=False,
         )
     expect = 0.5 * float(parts["ce"].data) + 0.2 * float(parts["bns"].data)
     assert float(total.data) == pytest.approx(expect, rel=1e-6)
@@ -184,10 +183,17 @@ def test_missing_centroids_skip_their_classes(setup):
     calib5 = extract_calibration(train, 8, classes=[0, 1, 2, 3, 4])
     cen5 = build_class_centroids(f, calib5, deep_layer_start(f.bn_layer_count))
     labels = np.arange(8)
+    w = LossWeights(dbns=0.0)
     with ad.no_grad():
         images = generate(g, labels, np.random.default_rng(12))
         _, parts = generator_total_loss(
-            images, labels, f, running, cen5, LossWeights(),
+            images, labels, f, running, cen5, w,
             DistortionParams(), np.random.default_rng(13),
         )
-    assert parts["skipped_classes"] == [5, 6, 7]
+        # the same centroid term as a batch of only the classes with a centroid
+        _, parts_kept = generator_total_loss(
+            Tensor(images.data[:5]), labels[:5], f, running, cen5, w,
+            DistortionParams(), np.random.default_rng(13),
+        )
+    assert sorted(set(labels) - set(cen5.available_classes)) == [5, 6, 7]
+    assert float(parts["cbns"].data) == pytest.approx(float(parts_kept["cbns"].data), rel=1e-5)

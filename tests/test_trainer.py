@@ -25,9 +25,11 @@ from fdda.trainer import (
     TrainingDiverged,
     TrainState,
     _mixed_batch,
+    batch_split,
+    cosine_lr,
     evaluate,
-    lr_schedule,
     quantized_model_loss,
+    step_lr,
     train_epoch,
     warmup_generator,
 )
@@ -38,21 +40,16 @@ from fdda.trainer import (
 # ---------------------------------------------------------------------------
 
 def test_step_schedule_values():
-    assert lr_schedule("step", 1e-3, 0, 350) == pytest.approx(1e-3)
-    assert lr_schedule("step", 1e-3, 99, 350) == pytest.approx(1e-3)
-    assert lr_schedule("step", 1e-3, 100, 350) == pytest.approx(1e-4)
-    assert lr_schedule("step", 1e-3, 250, 350) == pytest.approx(1e-5)
+    assert step_lr(1e-3, 0) == pytest.approx(1e-3)
+    assert step_lr(1e-3, 99) == pytest.approx(1e-3)
+    assert step_lr(1e-3, 100) == pytest.approx(1e-4)
+    assert step_lr(1e-3, 250) == pytest.approx(1e-5)
 
 
 def test_cosine_schedule_endpoints():
-    assert lr_schedule("cosine", 0.5, 0, 100) == pytest.approx(0.5)
-    assert lr_schedule("cosine", 0.5, 100, 100) == pytest.approx(0.0, abs=1e-12)
-    assert lr_schedule("cosine", 0.5, 50, 100) == pytest.approx(0.25)
-
-
-def test_unknown_schedule_errors():
-    with pytest.raises(ValueError):
-        lr_schedule("linear", 1e-3, 0, 10)
+    assert cosine_lr(0.5, 0, 100) == pytest.approx(0.5)
+    assert cosine_lr(0.5, 100, 100) == pytest.approx(0.0, abs=1e-12)
+    assert cosine_lr(0.5, 50, 100) == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +86,8 @@ def make_state(world, settings, calib=None, seed=0):
     centroids = build_class_centroids(f, calib, deep_layer_start(f.bn_layer_count))
     q = f.copy()
     q.set_requires_grad(True)
-    g = build_generator(seed=seed) if settings.use_synthetic else None
+    split = batch_split(cfg, len(calib))
+    g = build_generator(seed=seed) if split[1] else None
     act = calibrate_activation_bounds(f, train.images[:16], settings.policy)
     return TrainState(
         g_net=g, q_net=q, f_net=f, running=running, centroids=centroids,
@@ -100,12 +98,15 @@ def make_state(world, settings, calib=None, seed=0):
         rng_noise=np.random.default_rng([seed, 4]),
         rng_distort=np.random.default_rng([seed, 5]),
         rng_mix=np.random.default_rng([seed, 6]),
+        split=split,
     )
 
 
-def tiny_settings(**kw):
+def tiny_settings(calibration_only=False, **kw):
     train_kw = {"warmup_epochs": 1, "total_epochs": 2, "steps_per_epoch": 3,
                 "batch_size": 16}
+    if calibration_only:
+        train_kw["mix_ratio"] = 1.0
     train_kw.update(kw.pop("train_kw", {}))
     return RunSettings(dataset=SPEC, train=TrainConfig(**train_kw), **kw)
 
@@ -228,33 +229,50 @@ def test_zero_lr_and_zero_weights_change_nothing(world):
         assert np.array_equal(q_before[k], state.q_net.params[k].data)
 
 
-def test_degenerate_no_data_reports_condition(world):
-    f, train, _, _ = world
-    empty = extract_calibration(train, 8, classes=[])
-    settings = tiny_settings(use_synthetic=False, train_kw={"mix_ratio": 0.0})
-    state = make_state(world, settings, calib=empty)
-    metrics = train_epoch(state, settings.train, settings, epoch=0)
-    assert metrics["no_quantized_updates"] is True
-    assert metrics["lossQ"] is None
-
-
 def test_no_synthetic_uses_calibration_batches(world):
-    settings = tiny_settings(use_synthetic=False)
+    settings = tiny_settings(calibration_only=True)
     state = make_state(world, settings)
     metrics = train_epoch(state, settings.train, settings, epoch=0)
     assert metrics["lossG"] is None
     assert metrics["lossQ"] is not None
 
 
+@pytest.mark.parametrize("mix_ratio,n_calib,split", [
+    (0.25, 8, (4, 12)),
+    (0.25, 0, (0, 16)),
+    (0.0, 8, (0, 16)),
+    (1.0, 8, (16, 0)),
+    (0.99, 8, (16, 0)),  # rounds to a whole batch: no synthetic rows
+    (0.99, 0, None),
+    (1.0, 0, None),
+], ids=["mixed", "no-calibration", "synthetic-only", "calibration-only", "rounds-to-calibration-only",
+        "no-data-after-rounding", "no-data"])
+def test_batch_split(mix_ratio, n_calib, split):
+    cfg = TrainConfig(batch_size=16, mix_ratio=mix_ratio)
+    if split is None:
+        with pytest.raises(ValueError, match="no training data"):
+            batch_split(cfg, n_calib)
+    else:
+        assert batch_split(cfg, n_calib) == split
+
+
+def test_calibration_only_run_has_no_generator(world):
+    settings = tiny_settings(calibration_only=True)
+    state = make_state(world, settings)
+    assert state.g_net is None and state.split == (16, 0)
+    images, _, _ = _mixed_batch(state, settings.train)
+    assert images.shape[0] == 16
+
+
 # ---------------------------------------------------------------------------
 # teacher logits of the calibration images
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("use_synthetic", [True, False], ids=["mixed", "calibration-only"])
-def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, use_synthetic):
-    settings = tiny_settings(use_synthetic=use_synthetic, train_kw={"batch_size": 64})
+@pytest.mark.parametrize("calibration_only", [False, True], ids=["mixed", "calibration-only"])
+def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, calibration_only):
+    settings = tiny_settings(calibration_only=calibration_only, train_kw={"batch_size": 64})
     state = make_state(world, settings)
-    images, _, teacher = _mixed_batch(state, settings.train, settings)
+    images, _, teacher = _mixed_batch(state, settings.train)
     assert images.shape[0] == 64
     with ad.no_grad():
         ref = forward(state.f_net, images, train=False).output.data
@@ -263,7 +281,7 @@ def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, use_synthet
 
 
 def test_teacher_table_is_built_once_per_run(world):
-    settings = tiny_settings(use_synthetic=False)
+    settings = tiny_settings(calibration_only=True)
     state = make_state(world, settings)
     assert state.teacher_calib is None
     train_epoch(state, settings.train, settings, epoch=0)
@@ -274,9 +292,9 @@ def test_teacher_table_is_built_once_per_run(world):
 
 
 def test_teacher_table_covers_more_images_than_one_batch(world):
-    settings = tiny_settings(use_synthetic=False, train_kw={"batch_size": 3})
+    settings = tiny_settings(calibration_only=True, train_kw={"batch_size": 3})
     state = make_state(world, settings)
-    _mixed_batch(state, settings.train, settings)
+    _mixed_batch(state, settings.train)
     with ad.no_grad():
         ref = forward(state.f_net, Tensor(state.calib.images), train=False).output.data
     # chunks of 3 rows, not one batch of 8: equal up to GEMM blocking
@@ -297,7 +315,7 @@ def test_teacher_table_not_built_without_calibration_rows(world):
 # ---------------------------------------------------------------------------
 
 def test_non_finite_quantized_loss_raises_naming_epoch_and_step(world, monkeypatch):
-    settings = tiny_settings(use_synthetic=False)
+    settings = tiny_settings(calibration_only=True)
     state = make_state(world, settings)
     losses = iter([0.5, float("nan")])
     monkeypatch.setattr(trainer, "_quantized_step", lambda *a: next(losses))
@@ -380,7 +398,7 @@ def test_missing_class_changes_only_its_own_terms(world):
     # ce and bns are untouched by the missing class
     assert float(parts_full["ce"].data) == pytest.approx(float(parts_wo["ce"].data), rel=1e-12)
     assert float(parts_full["bns"].data) == pytest.approx(float(parts_wo["bns"].data), rel=1e-12)
-    assert parts_wo["skipped_classes"] == [drop]
+    assert set(labels) - set(cen_wo.available_classes) == {drop}
 
     # per-class decomposition: difference equals class `drop`'s own terms,
     # with the same frozen noise draw on the shared classes
