@@ -4,15 +4,14 @@ generator, and low-bit fine-tuning through a straight-through estimator."""
 
 from .autodiff import Tensor, backward, grad_check, no_grad
 from .bns import (
-    BnRunningStats,
+    BnStats,
     ClassCentroids,
     DistortionParams,
-    PerImageBns,
-    bns_loss,
-    cbns_loss,
+    alignment_loss,
     collect_running_stats,
-    dbns_loss,
     deep_layer_start,
+    distort,
+    per_class_moments,
     per_image_bns,
 )
 from .config import RunSettings, TrainConfig
@@ -25,9 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "backward", "grad_check", "no_grad",
-    "BnRunningStats", "ClassCentroids", "DistortionParams", "PerImageBns",
-    "bns_loss", "cbns_loss", "dbns_loss", "collect_running_stats",
-    "deep_layer_start", "per_image_bns",
+    "BnStats", "ClassCentroids", "DistortionParams",
+    "alignment_loss", "collect_running_stats", "deep_layer_start", "distort",
+    "per_class_moments", "per_image_bns",
     "RunSettings", "TrainConfig",
     "LossWeights", "generate", "generator_total_loss", "predict_labels",
     "Network", "forward",

@@ -79,9 +79,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -89,23 +86,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self.dtype), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other, self.dtype))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return sum_(self, axis=axis, keepdims=keepdims)
@@ -222,10 +207,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return record_op(a.data * b.data, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    return record_op(-a.data, (a,), lambda g: (-g,))
 
 
 def relu(a: Tensor) -> Tensor:

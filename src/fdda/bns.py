@@ -1,16 +1,19 @@
-"""Batch-normalization statistics (BNS) at three granularities and the
-alignment losses built on them: coarse alignment of a synthetic batch to the
-pre-trained running statistics, centroid alignment of its per-class
-statistics in the deep layers, and noise-distorted centroid alignment.
+"""Batch-normalization statistics (BNS) at three granularities and the one
+alignment loss built on them.
 
 Every statistic is a reduction of one pair of per-sample moments.
 :func:`sample_moments` takes a captured BN input to each sample's
 per-channel mean and biased variance, both (N, C), on the tape; those rows
 are the per-image statistics (:func:`per_image_bns`) that the class
 centroids are built from. :func:`group_moments` pools the rows of a group of
-samples: one group gives the batch statistics of the coarse loss, one group
-per class the per-class statistics (:func:`per_class_bns_stacked`) that both
-centroid losses score.
+samples: one group gives the batch statistics, one group per class the
+per-class statistics of the deep layers (:func:`per_class_moments`).
+
+The paper's three generator terms are one loss, :func:`alignment_loss`, a
+sum of squared distances from statistics to constant targets: the batch
+statistics against the pre-trained running statistics (BNS), the per-class
+statistics against their centroids (centroid alignment), and the same
+against centroids plus fresh Gaussian noise (:func:`distort`).
 
 Layers are 1-indexed; variances are biased (population) everywhere so the
 three granularities compare directly.
@@ -33,21 +36,10 @@ Moments = tuple[Tensor, Tensor]  # (mean, variance) rows, each (rows, C_l)
 
 
 @dataclass(frozen=True)
-class BnRunningStats:
-    """Snapshot of every BN layer's running mean/variance, in layer order."""
-
-    means: tuple[np.ndarray, ...]
-    variances: tuple[np.ndarray, ...]
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.means)
-
-
-@dataclass(frozen=True)
-class PerImageBns:
-    """Per-channel mean/variance at each BN layer input of N images: the
-    arrays of layer l are (N, C_l), row i belongs to image i."""
+class BnStats:
+    """Per-channel mean and variance of a run of BN layers, in layer order:
+    a layer's arrays are (C_l,) for the running buffers and (N, C_l) for N
+    images or N classes' centroid rows, row i belonging to the i-th."""
 
     means: tuple[np.ndarray, ...]
     variances: tuple[np.ndarray, ...]
@@ -88,10 +80,6 @@ class ClassCentroids:
         if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
             raise ValueError(f"centroid classes {list(self.classes)} are not sorted and unique")
 
-    @property
-    def available_classes(self) -> frozenset[int]:
-        return frozenset(self.classes)
-
     def deep_layers(self) -> range:
         return range(self.deep_start, self.layer_count + 1)
 
@@ -103,14 +91,14 @@ def deep_layer_start(layer_count: int) -> int:
     return max(1, math.ceil(layer_count / 2) - 2)
 
 
-def collect_running_stats(net: Network) -> BnRunningStats:
+def collect_running_stats(net: Network) -> BnStats:
     """Copy the running mean/variance of every BN layer, in order."""
     bn = net.bn_layers()
     if not bn:
         raise ValueError("network has no batch-norm layers")
     means = tuple(net.buffers[f"{l.name}.running_mean"].copy() for l in bn)
     variances = tuple(net.buffers[f"{l.name}.running_var"].copy() for l in bn)
-    return BnRunningStats(means, variances)
+    return BnStats(means, variances)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +132,7 @@ def group_moments(m: Tensor, v: Tensor, groups: np.ndarray, k: int) -> Moments:
     return mean, ad.matmul(avg, v + dev * dev)
 
 
-def per_image_bns(net: Network, images: np.ndarray) -> PerImageBns:
+def per_image_bns(net: Network, images: np.ndarray) -> BnStats:
     """Each image's per-channel statistics at every BN layer input.
 
     ``images`` is an (N, C, H, W) stack with N >= 1. The statistics come
@@ -164,7 +152,7 @@ def per_image_bns(net: Network, images: np.ndarray) -> PerImageBns:
     layers = list(zip(*chunks))
     means = tuple(np.concatenate([m.data for m, _ in layer]) for layer in layers)
     variances = tuple(np.concatenate([v.data for _, v in layer]) for layer in layers)
-    return PerImageBns(means, variances)
+    return BnStats(means, variances)
 
 
 def build_class_centroids(net: Network, calib: CalibrationSet,
@@ -185,24 +173,15 @@ def build_class_centroids(net: Network, calib: CalibrationSet,
                           {l: means[l - 1] for l in deep}, {l: variances[l - 1] for l in deep})
 
 
-@dataclass
-class StackedClassBns:
-    """Per-class batch statistics packed as (n_classes, C_l) matrices: row i
-    of each matrix is class ``classes[i]``, and ``layers`` maps each deep
-    layer l to its (means, variances) pair."""
+def per_class_moments(moments: Sequence[Moments], labels: np.ndarray,
+                      centroids: ClassCentroids) -> tuple[list[Moments], BnStats] | None:
+    """Per-class statistics of the deep layers, from every layer's per-sample
+    moments, with their centroid rows as targets.
 
-    classes: tuple[int, ...]
-    layers: dict[int, Moments]
-
-
-def per_class_bns_stacked(moments: Sequence[Moments], labels: np.ndarray,
-                          centroids: ClassCentroids) -> StackedClassBns | None:
-    """Per-class batch statistics of the deep layers, from every layer's
-    per-sample moments.
-
-    Covers every class that is in ``labels`` and has a centroid; each class's
-    mean and biased variance are taken over all of its samples jointly
-    (samples x spatial positions). Returns None when no such class exists.
+    Covers every class that is in ``labels`` and has a centroid, in class
+    order; each class's mean and biased variance are taken over all of its
+    samples jointly (samples x spatial positions). Returns None when no such
+    class exists.
     """
     labels = np.asarray(labels)
     present = np.intersect1d(centroids.classes, labels)
@@ -210,69 +189,45 @@ def per_class_bns_stacked(moments: Sequence[Moments], labels: np.ndarray,
         return None
     groups = np.searchsorted(present, labels)
     groups[~np.isin(labels, present)] = -1  # no centroid: in no group
-    layers = {l: group_moments(*moments[l - 1], groups, len(present))
-              for l in centroids.deep_layers()}
-    return StackedClassBns(tuple(int(c) for c in present), layers)
+    deep = centroids.deep_layers()
+    stats = [group_moments(*moments[l - 1], groups, len(present)) for l in deep]
+    rows = np.searchsorted(centroids.classes, present)
+    targets = BnStats(tuple(centroids.means[l][rows] for l in deep),
+                      tuple(centroids.variances[l][rows] for l in deep))
+    return stats, targets
 
 
 # ---------------------------------------------------------------------------
-# alignment losses
+# the alignment loss
 # ---------------------------------------------------------------------------
 
-def _sq_dist(a: Tensor, target: np.ndarray) -> Tensor:
-    return ad.sq_dist(a, target.astype(a.dtype))
-
-
-def bns_loss(batch_stats: Sequence[Moments], running: BnRunningStats) -> Tensor:
-    """Coarse alignment: sum over all layers of squared L2 distances between
-    batch statistics, each (C_l,) or (1, C_l), and the pre-trained running
-    statistics."""
-    if len(batch_stats) != running.layer_count:
+def alignment_loss(stats: Sequence[Moments], targets: BnStats) -> Tensor:
+    """Sum over layers of squared L2 distances from (mean, variance)
+    statistics to constant targets of the same layer; the targets are cast
+    to the statistics' dtype and carry no gradient."""
+    if len(stats) != targets.layer_count:
         raise ValueError(
-            f"layer count mismatch: {len(batch_stats)} batch vs {running.layer_count} running"
+            f"layer count mismatch: {len(stats)} statistics vs {targets.layer_count} targets"
         )
     total = None
-    for (m, v), rm, rv in zip(batch_stats, running.means, running.variances):
-        term = _sq_dist(m, rm) + _sq_dist(v, rv)
+    for (m, v), tm, tv in zip(stats, targets.means, targets.variances):
+        term = ad.sq_dist(m, tm.astype(m.dtype)) + ad.sq_dist(v, tv.astype(v.dtype))
         total = term if total is None else total + term
     return total
 
 
-def _centroid_loss(stacked: StackedClassBns, centroids: ClassCentroids,
-                   noise=None) -> Tensor:
-    """Sum over deep layers and classes of squared distances to the centroids;
-    ``noise`` optionally maps a layer to (mean, variance) offset matrices
-    added to its targets."""
-    rows = np.searchsorted(centroids.classes, stacked.classes)
-    total = None
-    for l, (m, v) in stacked.layers.items():
-        tm, tv = centroids.means[l][rows], centroids.variances[l][rows]
-        if noise is not None:
-            tm, tv = tm + noise[l][0], tv + noise[l][1]
-        contrib = _sq_dist(m, tm) + _sq_dist(v, tv)
-        total = contrib if total is None else total + contrib
-    return total
+def distort(targets: BnStats, distortion: DistortionParams,
+            rng: np.random.Generator) -> BnStats:
+    """Targets plus fresh elementwise Gaussian noise (std ``mean_std`` for
+    means, ``var_std`` for variances), drawn layer by layer: one matrix for
+    the means, then one for the variances.
 
-
-def cbns_loss(stacked: StackedClassBns, centroids: ClassCentroids) -> Tensor:
-    """Centroid alignment over the deep layers of the stacked classes."""
-    return _centroid_loss(stacked, centroids)
-
-
-def dbns_loss(stacked: StackedClassBns, centroids: ClassCentroids,
-              distortion: DistortionParams, rng: np.random.Generator) -> Tensor:
-    """Centroid alignment against noise-distorted targets.
-
-    Each centroid entry is perturbed elementwise with fresh Gaussian noise on
-    every call (std ``mean_std`` for means, ``var_std`` for variances),
-    drawn layer by layer as one (classes, C_l) matrix for the means, then one
-    for the variances; the distorted targets carry no gradient. Distorted
-    variance targets may go negative; they are regression targets, not
-    normalizers, and are used as-is.
+    The float64 noise is added before :func:`alignment_loss` casts the
+    targets. Distorted variance targets may go negative; they are regression
+    targets, not normalizers, and are used as-is.
     """
-    noise = {
-        l: (rng.normal(0.0, distortion.mean_std, size=m.shape),
-            rng.normal(0.0, distortion.var_std, size=v.shape))
-        for l, (m, v) in stacked.layers.items()
-    }
-    return _centroid_loss(stacked, centroids, noise=noise)
+    means, variances = [], []
+    for tm, tv in zip(targets.means, targets.variances):
+        means.append(tm + rng.normal(0.0, distortion.mean_std, size=tm.shape))
+        variances.append(tv + rng.normal(0.0, distortion.var_std, size=tv.shape))
+    return BnStats(tuple(means), tuple(variances))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .archive import ArchiveError, load_model, save_model
 from .bns import per_image_bns
-from .clusters import LabeledBnsDataset, export_bns_csv, mean_silhouette_per_layer
+from .clusters import export_bns_csv, mean_silhouette_per_layer
 from .config import ConfigError, load_settings
 from .data import make_toy_dataset
 from .quantizer import FakeQuantRuntime
@@ -103,15 +103,15 @@ def cmd_analyze_bns(args) -> int:
         picks.append(idx if len(idx) <= per_class
                      else rng.choice(idx, size=per_class, replace=False))
     picks = np.concatenate(picks)
-    ds = LabeledBnsDataset(per_image_bns(net, train.images[picks]), train.labels[picks])
+    stats, labels = per_image_bns(net, train.images[picks]), train.labels[picks]
 
-    sc_mean = mean_silhouette_per_layer(ds, "mean")
-    sc_var = mean_silhouette_per_layer(ds, "variance")
+    sc_mean = mean_silhouette_per_layer(stats.means, labels)
+    sc_var = mean_silhouette_per_layer(stats.variances, labels)
     print("layer  sc_mean   sc_variance")
-    for layer in range(1, ds.layer_count + 1):
+    for layer in range(1, stats.layer_count + 1):
         print(f"{layer:5d}  {sc_mean[layer - 1]: .5f}  {sc_var[layer - 1]: .5f}")
     if args.csv is not None:
-        export_bns_csv(ds, args.layer, args.csv)
+        export_bns_csv(stats, labels, args.layer, args.csv)
         print(f"wrote layer {args.layer} statistics to {args.csv}")
     return 0
 

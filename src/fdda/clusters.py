@@ -4,44 +4,11 @@ CSV export of the underlying vectors for external plotting."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .bns import PerImageBns
-
-
-@dataclass(frozen=True)
-class LabeledBnsDataset:
-    """Per-image BN statistics of N images with their class labels."""
-
-    stats: PerImageBns  # every layer's arrays have N rows
-    labels: np.ndarray  # (N,) int
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if any(len(a) != n for a in self.stats.means + self.stats.variances):
-            raise ValueError(f"every layer needs one row of statistics per label ({n})")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    @property
-    def layer_count(self) -> int:
-        return self.stats.layer_count
-
-    def layer_matrix(self, layer: int, stat: str) -> np.ndarray:
-        """Rows of per-image vectors for a 1-based layer; stat selects
-        'mean' or 'variance'."""
-        if not 1 <= layer <= self.layer_count:
-            raise ValueError(f"layer {layer} out of range 1..{self.layer_count}")
-        if stat == "mean":
-            rows = self.stats.means[layer - 1]
-        elif stat == "variance":
-            rows = self.stats.variances[layer - 1]
-        else:
-            raise ValueError(f"stat must be 'mean' or 'variance', got {stat!r}")
-        return rows.astype(np.float64)
+from .bns import BnStats
 
 
 def _distances(vectors: np.ndarray) -> np.ndarray:
@@ -84,31 +51,29 @@ def silhouette_values(vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def mean_silhouette_per_layer(ds: LabeledBnsDataset, stat: str) -> np.ndarray:
-    """Average silhouette over all samples, one value per BN layer."""
-    if len(np.unique(ds.labels)) < 2:
+def mean_silhouette_per_layer(rows: Sequence[np.ndarray], labels: np.ndarray) -> np.ndarray:
+    """Average silhouette over all samples, one value per layer; ``rows``
+    holds one (N, C_l) matrix per layer, row i belonging to ``labels[i]``."""
+    if len(np.unique(labels)) < 2:
         raise ValueError("silhouette needs at least two classes")
-    return np.array([
-        silhouette_values(ds.layer_matrix(layer, stat), ds.labels).mean()
-        for layer in range(1, ds.layer_count + 1)
-    ])
+    return np.array([silhouette_values(r, labels).mean() for r in rows])
 
 
-def export_bns_csv(ds: LabeledBnsDataset, layer: int, path) -> None:
+def export_bns_csv(stats: BnStats, labels: np.ndarray, layer: int, path) -> None:
     """Write one layer's raw per-image statistics as CSV.
 
-    Header is ``label,stat,c0,c1,...``; each sample contributes a 'mean' row
-    and a 'variance' row. An empty dataset writes the bare header.
+    Header is ``label,stat,c0,c1,...``; each image contributes a 'mean' row
+    and a 'variance' row. With no images it writes the bare header.
     """
     channels = 0
-    if len(ds):
-        if not 1 <= layer <= ds.layer_count:
-            raise ValueError(f"layer {layer} out of range 1..{ds.layer_count}")
-        means, variances = ds.stats.means[layer - 1], ds.stats.variances[layer - 1]
+    if len(labels):
+        if not 1 <= layer <= stats.layer_count:
+            raise ValueError(f"layer {layer} out of range 1..{stats.layer_count}")
+        means, variances = stats.means[layer - 1], stats.variances[layer - 1]
         channels = means.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "stat"] + [f"c{i}" for i in range(channels)])
-        for i, label in enumerate(ds.labels):
+        for i, label in enumerate(labels):
             writer.writerow([int(label), "mean"] + [f"{x:.6g}" for x in means[i]])
             writer.writerow([int(label), "variance"] + [f"{x:.6g}" for x in variances[i]])

@@ -3,6 +3,7 @@ calibration-set extraction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,10 @@ import numpy as np
 # the same order as a 4-bit input-quantization step so low-bit quantization
 # visibly costs accuracy on noisy samples
 PATTERN_STD = 0.12
+
+# most float32 values the dataset's image array may hold (256 MiB); the
+# default spec holds 204,800
+MAX_IMAGE_VALUES = 2**26
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,10 @@ class ToyDatasetSpec:
             raise ValueError(f"bad image size {self.image_size}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
+        values = self.num_classes * self.samples_per_class * math.prod(self.image_size)
+        if values > MAX_IMAGE_VALUES:
+            raise ValueError(f"dataset of {values} image values exceeds the limit of "
+                             f"{MAX_IMAGE_VALUES}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,7 @@ def make_toy_dataset(spec: ToyDatasetSpec) -> tuple[LabeledImages, LabeledImages
 
 @dataclass
 class CalibrationSet:
-    """At most one labelled image per class; tracks which classes are covered."""
+    """At most one labelled image per class."""
 
     images: np.ndarray  # (M, C, H, W)
     labels: np.ndarray  # (M,) int64
@@ -101,10 +110,6 @@ class CalibrationSet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @property
-    def available_classes(self) -> frozenset[int]:
-        return frozenset(int(c) for c in self.labels)
 
 
 def extract_calibration(train: LabeledImages, num_classes: int,

@@ -11,14 +11,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bns import (
-    BnRunningStats,
+    BnStats,
     ClassCentroids,
     DistortionParams,
-    bns_loss,
-    cbns_loss,
-    dbns_loss,
+    alignment_loss,
+    distort,
     group_moments,
-    per_class_bns_stacked,
+    per_class_moments,
     sample_moments,
 )
 from .network import Network, forward
@@ -93,7 +92,7 @@ def generator_total_loss(
     images: Tensor,
     labels: np.ndarray,
     f_net: Network,
-    running: BnRunningStats,
+    running: BnStats,
     centroids: ClassCentroids,
     w: LossWeights,
     distortion: DistortionParams,
@@ -116,13 +115,15 @@ def generator_total_loss(
     whole_batch = np.zeros(len(labels), dtype=np.intp)
     parts = {
         "ce": ad.softmax_cross_entropy(cap.output, labels),
-        "bns": bns_loss([group_moments(m, v, whole_batch, 1) for m, v in moments], running),
+        "bns": alignment_loss([group_moments(m, v, whole_batch, 1) for m, v in moments],
+                              running),
     }
     if w.cbns or w.dbns:
-        per_class = per_class_bns_stacked(moments, labels, centroids)
+        per_class = per_class_moments(moments, labels, centroids)
         if per_class is not None:
+            stats, targets = per_class
             if w.cbns:
-                parts["cbns"] = cbns_loss(per_class, centroids)
+                parts["cbns"] = alignment_loss(stats, targets)
             if w.dbns:
-                parts["dbns"] = dbns_loss(per_class, centroids, distortion, rng)
+                parts["dbns"] = alignment_loss(stats, distort(targets, distortion, rng))
     return combine_generator_loss(parts, w), parts

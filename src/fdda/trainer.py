@@ -16,13 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .archive import ModelArchive, load_model, save_model
 from .autodiff import Tensor
-from .bns import (
-    BnRunningStats,
-    ClassCentroids,
-    build_class_centroids,
-    collect_running_stats,
-    deep_layer_start,
-)
+from .bns import (BnStats, ClassCentroids, build_class_centroids, collect_running_stats,
+                  deep_layer_start)
 from .config import RunSettings, TrainConfig
 from .data import CalibrationSet, LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
 from .generator import (
@@ -96,7 +91,7 @@ class TrainState:
     g_net: Network | None
     q_net: Network
     f_net: Network
-    running: BnRunningStats
+    running: BnStats
     centroids: ClassCentroids
     calib: CalibrationSet
     quant: FakeQuantRuntime
@@ -359,7 +354,7 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         "final_acc": final_acc,
         "float_test_acc": evaluate(f_net, test),
         "policy": settings.to_dict()["policy"],
-        "available_classes": sorted(centroids.available_classes),
+        "available_classes": list(centroids.classes),
         "dropped_calibration_classes": dropped,
     }
     if out_model_path is not None:

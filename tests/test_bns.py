@@ -9,18 +9,16 @@ import pytest
 from fdda import autodiff as ad
 from fdda.autodiff import Tensor
 from fdda.bns import (
-    BnRunningStats,
+    BnStats,
     ClassCentroids,
     DistortionParams,
-    StackedClassBns,
-    bns_loss,
+    alignment_loss,
     build_class_centroids,
-    cbns_loss,
     collect_running_stats,
-    dbns_loss,
     deep_layer_start,
+    distort,
     group_moments,
-    per_class_bns_stacked,
+    per_class_moments,
     per_image_bns,
     sample_moments,
 )
@@ -279,7 +277,7 @@ def _calib_subset(classes):
 def test_centroids_available_classes():
     net = build_toy_classifier(seed=0)
     cen = build_class_centroids(net, _calib_subset([0, 1]), deep_start=2)
-    assert cen.available_classes == {0, 1}
+    assert cen.classes == (0, 1)
     assert list(cen.deep_layers()) == [2, 3, 4, 5, 6]
 
 
@@ -324,7 +322,7 @@ def test_centroid_rows_follow_sorted_classes():
 def test_empty_calibration_gives_empty_centroids():
     net = build_toy_classifier(seed=0)
     cen = build_class_centroids(net, _calib_subset([]), deep_start=1)
-    assert cen.available_classes == frozenset()
+    assert cen.classes == ()
     assert [cen.means[l].shape for l in cen.deep_layers()] == [(0, c) for c in _bn_channels(net)]
 
 
@@ -336,7 +334,7 @@ def test_centroid_classes_must_be_sorted_and_unique(classes):
 
 
 # ---------------------------------------------------------------------------
-# coarse alignment loss
+# coarse alignment: the loss against the running statistics
 # ---------------------------------------------------------------------------
 
 def _stats_pair(means, variances):
@@ -344,15 +342,15 @@ def _stats_pair(means, variances):
 
 
 def test_bns_loss_zero_at_exact_match():
-    running = BnRunningStats((np.array([0.5, -1.0]),), (np.array([1.0, 2.0]),))
+    running = BnStats((np.array([0.5, -1.0]),), (np.array([1.0, 2.0]),))
     stats = _stats_pair([np.array([0.5, -1.0])], [np.array([1.0, 2.0])])
-    assert float(bns_loss(stats, running).data) == 0.0
+    assert float(alignment_loss(stats, running).data) == 0.0
 
 
 def test_bns_loss_hand_value():
-    running = BnRunningStats((np.zeros(2),), (np.array([1.0, 1.0]),))
+    running = BnStats((np.zeros(2),), (np.array([1.0, 1.0]),))
     stats = _stats_pair([np.array([1.0, 2.0])], [np.array([1.0, 1.0])])
-    assert float(bns_loss(stats, running).data) == pytest.approx(5.0)
+    assert float(alignment_loss(stats, running).data) == pytest.approx(5.0)
 
 
 def test_bns_loss_permutation_invariant():
@@ -361,29 +359,41 @@ def test_bns_loss_permutation_invariant():
     variances = [rng.uniform(0.5, 2, size=4), rng.uniform(0.5, 2, size=3)]
     r_m = [rng.normal(size=4), rng.normal(size=3)]
     r_v = [rng.uniform(0.5, 2, size=4), rng.uniform(0.5, 2, size=3)]
-    a = bns_loss(_stats_pair(means, variances), BnRunningStats(tuple(r_m), tuple(r_v)))
-    b = bns_loss(_stats_pair(means[::-1], variances[::-1]),
-                 BnRunningStats(tuple(r_m[::-1]), tuple(r_v[::-1])))
+    a = alignment_loss(_stats_pair(means, variances), BnStats(tuple(r_m), tuple(r_v)))
+    b = alignment_loss(_stats_pair(means[::-1], variances[::-1]),
+                       BnStats(tuple(r_m[::-1]), tuple(r_v[::-1])))
     assert float(a.data) == pytest.approx(float(b.data), rel=1e-12)
 
 
 def test_bns_loss_layer_count_mismatch():
-    running = BnRunningStats((np.zeros(2), np.zeros(2)), (np.ones(2), np.ones(2)))
+    running = BnStats((np.zeros(2), np.zeros(2)), (np.ones(2), np.ones(2)))
     with pytest.raises(ValueError):
-        bns_loss(_stats_pair([np.zeros(2)], [np.ones(2)]), running)
+        alignment_loss(_stats_pair([np.zeros(2)], [np.ones(2)]), running)
 
 
 def test_bns_loss_nonnegative_random():
     rng = np.random.default_rng(4)
     for _ in range(10):
         stats = _stats_pair([rng.normal(size=3)], [rng.uniform(0, 2, size=3)])
-        running = BnRunningStats((rng.normal(size=3),), (rng.uniform(0, 2, size=3),))
-        assert float(bns_loss(stats, running).data) >= 0.0
+        running = BnStats((rng.normal(size=3),), (rng.uniform(0, 2, size=3),))
+        assert float(alignment_loss(stats, running).data) >= 0.0
 
 
 # ---------------------------------------------------------------------------
-# centroid losses
+# centroid alignment: the loss against centroid rows, plain and distorted
 # ---------------------------------------------------------------------------
+
+def cbns(per_class):
+    """The centroid term of ``per_class_moments``' (statistics, targets)."""
+    stats, targets = per_class
+    return alignment_loss(stats, targets)
+
+
+def dbns(per_class, d, rng):
+    """The distorted-centroid term, as the generator loss takes it."""
+    stats, targets = per_class
+    return alignment_loss(stats, distort(targets, d, rng))
+
 
 def _simple_centroids(deep_start=2, layer_count=3, channels=2, classes=(0, 1), seed=5):
     rng = np.random.default_rng(seed)
@@ -393,11 +403,25 @@ def _simple_centroids(deep_start=2, layer_count=3, channels=2, classes=(0, 1), s
     return ClassCentroids(deep_start, layer_count, tuple(classes), means, variances)
 
 
+def _targets(cen, classes=None):
+    """The centroid rows of ``classes`` (default: all), per deep layer."""
+    rows = [cen.classes.index(c) for c in (cen.classes if classes is None else classes)]
+    deep = cen.deep_layers()
+    return BnStats(tuple(cen.means[l][rows] for l in deep),
+                   tuple(cen.variances[l][rows] for l in deep))
+
+
+def _assert_targets_are(targets, cen, classes):
+    ref = _targets(cen, classes)
+    assert targets.layer_count == ref.layer_count
+    for a, b in zip(targets.means + targets.variances, ref.means + ref.variances):
+        np.testing.assert_array_equal(a, b)
+
+
 def _matching_stats(cen):
-    """StackedClassBns equal to the centroids of every class."""
-    return StackedClassBns(cen.classes, {
-        l: (t64(cen.means[l]), t64(cen.variances[l])) for l in cen.deep_layers()
-    })
+    """Per-class statistics equal to the centroids of every class."""
+    stats = [(t64(cen.means[l]), t64(cen.variances[l])) for l in cen.deep_layers()]
+    return stats, _targets(cen)
 
 
 def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, seed=13):
@@ -416,37 +440,37 @@ def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, see
 
 def test_cbns_zero_at_centroids():
     cen = _simple_centroids()
-    assert float(cbns_loss(_matching_stats(cen), cen).data) == 0.0
+    assert float(cbns(_matching_stats(cen)).data) == 0.0
 
 
 def test_cbns_ignores_shallow_layers():
     labels = np.array([0, 1])
     inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
     inputs[0] = t64(np.full((2, 2), 100.0))  # layer 1 < K
-    stacked = per_class_bns_stacked(moments_of(inputs), labels, cen)
-    assert sorted(stacked.layers) == [2, 3]
-    assert float(cbns_loss(stacked, cen).data) == 0.0
+    per_class = per_class_moments(moments_of(inputs), labels, cen)
+    assert len(per_class[0]) == 2  # layers 2 and 3
+    _assert_targets_are(per_class[1], cen, (0, 1))
+    assert float(cbns(per_class).data) == 0.0
 
 
 def test_cbns_hand_value():
     cen = ClassCentroids(1, 1, (0,), {1: np.zeros((1, 2))}, {1: np.ones((1, 2))})
-    stats = StackedClassBns((0,), {1: (t64([[1.0, 1.0]]), t64([[1.0, 1.0]]))})
-    assert float(cbns_loss(stats, cen).data) == pytest.approx(2.0)
+    stats = [(t64([[1.0, 1.0]]), t64([[1.0, 1.0]]))]
+    assert float(cbns((stats, _targets(cen))).data) == pytest.approx(2.0)
 
 
 def test_cbns_decomposes_over_classes_and_layers():
     cen = _simple_centroids(deep_start=1, layer_count=2, classes=(0, 1, 2))
     rng = np.random.default_rng(6)
-    layers = {}
+    stats = []
     expect = 0.0
     for l in range(1, 3):
         m, v = rng.normal(size=(3, 2)), rng.uniform(0.5, 2, size=(3, 2))
         for row in range(3):
             tm, tv = cen.means[l][row], cen.variances[l][row]
             expect += ((m[row] - tm) ** 2).sum() + ((v[row] - tv) ** 2).sum()
-        layers[l] = (t64(m), t64(v))
-    stats = StackedClassBns(cen.classes, layers)
-    assert float(cbns_loss(stats, cen).data) == pytest.approx(expect, rel=1e-12)
+        stats.append((t64(m), t64(v)))
+    assert float(cbns((stats, _targets(cen))).data) == pytest.approx(expect, rel=1e-12)
 
 
 def test_cbns_skips_classes_without_centroid():
@@ -456,9 +480,10 @@ def test_cbns_skips_classes_without_centroid():
     cen = ClassCentroids(cen.deep_start, cen.layer_count, (0,),
                          {l: m[:1] for l, m in cen.means.items()},
                          {l: v[:1] for l, v in cen.variances.items()})
-    stacked = per_class_bns_stacked(moments_of(inputs), labels, cen)
-    assert stacked.classes == (0,)
-    assert float(cbns_loss(stacked, cen).data) == 0.0
+    per_class = per_class_moments(moments_of(inputs), labels, cen)
+    _assert_targets_are(per_class[1], cen, (0,))
+    assert [m.shape[0] for m, _ in per_class[0]] == [1, 1]  # one class row per layer
+    assert float(cbns(per_class).data) == 0.0
 
 
 def test_dbns_zero_noise_equals_cbns_exactly():
@@ -466,8 +491,8 @@ def test_dbns_zero_noise_equals_cbns_exactly():
     stats = _matching_stats(cen)
     rng = np.random.default_rng(7)
     d0 = DistortionParams(0.0, 0.0)
-    a = dbns_loss(stats, cen, d0, rng)
-    b = cbns_loss(stats, cen)
+    a = dbns(stats, d0, rng)
+    b = cbns(stats)
     assert float(a.data) == float(b.data)
 
 
@@ -476,8 +501,8 @@ def test_dbns_resamples_noise_per_call():
     stats = _matching_stats(cen)
     rng = np.random.default_rng(8)
     d = DistortionParams(0.5, 1.0)
-    a = float(dbns_loss(stats, cen, d, rng).data)
-    b = float(dbns_loss(stats, cen, d, rng).data)
+    a = float(dbns(stats, d, rng).data)
+    b = float(dbns(stats, d, rng).data)
     assert a != b
 
 
@@ -485,8 +510,8 @@ def test_dbns_fixed_seed_deterministic():
     cen = _simple_centroids()
     stats = _matching_stats(cen)
     d = DistortionParams(0.5, 1.0)
-    a = float(dbns_loss(stats, cen, d, np.random.default_rng(99)).data)
-    b = float(dbns_loss(stats, cen, d, np.random.default_rng(99)).data)
+    a = float(dbns(stats, d, np.random.default_rng(99)).data)
+    b = float(dbns(stats, d, np.random.default_rng(99)).data)
     assert a == b
 
 
@@ -495,12 +520,12 @@ def test_dbns_monte_carlo_mean():
     cen = _simple_centroids(deep_start=2, layer_count=3, channels=4, classes=(0, 1))
     stats = _matching_stats(cen)
     d = DistortionParams(0.5, 1.0)
-    base = float(cbns_loss(stats, cen).data)
+    base = float(cbns(stats).data)
     channels = 4
     n_class, n_layer = 2, 2
     expect = base + n_class * n_layer * channels * (d.mean_std**2 + d.var_std**2)
     rng = np.random.default_rng(123)
-    draws = [float(dbns_loss(stats, cen, d, rng).data) for _ in range(10_000)]
+    draws = [float(dbns(stats, d, rng).data) for _ in range(10_000)]
     assert np.mean(draws) == pytest.approx(expect, rel=0.05)
 
 
@@ -515,22 +540,22 @@ def test_distortion_params_validate():
 
 def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
-    running = BnRunningStats((rng.normal(size=3),), (rng.uniform(0.5, 2, size=3),))
+    running = BnStats((rng.normal(size=3),), (rng.uniform(0.5, 2, size=3),))
     m = t64(rng.normal(size=3), rg=True)
     v = t64(rng.uniform(0.5, 2, size=3), rg=True)
-    assert ad.grad_check(lambda: bns_loss([(m, v)], running), [m, v], h=1e-4) < 1e-6
+    assert ad.grad_check(lambda: alignment_loss([(m, v)], running), [m, v], h=1e-4) < 1e-6
 
     cen = _simple_centroids(deep_start=1, layer_count=1, channels=3, classes=(0,))
 
     def stats():  # the reshapes go on the tape of each call
-        return StackedClassBns((0,), {1: (m.reshape((1, 3)), v.reshape((1, 3)))})
+        return [(m.reshape((1, 3)), v.reshape((1, 3)))], _targets(cen)
 
-    assert ad.grad_check(lambda: cbns_loss(stats(), cen), [m, v], h=1e-4) < 1e-6
+    assert ad.grad_check(lambda: cbns(stats()), [m, v], h=1e-4) < 1e-6
 
     d = DistortionParams(0.5, 1.0)
     # frozen draw: rebuild the rng inside the closure so FD sees one function
     assert ad.grad_check(
-        lambda: dbns_loss(stats(), cen, d, np.random.default_rng(5)), [m, v], h=1e-4
+        lambda: dbns(stats(), d, np.random.default_rng(5)), [m, v], h=1e-4
     ) < 1e-6
 
 
@@ -544,12 +569,12 @@ def test_per_class_stats_match_direct_computation():
     t2 = Tensor(rng.normal(size=(6, 4)).astype(np.float64))
     labels = np.array([0, 1, 0, 2, 1, 0])
     cen = _simple_centroids(deep_start=1, layer_count=2, classes=(0, 1, 2))
-    out = per_class_bns_stacked(moments_of([t1, t2]), labels, cen)
-    assert out.classes == (0, 1, 2)
-    for l, t in ((1, t1), (2, t2)):
-        ref_m, ref_v = ref_class_stats(t.data, labels, out.classes)
-        np.testing.assert_allclose(out.layers[l][0].data, ref_m, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(out.layers[l][1].data, ref_v, rtol=1e-10, atol=1e-12)
+    stats, targets = per_class_moments(moments_of([t1, t2]), labels, cen)
+    _assert_targets_are(targets, cen, (0, 1, 2))
+    for (m, v), t in zip(stats, (t1, t2)):
+        ref_m, ref_v = ref_class_stats(t.data, labels, (0, 1, 2))
+        np.testing.assert_allclose(m.data, ref_m, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(v.data, ref_v, rtol=1e-10, atol=1e-12)
 
 
 def test_per_class_stats_skip_absent_and_deep_start():
@@ -558,12 +583,12 @@ def test_per_class_stats_skip_absent_and_deep_start():
     t2 = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
     labels = np.array([0, 0, 1, 1])
     cen = _simple_centroids(deep_start=2, layer_count=2, classes=(0, 1, 5))
-    out = per_class_bns_stacked(moments_of([t1, t2]), labels, cen)
-    assert out.classes == (0, 1)
-    assert 1 not in out.layers  # layer 1 below the cutoff
-    assert 2 in out.layers
+    stats, targets = per_class_moments(moments_of([t1, t2]), labels, cen)
+    _assert_targets_are(targets, cen, (0, 1))
+    # layer 1 (2 channels) is below the cutoff; layer 2 (3 channels) is in
+    assert [m.shape for m, _ in stats] == [(2, 3)]
     absent = _simple_centroids(deep_start=2, layer_count=2, classes=(5,))
-    assert per_class_bns_stacked(moments_of([t1, t2]), labels, absent) is None
+    assert per_class_moments(moments_of([t1, t2]), labels, absent) is None
 
 
 def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
@@ -598,9 +623,9 @@ def test_stacked_and_map_losses_agree():
     d = DistortionParams(0.5, 1.0)
     with ad.no_grad():
         cap = forward(net, imgs, train=False, capture_bn=True)
-        stacked = per_class_bns_stacked(moments_of(cap.bn_inputs), labels, cen)
-        a = float(cbns_loss(stacked, cen).data)
-        da = float(dbns_loss(stacked, cen, d, np.random.default_rng(3)).data)
+        per_class = per_class_moments(moments_of(cap.bn_inputs), labels, cen)
+        a = float(cbns(per_class).data)
+        da = float(dbns(per_class, d, np.random.default_rng(3)).data)
     b, db = _oracle_centroid_losses(cap.bn_inputs, labels, cen, d, np.random.default_rng(3))
     assert a == pytest.approx(b, rel=1e-5)
     assert da == pytest.approx(db, rel=1e-5)

@@ -352,3 +352,23 @@ def test_classes_out_of_range_exits_2(pretrained, capsys, tmp_path, n):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--classes must lie in [0, 8], got {n}" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("dataset", [
+    {"num_classes": 100_000_000},
+    {"samples_per_class": 10**9},
+    {"image_size": [1, 65536, 65536]},
+], ids=["classes", "samples-per-class", "image-size"])
+def test_oversized_dataset_exits_2_before_building_it(capsys, tmp_path, monkeypatch, dataset):
+    def build(spec):
+        raise AssertionError("an oversized dataset was built")
+
+    monkeypatch.setattr(trainer, "make_toy_dataset", build)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": dataset}))
+    rc = main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "f.fdda")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the limit of 67108864" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "f.fdda").exists()

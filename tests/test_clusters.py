@@ -8,13 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdda.bns import PerImageBns
-from fdda.clusters import (
-    LabeledBnsDataset,
-    export_bns_csv,
-    mean_silhouette_per_layer,
-    silhouette_values,
-)
+from fdda.bns import BnStats
+from fdda.clusters import export_bns_csv, mean_silhouette_per_layer, silhouette_values
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +142,20 @@ def test_silhouette_translation_and_scale_invariance():
 # ---------------------------------------------------------------------------
 
 def _fake_dataset(layer_vectors, labels):
-    """layer_vectors: list over layers of (n, C_l) arrays."""
-    stats = PerImageBns(
+    """layer_vectors: list over layers of (n, C_l) arrays; the statistics
+    and their labels."""
+    stats = BnStats(
         tuple(lv.astype(np.float32) for lv in layer_vectors),
         tuple(np.abs(lv).astype(np.float32) for lv in layer_vectors),
     )
-    return LabeledBnsDataset(stats, np.array(labels, dtype=np.int64))
-
-
-def test_dataset_rows_must_match_labels():
-    stats = PerImageBns((np.zeros((3, 2), np.float32),), (np.zeros((3, 2), np.float32),))
-    with pytest.raises(ValueError):
-        LabeledBnsDataset(stats, np.array([0, 1]))
+    return stats, np.array(labels, dtype=np.int64)
 
 
 def test_mean_silhouette_overlapping_classes_near_zero():
     rng = np.random.default_rng(3)
     shared = rng.normal(size=(20, 4))
-    ds = _fake_dataset([shared], labels=[i % 2 for i in range(20)])
-    sc = mean_silhouette_per_layer(ds, "mean")
+    stats, labels = _fake_dataset([shared], labels=[i % 2 for i in range(20)])
+    sc = mean_silhouette_per_layer(stats.means, labels)
     assert len(sc) == 1
     assert abs(sc[0]) < 0.25
 
@@ -174,32 +164,23 @@ def test_mean_silhouette_separated_classes_near_one():
     rng = np.random.default_rng(4)
     x = rng.normal(scale=0.01, size=(20, 4))
     x[10:] += 50.0
-    ds = _fake_dataset([x], labels=[0] * 10 + [1] * 10)
-    sc = mean_silhouette_per_layer(ds, "mean")
+    stats, labels = _fake_dataset([x], labels=[0] * 10 + [1] * 10)
+    sc = mean_silhouette_per_layer(stats.means, labels)
     assert sc[0] > 0.95
 
 
 def test_mean_silhouette_output_length_is_layer_count():
     rng = np.random.default_rng(5)
     layers = [rng.normal(size=(12, 3)), rng.normal(size=(12, 5)), rng.normal(size=(12, 2))]
-    ds = _fake_dataset(layers, labels=[i % 2 for i in range(12)])
-    assert len(mean_silhouette_per_layer(ds, "variance")) == 3
+    stats, labels = _fake_dataset(layers, labels=[i % 2 for i in range(12)])
+    assert len(mean_silhouette_per_layer(stats.variances, labels)) == 3
 
 
 def test_mean_silhouette_needs_two_classes():
     rng = np.random.default_rng(6)
-    ds = _fake_dataset([rng.normal(size=(5, 2))], labels=[1] * 5)
+    stats, labels = _fake_dataset([rng.normal(size=(5, 2))], labels=[1] * 5)
     with pytest.raises(ValueError):
-        mean_silhouette_per_layer(ds, "mean")
-
-
-def test_layer_matrix_validation():
-    rng = np.random.default_rng(7)
-    ds = _fake_dataset([rng.normal(size=(4, 2))], labels=[0, 1, 0, 1])
-    with pytest.raises(ValueError):
-        ds.layer_matrix(2, "mean")
-    with pytest.raises(ValueError):
-        ds.layer_matrix(1, "median")
+        mean_silhouette_per_layer(stats.means, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +190,21 @@ def test_layer_matrix_validation():
 def test_csv_shape_and_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     layers = [rng.normal(size=(2, 3)).astype(np.float32)]
-    ds = _fake_dataset(layers, labels=[0, 1])
+    stats, labels = _fake_dataset(layers, labels=[0, 1])
     path = tmp_path / "bns.csv"
-    export_bns_csv(ds, 1, path)
+    export_bns_csv(stats, labels, 1, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["label", "stat", "c0", "c1", "c2"]
     assert len(rows) == 1 + 4  # 2 samples x {mean, variance}
     # 6-significant-digit round trip
     parsed = [float(v) for v in rows[1][2:]]
-    np.testing.assert_allclose(parsed, ds.stats.means[0][0], rtol=1e-5)
+    np.testing.assert_allclose(parsed, stats.means[0][0], rtol=1e-5)
 
 
 def test_csv_empty_dataset_header_only(tmp_path):
-    ds = LabeledBnsDataset(PerImageBns((), ()), np.zeros(0, dtype=np.int64))
     path = tmp_path / "empty.csv"
-    export_bns_csv(ds, 1, path)
+    export_bns_csv(BnStats((), ()), np.zeros(0, dtype=np.int64), 1, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows == [["label", "stat"]]
@@ -232,9 +212,9 @@ def test_csv_empty_dataset_header_only(tmp_path):
 
 def test_csv_layer_out_of_range_rejected_before_writing(tmp_path):
     rng = np.random.default_rng(11)
-    ds = _fake_dataset([rng.normal(size=(2, 3))], labels=[0, 1])
+    stats, labels = _fake_dataset([rng.normal(size=(2, 3))], labels=[0, 1])
     path = tmp_path / "bns.csv"
     for layer in (0, 2):
         with pytest.raises(ValueError, match="out of range"):
-            export_bns_csv(ds, layer, path)
+            export_bns_csv(stats, labels, layer, path)
     assert not path.exists()

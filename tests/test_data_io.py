@@ -85,18 +85,18 @@ def test_calibration_full_and_subset():
     train, _ = make_toy_dataset(ToyDatasetSpec())
     calib = extract_calibration(train, 8)
     assert len(calib) == 8
-    assert calib.available_classes == set(range(8))
+    assert set(calib.labels) == set(range(8))
 
     sub = extract_calibration(train, 8, classes=[0, 1, 2, 3, 4, 5])
     assert len(sub) == 6
-    assert sub.available_classes == set(range(6))
+    assert set(sub.labels) == set(range(6))
 
 
 def test_calibration_empty_subset():
     train, _ = make_toy_dataset(ToyDatasetSpec())
     calib = extract_calibration(train, 8, classes=[])
     assert len(calib) == 0
-    assert calib.available_classes == frozenset()
+    assert set(calib.labels) == set()
 
 
 def test_calibration_takes_first_indexed_sample():

@@ -195,5 +195,5 @@ def test_missing_centroids_skip_their_classes(setup):
             Tensor(images.data[:5]), labels[:5], f, running, cen5, w,
             DistortionParams(), np.random.default_rng(13),
         )
-    assert sorted(set(labels) - set(cen5.available_classes)) == [5, 6, 7]
+    assert sorted(set(labels) - set(cen5.classes)) == [5, 6, 7]
     assert float(parts["cbns"].data) == pytest.approx(float(parts_kept["cbns"].data), rel=1e-5)

@@ -398,11 +398,11 @@ def test_missing_class_changes_only_its_own_terms(world):
     # ce and bns are untouched by the missing class
     assert float(parts_full["ce"].data) == pytest.approx(float(parts_wo["ce"].data), rel=1e-12)
     assert float(parts_full["bns"].data) == pytest.approx(float(parts_wo["bns"].data), rel=1e-12)
-    assert set(labels) - set(cen_wo.available_classes) == {drop}
+    assert set(labels) - set(cen_wo.classes) == {drop}
 
     # per-class decomposition: difference equals class `drop`'s own terms,
     # with the same frozen noise draw on the shared classes
-    from fdda.bns import cbns_loss, per_class_bns_stacked, sample_moments
+    from fdda.bns import alignment_loss, per_class_moments, sample_moments
     from fdda.network import forward as fwd
 
     cen_only = build_class_centroids(f64, extract_calibration(train, 8, [drop]), K)
@@ -410,7 +410,7 @@ def test_missing_class_changes_only_its_own_terms(world):
         cap = fwd(f64, images, train=False, capture_bn=True)
         moments = [sample_moments(x) for x in cap.bn_inputs]
         cb_full, cb_wo, cb_only = (
-            float(cbns_loss(per_class_bns_stacked(moments, labels, cen), cen).data)
+            float(alignment_loss(*per_class_moments(moments, labels, cen)).data)
             for cen in (cen_full, cen_wo, cen_only))
     assert cb_full - cb_wo == pytest.approx(cb_only, rel=1e-9, abs=1e-12)
 
