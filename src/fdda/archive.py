@@ -1,6 +1,8 @@
 """Single-file model archive: a JSON manifest followed by little-endian
-float32 blobs. Parameters, BN running buffers, class centroids, and
-activation quantizer bounds all round-trip bitwise."""
+float32 blobs. It holds what evaluating the model reads: the layer specs,
+parameters and BN running buffers and, for a quantized model, its
+quantization policy and activation quantizer bounds. All round-trip
+bitwise."""
 
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .bns import ClassCentroids
 from .network import (
     Network,
     layer_from_dict,
@@ -19,10 +20,10 @@ from .network import (
     layer_to_dict,
     quant_point_count,
 )
-from .quantizer import QuantParams, QuantPolicy
+from .quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
 
 MAGIC = b"FDA1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class ArchiveError(Exception):
@@ -39,10 +40,10 @@ class ArchiveVersionError(ArchiveError):
 
 @dataclass
 class ModelArchive:
+    """A network and, for a quantized model, the quantizers it runs with."""
+
     network: Network
-    centroids: ClassCentroids | None = None
-    act_quant: list[QuantParams] | None = None
-    policy: QuantPolicy | None = None
+    quant: FakeQuantRuntime | None = None
 
 
 def _emit(arrays: list, payload: list, name: str, arr: np.ndarray, offset: int) -> int:
@@ -77,30 +78,18 @@ def save_model(path, archive: ModelArchive | Network) -> None:
         "meta": net.meta,
     }
 
-    if archive.centroids is not None:
-        cen = archive.centroids
-        for l in cen.deep_layers():
-            offset = _emit(arrays, payload, f"centroid:{l}:mean", cen.means[l], offset)
-            offset = _emit(arrays, payload, f"centroid:{l}:var", cen.variances[l], offset)
-        manifest["centroids"] = {
-            "deep_start": cen.deep_start,
-            "layer_count": cen.layer_count,
-            "classes": list(cen.classes),
-        }
-
-    if archive.act_quant is not None:
-        manifest["act_quant"] = [
-            {"bits": q.bits, "lower": q.lower, "upper": q.upper}
-            for q in archive.act_quant
-        ]
-    if archive.policy is not None:
-        p = archive.policy
+    if archive.quant is not None:
+        p = archive.quant.policy
         manifest["policy"] = {
             "default_bits": p.default_bits,
             "act_bits": p.act_bits,
             "first_layer_bits": p.first_layer_bits,
             "last_layer_bits": p.last_layer_bits,
         }
+        manifest["act_quant"] = [
+            {"bits": q.bits, "lower": q.lower, "upper": q.upper}
+            for q in archive.quant.act_params
+        ]
 
     manifest["arrays"] = arrays
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -136,51 +125,23 @@ def _check_state(path, values: dict[str, np.ndarray], layers) -> None:
                 )
 
 
-def _load_centroids(info, values: dict[str, np.ndarray], net: Network) -> ClassCentroids:
-    """The centroid section: a sorted list of distinct classes and, for each
-    deep layer, a mean and a variance matrix with one row per class and one
-    column per channel of that BN layer. Raises ValueError if malformed."""
-    deep_start, layer_count = int(info["deep_start"]), int(info["layer_count"])
-    if not 1 <= deep_start <= layer_count == net.bn_layer_count:
-        raise ValueError(f"layers {deep_start}..{layer_count} do not fit "
-                         f"{net.bn_layer_count} BN layers")
-    classes = info["classes"]
-    if not isinstance(classes, list) or any(type(c) is not int for c in classes):
-        raise ValueError(f"classes {classes!r} is not a list of integers")
-    channels = [l.channels for l in net.bn_layers()]
-
-    def matrix(l: int, stat: str) -> np.ndarray:
-        name, shape = f"centroid:{l}:{stat}", (len(classes), channels[l - 1])
-        if name not in values:
-            raise ValueError(f"missing array {name}")
-        if values[name].shape != shape:
-            raise ValueError(f"array {name} has shape {values[name].shape}, expected {shape}")
-        return values[name]
-
-    deep = range(deep_start, layer_count + 1)
-    return ClassCentroids(deep_start, layer_count, tuple(classes),
-                          {l: matrix(l, "mean") for l in deep},
-                          {l: matrix(l, "var") for l in deep})
-
-
-def _load_act_quant(entries, values, net: Network) -> list[QuantParams]:
-    """One activation quantizer per quantization point of ``net``."""
-    act_quant = [QuantParams(q["bits"], q["lower"], q["upper"]) for q in entries]
+def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
+    """The quantizers of a quantized model: a policy and one activation
+    quantizer per quantization point of ``net``, both or neither. Raises
+    KeyError, TypeError or ValueError if malformed."""
+    missing = [key for key in ("policy", "act_quant") if key not in manifest]
+    if len(missing) == 2:
+        return None
+    if missing:
+        raise ValueError(f"no {missing[0]!r} key")
+    policy = QuantPolicy(**manifest["policy"])
+    act_quant = [QuantParams(q["bits"], q["lower"], q["upper"]) for q in manifest["act_quant"]]
     if not np.isfinite([(q.lower, q.upper) for q in act_quant]).all():
         raise ValueError("non-finite activation bounds")
     if len(act_quant) != quant_point_count(net):
         raise ValueError(f"{len(act_quant)} quantizers for "
                          f"{quant_point_count(net)} quantization points")
-    return act_quant
-
-
-# optional manifest sections; each loader raises KeyError, TypeError or
-# ValueError on a malformed section
-_SECTIONS = {
-    "centroids": _load_centroids,
-    "act_quant": _load_act_quant,
-    "policy": lambda fields, values, net: QuantPolicy(**fields),
-}
+    return FakeQuantRuntime(policy, act_quant)
 
 
 def load_model(path) -> ModelArchive:
@@ -231,12 +192,8 @@ def load_model(path) -> ModelArchive:
                for name, arr in values.items() if name.startswith("buffer:")}
     net = Network(layers, params, buffers, manifest.get("meta", {}))
 
-    sections = {}
-    for name, load in _SECTIONS.items():
-        if name not in manifest:
-            continue
-        try:
-            sections[name] = load(manifest[name], values, net)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArchiveCorruptError(f"{path}: bad {name} section ({exc})") from exc
-    return ModelArchive(net, **sections)
+    try:
+        quant = _load_quant(manifest, net)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveCorruptError(f"{path}: bad quantizers ({exc})") from exc
+    return ModelArchive(net, quant)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,25 +63,20 @@ class DistortionParams:
 
 @dataclass(frozen=True)
 class ClassCentroids:
-    """Per-class BN-statistics targets for layers deep_start..layer_count.
+    """Per-class BN-statistics targets for the deep layers, deep_start..L.
 
-    ``classes`` is strictly increasing. For each deep layer l, ``means[l]``
-    and ``variances[l]`` are (len(classes), C_l) matrices whose row i is
+    ``classes`` is strictly increasing. ``stats`` holds, for each deep layer
+    in order, a (len(classes), C_l) mean and variance matrix whose row i is
     the centroid of class ``classes[i]``.
     """
 
     deep_start: int
-    layer_count: int
     classes: tuple[int, ...]
-    means: Mapping[int, np.ndarray]
-    variances: Mapping[int, np.ndarray]
+    stats: BnStats
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
             raise ValueError(f"centroid classes {list(self.classes)} are not sorted and unique")
-
-    def deep_layers(self) -> range:
-        return range(self.deep_start, self.layer_count + 1)
 
 
 def deep_layer_start(layer_count: int) -> int:
@@ -160,7 +155,6 @@ def build_class_centroids(net: Network, calib: CalibrationSet,
     """Per-class targets from the calibration set, which holds one image per
     class: each class's centroid is that image's statistics, restricted to
     deep layers."""
-    layer_count = net.bn_layer_count
     order = np.argsort(calib.labels)
     if len(order):
         stats = per_image_bns(net, calib.images)
@@ -168,9 +162,9 @@ def build_class_centroids(net: Network, calib: CalibrationSet,
         variances = [v[order] for v in stats.variances]
     else:  # BN rejects an empty batch
         means = variances = [np.zeros((0, l.channels), net.dtype) for l in net.bn_layers()]
-    deep = range(deep_start, layer_count + 1)
-    return ClassCentroids(deep_start, layer_count, tuple(int(c) for c in calib.labels[order]),
-                          {l: means[l - 1] for l in deep}, {l: variances[l - 1] for l in deep})
+    deep = slice(deep_start - 1, None)
+    return ClassCentroids(deep_start, tuple(int(c) for c in calib.labels[order]),
+                          BnStats(tuple(means[deep]), tuple(variances[deep])))
 
 
 def per_class_moments(moments: Sequence[Moments], labels: np.ndarray,
@@ -188,13 +182,12 @@ def per_class_moments(moments: Sequence[Moments], labels: np.ndarray,
     if not len(present):
         return None
     groups = np.searchsorted(present, labels)
-    groups[~np.isin(labels, present)] = -1  # no centroid: in no group
-    deep = centroids.deep_layers()
-    stats = [group_moments(*moments[l - 1], groups, len(present)) for l in deep]
+    groups[~np.isin(labels, present)] = -1  # without a centroid, in no group
+    stats = [group_moments(m, v, groups, len(present))
+             for m, v in moments[centroids.deep_start - 1:]]
     rows = np.searchsorted(centroids.classes, present)
-    targets = BnStats(tuple(centroids.means[l][rows] for l in deep),
-                      tuple(centroids.variances[l][rows] for l in deep))
-    return stats, targets
+    cen = centroids.stats
+    return stats, BnStats(tuple(m[rows] for m in cen.means), tuple(v[rows] for v in cen.variances))
 
 
 # ---------------------------------------------------------------------------

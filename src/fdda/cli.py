@@ -16,7 +16,6 @@ from .bns import per_image_bns
 from .clusters import export_bns_csv, mean_silhouette_per_layer
 from .config import ConfigError, load_settings
 from .data import make_toy_dataset
-from .quantizer import FakeQuantRuntime
 from .trainer import TrainingDiverged, evaluate, pretrain_classifier, run_fdda
 
 
@@ -37,9 +36,10 @@ def _collect_overrides(args: argparse.Namespace, mapping: dict[str, str]) -> dic
 def cmd_pretrain(args) -> int:
     overrides = _collect_overrides(args, {"seed": "train.seed"})
     settings = load_settings(args.config, overrides)
-    seed = settings.train.seed
+    cfg = settings.train
     net, report = pretrain_classifier(
-        settings.dataset, epochs=args.epochs, seed=seed,
+        settings.dataset, epochs=args.epochs, steps_per_epoch=cfg.steps_per_epoch,
+        batch_size=cfg.batch_size, seed=cfg.seed,
     )
     save_model(args.out, net)
     print(json.dumps({"out": str(args.out), **report}))
@@ -122,11 +122,8 @@ def cmd_eval(args) -> int:
     archive = load_model(args.model)
     archive.network.set_requires_grad(False)
     _, test = make_toy_dataset(settings.dataset)
-    quant = None
-    if archive.policy is not None:
-        quant = FakeQuantRuntime(archive.policy, archive.act_quant)
-    acc = evaluate(archive.network, test, quant=quant)
-    print(json.dumps({"accuracy": acc, "quantized": quant is not None}))
+    acc = evaluate(archive.network, test, quant=archive.quant)
+    print(json.dumps({"accuracy": acc, "quantized": archive.quant is not None}))
     return 0
 
 

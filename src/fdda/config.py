@@ -20,6 +20,10 @@ class ConfigError(ValueError):
     """Invalid configuration; the message is a one-line diagnostic."""
 
 
+# most rows in one training batch; a quantize step of 1024 rows peaks near 0.9 GB
+MAX_BATCH_SIZE = 1024
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Schedule and optimizer settings for the alternating training loop.
@@ -47,6 +51,8 @@ class TrainConfig:
             raise ConfigError("epoch counts must be >= 0")
         if self.steps_per_epoch <= 0 or self.batch_size <= 0:
             raise ConfigError("steps_per_epoch and batch_size must be positive")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ConfigError(f"batch_size {self.batch_size} exceeds the limit of {MAX_BATCH_SIZE}")
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ConfigError("mix_ratio must lie in [0, 1]")
         if self.lr_generator < 0 or self.lr_quantized < 0 or self.weight_decay < 0:

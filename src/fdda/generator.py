@@ -57,8 +57,8 @@ def generate(g: Network, labels: np.ndarray, rng: np.random.Generator) -> Tensor
     """Synthesize one image per label from standard-normal noise.
 
     The noise vector is gated by the label embedding before the dense stem;
-    BN layers normalize with the current batch (running buffers untouched),
-    so the output is a pure function of (parameters, labels, rng draws).
+    BN layers normalize with the current batch and their running buffers go
+    unread, so the output is a pure function of (parameters, labels, rng draws).
     """
     labels = np.asarray(labels)
     num_classes = g.meta["num_classes"]
@@ -67,7 +67,7 @@ def generate(g: Network, labels: np.ndarray, rng: np.random.Generator) -> Tensor
     z = rng.standard_normal((len(labels), g.meta["noise_dim"])).astype(np.float32)
     emb = ad.take(g.params["embed.w"], labels)
     x = emb * Tensor(z)
-    return forward(g, x, train=True, update_running=False).output
+    return forward(g, x, train=True).output
 
 
 def predict_labels(f_net: Network, images: Tensor | np.ndarray) -> np.ndarray:

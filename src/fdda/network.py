@@ -208,13 +208,12 @@ def batchnorm_forward(
     train: bool,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    update_running: bool = True,
 ) -> Tensor:
     """Batch normalization.
 
     Train mode normalizes with the current batch's per-channel statistics
-    (biased variance) and, when ``update_running`` is set, folds them into the
-    running buffers with ``(1 - BN_MOMENTUM) * old + BN_MOMENTUM * new``.
+    (biased variance) and folds them into the running buffers with
+    ``(1 - BN_MOMENTUM) * old + BN_MOMENTUM * new``.
     Eval mode normalizes with the running buffers.
     """
     if x.shape[0] == 0:
@@ -225,11 +224,10 @@ def batchnorm_forward(
 
     if train:
         y, bm, bv = ad.batchnorm_train(x, gamma, beta, BN_EPS)
-        if update_running:
-            running_mean *= 1.0 - BN_MOMENTUM
-            running_mean += BN_MOMENTUM * bm.astype(running_mean.dtype)
-            running_var *= 1.0 - BN_MOMENTUM
-            running_var += BN_MOMENTUM * bv.astype(running_var.dtype)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * bm.astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * bv.astype(running_var.dtype)
         return y
 
     inv_std = (1.0 / np.sqrt(running_var + BN_EPS)).astype(x.dtype)
@@ -261,7 +259,6 @@ def forward(
     train: bool,
     capture_bn: bool = False,
     quant: QuantHooks | None = None,
-    update_running: bool = True,
 ) -> ForwardResult:
     """Run the layer stack. ``capture_bn`` records each BN layer's input
     tensor, in either mode; callers take the statistics they need from
@@ -300,7 +297,6 @@ def forward(
                 train=train,
                 running_mean=net.buffers[f"{layer.name}.running_mean"],
                 running_var=net.buffers[f"{layer.name}.running_var"],
-                update_running=update_running,
             )
         elif isinstance(layer, ReLU):
             x = ad.relu(x)

@@ -358,7 +358,5 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         "dropped_calibration_classes": dropped,
     }
     if out_model_path is not None:
-        save_model(out_model_path, ModelArchive(
-            q_net, centroids=centroids, act_quant=act_quant, policy=settings.policy,
-        ))
+        save_model(out_model_path, ModelArchive(q_net, state.quant))
     return q_net, report

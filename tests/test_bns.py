@@ -117,7 +117,7 @@ def test_train_mode_capture_records_bn_inputs_on_the_tape():
     net.set_requires_grad(False)
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(-1, 1, size=(4, 1, 16, 16)).astype(np.float32), requires_grad=True)
-    cap = forward(net, x, train=True, capture_bn=True, update_running=False)
+    cap = forward(net, x, train=True, capture_bn=True)
     assert [t.shape[1] for t in cap.bn_inputs] == _bn_channels(net)
     conv1 = ad.conv2d(x.detach(), net.params["conv1.w"], net.params["conv1.b"], pad=1)
     np.testing.assert_array_equal(cap.bn_inputs[0].data, conv1.data)
@@ -278,7 +278,7 @@ def test_centroids_available_classes():
     net = build_toy_classifier(seed=0)
     cen = build_class_centroids(net, _calib_subset([0, 1]), deep_start=2)
     assert cen.classes == (0, 1)
-    assert list(cen.deep_layers()) == [2, 3, 4, 5, 6]
+    assert cen.deep_start == 2 and cen.stats.layer_count == 5  # layers 2..6
 
 
 def test_centroid_equals_per_image_stats():
@@ -288,9 +288,9 @@ def test_centroid_equals_per_image_stats():
     img = calib.images[0:1]
     stats = per_image_bns(net, img)
     assert cen.classes == (3,)
-    for l in cen.deep_layers():
-        np.testing.assert_array_equal(cen.means[l][0], stats.means[l - 1][0])
-        np.testing.assert_array_equal(cen.variances[l][0], stats.variances[l - 1][0])
+    for i, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
+        np.testing.assert_array_equal(cen.stats.means[i][0], stats.means[l - 1][0])
+        np.testing.assert_array_equal(cen.stats.variances[i][0], stats.variances[l - 1][0])
 
 
 def test_centroids_are_the_per_image_rows_of_every_class():
@@ -300,10 +300,10 @@ def test_centroids_are_the_per_image_rows_of_every_class():
     ref_means, ref_vars = batch_one_bns(net, calib.images)
     assert cen.classes == (0, 2, 5, 7)
     for row, c in enumerate(calib.labels):
-        for l in cen.deep_layers():
+        for k, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
             i = cen.classes.index(int(c))
-            np.testing.assert_array_equal(cen.means[l][i], ref_means[l - 1][row])
-            np.testing.assert_array_equal(cen.variances[l][i], ref_vars[l - 1][row])
+            np.testing.assert_array_equal(cen.stats.means[k][i], ref_means[l - 1][row])
+            np.testing.assert_array_equal(cen.stats.variances[k][i], ref_vars[l - 1][row])
 
 
 def test_centroid_rows_follow_sorted_classes():
@@ -314,23 +314,23 @@ def test_centroid_rows_follow_sorted_classes():
     cen = build_class_centroids(net, shuffled, deep_start=2)
     assert cen.classes == (1, 4, 7)
     stats = per_image_bns(net, shuffled.images)
-    for l in cen.deep_layers():
-        np.testing.assert_array_equal(cen.means[l], stats.means[l - 1][[1, 2, 0]])
-        np.testing.assert_array_equal(cen.variances[l], stats.variances[l - 1][[1, 2, 0]])
+    for i, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
+        np.testing.assert_array_equal(cen.stats.means[i], stats.means[l - 1][[1, 2, 0]])
+        np.testing.assert_array_equal(cen.stats.variances[i], stats.variances[l - 1][[1, 2, 0]])
 
 
 def test_empty_calibration_gives_empty_centroids():
     net = build_toy_classifier(seed=0)
     cen = build_class_centroids(net, _calib_subset([]), deep_start=1)
     assert cen.classes == ()
-    assert [cen.means[l].shape for l in cen.deep_layers()] == [(0, c) for c in _bn_channels(net)]
+    assert [m.shape for m in cen.stats.means] == [(0, c) for c in _bn_channels(net)]
 
 
 @pytest.mark.parametrize("classes", [(1, 0), (2, 2)], ids=["unsorted", "duplicate"])
 def test_centroid_classes_must_be_sorted_and_unique(classes):
-    rows = {1: np.zeros((2, 3))}
+    rows = (np.zeros((2, 3)),)
     with pytest.raises(ValueError, match="not sorted and unique"):
-        ClassCentroids(1, 1, classes, rows, rows)
+        ClassCentroids(1, classes, BnStats(rows, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +398,16 @@ def dbns(per_class, d, rng):
 def _simple_centroids(deep_start=2, layer_count=3, channels=2, classes=(0, 1), seed=5):
     rng = np.random.default_rng(seed)
     deep = range(deep_start, layer_count + 1)
-    means = {l: rng.normal(size=(len(classes), channels)) for l in deep}
-    variances = {l: rng.uniform(0.5, 2.0, size=(len(classes), channels)) for l in deep}
-    return ClassCentroids(deep_start, layer_count, tuple(classes), means, variances)
+    means = tuple(rng.normal(size=(len(classes), channels)) for _ in deep)
+    variances = tuple(rng.uniform(0.5, 2.0, size=(len(classes), channels)) for _ in deep)
+    return ClassCentroids(deep_start, tuple(classes), BnStats(means, variances))
 
 
 def _targets(cen, classes=None):
     """The centroid rows of ``classes`` (default: all), per deep layer."""
     rows = [cen.classes.index(c) for c in (cen.classes if classes is None else classes)]
-    deep = cen.deep_layers()
-    return BnStats(tuple(cen.means[l][rows] for l in deep),
-                   tuple(cen.variances[l][rows] for l in deep))
+    return BnStats(tuple(m[rows] for m in cen.stats.means),
+                   tuple(v[rows] for v in cen.stats.variances))
 
 
 def _assert_targets_are(targets, cen, classes):
@@ -420,7 +419,7 @@ def _assert_targets_are(targets, cen, classes):
 
 def _matching_stats(cen):
     """Per-class statistics equal to the centroids of every class."""
-    stats = [(t64(cen.means[l]), t64(cen.variances[l])) for l in cen.deep_layers()]
+    stats = [(t64(m), t64(v)) for m, v in zip(cen.stats.means, cen.stats.variances)]
     return stats, _targets(cen)
 
 
@@ -433,9 +432,9 @@ def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, see
     order = np.argsort(labels)
     deep = range(deep_start, layer_count + 1)
     return inputs, ClassCentroids(
-        deep_start, layer_count, tuple(int(c) for c in labels[order]),
-        {l: inputs[l - 1].data[order] for l in deep},
-        {l: np.zeros((len(labels), channels)) for l in deep})
+        deep_start, tuple(int(c) for c in labels[order]),
+        BnStats(tuple(inputs[l - 1].data[order] for l in deep),
+                tuple(np.zeros((len(labels), channels)) for _ in deep)))
 
 
 def test_cbns_zero_at_centroids():
@@ -454,7 +453,7 @@ def test_cbns_ignores_shallow_layers():
 
 
 def test_cbns_hand_value():
-    cen = ClassCentroids(1, 1, (0,), {1: np.zeros((1, 2))}, {1: np.ones((1, 2))})
+    cen = ClassCentroids(1, (0,), BnStats((np.zeros((1, 2)),), (np.ones((1, 2)),)))
     stats = [(t64([[1.0, 1.0]]), t64([[1.0, 1.0]]))]
     assert float(cbns((stats, _targets(cen))).data) == pytest.approx(2.0)
 
@@ -467,7 +466,7 @@ def test_cbns_decomposes_over_classes_and_layers():
     for l in range(1, 3):
         m, v = rng.normal(size=(3, 2)), rng.uniform(0.5, 2, size=(3, 2))
         for row in range(3):
-            tm, tv = cen.means[l][row], cen.variances[l][row]
+            tm, tv = cen.stats.means[l - 1][row], cen.stats.variances[l - 1][row]
             expect += ((m[row] - tm) ** 2).sum() + ((v[row] - tv) ** 2).sum()
         stats.append((t64(m), t64(v)))
     assert float(cbns((stats, _targets(cen))).data) == pytest.approx(expect, rel=1e-12)
@@ -477,9 +476,9 @@ def test_cbns_skips_classes_without_centroid():
     labels = np.array([0, 5])
     inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
     # class 5 has no centroid: silently skipped
-    cen = ClassCentroids(cen.deep_start, cen.layer_count, (0,),
-                         {l: m[:1] for l, m in cen.means.items()},
-                         {l: v[:1] for l, v in cen.variances.items()})
+    cen = ClassCentroids(cen.deep_start, (0,),
+                         BnStats(tuple(m[:1] for m in cen.stats.means),
+                                 tuple(v[:1] for v in cen.stats.variances)))
     per_class = per_class_moments(moments_of(inputs), labels, cen)
     _assert_targets_are(per_class[1], cen, (0,))
     assert [m.shape[0] for m, _ in per_class[0]] == [1, 1]  # one class row per layer
@@ -597,15 +596,15 @@ def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
     means, then one for the variances, a row per class."""
     present = sorted(set(cen.classes) & set(labels.tolist()))
     cbns = dbns = 0.0
-    for l in cen.deep_layers():
-        shape = (len(present), cen.means[l].shape[1])
+    for k, l in enumerate(range(cen.deep_start, len(bn_inputs) + 1)):
+        shape = (len(present), cen.stats.means[k].shape[1])
         nm = rng.normal(0.0, d.mean_std, size=shape)
         nv = rng.normal(0.0, d.var_std, size=shape)
         for row, c in enumerate(present):
             x = bn_inputs[l - 1].data[labels == c].astype(np.float64)
             m, v = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
             i = cen.classes.index(c)
-            tm, tv = cen.means[l][i], cen.variances[l][i]
+            tm, tv = cen.stats.means[k][i], cen.stats.variances[k][i]
             cbns += ((m - tm) ** 2).sum() + ((v - tv) ** 2).sum()
             dbns += ((m - tm - nm[row]) ** 2).sum() + ((v - tv - nv[row]) ** 2).sum()
     return cbns, dbns

@@ -7,7 +7,9 @@ import struct
 import pytest
 
 from fdda import trainer
+from fdda.archive import load_model
 from fdda.cli import main
+from fdda.data import ToyDatasetSpec
 
 
 @pytest.fixture(scope="module")
@@ -163,12 +165,45 @@ def test_eval_of_malformed_archive_exits_2_with_one_line(pretrained, capsys, tmp
 def test_eval_of_archive_with_bad_policy_exits_2_with_one_line(pretrained, capsys, tmp_path):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(model, tmp_path / "bad.fdda",
-                            lambda m: m.update(policy={"default_bits": 4, "bogus": 1}))
+                            lambda m: m.update(policy={"default_bits": 4, "bogus": 1}, act_quant=[]))
     rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "bad policy section" in err
+    assert err.startswith("error:") and "bad quantizers" in err and "'bogus'" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def quantized(pretrained):
+    root, cfg, model = pretrained
+    out_dir = root / "run_archive"
+    assert main(["quantize", "--config", str(cfg), "--model", str(model),
+                 "--out", str(out_dir), "--seed", "2"]) == 0
+    return out_dir / "quantized.fdda"
+
+
+def _manifest(path):
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    return json.loads(raw[8 : 8 + mlen])
+
+
+def test_quantized_archive_holds_only_what_eval_reads(quantized):
+    manifest = _manifest(quantized)
+    assert set(manifest) == {"version", "layers", "meta", "arrays", "policy", "act_quant"}
+    assert all(a["name"].startswith(("param:", "buffer:")) for a in manifest["arrays"])
+
+
+@pytest.mark.parametrize("missing", ["act_quant", "policy"])
+def test_eval_of_archive_with_one_quantizer_key_exits_2_with_one_line(
+        pretrained, quantized, capsys, tmp_path, missing):
+    root, cfg, model = pretrained
+    bad = _rewrite_manifest(quantized, tmp_path / "bad.fdda", lambda m: m.pop(missing))
+    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and f"bad quantizers (no '{missing}' key)" in err
+    assert len(err.strip().splitlines()) == 1 and out == ""
 
 
 def _as_version_1(m):
@@ -179,7 +214,7 @@ def _as_version_1(m):
 
 
 @pytest.mark.parametrize("edit,match", [
-    (_as_version_1, "format version 1, expected 3"),
+    (_as_version_1, "format version 1, expected 4"),
     (lambda m: m["layers"][0].update(pad=3),
      "bad.fdda: conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, "
      "got kernel 3, pad 3"),
@@ -372,3 +407,40 @@ def test_oversized_dataset_exits_2_before_building_it(capsys, tmp_path, monkeypa
     assert err.startswith("error:") and "exceeds the limit of 67108864" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "f.fdda").exists()
+
+
+def test_pretrain_trains_with_the_config_training_step(tmp_path):
+    dataset = {"samples_per_class": 20}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": dataset,
+                               "train": {"batch_size": 8, "steps_per_epoch": 2}}))
+    rc = main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "f.fdda"),
+               "--epochs", "1"])
+    assert rc == 0
+    net = load_model(tmp_path / "f.fdda").network
+    spec = ToyDatasetSpec(**dataset)
+    configured, _ = trainer.pretrain_classifier(spec, epochs=1, steps_per_epoch=2, batch_size=8)
+    default, _ = trainer.pretrain_classifier(spec, epochs=1)
+    assert net.state_equal(configured) and not net.state_equal(default)
+
+
+@pytest.mark.parametrize("command", ["pretrain", "quantize"])
+@pytest.mark.parametrize("batch_size", [1025, 10**8])
+def test_oversized_batch_exits_2_before_any_data_is_built(
+        pretrained, capsys, tmp_path, monkeypatch, command, batch_size):
+    root, _, model = pretrained
+
+    def build(spec):
+        raise AssertionError("data built for an oversized batch")
+
+    monkeypatch.setattr(trainer, "make_toy_dataset", build)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"batch_size": batch_size}}))
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out)]
+    rc = main([command] + argv + (["--model", str(model)] if command == "quantize" else []))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"batch_size {batch_size} exceeds the limit of 1024" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()

@@ -17,7 +17,6 @@ from fdda.archive import (
     load_model,
     save_model,
 )
-from fdda.bns import build_class_centroids, deep_layer_start
 from fdda.config import ConfigError, RunSettings, load_settings, settings_from_dict
 from fdda.data import (
     CalibrationSet,
@@ -28,7 +27,7 @@ from fdda.data import (
 )
 from fdda.models import build_toy_classifier
 from fdda.network import quant_point_count
-from fdda.quantizer import QuantParams, QuantPolicy
+from fdda.quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +133,18 @@ def test_archive_roundtrip_bitwise(tmp_path):
 
 def test_archive_roundtrip_with_sections(tmp_path):
     net = build_toy_classifier(seed=4)
-    train, _ = make_toy_dataset(ToyDatasetSpec())
-    calib = extract_calibration(train, 8, classes=[0, 1, 2])
-    cen = build_class_centroids(net, calib, deep_layer_start(net.bn_layer_count))
     # one activation quantizer per quantization point, as load_model requires
     points = quant_point_count(net)
     act = [QuantParams(4, -1.0, 1.0)] + [QuantParams(4, 0.0, 2.5)] * (points - 1)
     policy = QuantPolicy(default_bits=4, first_layer_bits=8)
     path = tmp_path / "q.fdda"
-    save_model(path, ModelArchive(net, centroids=cen, act_quant=act, policy=policy))
+    save_model(path, ModelArchive(net, FakeQuantRuntime(policy, act)))
     back = load_model(path)
-    assert back.centroids.classes == (0, 1, 2)
-    assert back.centroids.deep_start == cen.deep_start
-    for l in cen.deep_layers():
-        np.testing.assert_array_equal(back.centroids.means[l], cen.means[l])
-        np.testing.assert_array_equal(back.centroids.variances[l], cen.variances[l])
-    assert [q.bits for q in back.act_quant] == [4] * points
-    assert back.act_quant[1].upper == 2.5
-    assert back.policy == policy
+    assert [q.bits for q in back.quant.act_params] == [4] * points
+    assert back.quant.act_params[1].upper == 2.5
+    assert back.quant.policy == policy
+    save_model(tmp_path / "f.fdda", net)
+    assert load_model(tmp_path / "f.fdda").quant is None
 
 
 def test_archive_truncated_file_errors(tmp_path):
@@ -190,25 +183,35 @@ def test_version_1_archive_is_rejected(saved_classifier, tmp_path):
         return m
 
     old = rewrite_manifest(saved_classifier, tmp_path / "v1.fdda", as_version_1)
-    with pytest.raises(ArchiveVersionError, match="format version 1, expected 3"):
+    with pytest.raises(ArchiveVersionError, match="format version 1, expected 4"):
         load_model(old)
 
 
 def _as_version_2(m):
-    """A format-2 manifest: a bn_layer_count key, and centroid arrays
-    named per class and layer."""
+    """A format-2 manifest: a bn_layer_count key."""
     m["version"] = 2
     m["bn_layer_count"] = sum(layer["kind"] == "batchnorm" for layer in m["layers"])
-    for a in m["arrays"]:
-        if a["name"].startswith("centroid:"):
-            _, l, stat = a["name"].split(":")
-            a["name"] = f"centroid:{m['centroids']['classes'][0]}:{l}:{stat}"
     return m
 
 
 def test_version_2_archive_is_rejected(saved_quantized, tmp_path):
     old = rewrite_manifest(saved_quantized, tmp_path / "v2.fdda", _as_version_2)
-    with pytest.raises(ArchiveVersionError, match="format version 2, expected 3"):
+    with pytest.raises(ArchiveVersionError, match="format version 2, expected 4"):
+        load_model(old)
+
+
+def _as_version_3(m):
+    """A format-3 manifest: the quantized archive plus a centroids section
+    (its centroid:{l}:mean|var arrays are left out; the version check
+    comes first)."""
+    m["version"] = 3
+    m["centroids"] = {"deep_start": 1, "layer_count": 6, "classes": [0, 1]}
+    return m
+
+
+def test_version_3_archive_is_rejected(saved_quantized, tmp_path):
+    old = rewrite_manifest(saved_quantized, tmp_path / "v3.fdda", _as_version_3)
+    with pytest.raises(ArchiveVersionError, match="format version 3, expected 4"):
         load_model(old)
 
 
@@ -296,14 +299,11 @@ def test_archive_malformed_manifest_is_corrupt(saved_classifier, tmp_path, edit,
 
 @pytest.fixture
 def saved_quantized(tmp_path):
-    """An archive with every optional section: centroids, activation
-    quantizers and policy."""
+    """An archive of a quantized model: a policy and activation quantizers."""
     net = build_toy_classifier(seed=7)
-    train, _ = make_toy_dataset(ToyDatasetSpec())
-    cen = build_class_centroids(net, extract_calibration(train, 8, classes=[0, 1]), 5)
     act = [QuantParams(4, -1.0, 1.0)] * quant_point_count(net)
     path = tmp_path / "q.fdda"
-    save_model(path, ModelArchive(net, centroids=cen, act_quant=act, policy=QuantPolicy()))
+    save_model(path, ModelArchive(net, FakeQuantRuntime(QuantPolicy(), act)))
     return path
 
 
@@ -315,21 +315,13 @@ def _edit_section(name, change):
 
 
 @pytest.mark.parametrize("edit,match", [
-    (_edit_section("policy", lambda p: p.update(bogus=1)), "bad policy section"),
-    (_drop_array("centroid:6:var"), "missing array centroid:6:var"),
+    (_edit_section("policy", lambda p: p.update(bogus=1)), "bad quantizers .*'bogus'"),
     (_edit_section("act_quant", lambda q: q.pop()), "7 quantizers for 8 quantization points"),
     (_edit_section("act_quant", lambda q: q[3].update(lower=2.0, upper=-2.0)),
-     "bad act_quant section"),
+     "bad quantizers .*must exceed lower bound"),
     (_edit_section("act_quant", lambda q: q[0].update(lower=float("nan"))),
      "non-finite activation bounds"),
-    (_edit_section("centroids", lambda c: c.update(classes=[1, 0])), "not sorted and unique"),
-    (_edit_section("centroids", lambda c: c.update(classes=[1, 1])), "not sorted and unique"),
-    (_edit_section("centroids", lambda c: c.update(classes=[0, 1, 2])),
-     r"centroid:5:mean has shape \(2, 32\), expected \(3, 32\)"),
-    (_edit_section("centroids", lambda c: c.update(classes=[0, True])), "not a list of integers"),
-], ids=["unknown-policy-key", "missing-centroid", "short-act-quant", "inverted-bounds",
-        "nan-bound", "unsorted-classes", "duplicate-classes", "class-row-count",
-        "non-integer-class"])
+], ids=["unknown-policy-key", "short-act-quant", "inverted-bounds", "nan-bound"])
 def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path, edit, match):
     load_model(saved_quantized)  # the unedited archive loads
     bad = rewrite_manifest(saved_quantized, tmp_path / "bad.fdda", edit)
@@ -337,17 +329,22 @@ def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path
         load_model(bad)
 
 
+@pytest.mark.parametrize("missing", ["act_quant", "policy"])
+def test_archive_with_one_of_the_two_quantizer_keys_is_corrupt(saved_quantized, tmp_path, missing):
+    bad = rewrite_manifest(saved_quantized, tmp_path / "bad.fdda",
+                           lambda m: {k: v for k, v in m.items() if k != missing})
+    with pytest.raises(ArchiveCorruptError, match=f"bad quantizers \\(no '{missing}' key\\)"):
+        load_model(bad)
+
+
 @pytest.fixture(scope="module")
 def archive_bytes(tmp_path_factory):
-    """The bytes of an archive with every optional section, the positions of
-    the digits in its manifest, and a scratch path for mutated copies."""
+    """The bytes of a quantized model's archive, the positions of the digits
+    in its manifest, and a scratch path for mutated copies."""
     root = tmp_path_factory.mktemp("mutated")
     net = build_toy_classifier(seed=8)
-    train, _ = make_toy_dataset(ToyDatasetSpec())
-    cen = build_class_centroids(net, extract_calibration(train, 8, classes=[0, 2, 5]), 4)
     act = [QuantParams(3, -1.0, 1.0)] * quant_point_count(net)
-    save_model(root / "q.fdda", ModelArchive(net, centroids=cen, act_quant=act,
-                                             policy=QuantPolicy(default_bits=3)))
+    save_model(root / "q.fdda", ModelArchive(net, FakeQuantRuntime(QuantPolicy(default_bits=3), act)))
     raw = (root / "q.fdda").read_bytes()
     (mlen,) = struct.unpack("<I", raw[4:8])
     digits = [i for i in range(8, 8 + mlen) if raw[i : i + 1].isdigit()]
