@@ -87,7 +87,7 @@ def save_model(path, archive: ModelArchive | Network) -> None:
             "last_layer_bits": p.last_layer_bits,
         }
         manifest["act_quant"] = [
-            {"bits": q.bits, "lower": q.lower, "upper": q.upper}
+            {"bits": q.bits, "lower": float(q.lower), "upper": float(q.upper)}
             for q in archive.quant.act_params
         ]
 
@@ -136,8 +136,6 @@ def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
         raise ValueError(f"no {missing[0]!r} key")
     policy = QuantPolicy(**manifest["policy"])
     act_quant = [QuantParams(q["bits"], q["lower"], q["upper"]) for q in manifest["act_quant"]]
-    if not np.isfinite([(q.lower, q.upper) for q in act_quant]).all():
-        raise ValueError("non-finite activation bounds")
     if len(act_quant) != quant_point_count(net):
         raise ValueError(f"{len(act_quant)} quantizers for "
                          f"{quant_point_count(net)} quantization points")

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+
+if TYPE_CHECKING:
+    from .quantizer import FakeQuantRuntime
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # weight of the newest batch in the running statistics
@@ -238,14 +241,6 @@ def batchnorm_forward(
 # forward pass
 # ---------------------------------------------------------------------------
 
-class QuantHooks(Protocol):
-    """Injected by the quantizer: transforms weights and activation tensors."""
-
-    def on_weight(self, w: Tensor, index: int, total: int) -> Tensor: ...
-
-    def on_activation(self, x: Tensor, point: int) -> Tensor: ...
-
-
 @dataclass
 class ForwardResult:
     output: Tensor
@@ -258,7 +253,7 @@ def forward(
     *,
     train: bool,
     capture_bn: bool = False,
-    quant: QuantHooks | None = None,
+    quant: FakeQuantRuntime | None = None,
 ) -> ForwardResult:
     """Run the layer stack. ``capture_bn`` records each BN layer's input
     tensor, in either mode; callers take the statistics they need from

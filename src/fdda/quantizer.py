@@ -8,58 +8,48 @@ asymmetry lives entirely in (l, u). Ties round half away from zero.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .network import Network, forward
+from .network import Network, forward, quant_point_count
 
 # bounds collapsed to a point are widened by this margin on each side
 DEGENERATE_MARGIN = 1e-3
 
 
-def compute_scale(bits: int, lower: float, upper: float) -> float:
-    """Step size projecting [lower, upper] onto 2^bits integer levels."""
-    if upper <= lower:
-        raise ValueError(f"upper bound {upper} must exceed lower bound {lower}")
-    return (upper - lower) / (2**bits - 1)
-
-
 @dataclass(frozen=True)
 class QuantParams:
-    """Bit-width, clip bounds, and the derived scale for one quantizer."""
+    """Bit-width, clip bounds, and the derived scale of one quantizer: scalar
+    bounds for an activation, ``(C,)`` arrays for a weight's output channels
+    (axis 0)."""
 
     bits: int
-    lower: float
-    upper: float
-    scale: float = field(init=False)
+    lower: float | np.ndarray
+    upper: float | np.ndarray
+    scale: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.bits < 2:
-            raise ValueError(f"bit-width must be >= 2, got {self.bits}")
-        object.__setattr__(self, "scale", compute_scale(self.bits, self.lower, self.upper))
-
-
-@dataclass(frozen=True)
-class ChannelQuantParams:
-    """Per-output-channel bounds sharing one bit-width."""
-
-    bits: int
-    lower: np.ndarray
-    upper: np.ndarray
-    scale: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.bits < 2:
-            raise ValueError(f"bit-width must be >= 2, got {self.bits}")
+        if type(self.bits) is not int or not 2 <= self.bits <= 8:
+            raise ValueError(f"bit-width must be an integer in [2, 8], got {self.bits!r}")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError(f"bounds must be finite, got {self.lower}, {self.upper}")
         if np.any(self.upper <= self.lower):
-            raise ValueError("each channel needs upper > lower")
+            raise ValueError(f"upper bound {self.upper} must exceed lower bound {self.lower}")
         object.__setattr__(self, "scale", (self.upper - self.lower) / (2**self.bits - 1))
 
-    def __len__(self) -> int:
-        return len(self.lower)
+
+def observed_params(bits: int, lo, hi) -> QuantParams:
+    """Quantizer over an observed [lo, hi] (scalars or per-channel arrays),
+    widened by DEGENERATE_MARGIN on each side where the range collapses to a point."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    degenerate = hi - lo < 1e-12
+    return QuantParams(bits, np.where(degenerate, lo - DEGENERATE_MARGIN, lo),
+                       np.where(degenerate, hi + DEGENERATE_MARGIN, hi))
 
 
 @dataclass(frozen=True)
@@ -77,8 +67,8 @@ class QuantPolicy:
     def __post_init__(self):
         for name in ("default_bits", "act_bits", "first_layer_bits", "last_layer_bits"):
             v = getattr(self, name)
-            if v is not None and not (2 <= v <= 8):
-                raise ValueError(f"{name} must be in [2, 8], got {v}")
+            if v is not None and (type(v) is not int or not 2 <= v <= 8):
+                raise ValueError(f"{name} must be an integer in [2, 8], got {v!r}")
 
     def weight_bits(self, index: int, total: int) -> int:
         if index == 0 and self.first_layer_bits is not None:
@@ -110,42 +100,29 @@ def _level_window(lower, scale, bits: int):
     return qmin, qmin + (2**bits - 1)
 
 
-def _bounds_for(x: Tensor, q: QuantParams | ChannelQuantParams):
-    if isinstance(q, QuantParams):
-        return q.lower, q.upper, q.scale
-    # per-channel bounds broadcast along axis 0 of the weight tensor
-    shape = (len(q),) + (1,) * (x.ndim - 1)
-    dt = x.dtype
-    return (
-        q.lower.reshape(shape).astype(dt),
-        q.upper.reshape(shape).astype(dt),
-        q.scale.reshape(shape).astype(dt),
-    )
-
-
-def fake_quantize_ste(x: Tensor, q: QuantParams | ChannelQuantParams,
-                      surrogate: bool = False) -> Tensor:
+def fake_quantize_ste(x: Tensor, q: QuantParams) -> Tensor:
     """Quantize-dequantize in float with a clipped straight-through gradient.
 
     Forward is round(clip(x, l, u) / s) * s, the rounded level clamped to the
     2^bits-level window anchored at round(l / s); the backward rule passes gradients
-    unchanged where l <= x <= u and blocks them outside. With ``surrogate``
-    the rounding is disabled (forward becomes clip(x, l, u)), which makes the
-    op differentiable so finite differences can validate the backward rule.
+    unchanged where l <= x <= u and blocks them outside. Array bounds apply
+    along axis 0 of ``x``. The window comes from the float64 bounds whatever
+    the bounds' shape, so bounds on a rounding tie (l = -1, u = 1 at any
+    bit-width) give one window for a layer and for a channel.
     """
-    lower, upper, scale = _bounds_for(x, q)
+    shape = np.shape(q.lower) + (1,) * (x.ndim - np.ndim(q.lower))
+    qmin, qmax = _level_window(np.reshape(q.lower, shape), np.reshape(q.scale, shape), q.bits)
+    lower, upper, scale = (np.reshape(v, shape).astype(x.dtype) for v in (q.lower, q.upper, q.scale))
+    # in x's dtype: clip into a new array, then in place divide, round half
+    # away from zero, clamp to the level window, scale back
     out = np.clip(x.data, lower, upper)
-    if not surrogate:
-        # in x's dtype, in place: divide, round half away from zero, clamp to
-        # the level window, scale back
-        qmin, qmax = _level_window(lower, scale, q.bits)
-        np.divide(out, scale, out=out)
-        mag = np.abs(out)
-        mag += 0.5
-        np.floor(mag, out=mag)
-        np.copysign(mag, out, out=out)
-        np.clip(out, qmin.astype(x.dtype), qmax.astype(x.dtype), out=out)
-        np.multiply(out, scale, out=out)
+    np.divide(out, scale, out=out)
+    mag = np.abs(out)
+    mag += 0.5
+    np.floor(mag, out=mag)
+    np.copysign(mag, out, out=out)
+    np.clip(out, qmin.astype(x.dtype), qmax.astype(x.dtype), out=out)
+    np.multiply(out, scale, out=out)
 
     def bwd(g):
         mask = (x.data >= lower) & (x.data <= upper)
@@ -154,21 +131,10 @@ def fake_quantize_ste(x: Tensor, q: QuantParams | ChannelQuantParams,
     return ad.record_op(out, (x,), bwd)
 
 
-def channel_bounds(w: np.ndarray, bits: int) -> ChannelQuantParams:
+def channel_bounds(w: np.ndarray, bits: int) -> QuantParams:
     """Min/max bounds per output channel (axis 0), widened when degenerate."""
     flat = w.reshape(w.shape[0], -1)
-    lo = flat.min(axis=1).astype(np.float64)
-    hi = flat.max(axis=1).astype(np.float64)
-    degenerate = hi - lo < 1e-12
-    lo = np.where(degenerate, lo - DEGENERATE_MARGIN, lo)
-    hi = np.where(degenerate, hi + DEGENERATE_MARGIN, hi)
-    return ChannelQuantParams(bits, lo, hi)
-
-
-def quantize_weights_per_channel(w: Tensor, bits: int) -> tuple[Tensor, ChannelQuantParams]:
-    """Fake-quantize each output-channel slice against its own min/max."""
-    q = channel_bounds(w.data, bits)
-    return fake_quantize_ste(w, q), q
+    return observed_params(bits, flat.min(axis=1), flat.max(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +144,16 @@ def quantize_weights_per_channel(w: Tensor, bits: int) -> tuple[Tensor, ChannelQ
 class FakeQuantRuntime:
     """Quantization hooks for ``network.forward``: weights are re-bounded from
     the current float values on every pass, activations use frozen calibrated
-    bounds (pass ``act_params=None`` to leave activations unquantized)."""
+    bounds, one per quantization point."""
 
-    def __init__(self, policy: QuantPolicy, act_params: list[QuantParams] | None):
+    def __init__(self, policy: QuantPolicy, act_params: Sequence[QuantParams]):
         self.policy = policy
-        self.act_params = act_params
+        self.act_params = tuple(act_params)
 
     def on_weight(self, w: Tensor, index: int, total: int) -> Tensor:
-        bits = self.policy.weight_bits(index, total)
-        fq, _ = quantize_weights_per_channel(w, bits)
-        return fq
+        return fake_quantize_ste(w, channel_bounds(w.data, self.policy.weight_bits(index, total)))
 
     def on_activation(self, x: Tensor, point: int) -> Tensor:
-        if self.act_params is None:
-            return x
         return fake_quantize_ste(x, self.act_params[point])
 
 
@@ -200,7 +162,7 @@ class RangeCalibrator(FakeQuantRuntime):
     exactly as in :class:`FakeQuantRuntime`."""
 
     def __init__(self, policy: QuantPolicy, n_points: int):
-        super().__init__(policy, None)
+        super().__init__(policy, ())
         self.lo = [np.inf] * n_points
         self.hi = [-np.inf] * n_points
 
@@ -210,15 +172,11 @@ class RangeCalibrator(FakeQuantRuntime):
         return x
 
     def finalize(self) -> list[QuantParams]:
+        if not np.isfinite(self.lo + self.hi).all():
+            raise ValueError("calibration saw no activations at some point")
         n = len(self.lo)
-        params = []
-        for point, (lo, hi) in enumerate(zip(self.lo, self.hi)):
-            if not np.isfinite(lo) or not np.isfinite(hi):
-                raise ValueError("calibration saw no activations at some point")
-            if hi - lo < 1e-12:
-                lo, hi = lo - DEGENERATE_MARGIN, hi + DEGENERATE_MARGIN
-            params.append(QuantParams(self.policy.activation_bits(point, n), lo, hi))
-        return params
+        return [observed_params(self.policy.activation_bits(point, n), lo, hi)
+                for point, (lo, hi) in enumerate(zip(self.lo, self.hi))]
 
 
 def calibrate_activation_bounds(net: Network, data: np.ndarray,
@@ -231,8 +189,6 @@ def calibrate_activation_bounds(net: Network, data: np.ndarray,
     data = np.asarray(data)
     if data.shape[0] == 0:
         raise ValueError("cannot calibrate on an empty batch")
-    from .network import quant_point_count
-
     calib = RangeCalibrator(policy, quant_point_count(net))
     with ad.no_grad():
         forward(net, Tensor(data), train=False, quant=calib)

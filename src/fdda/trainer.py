@@ -45,17 +45,16 @@ def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def evaluate(net: Network, data: LabeledImages, quant: FakeQuantRuntime | None = None,
-             batch: int = EVAL_BATCH) -> float:
+def evaluate(net: Network, data: LabeledImages, quant: FakeQuantRuntime | None = None) -> float:
     """Top-1 accuracy with eval-mode BN (and quantizers active when given)."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty set")
     correct = 0
     with ad.no_grad():
-        for lo in range(0, len(data), batch):
-            xs = Tensor(data.images[lo : lo + batch])
-            logits = forward(net, xs, train=False, quant=quant).output
-            correct += int((np.argmax(logits.data, axis=1) == data.labels[lo : lo + batch]).sum())
+        for lo in range(0, len(data), EVAL_BATCH):
+            rows = slice(lo, lo + EVAL_BATCH)
+            logits = forward(net, Tensor(data.images[rows]), train=False, quant=quant).output
+            correct += int((np.argmax(logits.data, axis=1) == data.labels[rows]).sum())
     return correct / len(data)
 
 

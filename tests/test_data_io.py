@@ -316,12 +316,21 @@ def _edit_section(name, change):
 
 @pytest.mark.parametrize("edit,match", [
     (_edit_section("policy", lambda p: p.update(bogus=1)), "bad quantizers .*'bogus'"),
+    (_edit_section("policy", lambda p: p.update(default_bits=2.5)),
+     "bad quantizers .*default_bits must be an integer in \\[2, 8\\], got 2.5"),
     (_edit_section("act_quant", lambda q: q.pop()), "7 quantizers for 8 quantization points"),
     (_edit_section("act_quant", lambda q: q[3].update(lower=2.0, upper=-2.0)),
      "bad quantizers .*must exceed lower bound"),
     (_edit_section("act_quant", lambda q: q[0].update(lower=float("nan"))),
-     "non-finite activation bounds"),
-], ids=["unknown-policy-key", "short-act-quant", "inverted-bounds", "nan-bound"])
+     "bad quantizers .*bounds must be finite"),
+    (_edit_section("act_quant", lambda q: q[0].update(lower=-10**400)),
+     "bad quantizers"),
+    (_edit_section("act_quant", lambda q: q[2].update(bits=100000)),
+     "bad quantizers .*bit-width must be an integer in \\[2, 8\\], got 100000"),
+    (_edit_section("act_quant", lambda q: q[2].update(bits=2.5)),
+     "bad quantizers .*bit-width must be an integer in \\[2, 8\\], got 2.5"),
+], ids=["unknown-policy-key", "float-policy-bits", "short-act-quant", "inverted-bounds", "nan-bound", "huge-int-bound",
+        "huge-bits", "float-bits"])
 def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path, edit, match):
     load_model(saved_quantized)  # the unedited archive loads
     bad = rewrite_manifest(saved_quantized, tmp_path / "bad.fdda", edit)

@@ -8,14 +8,12 @@ from fdda import autodiff as ad
 from fdda.autodiff import Tensor
 from fdda.models import build_toy_classifier
 from fdda.quantizer import (
-    ChannelQuantParams,
+    FakeQuantRuntime,
     QuantParams,
     QuantPolicy,
     calibrate_activation_bounds,
     channel_bounds,
-    compute_scale,
     fake_quantize_ste,
-    quantize_weights_per_channel,
 )
 
 
@@ -24,21 +22,30 @@ from fdda.quantizer import (
 # ---------------------------------------------------------------------------
 
 def test_compute_scale_examples():
-    assert compute_scale(2, 0.0, 3.0) == pytest.approx(1.0)
-    assert compute_scale(8, -1.0, 1.0) == pytest.approx(2.0 / 255.0)
-    assert compute_scale(4, 0.0, 15.0) == pytest.approx(1.0)
+    assert QuantParams(2, 0.0, 3.0).scale == pytest.approx(1.0)
+    assert QuantParams(8, -1.0, 1.0).scale == pytest.approx(2.0 / 255.0)
+    assert QuantParams(4, 0.0, 15.0).scale == pytest.approx(1.0)
 
 
 def test_compute_scale_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        compute_scale(4, 1.0, 1.0)
+        QuantParams(4, 1.0, 1.0)
     with pytest.raises(ValueError):
-        compute_scale(4, 2.0, 1.0)
+        QuantParams(4, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("lower,upper", [(float("nan"), 1.0), (0.0, float("inf")),
+                                         (-float("inf"), 0.0),
+                                         (np.array([0.0, np.nan]), np.array([1.0, 1.0]))],
+                         ids=["nan-lower", "inf-upper", "inf-lower", "nan-channel"])
+def test_quant_params_rejects_non_finite_bounds(lower, upper):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        QuantParams(4, lower, upper)
 
 
 def test_quant_params_recompute_scale_exactly():
     q = QuantParams(5, -0.7, 1.9)
-    assert q.scale == compute_scale(5, -0.7, 1.9)
+    assert q.scale == (1.9 - -0.7) / (2**5 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +147,19 @@ def test_ste_gradient_mask():
 
 def ref_fake_quantize(x, q):
     """The earlier fake_quantize_ste forward: a new array per step, then a
-    cast back to x's dtype; and its straight-through mask."""
-    from fdda.quantizer import _bounds_for, _level_window, _round_half_away
+    cast back to x's dtype; and its straight-through mask. Scalar bounds stay
+    Python floats; per-channel bounds lie along axis 0, cast to x's dtype
+    after the level window is taken from them in float64."""
+    from fdda.quantizer import _level_window, _round_half_away
 
-    lower, upper, scale = _bounds_for(Tensor(x), q)
-    clipped = np.clip(x, lower, upper)
+    lower, upper, scale = q.lower, q.upper, q.scale
+    if np.ndim(lower):
+        shape = (-1,) + (1,) * (x.ndim - 1)
+        lower, upper, scale = (v.reshape(shape) for v in (lower, upper, scale))
     qmin, qmax = _level_window(lower, scale, q.bits)
+    if np.ndim(lower):
+        lower, upper, scale = (v.astype(x.dtype) for v in (lower, upper, scale))
+    clipped = np.clip(x, lower, upper)
     levels = np.clip(_round_half_away(clipped / scale), qmin.astype(x.dtype), qmax.astype(x.dtype))
     return (levels * scale).astype(x.dtype), (x >= lower) & (x <= upper)
 
@@ -172,7 +186,7 @@ def _params(kind, bits):
         return QuantParams(bits, -0.625, -0.625 + 0.25 * levels)
     scale = np.array([0.25, 0.5, 0.125, 0.0625, 1.0, 0.25])
     lower = np.array([-0.625, -1.5, 0.1875, -0.25, -2.0, 0.0])
-    return ChannelQuantParams(bits, lower, lower + scale * levels)
+    return QuantParams(bits, lower, lower + scale * levels)
 
 
 @pytest.mark.parametrize("kind", ["per-layer", "per-channel"])
@@ -198,19 +212,33 @@ def test_fake_quantize_equals_reference(kind, dtype, bits):
 
 
 def test_ste_surrogate_matches_finite_differences():
-    # with rounding disabled the op is clip(), whose true gradient is the STE rule
+    # the STE rule is the true gradient of the surrogate clip(x, l, u)
     rng = np.random.default_rng(1)
     q = QuantParams(4, -0.5, 0.9)
     vals = rng.uniform(-1.5, 1.5, size=12)
     vals = vals[np.abs(vals - q.lower) > 1e-2]
     vals = vals[np.abs(vals - q.upper) > 1e-2]  # keep away from the clip kinks
-    x = Tensor(vals.astype(np.float64), requires_grad=True)
+    g = rng.standard_normal(vals.shape)
+    x = Tensor(vals.copy(), requires_grad=True)
+    ad.backward((fake_quantize_ste(x, q) * Tensor(g)).sum())
 
-    def f():
-        y = fake_quantize_ste(x, q, surrogate=True)
-        return (y * y).sum()
+    def f(v):
+        return (np.clip(v, q.lower, q.upper) * g).sum()
 
-    assert ad.grad_check(f, [x], h=1e-4) < 1e-6
+    h = 1e-4
+    fd = np.array([(f(vals + h * e) - f(vals - h * e)) / (2 * h) for e in np.eye(len(vals))])
+    assert np.max(np.abs(x.grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-6
+
+
+def test_per_layer_and_one_channel_round_ties_alike():
+    # -l/s = 1.5 is a tie: both granularities take one level window from the
+    # float64 bounds
+    x = Tensor(np.array([-1.0, -0.5, 0.0, 0.5, 1.0], dtype=np.float32))
+    per_layer = fake_quantize_ste(x, QuantParams(2, -1.0, 1.0))
+    one_channel = fake_quantize_ste(x.reshape((1, 5)),
+                                    QuantParams(2, np.array([-1.0]), np.array([1.0])))
+    np.testing.assert_array_equal(per_layer.data, one_channel.data[0])
+    np.testing.assert_allclose(per_layer.data, [-4 / 3, -2 / 3, 0.0, 2 / 3, 2 / 3], rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +247,8 @@ def test_ste_surrogate_matches_finite_differences():
 
 def test_per_channel_scales_and_error_bounds():
     w = Tensor(np.array([[0.0, 1.1, 2.2, 3.0], [0.0, 11.0, 22.0, 30.0]], dtype=np.float32))
-    fq, params = quantize_weights_per_channel(w, bits=2)
+    params = channel_bounds(w.data, bits=2)
+    fq = fake_quantize_ste(w, params)
     np.testing.assert_allclose(params.scale, [1.0, 10.0])
     err = np.abs(fq.data - w.data)
     assert np.all(err[0] <= 0.5 + 1e-6)
@@ -229,24 +258,24 @@ def test_per_channel_scales_and_error_bounds():
 def test_single_channel_matches_layerwise():
     rng = np.random.default_rng(2)
     w = rng.normal(size=(1, 6)).astype(np.float32)
-    fq, params = quantize_weights_per_channel(Tensor(w), bits=4)
+    fq = fake_quantize_ste(Tensor(w), channel_bounds(w, bits=4))
     q = QuantParams(4, float(w.min()), float(w.max()))
     np.testing.assert_allclose(fq.data, dequantize(quantize(w, q), q).astype(np.float32), rtol=1e-6)
 
 
 def test_on_grid_weights_unchanged():
     w = np.array([[0.0, 1.0, 2.0, 3.0]], dtype=np.float32)
-    fq, _ = quantize_weights_per_channel(Tensor(w), bits=2)
+    fq = fake_quantize_ste(Tensor(w), channel_bounds(w, bits=2))
     np.testing.assert_allclose(fq.data, w)
 
 
 def test_per_channel_independence():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(3, 8)).astype(np.float32)
-    fq1, _ = quantize_weights_per_channel(Tensor(w), bits=3)
+    fq1 = fake_quantize_ste(Tensor(w), channel_bounds(w, bits=3))
     w2 = w.copy()
     w2[2] *= 100.0  # editing channel 2 must not move channels 0-1
-    fq2, _ = quantize_weights_per_channel(Tensor(w2), bits=3)
+    fq2 = fake_quantize_ste(Tensor(w2), channel_bounds(w2, bits=3))
     np.testing.assert_allclose(fq1.data[:2], fq2.data[:2])
 
 
@@ -266,6 +295,8 @@ def test_policy_bit_bounds():
         QuantPolicy(default_bits=1)
     with pytest.raises(ValueError):
         QuantPolicy(default_bits=4, first_layer_bits=9)
+    with pytest.raises(ValueError):
+        QuantParams(9, 0.0, 1.0)
     p = QuantPolicy(default_bits=4, first_layer_bits=8, last_layer_bits=8)
     assert p.weight_bits(0, 7) == 8
     assert p.weight_bits(3, 7) == 4
@@ -274,7 +305,12 @@ def test_policy_bit_bounds():
 
 def test_channel_params_validation():
     with pytest.raises(ValueError):
-        ChannelQuantParams(4, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        QuantParams(4, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+
+def test_runtime_needs_activation_quantizers():
+    with pytest.raises(TypeError):
+        FakeQuantRuntime(QuantPolicy(), None)
 
 
 def test_calibration_observes_min_max():

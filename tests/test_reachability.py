@@ -24,8 +24,6 @@ ALLOWED = {
     "autodiff.Tensor.__repr__": "debugging output",
     "network.Network.astype": "tests build float64 copies for gradient checks",
     "network.Network.state_equal": "tests compare archived networks",
-    "network.QuantHooks.on_weight": "a protocol stub; FakeQuantRuntime implements it",
-    "network.QuantHooks.on_activation": "a protocol stub; FakeQuantRuntime implements it",
 }
 
 

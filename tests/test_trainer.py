@@ -115,23 +115,28 @@ def tiny_settings(calibration_only=False, **kw):
 # quantized-model loss
 # ---------------------------------------------------------------------------
 
+def _runtime8(f, images):
+    """An 8-bit runtime whose activation bounds are calibrated on ``images``."""
+    policy = QuantPolicy(default_bits=8)
+    return FakeQuantRuntime(policy, calibrate_activation_bounds(f, images, policy))
+
+
 def test_qloss_identity_case_kd_zero(world):
     f, train, _, _ = world
     xs = Tensor(train.images[:8])
     ys = train.labels[:8]
-    quant = FakeQuantRuntime(QuantPolicy(default_bits=8), None)  # acts off
-    # student == teacher when Q is an exact copy evaluated without quantizers
+    quant = _runtime8(f, train.images[:8])
+    # student == teacher up to 8-bit quantization when Q is an exact copy
     q = f.copy()
     q.set_requires_grad(True)
-    none_rt = FakeQuantRuntime(QuantPolicy(default_bits=8), None)
     with ad.no_grad():
         logits_f = forward(f, xs, train=False).output
-    loss, parts = quantized_model_loss(q, logits_f.data, xs, ys, LossWeights(kd=20.0),
-                                       FakeQuantRuntime(QuantPolicy(8), None))
-    # weights are still per-channel fake-quantized at 8 bits; compare up to that
+    loss, parts = quantized_model_loss(q, logits_f.data, xs, ys, LossWeights(kd=20.0), quant)
+    # weights per channel and activations per layer are fake-quantized at 8 bits;
+    # compare up to that
     assert parts["kd"] < 1e-3
     ce_only, parts0 = quantized_model_loss(q, logits_f.data, xs, ys, LossWeights(kd=0.0),
-                                           none_rt)
+                                           quant)
     assert float(ce_only.data) == pytest.approx(parts0["ce"], rel=1e-6)
 
 
@@ -142,9 +147,9 @@ def test_qloss_weighted_sum_arithmetic():
 
 
 def test_qloss_empty_batch_errors(world):
-    f, _, _, _ = world
+    f, train, _, _ = world
     q = f.copy()
-    rt = FakeQuantRuntime(QuantPolicy(8), None)
+    rt = _runtime8(f, train.images[:8])
     with pytest.raises(ValueError):
         quantized_model_loss(q, np.zeros((0, 8), np.float32),
                              Tensor(np.zeros((0, 1, 16, 16), np.float32)),
