@@ -127,8 +127,9 @@ def _check_state(path, values: dict[str, np.ndarray], layers) -> None:
 
 def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
     """The quantizers of a quantized model: a policy and one activation
-    quantizer per quantization point of ``net``, both or neither. Raises
-    KeyError, TypeError or ValueError if malformed."""
+    quantizer per quantization point of ``net``, both or neither, each
+    quantizer at the bit-width the policy gives its point. Raises KeyError,
+    TypeError or ValueError if malformed."""
     missing = [key for key in ("policy", "act_quant") if key not in manifest]
     if len(missing) == 2:
         return None
@@ -136,9 +137,13 @@ def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
         raise ValueError(f"no {missing[0]!r} key")
     policy = QuantPolicy(**manifest["policy"])
     act_quant = [QuantParams(q["bits"], q["lower"], q["upper"]) for q in manifest["act_quant"]]
-    if len(act_quant) != quant_point_count(net):
-        raise ValueError(f"{len(act_quant)} quantizers for "
-                         f"{quant_point_count(net)} quantization points")
+    n = quant_point_count(net)
+    if len(act_quant) != n:
+        raise ValueError(f"{len(act_quant)} quantizers for {n} quantization points")
+    for point, q in enumerate(act_quant):
+        if q.bits != policy.activation_bits(point, n):
+            raise ValueError(f"activation quantizer {point} has {q.bits} bits, "
+                             f"the policy gives {policy.activation_bits(point, n)}")
     return FakeQuantRuntime(policy, act_quant)
 
 

@@ -6,6 +6,16 @@ enabled are recorded on a process-global tape; ``backward`` replays the tape
 in reverse exactly once and then clears it, so a tape covers a single
 forward pass.
 
+Memory: ``backward`` consumes the tape. It pops each node before running the
+node's rule, so the arrays the node saved and its output's gradient are
+released as the walk moves toward the inputs; afterwards only tensors the
+caller still holds (parameters, inputs, kept intermediates) have a
+``.grad``. Each op saves only the arrays its rule reads for the inputs that
+need a gradient: a conv keeps its column matrix only for a weight gradient,
+and eval-mode batch norm keeps its normalized input only for a gamma
+gradient. A pass through a frozen network, such as the teacher in a
+generator step, therefore keeps its activations but not those arrays.
+
 The conv, pooling and upsampling kernels avoid numpy's slow copies and
 multi-axis reductions, but they keep numpy's order of floating-point
 additions on purpose: each returns the same bits as the plain formula it
@@ -129,7 +139,8 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], bwd: Callable) -> Tens
 
     ``bwd(grad_out)`` must return one gradient array (or None) per input, in
     order. It is called at most once. Ops should only compute a gradient for
-    inputs whose ``requires_grad`` flag is set.
+    inputs whose ``requires_grad`` flag is set, and keep only the arrays those
+    gradients read.
     """
     req = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=req)
@@ -141,27 +152,37 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], bwd: Callable) -> Tens
 def backward(loss: Tensor) -> None:
     """Populate gradients of every requires_grad tensor reachable from loss.
 
-    The tape is consumed: it is cleared afterwards whether or not the walk
-    succeeds, so each forward pass needs its own backward.
+    The tape is consumed: each node is popped before its rule runs and
+    dropped after it, so saved arrays and intermediate gradients are freed as
+    the walk goes, and only tensors the caller still holds keep their
+    ``.grad``. The tape is empty afterwards whether or not the walk succeeds,
+    so each forward pass needs its own backward.
     """
     try:
         if loss.data.size != 1:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(_tape):
-            g_out = node.out.grad
-            if g_out is None:
-                continue
-            grads = node.bwd(g_out)
-            for t, g in zip(node.inputs, grads):
-                if g is None or not t.requires_grad:
-                    continue
-                if t.grad is None:
-                    t.grad = g.astype(t.dtype, copy=True)
-                else:
-                    t.grad += g.astype(t.dtype, copy=False)
+        while _tape:
+            _apply(_tape.pop())
     finally:
         _tape.clear()
+
+
+def _apply(node: _Node) -> None:
+    """Run one node's adjoint rule and accumulate into its inputs' ``.grad``.
+
+    A function of its own so that the node, its output gradient and the
+    gradients it returns are dropped when it returns."""
+    g_out = node.out.grad
+    if g_out is None:
+        return
+    for t, g in zip(node.inputs, node.bwd(g_out)):
+        if g is None or not t.requires_grad:
+            continue
+        if t.grad is None:
+            t.grad = g.astype(t.dtype, copy=True)
+        else:
+            t.grad += g.astype(t.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -355,6 +376,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     if min(h, wd) + 2 * pad < k:
         raise ValueError(f"kernel {k} larger than padded input {(h + 2 * pad, wd + 2 * pad)}")
     out, cols = _conv_raw(x.data, w.data, pad)
+    if not w.requires_grad:
+        cols = None  # only the weight gradient reads the column matrix
     ho, wo = out.shape[2:]
     if b is not None:
         out = out + b.data.reshape(1, o, 1, 1)
@@ -446,6 +469,8 @@ def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     ri = inv_std.reshape(cshape)
     xhat = (x.data - rm) * ri
     y = xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
+    if not gamma.requires_grad:
+        xhat = None  # only the gamma gradient reads the normalized input
 
     def bwd(g):
         return (

@@ -20,7 +20,8 @@ class ConfigError(ValueError):
     """Invalid configuration; the message is a one-line diagnostic."""
 
 
-# most rows in one training batch; a quantize step of 1024 rows peaks near 0.9 GB
+# most rows in one training batch; a full-arm quantize at 1024 rows peaks near
+# 0.6 GB of resident memory (one BLAS thread)
 MAX_BATCH_SIZE = 1024
 
 

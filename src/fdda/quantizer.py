@@ -100,6 +100,15 @@ def _level_window(lower, scale, bits: int):
     return qmin, qmin + (2**bits - 1)
 
 
+def _levels(q: QuantParams, dtype, ndim: int) -> tuple[np.ndarray, ...]:
+    """``q``'s lower and upper bounds, scale and level window in ``dtype``,
+    shaped so that array bounds apply along axis 0 of an ``ndim``-D input.
+    The window comes from the float64 bounds whatever the bounds' shape."""
+    shape = np.shape(q.lower) + (1,) * (ndim - np.ndim(q.lower))
+    qmin, qmax = _level_window(np.reshape(q.lower, shape), np.reshape(q.scale, shape), q.bits)
+    return tuple(np.reshape(v, shape).astype(dtype) for v in (q.lower, q.upper, q.scale, qmin, qmax))
+
+
 def fake_quantize_ste(x: Tensor, q: QuantParams) -> Tensor:
     """Quantize-dequantize in float with a clipped straight-through gradient.
 
@@ -110,9 +119,12 @@ def fake_quantize_ste(x: Tensor, q: QuantParams) -> Tensor:
     the bounds' shape, so bounds on a rounding tie (l = -1, u = 1 at any
     bit-width) give one window for a layer and for a channel.
     """
-    shape = np.shape(q.lower) + (1,) * (x.ndim - np.ndim(q.lower))
-    qmin, qmax = _level_window(np.reshape(q.lower, shape), np.reshape(q.scale, shape), q.bits)
-    lower, upper, scale = (np.reshape(v, shape).astype(x.dtype) for v in (q.lower, q.upper, q.scale))
+    return _fake_quantize(x, _levels(q, x.dtype, x.ndim))
+
+
+def _fake_quantize(x: Tensor, levels: tuple[np.ndarray, ...]) -> Tensor:
+    """:func:`fake_quantize_ste` on bounds already cast and shaped by :func:`_levels`."""
+    lower, upper, scale, qmin, qmax = levels
     # in x's dtype: clip into a new array, then in place divide, round half
     # away from zero, clamp to the level window, scale back
     out = np.clip(x.data, lower, upper)
@@ -121,7 +133,7 @@ def fake_quantize_ste(x: Tensor, q: QuantParams) -> Tensor:
     mag += 0.5
     np.floor(mag, out=mag)
     np.copysign(mag, out, out=out)
-    np.clip(out, qmin.astype(x.dtype), qmax.astype(x.dtype), out=out)
+    np.clip(out, qmin, qmax, out=out)
     np.multiply(out, scale, out=out)
 
     def bwd(g):
@@ -149,12 +161,18 @@ class FakeQuantRuntime:
     def __init__(self, policy: QuantPolicy, act_params: Sequence[QuantParams]):
         self.policy = policy
         self.act_params = tuple(act_params)
+        # (point, dtype) -> the point's prepared scalar bounds; they broadcast
+        # against an input of any rank
+        self._act_levels: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     def on_weight(self, w: Tensor, index: int, total: int) -> Tensor:
         return fake_quantize_ste(w, channel_bounds(w.data, self.policy.weight_bits(index, total)))
 
     def on_activation(self, x: Tensor, point: int) -> Tensor:
-        return fake_quantize_ste(x, self.act_params[point])
+        key = (point, x.dtype)
+        if key not in self._act_levels:
+            self._act_levels[key] = _levels(self.act_params[point], x.dtype, 0)
+        return _fake_quantize(x, self._act_levels[key])
 
 
 class RangeCalibrator(FakeQuantRuntime):

@@ -1,6 +1,8 @@
 """Tensor/tape core: op semantics, losses, and gradient fidelity against
 central finite differences (the independent oracle for every backward rule)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,97 @@ def test_gradient_accumulates_across_backwards():
     ad.backward((x * x).sum())
     ad.backward((x * x).sum())
     np.testing.assert_allclose(x.grad, [8.0])
+
+
+def test_backward_error_mid_walk_still_clears_tape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = x * x
+
+    def bwd(g):
+        raise RuntimeError("adjoint failed")
+
+    z = ad.record_op(y.data.copy(), (y,), bwd)
+    with pytest.raises(RuntimeError, match="adjoint failed"):
+        ad.backward(z.sum())
+    assert ad.tape_size() == 0
+
+
+def test_caller_held_intermediates_keep_their_grad():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    h = ad.tanh(x)
+    ad.backward((h * h).sum())
+    np.testing.assert_allclose(h.grad, 2 * np.tanh(x.data))
+    np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# memory: an op keeps only what its gradient reads, and backward consumes
+# the tape as it walks (tracemalloc counts numpy's buffers)
+# ---------------------------------------------------------------------------
+
+def _retained_bytes(fn):
+    """Bytes still allocated after ``fn()`` returns, while its result is held."""
+    tracemalloc.start()
+    try:
+        result = fn()  # held while measuring, so its buffers count
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        ad._tape.clear()
+    return current
+
+
+@pytest.mark.parametrize("weight_grad", [False, True])
+def test_conv_keeps_its_column_matrix_only_for_a_weight_gradient(weight_grad):
+    rng = np.random.default_rng(0)
+    n, c, h, o, k = 64, 16, 16, 8, 3
+    x = Tensor(rng.normal(size=(n, c, h, h)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(o, c, k, k)).astype(np.float32), requires_grad=weight_grad)
+    b = Tensor(np.zeros(o, dtype=np.float32))
+    out_bytes = n * o * h * h * 4
+    cols_bytes = c * k * k * n * h * h * 4
+    kept = _retained_bytes(lambda: ad.conv2d(x, w, b, pad=1))
+    if weight_grad:
+        assert kept >= out_bytes + cols_bytes
+    else:
+        assert kept < out_bytes + cols_bytes // 4
+
+
+@pytest.mark.parametrize("gamma_grad", [False, True])
+def test_batchnorm_eval_keeps_its_normalized_input_only_for_a_gamma_gradient(gamma_grad):
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(64, 32, 8, 8)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(32, dtype=np.float32), requires_grad=gamma_grad)
+    beta = Tensor(np.zeros(32, dtype=np.float32))
+    mean, inv = np.zeros(32, dtype=np.float32), np.ones(32, dtype=np.float32)
+    kept = _retained_bytes(lambda: ad.batchnorm_eval(x, gamma, beta, mean, inv))
+    if gamma_grad:
+        assert kept >= 2 * x.data.nbytes  # the output and the normalized input
+    else:
+        assert kept < 1.25 * x.data.nbytes  # the output only
+
+
+def test_backward_frees_the_tape_as_it_walks():
+    # twelve array-sized outputs are alive when backward starts; a walk that
+    # keeps every node and gradient to the end adds more than one array per
+    # node (19 arrays here), one that drops them holds a few at a time: the
+    # input's gradient and one node's output gradient, temporaries and result
+    rng = np.random.default_rng(2)
+    size = 1 << 18
+    x = Tensor(rng.normal(size=size).astype(np.float32), requires_grad=True)
+    c = Tensor(rng.uniform(0.5, 1.5, size=size).astype(np.float32))
+    h = x
+    for _ in range(4):
+        h = ad.relu(ad.tanh(h) * c + c)
+    loss = h.sum()
+    tracemalloc.start()  # counts what backward allocates, not the forward
+    try:
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak <= 6 * x.data.nbytes
 
 
 # ---------------------------------------------------------------------------

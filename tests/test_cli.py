@@ -206,6 +206,22 @@ def test_eval_of_archive_with_one_quantizer_key_exits_2_with_one_line(
     assert len(err.strip().splitlines()) == 1 and out == ""
 
 
+def test_eval_of_archive_whose_activation_bits_disagree_with_its_policy_exits_2(
+        pretrained, capsys, tmp_path):
+    root, cfg, model = pretrained
+    out_dir = tmp_path / "w3a3"
+    assert main(["quantize", "--config", str(cfg), "--model", str(model), "--out", str(out_dir),
+                 "--wbits", "3", "--abits", "3", "--warmup", "0", "--epochs", "1"]) == 0
+    capsys.readouterr()
+    bad = _rewrite_manifest(out_dir / "quantized.fdda", tmp_path / "bad.fdda",
+                            lambda m: [q.update(bits=8) for q in m["act_quant"]])
+    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "has 8 bits, the policy gives 3" in err
+    assert len(err.strip().splitlines()) == 1 and out == ""
+
+
 def _as_version_1(m):
     m["version"] = 1
     for layer in m["layers"]:

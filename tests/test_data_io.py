@@ -134,13 +134,14 @@ def test_archive_roundtrip_bitwise(tmp_path):
 def test_archive_roundtrip_with_sections(tmp_path):
     net = build_toy_classifier(seed=4)
     # one activation quantizer per quantization point, as load_model requires
+    # at the bit-width the policy gives its point
     points = quant_point_count(net)
-    act = [QuantParams(4, -1.0, 1.0)] + [QuantParams(4, 0.0, 2.5)] * (points - 1)
+    act = [QuantParams(8, -1.0, 1.0)] + [QuantParams(4, 0.0, 2.5)] * (points - 1)
     policy = QuantPolicy(default_bits=4, first_layer_bits=8)
     path = tmp_path / "q.fdda"
     save_model(path, ModelArchive(net, FakeQuantRuntime(policy, act)))
     back = load_model(path)
-    assert [q.bits for q in back.quant.act_params] == [4] * points
+    assert [q.bits for q in back.quant.act_params] == [8] + [4] * (points - 1)
     assert back.quant.act_params[1].upper == 2.5
     assert back.quant.policy == policy
     save_model(tmp_path / "f.fdda", net)
@@ -335,6 +336,21 @@ def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path
     load_model(saved_quantized)  # the unedited archive loads
     bad = rewrite_manifest(saved_quantized, tmp_path / "bad.fdda", edit)
     with pytest.raises(ArchiveCorruptError, match=match):
+        load_model(bad)
+
+
+def test_archive_whose_activation_bits_disagree_with_its_policy_is_corrupt(tmp_path):
+    # a W3A3 archive with every activation quantizer rewritten to 8 bits
+    # would otherwise evaluate at 8-bit activations
+    net = build_toy_classifier(seed=7)
+    act = [QuantParams(3, -1.0, 1.0)] * quant_point_count(net)
+    path = tmp_path / "q.fdda"
+    save_model(path, ModelArchive(net, FakeQuantRuntime(QuantPolicy(default_bits=3, act_bits=3), act)))
+    load_model(path)
+    bad = rewrite_manifest(path, tmp_path / "bad.fdda",
+                           _edit_section("act_quant", lambda qs: [q.update(bits=8) for q in qs]))
+    with pytest.raises(ArchiveCorruptError,
+                       match="bad quantizers .*activation quantizer 0 has 8 bits, the policy gives 3"):
         load_model(bad)
 
 

@@ -211,6 +211,26 @@ def test_fake_quantize_equals_reference(kind, dtype, bits):
     assert mask.any() and not mask.all()
 
 
+@pytest.mark.parametrize("bits", [2, 3, 8])
+def test_runtime_activation_quantizer_equals_reference(bits):
+    # the runtime prepares each point's bounds once per dtype and reuses them
+    # for inputs of any rank
+    q = _params("per-layer", bits)
+    runtime = FakeQuantRuntime(QuantPolicy(default_bits=bits), [q])
+    rng = np.random.default_rng(bits)
+    for shape in [(6, 5, 4, 4), (6, 5), (6, 5, 4, 4)]:
+        for dtype in (np.float32, np.float64):
+            x = _with_ties_and_outliers(rng, shape, q, dtype)
+            xt = Tensor(x.copy(), requires_grad=True)
+            y = runtime.on_activation(xt, 0)
+            ref, mask = ref_fake_quantize(x, q)
+            assert y.data.dtype == dtype
+            np.testing.assert_array_equal(y.data, ref)
+            g = rng.standard_normal(shape).astype(dtype)
+            ad.backward((y * Tensor(g)).sum())
+            np.testing.assert_array_equal(xt.grad, g * mask)
+
+
 def test_ste_surrogate_matches_finite_differences():
     # the STE rule is the true gradient of the surrogate clip(x, l, u)
     rng = np.random.default_rng(1)

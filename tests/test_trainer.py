@@ -2,6 +2,9 @@
 teacher, the teacher-logit table of the calibration images, null updates,
 divergence, selective weight decay, and the missing-class rule."""
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -336,6 +339,42 @@ def test_non_finite_generator_loss_raises_in_warmup(world, monkeypatch):
     with pytest.raises(TrainingDiverged, match="generator loss became inf at "
                                                "warm-up epoch 0, step 0"):
         warmup_generator(state, settings.train, settings)
+
+
+# ---------------------------------------------------------------------------
+# memory of a training step
+# ---------------------------------------------------------------------------
+
+def _step_peak_bytes(step, state, settings):
+    step(state, settings.train, settings, 1e-3)  # allocates the optimizer's moments
+    tracemalloc.start()
+    try:
+        step(state, settings.train, settings, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_generator_step_peak_memory_at_batch_64(world):
+    # about 33 MB: the taped forward at backward's start, mostly the
+    # generator's column matrices (about 19 MB), which its weight gradients
+    # read. Teacher convs that keep their column matrices reach about 40 MB,
+    # and with a backward that also keeps the whole tape to its end, 57 MB.
+    settings = tiny_settings(train_kw={"batch_size": 64})
+    state = make_state(world, settings)
+    assert _step_peak_bytes(trainer._generator_step, state, settings) < 36e6
+
+
+# ---------------------------------------------------------------------------
+# pretraining defaults
+# ---------------------------------------------------------------------------
+
+def test_pretrain_steps_per_epoch_default_is_the_train_config_default():
+    # the benchmark's set-up reads this keyword default by name
+    # (perfbench/workloads.py), so it must exist and agree with TrainConfig
+    params = inspect.signature(trainer.pretrain_classifier).parameters
+    assert params["steps_per_epoch"].default == TrainConfig.steps_per_epoch
 
 
 # ---------------------------------------------------------------------------
