@@ -16,12 +16,22 @@ and eval-mode batch norm keeps its normalized input only for a gamma
 gradient. A pass through a frozen network, such as the teacher in a
 generator step, therefore keeps its activations but not those arrays.
 
-The conv, pooling and upsampling kernels avoid numpy's slow copies and
-multi-axis reductions, but they keep numpy's order of floating-point
-additions on purpose: each returns the same bits as the plain formula it
-replaces (a sliding-window im2col, ``reshape(...).mean`` or ``.sum`` over the
-block axes), so seeded runs stay byte-identical. The tests keep those
-formulas as references.
+The conv and pooling kernels avoid numpy's slow copies and multi-axis
+reductions, but they keep numpy's order of floating-point additions on
+purpose: each returns the same bits as the plain formula it replaces (a
+sliding-window im2col, ``reshape(...).mean`` over the block axes), so seeded
+runs stay byte-identical. The tests keep those formulas as references.
+
+The one exception is the conv on a 2x-upsampled input,
+``conv2d(x, w, b, pad=1, upsample=True)``. It never builds the upsampled
+map: a 3x3 kernel on it reads only a 2x2 window of x for each output parity,
+so it runs one 2x2 conv of x with the four parities' kernels stacked as
+4*O output channels, and interleaves their outputs. Each 2x2 tap is the sum
+of the 3x3 taps that read the same pixel of x. Merging taps before the GEMM
+adds the same products in another order, so results differ from the
+upsample-then-conv formula by rounding, by at most 1e-5 times the largest
+entry of the output or gradient in float32 (about 7e-7 measured) and 1e-12
+times in float64. The bias gradient is equal bit for bit.
 
 The conv moves its window one pixel at a time, with a square k x k kernel
 and 0 <= pad < k: that is all the models use, and it keeps the input
@@ -284,6 +294,18 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return record_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
+def mean_square(a: Tensor, axis: int) -> Tensor:
+    """Mean of a * a over one axis. Taped as one op that keeps only a, so the
+    square, which the gradient 2 * a * g / count does not read, is freed."""
+    count = a.shape[axis]
+
+    def bwd(g):
+        h = (np.expand_dims(g, axis) / count) * a.data
+        return (h + h,)
+
+    return record_op((a.data * a.data).mean(axis=axis), (a,), bwd)
+
+
 def take(a: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows along axis 0 (embedding lookup / class subset)."""
     idx = np.asarray(indices)
@@ -363,9 +385,65 @@ def _conv_raw(x: np.ndarray, w: np.ndarray, pad: int):
     return out, cols
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
+# An output row of parity a (0 even, 1 odd) on a 2x-upsampled axis reads, with
+# a 3-tap kernel at pad 1, low-resolution rows (r-1, r, r) or (r, r, r+1):
+# _MERGE[2*a + s, i] = 1 where kernel tap i reads tap s of a 2-tap window.
+# Their Kronecker product maps a flattened 3x3 kernel (i, j) to the 2x2
+# kernels of the four output parities, one row per (a, s, e, t).
+_MERGE = np.array([[1, 0, 0], [0, 1, 1],
+                   [1, 1, 0], [0, 0, 1]])
+_PHASE_TAPS = np.kron(_MERGE, _MERGE)  # (16, 9)
+
+
+def _phase_kernels(w: np.ndarray) -> np.ndarray:
+    """(O, C, 3, 3) -> (4*O, C, 2, 2): one 2x2 kernel per output parity,
+    each tap the sum of the 3x3 taps that read the same input pixel."""
+    o, c = w.shape[:2]
+    taps = w.reshape(o * c, 9) @ _PHASE_TAPS.T.astype(w.dtype)  # (O*C, a s e t)
+    return taps.reshape(o, c, 2, 2, 2, 2).transpose(2, 4, 0, 1, 3, 5).reshape(4 * o, c, 2, 2)
+
+
+def _fold_phase_kernels(gp: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_phase_kernels`: (4*O, C, 2, 2) -> (O, C, 3, 3)."""
+    o, c = gp.shape[0] // 4, gp.shape[1]
+    taps = gp.reshape(2, 2, o, c, 2, 2).transpose(2, 3, 0, 4, 1, 5).reshape(o * c, 16)
+    return (taps @ _PHASE_TAPS.astype(gp.dtype)).reshape(o, c, 3, 3)
+
+
+def _interleave(phases: np.ndarray) -> np.ndarray:
+    """(N, 4*O, H+1, W+1) phase grid -> (N, O, 2H, 2W), laid out channel-major."""
+    n, o4, h1, w1 = phases.shape
+    o, h, w = o4 // 4, h1 - 1, w1 - 1
+    grid = phases.transpose(1, 0, 2, 3).reshape(2, 2, o, n, h1, w1)
+    out = np.empty((o, n, 2 * h, 2 * w), dtype=phases.dtype)
+    for a in range(2):
+        for e in range(2):
+            out[:, :, a::2, e::2] = grid[a, e, :, :, a : a + h, e : e + w]
+    return out.transpose(1, 0, 2, 3)
+
+
+def _deinterleave(g: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_interleave`: (N, O, 2H, 2W) -> (N, 4*O, H+1, W+1),
+    zero where no output reads the phase grid."""
+    n, o, h2, w2 = g.shape
+    h, w = h2 // 2, w2 // 2
+    gc = g.transpose(1, 0, 2, 3)
+    grid = np.zeros((2, 2, o, n, h + 1, w + 1), dtype=g.dtype)
+    for a in range(2):
+        for e in range(2):
+            grid[a, e, :, :, a : a + h, e : e + w] = gc[:, :, a::2, e::2]
+    return grid.reshape(4 * o, n, h + 1, w + 1).transpose(1, 0, 2, 3)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0,
+           upsample: bool = False) -> Tensor:
     """Cross-correlation of x (N,C,H,W) with a square kernel w (O,C,k,k),
-    moved one pixel at a time, x zero-padded by 0 <= pad < k on each side."""
+    moved one pixel at a time, x zero-padded by 0 <= pad < k on each side.
+
+    With ``upsample`` (kernel 3, pad 1 only) the input is first upsampled 2x
+    by nearest neighbour. That runs as a sub-pixel conv on x itself: a 2x2
+    kernel per output parity at pad 1, interleaved into the (N, O, 2H, 2W)
+    output."""
     n, c, h, wd = x.shape
     o, cw, k, kw = w.shape
     if cw != c:
@@ -373,12 +451,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     if kw != k or not 0 <= pad < k:
         raise ValueError(f"conv2d needs a square kernel and 0 <= pad < kernel, "
                          f"got kernel {k}x{kw}, pad {pad}")
+    if upsample and (k, pad) != (3, 1):
+        raise ValueError(f"conv2d upsamples only with kernel 3 and pad 1, got kernel {k}, pad {pad}")
     if min(h, wd) + 2 * pad < k:
         raise ValueError(f"kernel {k} larger than padded input {(h + 2 * pad, wd + 2 * pad)}")
-    out, cols = _conv_raw(x.data, w.data, pad)
+    # the conv actually run: the phase kernels at pad 1, or w itself
+    kern, kpad = (_phase_kernels(w.data), 1) if upsample else (w.data, pad)
+    out, cols = _conv_raw(x.data, kern, kpad)
+    if upsample:
+        out = _interleave(out)
     if not w.requires_grad:
         cols = None  # only the weight gradient reads the column matrix
-    ho, wo = out.shape[2:]
     if b is not None:
         out = out + b.data.reshape(1, o, 1, 1)
 
@@ -386,16 +469,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
 
     def bwd(g):
         gx = gw = gb = None
+        gk = _deinterleave(g) if upsample else g  # the gradient of kern's output
+        ko, _, kk, _ = kern.shape
         if x.requires_grad:
             # gradient w.r.t. the input is itself a cross-correlation
             # with the channel-swapped, spatially flipped kernel
-            w_t = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            gx, _ = _conv_raw(g, w_t, k - 1 - pad)
+            w_t = np.ascontiguousarray(kern.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            gx, _ = _conv_raw(gk, w_t, kk - 1 - kpad)
         if w.requires_grad:
-            g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+            g_mat = gk.transpose(1, 0, 2, 3).reshape(ko, -1)
             # the transpose of g_mat @ cols.T: the same bits on OpenBLAS, and
             # about twice as fast when O is small (the GEMM's M and N swap)
-            gw = (cols @ g_mat.T).T.reshape(w.shape)
+            gw = (cols @ g_mat.T).T.reshape(kern.shape)
+            if upsample:
+                gw = _fold_phase_kernels(gw)
         if b is not None and b.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         return (gx, gw) if b is None else (gx, gw, gb)
@@ -428,20 +515,6 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     def bwd(g):
         gx = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
         return (gx,)
-
-    return record_op(out, (x,), bwd)
-
-
-def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling."""
-    n, c, h, w = x.shape
-    out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
-    for i in range(2):
-        for j in range(2):
-            out[:, :, i::2, j::2] = x.data
-
-    def bwd(g):
-        return (_block_sum(g, 2),)
 
     return record_op(out, (x,), bwd)
 

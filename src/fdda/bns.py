@@ -107,8 +107,7 @@ def sample_moments(x: Tensor) -> Moments:
     n, c = x.shape[:2]
     flat = x.reshape((n, c, -1))
     m = flat.mean(axis=2, keepdims=True)
-    centered = flat - m
-    return m.reshape((n, c)), (centered * centered).mean(axis=2)
+    return m.reshape((n, c)), ad.mean_square(flat - m, axis=2)
 
 
 def group_moments(m: Tensor, v: Tensor, groups: np.ndarray, k: int) -> Moments:

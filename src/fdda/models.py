@@ -16,7 +16,6 @@ from .network import (
     ReLU,
     Reshape,
     Tanh,
-    Upsample2x,
 )
 
 
@@ -25,8 +24,8 @@ def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> n
 
 
 def _add_conv(layers, params, name: str, c_in: int, c_out: int, rng,
-              kernel: int = 3, pad: int = 1) -> None:
-    layers.append(Conv2d(name, c_in, c_out, kernel, pad=pad))
+              kernel: int = 3, pad: int = 1, upsample: bool = False) -> None:
+    layers.append(Conv2d(name, c_in, c_out, kernel, pad=pad, upsample=upsample))
     params[f"{name}.w"] = Tensor(
         _he_init(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel),
         requires_grad=True,
@@ -87,7 +86,8 @@ def build_toy_classifier(num_classes: int = 8, in_shape: tuple[int, int, int] = 
 def build_generator(num_classes: int = 8, noise_dim: int = 64,
                     out_shape: tuple[int, int, int] = (1, 16, 16), seed: int = 0) -> Network:
     """Label-conditioned generator: noise * label-embedding -> dense ->
-    4x4 feature map -> two upsample conv blocks -> tanh image in (-1, 1)."""
+    4x4 feature map -> two blocks of a conv on the 2x-upsampled map ->
+    tanh image in (-1, 1)."""
     rng = np.random.default_rng([seed, 1])
     c_out, h, w = out_shape
     if h % 4 or w % 4:
@@ -107,13 +107,11 @@ def build_generator(num_classes: int = 8, noise_dim: int = 64,
     layers.append(Reshape((base, h0, w0)))
     _add_bn(layers, params, buffers, "gbn0", base)
 
-    layers.append(Upsample2x())
-    _add_conv(layers, params, "gconv1", base, base // 2, rng)
+    _add_conv(layers, params, "gconv1", base, base // 2, rng, upsample=True)
     _add_bn(layers, params, buffers, "gbn1", base // 2)
     layers.append(ReLU())
 
-    layers.append(Upsample2x())
-    _add_conv(layers, params, "gconv2", base // 2, base // 4, rng)
+    _add_conv(layers, params, "gconv2", base // 2, base // 4, rng, upsample=True)
     _add_bn(layers, params, buffers, "gbn2", base // 4)
     layers.append(ReLU())
 

@@ -42,11 +42,18 @@ class Conv2d:
     out_channels: int
     kernel: int
     pad: int = 0
+    upsample: bool = False  # nearest 2x upsampling of the input first
 
     def __post_init__(self):
         if not 0 <= self.pad < self.kernel:
             raise ValueError(f"conv2d layer {self.name!r} needs kernel >= 1 and "
                              f"0 <= pad < kernel, got kernel {self.kernel}, pad {self.pad}")
+        if not isinstance(self.upsample, bool):
+            raise ValueError(f"conv2d layer {self.name!r} needs a boolean upsample, "
+                             f"got {self.upsample!r}")
+        if self.upsample and (self.kernel, self.pad) != (3, 1):
+            raise ValueError(f"conv2d layer {self.name!r} upsamples only with kernel 3 "
+                             f"and pad 1, got kernel {self.kernel}, pad {self.pad}")
 
 
 @dataclass(frozen=True)
@@ -80,11 +87,6 @@ class Reshape:
     shape: tuple[int, ...]  # per-sample shape, batch excluded
 
 
-@dataclass(frozen=True)
-class Upsample2x:
-    pass
-
-
 LAYER_KINDS = {
     "dense": Dense,
     "conv2d": Conv2d,
@@ -94,7 +96,6 @@ LAYER_KINDS = {
     "avgpool": AvgPool2d,
     "flatten": Flatten,
     "reshape": Reshape,
-    "upsample2x": Upsample2x,
 }
 _KIND_BY_TYPE = {cls: kind for kind, cls in LAYER_KINDS.items()}
 
@@ -103,6 +104,8 @@ def layer_to_dict(layer) -> dict:
     d = {"kind": _KIND_BY_TYPE[type(layer)]}
     for field in dataclasses.fields(layer):
         v = getattr(layer, field.name)
+        if field.name == "upsample" and not v:
+            continue  # so a classifier's specs keep their bytes
         d[field.name] = list(v) if isinstance(v, tuple) else v
     return d
 
@@ -281,7 +284,7 @@ def forward(
             b = net.params[f"{layer.name}.b"]
             if quant is not None:
                 w = quant.on_weight(w, w_index[id(layer)], n_weights)
-            x = ad.conv2d(x, w, b, pad=layer.pad)
+            x = ad.conv2d(x, w, b, pad=layer.pad, upsample=layer.upsample)
         elif isinstance(layer, BatchNorm):
             if capture_bn:
                 bn_inputs.append(x)
@@ -309,8 +312,6 @@ def forward(
             x = x.reshape((x.shape[0], -1))
         elif isinstance(layer, Reshape):
             x = x.reshape((x.shape[0],) + layer.shape)
-        elif isinstance(layer, Upsample2x):
-            x = ad.upsample2x(x)
         else:
             raise TypeError(f"unknown layer spec {layer!r}")
 

@@ -422,8 +422,12 @@ def test_grad_check_elementwise_ops(op_name):
         p = tensor64(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
         f = lambda: (ad.avg_pool2d(p, 2) * ad.avg_pool2d(p, 2)).sum()
     elif op_name == "upsample":
+        # the input gradient of the sub-pixel conv; tests/test_kernel_parity.py
+        # checks its weight and bias gradients too
         p = tensor64(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-        f = lambda: (ad.upsample2x(p) * ad.upsample2x(p)).sum()
+        w = tensor64(rng.normal(size=(2, 2, 3, 3)))
+        f = lambda: (ad.conv2d(p, w, None, pad=1, upsample=True)
+                     * ad.conv2d(p, w, None, pad=1, upsample=True)).sum()
     elif op_name == "take":
         p = tensor64(rng.normal(size=(5, 3)), requires_grad=True)
         idx = np.array([0, 2, 2, 4])

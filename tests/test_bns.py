@@ -126,6 +126,55 @@ def test_train_mode_capture_records_bn_inputs_on_the_tape():
     assert x.grad is not None and np.abs(x.grad).sum() > 0
 
 
+def _taped_moments(moments, x, gm, gv):
+    """Per-sample moments of x and the input gradient of <m, gm> + <v, gv>."""
+    xt = Tensor(x, requires_grad=True)
+    m, v = moments(xt)
+    ad.backward((m * Tensor(gm)).sum() + (v * Tensor(gv)).sum())
+    return m.data, v.data, xt.grad
+
+
+def _moments_through_mul_and_mean(x):
+    """sample_moments as a product and a mean op, which tape the square."""
+    n, c = x.shape[:2]
+    flat = x.reshape((n, c, -1))
+    m = flat.mean(axis=2, keepdims=True)
+    centered = flat - m
+    return m.reshape((n, c)), (centered * centered).mean(axis=2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(64, 8, 16, 16), (64, 16, 8, 8), (64, 32, 2, 2),
+                                   (7, 24, 4, 4), (64, 64)], ids=str)
+def test_sample_moments_equal_the_product_and_mean_ops_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+    gm = rng.standard_normal(shape[:2]).astype(dtype)
+    gv = rng.standard_normal(shape[:2]).astype(dtype)
+    got = _taped_moments(sample_moments, x, gm, gv)
+    ref = _taped_moments(_moments_through_mul_and_mean, x, gm, gv)
+    for a, b in zip(got, ref):
+        assert a.dtype == dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def test_sample_moments_keep_no_square_on_the_tape():
+    import tracemalloc
+
+    x = Tensor(np.random.default_rng(0).standard_normal((64, 16, 8, 8)).astype(np.float32),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        moments = sample_moments(x)  # held while measuring
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        ad._tape.clear()
+    # the centered input, and not its square as well
+    assert x.data.nbytes <= kept < 1.5 * x.data.nbytes
+    assert all(t.shape == (64, 16) for t in moments)
+
+
 def test_per_image_stats_hand_values():
     m, v = sample_moments(Tensor(np.array([[[[1.0, 3.0]]], [[[5.0, 5.0]]]])))
     np.testing.assert_allclose(m.data, [[2.0], [5.0]])

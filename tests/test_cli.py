@@ -234,7 +234,12 @@ def _as_version_1(m):
     (lambda m: m["layers"][0].update(pad=3),
      "bad.fdda: conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, "
      "got kernel 3, pad 3"),
-], ids=["version-1", "conv-pad-not-below-kernel"])
+    (lambda m: m["layers"][0].update(upsample=True, pad=0),
+     "bad.fdda: conv2d layer 'conv1' upsamples only with kernel 3 and pad 1, "
+     "got kernel 3, pad 0"),
+    (lambda m: m["layers"][0].update(upsample="yes"),
+     "bad.fdda: conv2d layer 'conv1' needs a boolean upsample, got 'yes'"),
+], ids=["version-1", "conv-pad-not-below-kernel", "upsample-pad-0", "upsample-not-bool"])
 def test_eval_of_unusable_archive_exits_2_with_one_line(pretrained, capsys, tmp_path, edit, match):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(model, tmp_path / "bad.fdda", edit)

@@ -288,10 +288,15 @@ def _shrink_array(name):
     (_edit_first("layers", kernel=0, pad=0),
      "conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, got kernel 0, pad 0"),
     (_edit_first("layers", pad=-1), "got kernel 3, pad -1"),
+    (_edit_first("layers", upsample=True, pad=0),
+     "conv2d layer 'conv1' upsamples only with kernel 3 and pad 1, got kernel 3, pad 0"),
+    (_edit_first("layers", upsample=True, kernel=5),
+     "conv2d layer 'conv1' upsamples only with kernel 3 and pad 1, got kernel 5, pad 1"),
+    (_edit_first("layers", upsample=1), "conv2d layer 'conv1' needs a boolean upsample, got 1"),
     (_edit_first("arrays", nbytes=2.5), "bad array entry"),
 ], ids=["list-manifest", "no-arrays", "bad-array-entry", "unknown-kind", "missing-param", "missing-buffer",
         "wrong-shape", "conv-pad-not-below-kernel", "conv-kernel-zero", "conv-pad-negative",
-        "float-nbytes"])
+        "upsample-pad-0", "upsample-kernel-5", "upsample-not-bool", "float-nbytes"])
 def test_archive_malformed_manifest_is_corrupt(saved_classifier, tmp_path, edit, match):
     bad = rewrite_manifest(saved_classifier, tmp_path / "bad.fdda", edit)
     with pytest.raises(ArchiveCorruptError, match=match):
@@ -501,8 +506,27 @@ def test_mutated_config_loads_or_raises_config_error(config_path, data):
     except ConfigError:
         return
     # what loads has the types of the defaults and survives the report's JSON round trip
-    assert _has_types_of(s.to_dict(), _BASE)
+    assert _loads_with_types_of_base(s)
     assert settings_from_dict(json.loads(json.dumps(s.to_dict()))) == s
+
+
+def test_null_classes_loads_as_every_class(config_path):
+    raw = json.loads(json.dumps(_BASE))
+    raw["classes"] = None
+    config_path.write_text(json.dumps(raw))
+    s = load_settings(config_path, {})
+    assert s.classes is None
+    assert _loads_with_types_of_base(s)
+
+
+def _loads_with_types_of_base(s) -> bool:
+    """Whether loaded settings have the types of `_BASE`. `classes` defaults
+    to None (every class); `_BASE` sets it only to type its entries, so None
+    fits it too."""
+    d = s.to_dict()
+    if d["classes"] is None:
+        d["classes"] = _BASE["classes"]
+    return _has_types_of(d, _BASE)
 
 
 def _has_types_of(value, default) -> bool:
