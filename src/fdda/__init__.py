@@ -2,7 +2,7 @@
 classifier, BN-statistics-aligned synthetic data from a conditional
 generator, and low-bit fine-tuning through a straight-through estimator."""
 
-from .autodiff import Tensor, backward, grad_check, no_grad
+from .autodiff import Tensor, backward, no_grad
 from .bns import (
     BnStats,
     ClassCentroids,
@@ -23,7 +23,7 @@ from .trainer import cosine_lr, evaluate, run_fdda, step_lr
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "backward", "grad_check", "no_grad",
+    "Tensor", "backward", "no_grad",
     "BnStats", "ClassCentroids", "DistortionParams",
     "alignment_loss", "collect_running_stats", "deep_layer_start", "distort",
     "per_class_moments", "per_image_bns",

@@ -1,14 +1,14 @@
 """Single-file model archive: a JSON manifest followed by little-endian
 float32 blobs. It holds what evaluating the model reads: the layer specs,
 parameters and BN running buffers and, for a quantized model, its
-quantization policy and activation quantizer bounds. All round-trip
-bitwise."""
+quantization policy and activation quantizer bounds. The policy is the only
+record of every bit-width. All round-trip bitwise."""
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .network import (
 from .quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
 
 MAGIC = b"FDA1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class ArchiveError(Exception):
@@ -79,17 +79,14 @@ def save_model(path, archive: ModelArchive | Network) -> None:
     }
 
     if archive.quant is not None:
-        p = archive.quant.policy
-        manifest["policy"] = {
-            "default_bits": p.default_bits,
-            "act_bits": p.act_bits,
-            "first_layer_bits": p.first_layer_bits,
-            "last_layer_bits": p.last_layer_bits,
-        }
-        manifest["act_quant"] = [
-            {"bits": q.bits, "lower": float(q.lower), "upper": float(q.upper)}
-            for q in archive.quant.act_params
-        ]
+        policy, acts = archive.quant.policy, archive.quant.act_params
+        n = quant_point_count(net)
+        if [q.bits for q in acts] != [policy.activation_bits(i, n) for i in range(n)]:
+            raise ValueError(f"cannot archive {len(acts)} activation quantizers at bit-widths "
+                             f"{[q.bits for q in acts]}: loading gives the {n} quantization points "
+                             f"the policy's, {[policy.activation_bits(i, n) for i in range(n)]}")
+        manifest["policy"] = asdict(policy)
+        manifest["act_quant"] = [{"lower": float(q.lower), "upper": float(q.upper)} for q in acts]
 
     manifest["arrays"] = arrays
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -126,24 +123,26 @@ def _check_state(path, values: dict[str, np.ndarray], layers) -> None:
 
 
 def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
-    """The quantizers of a quantized model: a policy and one activation
-    quantizer per quantization point of ``net``, both or neither, each
-    quantizer at the bit-width the policy gives its point. Raises KeyError,
-    TypeError or ValueError if malformed."""
+    """The quantizers of a quantized model: a policy and the bounds of one
+    activation quantizer per quantization point of ``net``, both or neither.
+    Each quantizer runs at the bit-width the policy gives its point. Raises
+    KeyError, TypeError or ValueError if malformed."""
     missing = [key for key in ("policy", "act_quant") if key not in manifest]
     if len(missing) == 2:
         return None
     if missing:
         raise ValueError(f"no {missing[0]!r} key")
     policy = QuantPolicy(**manifest["policy"])
-    act_quant = [QuantParams(q["bits"], q["lower"], q["upper"]) for q in manifest["act_quant"]]
+    bounds = manifest["act_quant"]
     n = quant_point_count(net)
-    if len(act_quant) != n:
-        raise ValueError(f"{len(act_quant)} quantizers for {n} quantization points")
-    for point, q in enumerate(act_quant):
-        if q.bits != policy.activation_bits(point, n):
-            raise ValueError(f"activation quantizer {point} has {q.bits} bits, "
-                             f"the policy gives {policy.activation_bits(point, n)}")
+    if len(bounds) != n:
+        raise ValueError(f"{len(bounds)} quantizers for {n} quantization points")
+    act_quant = []
+    for point, q in enumerate(bounds):
+        if not isinstance(q, dict) or q.keys() != {"lower", "upper"}:
+            raise ValueError(f"activation quantizer {point} is {q!r}, "
+                             f"expected exactly 'lower' and 'upper'")
+        act_quant.append(QuantParams(policy.activation_bits(point, n), q["lower"], q["upper"]))
     return FakeQuantRuntime(policy, act_quant)
 
 

@@ -48,7 +48,7 @@ more in page faults on first touch than the copies it saves.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -638,39 +635,3 @@ def kl_divergence(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
         return (g * (np.exp(logq) - p) / batch, None)
 
     return record_op(np.asarray(loss, dtype=student_logits.dtype), (student_logits, teacher_logits), bwd)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], h: float = 1e-3) -> float:
-    """Max relative error between taped gradients and central finite differences.
-
-    ``f`` must be a deterministic scalar-valued closure over ``params`` and
-    differentiable at the current parameter values (kinks such as relu(0) are
-    outside the contract). Run with float64 parameters: finite differences in
-    float32 are dominated by roundoff.
-    """
-    params = list(params)
-    for p in params:
-        p.grad = None
-    backward(f())
-    ad = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    max_rel = 0.0
-    with no_grad():
-        for p, g in zip(params, ad):
-            flat = p.data.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = float(f().data)
-                flat[i] = orig - h
-                fm = float(f().data)
-                flat[i] = orig
-                fd = (fp - fm) / (2.0 * h)
-                rel = abs(float(gflat[i]) - fd) / max(abs(fd), 1e-6)
-                max_rel = max(max_rel, rel)
-    return max_rel

@@ -102,7 +102,6 @@ class CalibrationSet:
 
     images: np.ndarray  # (M, C, H, W)
     labels: np.ndarray  # (M,) int64
-    num_classes: int
 
     def __post_init__(self):
         if len(np.unique(self.labels)) != len(self.labels):
@@ -126,5 +125,5 @@ def extract_calibration(train: LabeledImages, num_classes: int,
     if not images:
         c, h, w = train.images.shape[1:]
         return CalibrationSet(np.zeros((0, c, h, w), dtype=np.float32),
-                              np.zeros(0, dtype=np.int64), num_classes)
-    return CalibrationSet(np.stack(images), np.array(labels, dtype=np.int64), num_classes)
+                              np.zeros(0, dtype=np.int64))
+    return CalibrationSet(np.stack(images), np.array(labels, dtype=np.int64))

@@ -187,21 +187,6 @@ class Network:
         buffers = {k: v.copy() for k, v in self.buffers.items()}
         return Network(self.layers, params, buffers, dict(self.meta))
 
-    def astype(self, dtype) -> "Network":
-        params = {k: Tensor(v.data.astype(dtype), requires_grad=v.requires_grad)
-                  for k, v in self.params.items()}
-        buffers = {k: v.astype(dtype) for k, v in self.buffers.items()}
-        return Network(self.layers, params, buffers, dict(self.meta))
-
-    def state_equal(self, other: "Network") -> bool:
-        """Bitwise equality of all parameters and buffers."""
-        if set(self.params) != set(other.params) or set(self.buffers) != set(other.buffers):
-            return False
-        return all(np.array_equal(self.params[k].data, other.params[k].data)
-                   for k in self.params) and \
-               all(np.array_equal(self.buffers[k], other.buffers[k])
-                   for k in self.buffers)
-
 
 # ---------------------------------------------------------------------------
 # batch normalization
@@ -263,28 +248,24 @@ def forward(
     ``bn_inputs`` (``bns.sample_moments``), so losses built on them
     differentiate back to ``x``."""
     bn_inputs: list[Tensor] = []
-    weight_layers = net.weight_layers()
-    n_weights = len(weight_layers)
-    w_index = {id(l): i for i, l in enumerate(weight_layers)}
-    point = 0
+    n_weights = len(net.weight_layers())
+    weight = point = 0
 
     if quant is not None:
         x = quant.on_activation(x, point)
         point += 1
 
     for layer in net.layers:
-        if isinstance(layer, Dense):
+        if isinstance(layer, (Dense, Conv2d)):
             w = net.params[f"{layer.name}.w"]
             b = net.params[f"{layer.name}.b"]
             if quant is not None:
-                w = quant.on_weight(w, w_index[id(layer)], n_weights)
-            x = ad.dense(x, w, b)
-        elif isinstance(layer, Conv2d):
-            w = net.params[f"{layer.name}.w"]
-            b = net.params[f"{layer.name}.b"]
-            if quant is not None:
-                w = quant.on_weight(w, w_index[id(layer)], n_weights)
-            x = ad.conv2d(x, w, b, pad=layer.pad, upsample=layer.upsample)
+                w = quant.on_weight(w, weight, n_weights)
+            weight += 1
+            if isinstance(layer, Dense):
+                x = ad.dense(x, w, b)
+            else:
+                x = ad.conv2d(x, w, b, pad=layer.pad, upsample=layer.upsample)
         elif isinstance(layer, BatchNorm):
             if capture_bn:
                 bn_inputs.append(x)
@@ -296,13 +277,8 @@ def forward(
                 running_mean=net.buffers[f"{layer.name}.running_mean"],
                 running_var=net.buffers[f"{layer.name}.running_var"],
             )
-        elif isinstance(layer, ReLU):
-            x = ad.relu(x)
-            if quant is not None:
-                x = quant.on_activation(x, point)
-                point += 1
-        elif isinstance(layer, Tanh):
-            x = ad.tanh(x)
+        elif isinstance(layer, (ReLU, Tanh)):
+            x = ad.relu(x) if isinstance(layer, ReLU) else ad.tanh(x)
             if quant is not None:
                 x = quant.on_activation(x, point)
                 point += 1

@@ -204,7 +204,8 @@ def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
                 epoch: int) -> dict:
     """One epoch of per-step alternation: a generator update on its composite
     loss (when the run has a generator), then a quantized-model update on a
-    fresh mixed batch. Raises :class:`TrainingDiverged` on a non-finite loss."""
+    fresh mixed batch. Returns the epoch's report entry, its mean losses;
+    raises :class:`TrainingDiverged` on a non-finite loss."""
     lr_g = step_lr(cfg.lr_generator, epoch)
     lr_q = cosine_lr(cfg.lr_quantized, epoch, cfg.total_epochs)
     g_losses, q_losses = [], []
@@ -218,8 +219,6 @@ def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
         "epoch": epoch,
         "lossG": float(np.mean(g_losses)) if g_losses else None,
         "lossQ": float(np.mean(q_losses)),
-        "lossG_steps": g_losses,
-        "lossQ_steps": q_losses,
     }
 
 
@@ -228,7 +227,8 @@ def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
 # ---------------------------------------------------------------------------
 
 def pretrain_classifier(dataset: ToyDatasetSpec, epochs: int = 20,
-                        steps_per_epoch: int = 25, batch_size: int = 64,
+                        steps_per_epoch: int = TrainConfig.steps_per_epoch,
+                        batch_size: int = TrainConfig.batch_size,
                         lr: float = 1e-3, seed: int = 0,
                         ) -> tuple[Network, dict]:
     """Train the toy classifier from scratch; BN momentum updates leave the
@@ -273,7 +273,7 @@ def _resolve_calibration(settings: RunSettings, train: LabeledImages,
                 continue
             seen.add(int(label))
             keep.append(i)
-        calib = CalibrationSet(calib.images[keep], pred[keep], settings.dataset.num_classes)
+        calib = CalibrationSet(calib.images[keep], pred[keep])
     return calib, dropped
 
 
@@ -336,13 +336,9 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
 
     per_epoch = []
     for epoch in range(cfg.total_epochs):
-        metrics = train_epoch(state, cfg, settings, epoch)
-        per_epoch.append({
-            "epoch": epoch,
-            "lossG": metrics["lossG"],
-            "lossQ": metrics["lossQ"],
-            "acc": evaluate(q_net, test, quant=state.quant),
-        })
+        entry = train_epoch(state, cfg, settings, epoch)
+        entry["acc"] = evaluate(q_net, test, quant=state.quant)
+        per_epoch.append(entry)
     final_acc = per_epoch[-1]["acc"] if per_epoch else evaluate(q_net, test, quant=state.quant)
 
     report = {

@@ -10,6 +10,8 @@ from fdda import autodiff as ad
 from fdda.autodiff import Tensor
 from fdda.network import BN_EPS, BN_MOMENTUM, batchnorm_forward
 
+from helpers import grad_check
+
 
 def tensor64(arr, requires_grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
@@ -399,7 +401,7 @@ def test_backward_frees_the_tape_as_it_walks():
 
 def test_grad_check_quadratic_is_machine_exact():
     p = tensor64([1.0, -2.0, 0.5], requires_grad=True)
-    err = ad.grad_check(lambda: (p * p).sum(), [p], h=1e-3)
+    err = grad_check(lambda: (p * p).sum(), [p], h=1e-3)
     assert err < 1e-6
 
 
@@ -435,7 +437,7 @@ def test_grad_check_elementwise_ops(op_name):
     else:
         p = tensor64(rng.normal(size=(3, 2, 2)), requires_grad=True)
         f = lambda: (p.mean(axis=(0, 2)) * p.mean(axis=(0, 2))).sum()
-    assert ad.grad_check(f, [p], h=1e-4) < 1e-6
+    assert grad_check(f, [p], h=1e-4) < 1e-6
 
 
 def test_grad_check_conv_and_dense():
@@ -452,17 +454,17 @@ def test_grad_check_conv_and_dense():
         out = ad.dense(h, dw, db)
         return (out * out).sum()
 
-    assert ad.grad_check(f, [x, w, b, dw, db], h=1e-4) < 1e-6
+    assert grad_check(f, [x, w, b, dw, db], h=1e-4) < 1e-6
 
 
 def test_grad_check_softmax_ce_and_kl():
     rng = np.random.default_rng(11)
     logits = tensor64(rng.normal(size=(4, 5)), requires_grad=True)
     labels = np.array([0, 3, 2, 4])
-    assert ad.grad_check(lambda: ad.softmax_cross_entropy(logits, labels), [logits], h=1e-4) < 1e-6
+    assert grad_check(lambda: ad.softmax_cross_entropy(logits, labels), [logits], h=1e-4) < 1e-6
 
     teacher = tensor64(rng.normal(size=(4, 5)))
-    assert ad.grad_check(lambda: ad.kl_divergence(logits, teacher), [logits], h=1e-4) < 1e-6
+    assert grad_check(lambda: ad.kl_divergence(logits, teacher), [logits], h=1e-4) < 1e-6
 
 
 def test_grad_check_batchnorm_both_paths():
@@ -478,7 +480,7 @@ def test_grad_check_batchnorm_both_paths():
         y = batchnorm_forward(x, gam, bet, train=True, running_mean=rm, running_var=rv)
         return (y * y * y).sum()
 
-    assert ad.grad_check(f, [x, gam, bet], h=1e-4) < 1e-6
+    assert grad_check(f, [x, gam, bet], h=1e-4) < 1e-6
 
 
 def test_grad_check_batchnorm_eval_mode():
@@ -495,7 +497,7 @@ def test_grad_check_batchnorm_eval_mode():
         )
         return (y * y).sum()
 
-    assert ad.grad_check(f, [x, gam, bet], h=1e-4) < 1e-6
+    assert grad_check(f, [x, gam, bet], h=1e-4) < 1e-6
 
 
 def test_finite_outputs_through_composite_net():

@@ -26,6 +26,8 @@ from fdda.data import CalibrationSet, ToyDatasetSpec, extract_calibration, make_
 from fdda.models import build_toy_classifier
 from fdda.network import BN_EPS, forward
 
+from helpers import detach, grad_check
+
 # float32 tolerance of the moment reductions against the numpy references
 # below, for values of order 1 (measured error: about 3e-7 relative)
 F32 = dict(rtol=1e-6, atol=1e-6)
@@ -119,7 +121,7 @@ def test_train_mode_capture_records_bn_inputs_on_the_tape():
     x = Tensor(rng.uniform(-1, 1, size=(4, 1, 16, 16)).astype(np.float32), requires_grad=True)
     cap = forward(net, x, train=True, capture_bn=True)
     assert [t.shape[1] for t in cap.bn_inputs] == _bn_channels(net)
-    conv1 = ad.conv2d(x.detach(), net.params["conv1.w"], net.params["conv1.b"], pad=1)
+    conv1 = ad.conv2d(detach(x), net.params["conv1.w"], net.params["conv1.b"], pad=1)
     np.testing.assert_array_equal(cap.bn_inputs[0].data, conv1.data)
     m, v = sample_moments(cap.bn_inputs[-1])
     ad.backward(m.sum() + v.sum())
@@ -253,7 +255,7 @@ def test_per_image_equals_batchnorm_batch_stats():
         cap = forward(net, Tensor(img), train=False, capture_bn=True)
         for l, (x_in, c) in enumerate(zip(cap.bn_inputs, _bn_channels(net))):
             _, bm, bv = ad.batchnorm_train(
-                x_in.detach(), Tensor(np.ones(c)), Tensor(np.zeros(c)), BN_EPS)
+                detach(x_in), Tensor(np.ones(c)), Tensor(np.zeros(c)), BN_EPS)
             np.testing.assert_allclose(stats.means[l][0], bm, atol=1e-6)
             np.testing.assert_allclose(stats.variances[l][0], bv, atol=1e-6)
 
@@ -310,7 +312,7 @@ def test_group_moments_gradient_matches_finite_differences():
         m, v = group_moments(*sample_moments(x), groups, 2)
         return (m * Tensor(wm)).sum() + (v * Tensor(wv)).sum()
 
-    assert ad.grad_check(loss, [x], h=1e-5) < 1e-6
+    assert grad_check(loss, [x], h=1e-5) < 1e-6
     assert np.all(x.grad[2] == 0.0)  # the sample in no group
 
 
@@ -359,7 +361,7 @@ def test_centroid_rows_follow_sorted_classes():
     # calibration labels out of order, as predicted labels may be
     net = build_toy_classifier(seed=1)
     calib = _calib_subset([0, 2, 5])
-    shuffled = CalibrationSet(calib.images[[2, 0, 1]], np.array([7, 1, 4]), 8)
+    shuffled = CalibrationSet(calib.images[[2, 0, 1]], np.array([7, 1, 4]))
     cen = build_class_centroids(net, shuffled, deep_start=2)
     assert cen.classes == (1, 4, 7)
     stats = per_image_bns(net, shuffled.images)
@@ -591,18 +593,18 @@ def test_loss_gradients_match_finite_differences():
     running = BnStats((rng.normal(size=3),), (rng.uniform(0.5, 2, size=3),))
     m = t64(rng.normal(size=3), rg=True)
     v = t64(rng.uniform(0.5, 2, size=3), rg=True)
-    assert ad.grad_check(lambda: alignment_loss([(m, v)], running), [m, v], h=1e-4) < 1e-6
+    assert grad_check(lambda: alignment_loss([(m, v)], running), [m, v], h=1e-4) < 1e-6
 
     cen = _simple_centroids(deep_start=1, layer_count=1, channels=3, classes=(0,))
 
     def stats():  # the reshapes go on the tape of each call
         return [(m.reshape((1, 3)), v.reshape((1, 3)))], _targets(cen)
 
-    assert ad.grad_check(lambda: cbns(stats()), [m, v], h=1e-4) < 1e-6
+    assert grad_check(lambda: cbns(stats()), [m, v], h=1e-4) < 1e-6
 
     d = DistortionParams(0.5, 1.0)
     # frozen draw: rebuild the rng inside the closure so FD sees one function
-    assert ad.grad_check(
+    assert grad_check(
         lambda: dbns(stats(), d, np.random.default_rng(5)), [m, v], h=1e-4
     ) < 1e-6
 

@@ -6,10 +6,12 @@ import struct
 
 import pytest
 
-from fdda import trainer
+from fdda import cli, trainer
 from fdda.archive import load_model
 from fdda.cli import main
 from fdda.data import ToyDatasetSpec
+
+from helpers import state_equal
 
 
 @pytest.fixture(scope="module")
@@ -206,20 +208,26 @@ def test_eval_of_archive_with_one_quantizer_key_exits_2_with_one_line(
     assert len(err.strip().splitlines()) == 1 and out == ""
 
 
-def test_eval_of_archive_whose_activation_bits_disagree_with_its_policy_exits_2(
-        pretrained, capsys, tmp_path):
+def test_eval_runs_the_activation_bits_of_the_archived_policy(
+        pretrained, capsys, tmp_path, monkeypatch):
     root, cfg, model = pretrained
     out_dir = tmp_path / "w3a3"
     assert main(["quantize", "--config", str(cfg), "--model", str(model), "--out", str(out_dir),
                  "--wbits", "3", "--abits", "3", "--warmup", "0", "--epochs", "1"]) == 0
-    capsys.readouterr()
-    bad = _rewrite_manifest(out_dir / "quantized.fdda", tmp_path / "bad.fdda",
-                            lambda m: [q.update(bits=8) for q in m["act_quant"]])
-    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error:") and "has 8 bits, the policy gives 3" in err
-    assert len(err.strip().splitlines()) == 1 and out == ""
+    a8 = _rewrite_manifest(out_dir / "quantized.fdda", tmp_path / "a8.fdda",
+                           lambda m: m["policy"].update(act_bits=8))
+    ran = []
+
+    def evaluate(net, data, quant=None):
+        ran.append([q.bits for q in quant.act_params])
+        return trainer.evaluate(net, data, quant=quant)
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    for archive in (out_dir / "quantized.fdda", a8):
+        assert main(["eval", "--config", str(cfg), "--model", str(archive)]) == 0
+    n = len(_manifest(a8)["act_quant"])
+    assert ran == [[3] * n, [8] * n]
+    assert capsys.readouterr().err == ""
 
 
 def _as_version_1(m):
@@ -230,7 +238,7 @@ def _as_version_1(m):
 
 
 @pytest.mark.parametrize("edit,match", [
-    (_as_version_1, "format version 1, expected 4"),
+    (_as_version_1, "format version 1, expected 5"),
     (lambda m: m["layers"][0].update(pad=3),
      "bad.fdda: conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, "
      "got kernel 3, pad 3"),
@@ -248,6 +256,25 @@ def test_eval_of_unusable_archive_exits_2_with_one_line(pretrained, capsys, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["float", "quantized"])
+def test_eval_of_version_4_archive_exits_2_with_one_line(
+        pretrained, quantized, capsys, tmp_path, kind):
+    root, cfg, model = pretrained
+
+    def as_version_4(m):
+        m["version"] = 4
+        for q in m.get("act_quant", []):
+            q["bits"] = m["policy"]["default_bits"]
+
+    bad = _rewrite_manifest(model if kind == "float" else quantized, tmp_path / "v4.fdda",
+                            as_version_4)
+    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "v4.fdda: format version 4, expected 5" in err
+    assert len(err.strip().splitlines()) == 1 and out == ""
 
 
 def test_config_with_bn_momentum_exits_2(pretrained, capsys, tmp_path):
@@ -442,7 +469,7 @@ def test_pretrain_trains_with_the_config_training_step(tmp_path):
     spec = ToyDatasetSpec(**dataset)
     configured, _ = trainer.pretrain_classifier(spec, epochs=1, steps_per_epoch=2, batch_size=8)
     default, _ = trainer.pretrain_classifier(spec, epochs=1)
-    assert net.state_equal(configured) and not net.state_equal(default)
+    assert state_equal(net, configured) and not state_equal(net, default)
 
 
 @pytest.mark.parametrize("command", ["pretrain", "quantize"])

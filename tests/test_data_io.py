@@ -29,6 +29,8 @@ from fdda.models import build_toy_classifier
 from fdda.network import quant_point_count
 from fdda.quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
 
+from helpers import state_equal
+
 
 # ---------------------------------------------------------------------------
 # toy dataset
@@ -113,7 +115,7 @@ def test_calibration_missing_class_errors():
 
 def test_calibration_unique_labels_enforced():
     with pytest.raises(ValueError):
-        CalibrationSet(np.zeros((2, 1, 4, 4), np.float32), np.array([1, 1]), 8)
+        CalibrationSet(np.zeros((2, 1, 4, 4), np.float32), np.array([1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def test_archive_roundtrip_bitwise(tmp_path):
     path = tmp_path / "f.fdda"
     save_model(path, net)
     loaded = load_model(path).network
-    assert loaded.state_equal(net)
+    assert state_equal(loaded, net)
     assert [type(l) for l in loaded.layers] == [type(l) for l in net.layers]
     assert loaded.meta == net.meta
     assert loaded.bn_layer_count == net.bn_layer_count
@@ -184,7 +186,7 @@ def test_version_1_archive_is_rejected(saved_classifier, tmp_path):
         return m
 
     old = rewrite_manifest(saved_classifier, tmp_path / "v1.fdda", as_version_1)
-    with pytest.raises(ArchiveVersionError, match="format version 1, expected 4"):
+    with pytest.raises(ArchiveVersionError, match="format version 1, expected 5"):
         load_model(old)
 
 
@@ -197,7 +199,7 @@ def _as_version_2(m):
 
 def test_version_2_archive_is_rejected(saved_quantized, tmp_path):
     old = rewrite_manifest(saved_quantized, tmp_path / "v2.fdda", _as_version_2)
-    with pytest.raises(ArchiveVersionError, match="format version 2, expected 4"):
+    with pytest.raises(ArchiveVersionError, match="format version 2, expected 5"):
         load_model(old)
 
 
@@ -212,19 +214,39 @@ def _as_version_3(m):
 
 def test_version_3_archive_is_rejected(saved_quantized, tmp_path):
     old = rewrite_manifest(saved_quantized, tmp_path / "v3.fdda", _as_version_3)
-    with pytest.raises(ArchiveVersionError, match="format version 3, expected 4"):
+    with pytest.raises(ArchiveVersionError, match="format version 3, expected 5"):
+        load_model(old)
+
+
+def _as_version_4(m):
+    """A format-4 manifest: each activation quantizer also stores its
+    bit-width, which format 5 takes from the policy."""
+    m["version"] = 4
+    for point, q in enumerate(m.get("act_quant", [])):
+        q["bits"] = QuantPolicy(**m["policy"]).activation_bits(point, len(m["act_quant"]))
+    return m
+
+
+@pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
+def test_version_4_archive_is_rejected(request, tmp_path, archive):
+    old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v4.fdda", _as_version_4)
+    with pytest.raises(ArchiveVersionError, match="format version 4, expected 5"):
         load_model(old)
 
 
 def test_manifest_has_no_bn_layer_count(saved_classifier):
-    raw = saved_classifier.read_bytes()
-    (mlen,) = struct.unpack("<I", raw[4:8])
-    assert "bn_layer_count" not in json.loads(raw[8 : 8 + mlen])
+    assert "bn_layer_count" not in _manifest(saved_classifier)
 
 
 def test_archive_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "nope.fdda")
+
+
+def _manifest(path):
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    return json.loads(raw[8 : 8 + mlen])
 
 
 def rewrite_manifest(src, dst, edit):
@@ -331,12 +353,18 @@ def _edit_section(name, change):
      "bad quantizers .*bounds must be finite"),
     (_edit_section("act_quant", lambda q: q[0].update(lower=-10**400)),
      "bad quantizers"),
-    (_edit_section("act_quant", lambda q: q[2].update(bits=100000)),
-     "bad quantizers .*bit-width must be an integer in \\[2, 8\\], got 100000"),
-    (_edit_section("act_quant", lambda q: q[2].update(bits=2.5)),
-     "bad quantizers .*bit-width must be an integer in \\[2, 8\\], got 2.5"),
+    (_edit_section("policy", lambda p: p.update(act_bits=100000)),
+     "bad quantizers .*act_bits must be an integer in \\[2, 8\\], got 100000"),
+    (_edit_section("policy", lambda p: p.update(act_bits=2.5)),
+     "bad quantizers .*act_bits must be an integer in \\[2, 8\\], got 2.5"),
+    (_edit_section("act_quant", lambda q: q[2].update(bits=4)),
+     "bad quantizers .*activation quantizer 2 is .*, expected exactly 'lower' and 'upper'"),
+    (_edit_section("act_quant", lambda q: q[5].pop("upper")),
+     "bad quantizers .*activation quantizer 5 is .*, expected exactly 'lower' and 'upper'"),
+    (_edit_section("act_quant", lambda q: q.__setitem__(1, [-1.0, 1.0])),
+     "bad quantizers .*activation quantizer 1 is \\[-1.0, 1.0\\]"),
 ], ids=["unknown-policy-key", "float-policy-bits", "short-act-quant", "inverted-bounds", "nan-bound", "huge-int-bound",
-        "huge-bits", "float-bits"])
+        "huge-bits", "float-bits", "leftover-bits", "no-upper", "list-entry"])
 def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path, edit, match):
     load_model(saved_quantized)  # the unedited archive loads
     bad = rewrite_manifest(saved_quantized, tmp_path / "bad.fdda", edit)
@@ -344,19 +372,31 @@ def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path
         load_model(bad)
 
 
-def test_archive_whose_activation_bits_disagree_with_its_policy_is_corrupt(tmp_path):
-    # a W3A3 archive with every activation quantizer rewritten to 8 bits
-    # would otherwise evaluate at 8-bit activations
+def test_archived_activation_bits_come_from_the_policy(tmp_path):
     net = build_toy_classifier(seed=7)
-    act = [QuantParams(3, -1.0, 1.0)] * quant_point_count(net)
+    points = quant_point_count(net)
+    act = [QuantParams(3, -1.0, 1.0)] * points
     path = tmp_path / "q.fdda"
     save_model(path, ModelArchive(net, FakeQuantRuntime(QuantPolicy(default_bits=3, act_bits=3), act)))
-    load_model(path)
-    bad = rewrite_manifest(path, tmp_path / "bad.fdda",
-                           _edit_section("act_quant", lambda qs: [q.update(bits=8) for q in qs]))
-    with pytest.raises(ArchiveCorruptError,
-                       match="bad quantizers .*activation quantizer 0 has 8 bits, the policy gives 3"):
-        load_model(bad)
+    assert all(set(q) == {"lower", "upper"} for q in _manifest(path)["act_quant"])
+    assert [q.bits for q in load_model(path).quant.act_params] == [3] * points
+    edited = rewrite_manifest(path, tmp_path / "a8.fdda",
+                              _edit_section("policy", lambda p: p.update(act_bits=8, last_layer_bits=5)))
+    back = load_model(edited).quant.act_params
+    assert [q.bits for q in back] == [8] * (points - 1) + [5]
+    assert [(q.lower, q.upper) for q in back] == [(-1.0, 1.0)] * points
+
+
+@pytest.mark.parametrize("bits,count", [(8, 0), (3, -1), (3, 1)],
+                         ids=["wrong-bits", "one-too-few", "one-too-many"])
+def test_quantizers_whose_bits_differ_from_the_policy_cannot_be_archived(tmp_path, bits, count):
+    # the archive stores no activation bit-width, so these could not load back
+    net = build_toy_classifier(seed=7)
+    act = [QuantParams(bits, -1.0, 1.0)] * (quant_point_count(net) + count)
+    path = tmp_path / "q.fdda"
+    with pytest.raises(ValueError, match="cannot archive .* activation quantizers"):
+        save_model(path, ModelArchive(net, FakeQuantRuntime(QuantPolicy(default_bits=3), act)))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("missing", ["act_quant", "policy"])

@@ -17,6 +17,8 @@ from fdda.autodiff import Tensor
 from fdda.models import build_generator, build_toy_classifier
 from fdda.network import Conv2d, layer_from_dict, layer_to_dict
 
+from helpers import grad_check
+
 F32_EPS = float(np.finfo(np.float32).eps)
 
 
@@ -248,7 +250,7 @@ def test_upsample_conv_gradients_match_finite_differences():
         out = ad.conv2d(x, w, b, pad=1, upsample=True)
         return (out * out * g).sum()
 
-    assert ad.grad_check(f, [x, w, b], h=1e-4) < 1e-6
+    assert grad_check(f, [x, w, b], h=1e-4) < 1e-6
 
 
 @pytest.mark.parametrize("weight_grad", [False, True])

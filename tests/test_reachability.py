@@ -16,14 +16,10 @@ PACKAGE_DIR = Path(fdda.__file__).parent
 
 # qualified name -> why no command calls it
 ALLOWED = {
-    "autodiff.grad_check": "the finite-difference reference of the gradient tests",
     "autodiff.tape_size": "read by the benchmark's tracing of backward",
-    "autodiff.Tensor.sum": "tests sum a tensor to a scalar loss",
-    "autodiff.sum_": "Tensor.sum's op",
-    "autodiff.Tensor.detach": "tests cut a tensor off the tape",
     "autodiff.Tensor.__repr__": "debugging output",
-    "network.Network.astype": "tests build float64 copies for gradient checks",
-    "network.Network.state_equal": "tests compare archived networks",
+    "autodiff.Tensor.sum": "the benchmark's layer-attribution test sums logits to a scalar loss",
+    "autodiff.sum_": "Tensor.sum's op",
 }
 
 

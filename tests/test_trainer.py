@@ -37,6 +37,8 @@ from fdda.trainer import (
     warmup_generator,
 )
 
+from helpers import astype
+
 
 # ---------------------------------------------------------------------------
 # lr schedule
@@ -206,10 +208,17 @@ def test_warmup_deterministic_given_seed(world):
         assert np.array_equal(s1.g_net.params[k].data, s2.g_net.params[k].data)
 
 
-def test_train_epoch_keeps_teacher_frozen_and_metrics_finite(world):
+def test_train_epoch_keeps_teacher_frozen_and_metrics_finite(world, monkeypatch):
     f = world[0]
     settings = tiny_settings()
     state = make_state(world, settings)
+    assert state.g_net is not None
+    calls = {"_generator_step": 0, "_quantized_step": 0}
+    for name in calls:
+        def counted(*args, _step=getattr(trainer, name), _name=name):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(trainer, name, counted)
     before = {k: p.data.copy() for k, p in f.params.items()}
     buf_before = {k: v.copy() for k, v in f.buffers.items()}
     metrics = train_epoch(state, settings.train, settings, epoch=0)
@@ -217,9 +226,13 @@ def test_train_epoch_keeps_teacher_frozen_and_metrics_finite(world):
         assert np.array_equal(before[k], f.params[k].data)
     for k in buf_before:
         assert np.array_equal(buf_before[k], f.buffers[k])
-    assert all(np.isfinite(v) for v in metrics["lossG_steps"])
-    assert all(np.isfinite(v) for v in metrics["lossQ_steps"])
-    assert len(metrics["lossQ_steps"]) == settings.train.steps_per_epoch
+    # one generator and one quantized-model step per step of the epoch
+    assert calls == {"_generator_step": settings.train.steps_per_epoch,
+                     "_quantized_step": settings.train.steps_per_epoch}
+    # train_epoch raises TrainingDiverged on any non-finite step, so having
+    # returned, every step was finite; it returns the epoch's report entry
+    assert set(metrics) == {"epoch", "lossG", "lossQ"} and metrics["epoch"] == 0
+    assert metrics["lossG"] is not None
 
 
 def test_zero_lr_and_zero_weights_change_nothing(world):
@@ -417,7 +430,7 @@ def test_bias_and_bn_follow_pure_gradient_trajectory():
 def test_missing_class_changes_only_its_own_terms(world):
     # removing class c's centroid changes the loss by exactly c's centroid
     # contribution (verified in float64 with a frozen noise draw)
-    f64 = world[0].astype(np.float64)
+    f64 = astype(world[0], np.float64)
     f64.set_requires_grad(False)
     train, _ = make_toy_dataset(SPEC)
     calib = extract_calibration(train, 8)
@@ -427,7 +440,7 @@ def test_missing_class_changes_only_its_own_terms(world):
     cen_wo = build_class_centroids(
         f64, extract_calibration(train, 8, [c for c in range(8) if c != drop]), K)
 
-    g = build_generator(seed=1).astype(np.float64)
+    g = astype(build_generator(seed=1), np.float64)
     labels = sample_labels(8, 32, np.random.default_rng(2))
     with ad.no_grad():
         images = generate(g, labels, np.random.default_rng(3))
