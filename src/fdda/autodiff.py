@@ -16,33 +16,44 @@ and eval-mode batch norm keeps its normalized input only for a gamma
 gradient. A pass through a frozen network, such as the teacher in a
 generator step, therefore keeps its activations but not those arrays.
 
-The conv and pooling kernels avoid numpy's slow copies and multi-axis
-reductions, but they keep numpy's order of floating-point additions on
-purpose: each returns the same bits as the plain formula it replaces (a
-sliding-window im2col, ``reshape(...).mean`` over the block axes), so seeded
-runs stay byte-identical. The tests keep those formulas as references.
+Layout: a conv writes its output batch-innermost, with logical shape
+(N, C, H, W) and (C, H, W, N) in memory. Elementwise ops keep their inputs'
+layout, and the ops that write a gradient array themselves (``avg_pool2d``,
+``mean``, ``sum_``, ``reshape`` and the phase-grid interleaving below) write
+it in their input's layout, so every array a conv reads after a network's
+first conv is batch-innermost. ``reshape`` returns a C-contiguous array,
+copying when its input is not. The conv's im2col copies its input once into
+a zero-padded (C, H + 2*pad, W + 2*pad, N) buffer, then each of the k*k
+taps out of it into the (C*k*k, Ho*Wo*N) column matrix as runs of Wo*N
+floats; the GEMM's (O, Ho*Wo*N) result is the output with no copy.
 
-The one exception is the conv on a 2x-upsampled input,
-``conv2d(x, w, b, pad=1, upsample=True)``. It never builds the upsampled
-map: a 3x3 kernel on it reads only a 2x2 window of x for each output parity,
-so it runs one 2x2 conv of x with the four parities' kernels stacked as
-4*O output channels, and interleaves their outputs. Each 2x2 tap is the sum
-of the 3x3 taps that read the same pixel of x. Merging taps before the GEMM
-adds the same products in another order, so results differ from the
-upsample-then-conv formula by rounding, by at most 1e-5 times the largest
-entry of the output or gradient in float32 (about 7e-7 measured) and 1e-12
-times in float64. The bias gradient is equal bit for bit.
+Numerics: the forward and input-gradient GEMMs keep the plain formula's sum
+over C*k*k for each output value and only permute the columns, so outputs
+and input gradients equal a sliding-window im2col's bit for bit. (OpenBLAS
+computes the last column-count mod 16 columns with another kernel; every
+model conv's GEMMs have a multiple of 16 columns.) ``avg_pool2d`` adds width
+first, then height, the order of ``reshape(...).mean`` over the block axes
+of a C-contiguous array, whatever its input's layout. What adds in another
+order than a channel-major layout did: the conv weight gradient, whose GEMM
+sums its N*Ho*Wo products in (Ho, Wo, N) column order, and numpy's
+reductions over the batch and spatial axes of a batch-innermost array (the
+conv bias gradient, batch-norm statistics and their gradients), which
+follow memory order. The tests keep the plain formulas as references.
+
+The conv on a 2x-upsampled input, ``conv2d(x, w, b, pad=1,
+upsample=True)``, never builds the upsampled map: a 3x3 kernel on it reads
+only a 2x2 window of x for each output parity, so it runs one 2x2 conv of x
+with the four parities' kernels stacked as 4*O output channels, and
+interleaves their outputs. Each 2x2 tap is the sum of the 3x3 taps that read
+the same pixel of x. Merging taps before the GEMM adds the same products in
+another order, so results differ from the upsample-then-conv formula by
+rounding, by at most 1e-5 times the largest entry of the output or gradient
+in float32 (about 7e-7 measured) and 1e-12 times in float64. The bias
+gradient is equal bit for bit.
 
 The conv moves its window one pixel at a time, with a square k x k kernel
 and 0 <= pad < k: that is all the models use, and it keeps the input
-gradient a cross-correlation too. Its im2col fills the ``(C*k*k, N*Ho*Wo)``
-column matrix in two stages. For each column tap j, one
-``(C, N, H + 2*pad, Wo)`` buffer receives the input shifted by j, with only
-its padding zeroed; the k row taps are then copied out of it as contiguous
-``Ho*Wo`` blocks, instead of k*k copies whose inner loops are only Wo long.
-The matrix, and so the GEMM, is unchanged. The buffer is reused by every tap
-on purpose: a buffer k times larger, holding all column taps at once, costs
-more in page faults on first touch than the copies it saves.
+gradient a cross-correlation too.
 """
 
 from __future__ import annotations
@@ -253,21 +264,31 @@ def tanh(a: Tensor) -> Tensor:
     return record_op(out_data, (a,), bwd)
 
 
+def _filled_like(a: np.ndarray, values) -> np.ndarray:
+    """A new array in a's memory layout holding ``values`` broadcast to a's
+    shape: a gradient that keeps its input's layout, so no channel-major
+    gradient reaches a conv."""
+    out = np.empty_like(a)
+    out[...] = values
+    return out
+
+
 def reshape(a: Tensor, shape) -> Tensor:
+    """a's values in row-major order, reshaped. The result is C-contiguous,
+    a copy when a is not, so a reduction over its trailing axes adds in the
+    same order whatever a's memory layout."""
     shape = tuple(shape)
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (_filled_like(a.data, g.reshape(a.shape)),)
 
-    return record_op(a.data.reshape(shape), (a,), bwd)
+    return record_op(np.ascontiguousarray(a.data).reshape(shape), (a,), bwd)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk, a.shape).copy(),)
+        gk = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (_filled_like(a.data, gk),)
 
     return record_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -282,11 +303,8 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             count *= a.shape[ax]
 
     def bwd(g):
-        if axis is None:
-            gk = g
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk / count, a.shape).copy(),)
+        gk = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (_filled_like(a.data, gk / count),)
 
     return record_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -349,37 +367,26 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col(x: np.ndarray, k: int, pad: int):
-    # x: (N, C, H, W) -> (C*k*k, N*Ho*Wo), a single-GEMM layout
+    # x: (N, C, H, W) in any layout -> (C*k*k, Ho*Wo*N), a single-GEMM layout
     n, c, h, w = x.shape
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    xc = x.transpose(1, 0, 2, 3)  # channel-major, so each tap fills one row block
-    cols = np.empty((c, k, k, n, ho, wo), dtype=x.dtype)
-    # one shift buffer, reused by every column tap: rows keep their padding,
-    # columns are already the tap's output columns
-    shifted = np.empty((c, n, h + 2 * pad, wo), dtype=x.dtype)
-    shifted[:, :, :pad] = 0
-    shifted[:, :, pad + h :] = 0
-    body = shifted[:, :, pad : pad + h]
-    for j in range(k):
-        # output column q reads input column q + j - pad
-        lo = min(wo, max(0, pad - j))
-        hi = max(lo, min(wo, w + pad - j))
-        body[..., :lo] = 0
-        body[..., hi:] = 0
-        body[..., lo:hi] = xc[..., lo + j - pad : hi + j - pad]
-        for i in range(k):
-            cols[:, i, j] = shifted[:, :, i : i + ho]
-    return cols.reshape(c * k * k, n * ho * wo), ho, wo
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
+    cols = np.empty((c, k, k, ho, wo, n), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = padded[:, i : i + ho, j : j + wo]
+    return cols.reshape(c * k * k, ho * wo * n), ho, wo
 
 
 def _conv_raw(x: np.ndarray, w: np.ndarray, pad: int):
-    """Cross-correlation on raw arrays; returns (out (N,O,Ho,Wo), cols)."""
-    n, c = x.shape[:2]
-    o, _, k, _ = w.shape
+    """Cross-correlation on raw arrays; returns (out, cols), out (N,O,Ho,Wo)
+    laid out (O, Ho, Wo, N) in memory."""
+    n = x.shape[0]
+    o, c, k, _ = w.shape
     cols, ho, wo = _im2col(x, k, pad)
-    out_mat = w.reshape(o, c * k * k) @ cols  # (O, N*Ho*Wo)
-    out = out_mat.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
-    return out, cols
+    out = (w.reshape(o, c * k * k) @ cols).reshape(o, ho, wo, n)
+    return out.transpose(3, 0, 1, 2), cols
 
 
 # An output row of parity a (0 even, 1 odd) on a 2x-upsampled axis reads, with
@@ -408,28 +415,28 @@ def _fold_phase_kernels(gp: np.ndarray) -> np.ndarray:
 
 
 def _interleave(phases: np.ndarray) -> np.ndarray:
-    """(N, 4*O, H+1, W+1) phase grid -> (N, O, 2H, 2W), laid out channel-major."""
+    """(N, 4*O, H+1, W+1) phase grid -> (N, O, 2H, 2W), laid out batch-innermost."""
     n, o4, h1, w1 = phases.shape
     o, h, w = o4 // 4, h1 - 1, w1 - 1
-    grid = phases.transpose(1, 0, 2, 3).reshape(2, 2, o, n, h1, w1)
-    out = np.empty((o, n, 2 * h, 2 * w), dtype=phases.dtype)
+    grid = phases.transpose(1, 2, 3, 0).reshape(2, 2, o, h1, w1, n)
+    out = np.empty((o, 2 * h, 2 * w, n), dtype=phases.dtype)
     for a in range(2):
         for e in range(2):
-            out[:, :, a::2, e::2] = grid[a, e, :, :, a : a + h, e : e + w]
-    return out.transpose(1, 0, 2, 3)
+            out[:, a::2, e::2] = grid[a, e, :, a : a + h, e : e + w]
+    return out.transpose(3, 0, 1, 2)
 
 
 def _deinterleave(g: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`_interleave`: (N, O, 2H, 2W) -> (N, 4*O, H+1, W+1),
-    zero where no output reads the phase grid."""
+    laid out batch-innermost, zero where no output reads the phase grid."""
     n, o, h2, w2 = g.shape
     h, w = h2 // 2, w2 // 2
-    gc = g.transpose(1, 0, 2, 3)
-    grid = np.zeros((2, 2, o, n, h + 1, w + 1), dtype=g.dtype)
+    gt = g.transpose(1, 2, 3, 0)
+    grid = np.zeros((2, 2, o, h + 1, w + 1, n), dtype=g.dtype)
     for a in range(2):
         for e in range(2):
-            grid[a, e, :, :, a : a + h, e : e + w] = gc[:, :, a::2, e::2]
-    return grid.reshape(4 * o, n, h + 1, w + 1).transpose(1, 0, 2, 3)
+            grid[a, e, :, a : a + h, e : e + w] = gt[:, a::2, e::2]
+    return grid.reshape(4 * o, h + 1, w + 1, n).transpose(3, 0, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0,
@@ -440,7 +447,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0,
     With ``upsample`` (kernel 3, pad 1 only) the input is first upsampled 2x
     by nearest neighbour. That runs as a sub-pixel conv on x itself: a 2x2
     kernel per output parity at pad 1, interleaved into the (N, O, 2H, 2W)
-    output."""
+    output. The output is laid out batch-innermost, (O, Ho, Wo, N) in
+    memory, whatever x's layout."""
     n, c, h, wd = x.shape
     o, cw, k, kw = w.shape
     if cw != c:
@@ -460,7 +468,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0,
     if not w.requires_grad:
         cols = None  # only the weight gradient reads the column matrix
     if b is not None:
-        out = out + b.data.reshape(1, o, 1, 1)
+        out += b.data.reshape(1, o, 1, 1)  # out is this op's own array
 
     inputs = (x, w) if b is None else (x, w, b)
 
@@ -474,7 +482,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0,
             w_t = np.ascontiguousarray(kern.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
             gx, _ = _conv_raw(gk, w_t, kk - 1 - kpad)
         if w.requires_grad:
-            g_mat = gk.transpose(1, 0, 2, 3).reshape(ko, -1)
+            g_mat = gk.transpose(1, 2, 3, 0).reshape(ko, -1)
             # the transpose of g_mat @ cols.T: the same bits on OpenBLAS, and
             # about twice as fast when O is small (the GEMM's M and N swap)
             gw = (cols @ g_mat.T).T.reshape(kern.shape)
@@ -491,7 +499,8 @@ def _block_sum(x: np.ndarray, k: int) -> np.ndarray:
     """Sum over non-overlapping k x k spatial blocks of (N, C, H, W).
 
     Adds along width first, then height: the order in which
-    ``x.reshape(n, c, h // k, k, w // k, k).sum(axis=(3, 5))`` reduces.
+    ``x.reshape(n, c, h // k, k, w // k, k).sum(axis=(3, 5))`` reduces a
+    C-contiguous x, whatever x's layout.
     """
     total = None
     for i in range(k):
@@ -510,7 +519,11 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     out = _block_sum(x.data, k) / (k * k)
 
     def bwd(g):
-        gx = np.repeat(np.repeat(g, k, axis=2), k, axis=3) / (k * k)
+        gx = np.empty_like(x.data)  # in x's memory layout
+        scaled = g / (k * k)
+        for i in range(k):
+            for j in range(k):
+                gx[:, :, i::k, j::k] = scaled
         return (gx,)
 
     return record_op(out, (x,), bwd)

@@ -103,7 +103,9 @@ def collect_running_stats(net: Network) -> BnStats:
 def sample_moments(x: Tensor) -> Moments:
     """Each sample's per-channel mean and biased variance of a captured BN
     input, both (N, C) and on the tape. The input is (N, C, H, W) or (N, C);
-    a dense sample is its own mean with zero variance."""
+    a dense sample is its own mean with zero variance. The moments reduce a
+    C-contiguous (N, C, H*W) copy of a batch-innermost input, so each
+    sample's statistics add in one order at any batch size."""
     n, c = x.shape[:2]
     flat = x.reshape((n, c, -1))
     m = flat.mean(axis=2, keepdims=True)

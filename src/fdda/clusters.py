@@ -17,7 +17,8 @@ def _distances(vectors: np.ndarray) -> np.ndarray:
     n = len(vectors)
     sq = np.zeros((n, n))
     diff = np.empty((n, n))
-    for col in vectors.T:
+    # unit-stride columns, so each outer difference runs contiguous loops
+    for col in np.ascontiguousarray(vectors.T):
         np.subtract.outer(col, col, out=diff)
         diff *= diff
         sq += diff

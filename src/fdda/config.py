@@ -21,7 +21,7 @@ class ConfigError(ValueError):
 
 
 # most rows in one training batch; a full-arm quantize at 1024 rows peaks near
-# 0.4 GB of resident memory (one BLAS thread)
+# 0.41 GB of resident memory (one BLAS thread)
 MAX_BATCH_SIZE = 1024
 
 

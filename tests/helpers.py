@@ -1,7 +1,7 @@
 """Helpers that only the tests use: a finite-difference gradient check,
-float64 copies of networks, bitwise comparison of networks, and a tensor cut
-off the tape. No command needs them, so they live here and not in the
-package."""
+float64 copies of networks, bitwise comparison of networks, a tensor cut
+off the tape, and the batch-innermost memory layout of 4-D arrays. No
+command needs them, so they live here and not in the package."""
 
 from __future__ import annotations
 
@@ -17,6 +17,17 @@ from fdda.network import Network
 def detach(t: Tensor) -> Tensor:
     """The same values, with no gradient and no tie to the tape."""
     return Tensor(t.data)
+
+
+def batch_innermost(x: np.ndarray) -> np.ndarray:
+    """Same values and shape (N, C, H, W), laid out (C, H, W, N) in memory as
+    conv outputs are."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def is_batch_innermost(x: np.ndarray) -> bool:
+    """Whether a 4-D (N, C, H, W) array is laid out (C, H, W, N) in memory."""
+    return x.ndim == 4 and x.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
 def astype(net: Network, dtype) -> Network:

@@ -10,7 +10,7 @@ from fdda import autodiff as ad
 from fdda.autodiff import Tensor
 from fdda.network import BN_EPS, BN_MOMENTUM, batchnorm_forward
 
-from helpers import grad_check
+from helpers import batch_innermost, grad_check, is_batch_innermost
 
 
 def tensor64(arr, requires_grad=False):
@@ -323,6 +323,44 @@ def test_caller_held_intermediates_keep_their_grad():
     ad.backward((h * h).sum())
     np.testing.assert_allclose(h.grad, 2 * np.tanh(x.data))
     np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# memory layout: conv outputs are batch-innermost, (C, H, W, N) in memory,
+# and every op that writes a gradient array itself writes it in its input's
+# layout, so no channel-major gradient reaches a conv's im2col
+# ---------------------------------------------------------------------------
+
+LAYOUT_OPS = {
+    "avg_pool2d": lambda t: ad.avg_pool2d(t, 2),
+    "mean": lambda t: ad.mean(t, axis=(0, 2, 3)),
+    "mean-all": lambda t: ad.mean(t),
+    "mean-keepdims": lambda t: ad.mean(t, axis=1, keepdims=True),
+    "sum": lambda t: ad.sum_(t, axis=(0, 2, 3)),
+    "sum-all": lambda t: ad.sum_(t),
+    "reshape": lambda t: ad.reshape(t, (t.shape[0], -1)),
+}
+
+
+@pytest.mark.parametrize("op", list(LAYOUT_OPS))
+@pytest.mark.parametrize("layout", ["contiguous", "batch-innermost"])
+def test_backward_returns_the_gradient_in_the_input_layout(op, layout):
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(4, 3, 6, 8)).astype(np.float32)
+    x = Tensor(batch_innermost(data) if layout == "batch-innermost" else data,
+               requires_grad=True)
+    out = LAYOUT_OPS[op](x)
+    weights = np.asarray(rng.normal(size=out.shape), dtype=np.float32)
+    ad.backward((out * Tensor(weights)).sum())
+    assert x.grad.strides == x.data.strides
+
+
+def test_phase_grid_interleaving_is_batch_innermost_both_ways():
+    phases = batch_innermost(np.random.default_rng(4).normal(size=(3, 8, 5, 4)))
+    out = ad._interleave(phases)
+    back = ad._deinterleave(out)
+    assert out.shape == (3, 2, 8, 6) and back.shape == phases.shape
+    assert is_batch_innermost(out) and is_batch_innermost(back)
 
 
 # ---------------------------------------------------------------------------

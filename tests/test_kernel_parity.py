@@ -5,8 +5,15 @@ The references below are the earlier implementations: a sliding-window
 im2col after ``np.pad``, reductions over reshaped block axes, and nearest 2x
 upsampling by ``np.repeat``. Where the kernels keep the reference's order of
 additions the results must be equal bit for bit, because seeded reports and
-archives depend on it. The conv on an upsampled input runs as a sub-pixel
-conv, which adds in another order; it is held to a stated tolerance.
+archives depend on it. Two results add in another order and are held to a
+stated tolerance: the conv weight gradient, whose GEMM sums over the batch
+and output positions in the batch-innermost column order, and the conv on an
+upsampled input, which runs as a sub-pixel conv.
+
+Each kernel is checked on three input layouts: C-contiguous (N, C, H, W),
+channel-major (C, N, H, W), and batch-innermost (C, H, W, N), the layout
+conv outputs have and so the one every activation and gradient of a
+training step has after the first conv.
 """
 
 import numpy as np
@@ -17,56 +24,72 @@ from fdda.autodiff import Tensor
 from fdda.models import build_generator, build_toy_classifier
 from fdda.network import Conv2d, layer_from_dict, layer_to_dict
 
-from helpers import grad_check
+from helpers import batch_innermost, grad_check, is_batch_innermost
 
 F32_EPS = float(np.finfo(np.float32).eps)
+LAYOUTS = ["contiguous", "channel-major", "batch-innermost"]
 
 
 def _rand(rng, shape):
     return rng.standard_normal(shape).astype(np.float32)
 
 
-def _channel_major(x):
-    """Same values, laid out (C, N, H, W) in memory as conv outputs are."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+def _in_layout(x, layout):
+    """Same values and shape (N, C, H, W), laid out in memory as named."""
+    if layout == "channel-major":
+        return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    if layout == "batch-innermost":
+        return batch_innermost(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
 # reference formulas
 # ---------------------------------------------------------------------------
 
-def ref_im2col(x, k, pad):
+def ref_im2col(x, k, pad, batch_last=False):
+    """The column matrix, its columns in (N, Ho, Wo) order as the earlier
+    conv had them, or with ``batch_last`` in the kernels' (Ho, Wo, N) order."""
     n, c = x.shape[:2]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     ho, wo = win.shape[2], win.shape[3]  # win: (N, C, Ho, Wo, k, k)
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * ho * wo), ho, wo
+    axes = (1, 4, 5, 2, 3, 0) if batch_last else (1, 4, 5, 0, 2, 3)
+    return win.transpose(axes).reshape(c * k * k, n * ho * wo), ho, wo
 
 
-def ref_conv_raw(x, w, pad):
-    n = x.shape[0]
+def _columns_to_nchw(mat, n, ho, wo, batch_last):
+    """(O, columns) GEMM output -> (N, O, Ho, Wo)."""
+    if batch_last:
+        return mat.reshape(len(mat), ho, wo, n).transpose(3, 0, 1, 2)
+    return mat.reshape(len(mat), n, ho, wo).transpose(1, 0, 2, 3)
+
+
+def ref_conv_raw(x, w, pad, batch_last=False):
     o, c, k, _ = w.shape
-    cols, ho, wo = ref_im2col(x, k, pad)
-    out = (w.reshape(o, c * k * k) @ cols).reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+    cols, ho, wo = ref_im2col(x, k, pad, batch_last)
+    out = _columns_to_nchw(w.reshape(o, c * k * k) @ cols, x.shape[0], ho, wo, batch_last)
     return out, cols
 
 
-def ref_conv(x, w, b, g, pad):
-    """Output and (gx, gw, gb) for upstream gradient g, as the old conv2d."""
+def ref_conv(x, w, b, g, pad, batch_last=False):
+    """Output and (gx, gw, gb) for upstream gradient g, as the earlier conv2d
+    computed them, with its GEMMs' columns in the order ``ref_im2col`` says."""
     o, _, k, _ = w.shape
-    out, cols = ref_conv_raw(x, w, pad)
+    out, cols = ref_conv_raw(x, w, pad, batch_last)
     out = out + b.reshape(1, o, 1, 1)
-    n, _, ho, wo = g.shape
-    g_mat = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+    g_mat = g.transpose((1, 2, 3, 0) if batch_last else (1, 0, 2, 3)).reshape(o, -1)
     w_t = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    gx, _ = ref_conv_raw(g, w_t, k - 1 - pad)
+    gx, _ = ref_conv_raw(g, w_t, k - 1 - pad, batch_last)
     gw = (g_mat @ cols.T).reshape(w.shape)
     return out, gx, gw, g.sum(axis=(0, 2, 3))
 
 
 def ref_avg_pool(x, k):
+    # on a C-contiguous copy: numpy's reduction order follows the memory
+    # layout, and the kernel adds in the C-contiguous order for any layout
     n, c, h, w = x.shape
-    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    return np.ascontiguousarray(x).reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
 
 def ref_upsample(x):
@@ -115,8 +138,8 @@ CONV_CASES = (
         ("one-channel-k1", (4, 1, 5, 5), 3, 1, 0),
         ("non-square", (3, 2, 5, 7), 4, 3, 1),
         ("non-square-valid", (3, 2, 6, 9), 4, 3, 0),
-        # window edges of the two-stage im2col fill: taps whose shifted
-        # columns lie partly or wholly in the padding
+        # window edges of the padded copy: taps that read partly or wholly
+        # from the padding
         ("k5-pad2", (3, 2, 7, 6), 4, 5, 2),
         ("k5-pad2-2x2", (2, 3, 2, 2), 3, 5, 2),
         ("2x2-k3", (4, 3, 2, 2), 5, 3, 1),
@@ -136,26 +159,61 @@ def test_model_conv_table_covers_both_models():
     assert [l.name for l in specs if l.upsample] == ["gconv1", "gconv2"]
 
 
-@pytest.mark.parametrize("case,xshape,o,k,pad", CONV_CASES,
-                         ids=[c[0] for c in CONV_CASES])
-@pytest.mark.parametrize("layout", ["contiguous", "channel-major"])
-def test_conv2d_forward_and_grads_equal_reference(case, xshape, o, k, pad, layout):
+def _conv_case(xshape, o, k, pad, layout, dtype=np.float32):
+    """Inputs of one conv case, and its taped output and gradients. The
+    upstream gradient g has the input's layout, as in a training step, where
+    conv gradients are batch-innermost like the outputs they belong to."""
     rng = np.random.default_rng(sum(xshape) + o + k)
-    x = _rand(rng, xshape)
-    if layout == "channel-major":
-        x = _channel_major(x)
-    w = _rand(rng, (o, xshape[1], k, k))
-    b = _rand(rng, (o,))
     ho = xshape[2] + 2 * pad - k + 1
     wo = xshape[3] + 2 * pad - k + 1
-    g = _rand(rng, (xshape[0], o, ho, wo))
+    x = _in_layout(rng.standard_normal(xshape).astype(dtype), layout)
+    w = rng.standard_normal((o, xshape[1], k, k)).astype(dtype)
+    b = rng.standard_normal(o).astype(dtype)
+    g = _in_layout(rng.standard_normal((xshape[0], o, ho, wo)).astype(dtype), layout)
+    out, grads = _taped(lambda a, c, d: ad.conv2d(a, c, d, pad=pad), x, w, b, g=g)
+    return (x, w, b, g), out, grads
 
-    out, (gx, gw, gb) = _taped(lambda a, c, d: ad.conv2d(a, c, d, pad=pad), x, w, b, g=g)
-    ref_out, ref_gx, ref_gw, ref_gb = ref_conv(x, w, b, g, pad)
+
+def _weight_grad_bound(x, g, k, pad):
+    """K * eps * sum_j |g_j * x_j| for each weight entry, whose gradient sums
+    K = N*Ho*Wo products: the most that two orders of those additions can
+    differ by in float32."""
+    cols, _, _ = ref_im2col(np.abs(x).astype(np.float64), k, pad)
+    g_mat = np.abs(g).astype(np.float64).transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
+    return (g_mat.shape[1] * F32_EPS * (g_mat @ cols.T)).reshape(g.shape[1], x.shape[1], k, k)
+
+
+@pytest.mark.parametrize("case,xshape,o,k,pad", CONV_CASES,
+                         ids=[c[0] for c in CONV_CASES])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_conv2d_forward_and_grads_equal_reference(case, xshape, o, k, pad, layout):
+    (x, w, b, g), out, (gx, gw, gb) = _conv_case(xshape, o, k, pad, layout)
+    assert is_batch_innermost(out) and is_batch_innermost(gx)
+    # the forward and input-gradient GEMMs are the formula's, with the
+    # columns permuted: the same bits for each column
+    ref_out, ref_gx, _, ref_gb = ref_conv(x, w, b, g, pad, batch_last=True)
     np.testing.assert_array_equal(out, ref_out)
     np.testing.assert_array_equal(gx, ref_gx)
-    np.testing.assert_array_equal(gw, ref_gw)
     np.testing.assert_array_equal(gb, ref_gb)
+    old_out, old_gx, old_gw, _ = ref_conv(x, w, b, g, pad)
+    if case.split("-")[0] in {name for name, _, _ in MODEL_CONVS}:
+        # and so the earlier conv's: OpenBLAS computes a column alike at any
+        # position but the last (columns mod 16), and every model conv's
+        # GEMMs have a multiple of 16 columns at any batch size
+        np.testing.assert_array_equal(out, old_out)
+        np.testing.assert_array_equal(gx, old_gx)
+    # the weight gradient's GEMM adds its N*Ho*Wo products in the columns'
+    # (Ho, Wo, N) order, the earlier conv in (N, Ho, Wo) order
+    assert np.all(np.abs(gw - old_gw) <= _weight_grad_bound(x, g, k, pad))
+
+
+@pytest.mark.parametrize("case,xshape,o,k,pad", CONV_CASES,
+                         ids=[c[0] for c in CONV_CASES])
+def test_conv2d_weight_gradient_matches_reference_in_float64(case, xshape, o, k, pad):
+    (x, w, b, g), _, (_, gw, _) = _conv_case(xshape, o, k, pad, "batch-innermost",
+                                             dtype=np.float64)
+    ref_gw = ref_conv(x, w, b, g, pad)[2]
+    assert np.abs(gw - ref_gw).max() <= 1e-12 * np.abs(ref_gw).max()
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +224,16 @@ POOL_SHAPES = [(64, 8, 16, 16), (64, 16, 8, 8), (64, 32, 4, 4), (1, 8, 16, 16), 
 
 
 @pytest.mark.parametrize("shape", POOL_SHAPES, ids=str)
-@pytest.mark.parametrize("layout", ["contiguous", "channel-major"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_avg_pool2d_k2_equals_reshape_mean(shape, layout):
     rng = np.random.default_rng(sum(shape))
-    x = _rand(rng, shape) * 10
-    if layout == "channel-major":
-        x = _channel_major(x)
-    np.testing.assert_array_equal(ad.avg_pool2d(Tensor(x), 2).data, ref_avg_pool(x, 2))
+    x = _in_layout(_rand(rng, shape) * 10, layout)
+    n, c, h, w = shape
+    g = _in_layout(_rand(rng, (n, c, h // 2, w // 2)), layout)
+    out, (gx,) = _taped(lambda a: ad.avg_pool2d(a, 2), x, g=g)
+    np.testing.assert_array_equal(out, ref_avg_pool(x, 2))
+    np.testing.assert_array_equal(gx, ref_upsample(g) / 4)
+    assert gx.strides == x.strides
 
 
 def test_avg_pool2d_k5_matches_reshape_mean_within_float32():
@@ -206,27 +267,28 @@ UPSAMPLE_CONVS = {
 
 def _upsample_conv_vs_reference(shape, dtype, layout="contiguous"):
     """Largest |diff| / max|ref| of the sub-pixel conv's output, gx and gw
-    against conv2d of the upsampled input; the bias gradients must be equal."""
+    against conv2d of the upsampled input; the bias gradients must be equal.
+    The upstream gradient g has the input's layout."""
     rng = np.random.default_rng(sum(shape))
     n, c, h, w = shape
     o = UPSAMPLE_CONVS[shape]
     x = rng.standard_normal(shape).astype(dtype)
     wt = rng.standard_normal((o, c, 3, 3)).astype(dtype)
     b = rng.standard_normal(o).astype(dtype)
-    g = rng.standard_normal((n, o, 2 * h, 2 * w)).astype(dtype)
-    if layout == "channel-major":
-        x = _channel_major(x)
+    g = _in_layout(rng.standard_normal((n, o, 2 * h, 2 * w)).astype(dtype), layout)
+    x = _in_layout(x, layout)
     got_out, (gx, gw, gb) = _taped(
         lambda a, k, d: ad.conv2d(a, k, d, pad=1, upsample=True), x, wt, b, g=g)
     ref_out, ref_gxu, ref_gw, ref_gb = ref_conv(ref_upsample(x), wt, b, g, 1)
     np.testing.assert_array_equal(gb, ref_gb)
     pairs = [(got_out, ref_out), (gx, ref_upsample_bwd(ref_gxu)), (gw, ref_gw)]
     assert all(got.shape == ref.shape and got.dtype == dtype for got, ref in pairs)
+    assert is_batch_innermost(got_out) and is_batch_innermost(gx)
     return max(float(np.abs(got - ref).max() / np.abs(ref).max()) for got, ref in pairs)
 
 
 @pytest.mark.parametrize("shape", list(UPSAMPLE_CONVS), ids=str)
-@pytest.mark.parametrize("layout", ["contiguous", "channel-major"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_upsample2x_forward_and_backward_equal_reference(shape, layout):
     # equal within float32 rounding, not bit for bit: a phase kernel adds
     # the taps that read one input pixel before the GEMM multiplies, so each
@@ -314,17 +376,16 @@ def test_only_upsampling_conv_specs_write_the_flag():
 # im2col memory
 # ---------------------------------------------------------------------------
 
-def test_im2col_peak_memory_is_columns_plus_one_shift_buffer():
-    # a 16-channel 16x16 map at batch 64: the column matrix and one
-    # (C, N, Hp, Wo) buffer, reused by every column tap; a buffer per tap
-    # costs page faults
+def test_im2col_peak_memory_is_columns_plus_one_padded_buffer():
+    # a 16-channel 16x16 map at batch 64: the column matrix and the
+    # zero-padded (C, H+2p, W+2p, N) copy of the input that every tap reads
     import tracemalloc
 
     n, c, h, w, k, pad = 64, 16, 16, 16, 3, 1
-    x = _rand(np.random.default_rng(0), (n, c, h, w))
+    x = batch_innermost(_rand(np.random.default_rng(0), (n, c, h, w)))
     itemsize = x.dtype.itemsize
     cols_bytes = c * k * k * n * h * w * itemsize
-    shift_bytes = c * n * (h + 2 * pad) * w * itemsize
+    padded_bytes = c * (h + 2 * pad) * (w + 2 * pad) * n * itemsize
     tracemalloc.start()
     try:
         cols, _, _ = ad._im2col(x, k, pad)
@@ -332,4 +393,4 @@ def test_im2col_peak_memory_is_columns_plus_one_shift_buffer():
     finally:
         tracemalloc.stop()
     assert cols.nbytes == cols_bytes
-    assert peak <= 1.1 * (cols_bytes + shift_bytes)
+    assert cols_bytes + padded_bytes <= peak <= 1.1 * (cols_bytes + padded_bytes)

@@ -37,7 +37,7 @@ from fdda.trainer import (
     warmup_generator,
 )
 
-from helpers import astype
+from helpers import astype, is_batch_innermost
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def _step_peak_bytes(step, state, settings):
 
 
 def test_generator_step_peak_memory_at_batch_64(world):
-    # about 17.7 MB: the taped forward at backward's start, with the
+    # about 18.5 MB: the taped forward at backward's start, with the
     # generator's column matrices (about 7 MB), which its weight gradients
     # read. Convs that read a 2x-upsampled map instead of sub-pixel convs on
     # the low-resolution input made those 19 MB and the step about 33 MB;
@@ -379,6 +379,53 @@ def test_generator_step_peak_memory_at_batch_64(world):
     settings = tiny_settings(train_kw={"batch_size": 64})
     state = make_state(world, settings)
     assert _step_peak_bytes(trainer._generator_step, state, settings) < 20e6
+
+
+# ---------------------------------------------------------------------------
+# memory layout of a training step
+# ---------------------------------------------------------------------------
+
+def _im2col_inputs(monkeypatch, step, state, settings):
+    """Every array the second of two steps hands to a conv's im2col (the
+    first builds the teacher's table of calibration logits), and the subset
+    that are forward inputs of an exempt conv: a classifier's first conv,
+    which reads the network's input images (one channel), and the
+    generator's first, which reads the normalized output of its Reshape
+    layer (upsampling)."""
+    step(state, settings.train, settings, 1e-3)
+    seen, exempt = [], []
+    im2col, conv2d = ad._im2col, ad.conv2d
+
+    def spy_im2col(x, k, pad):
+        seen.append(x)
+        return im2col(x, k, pad)
+
+    def spy_conv2d(x, w, b=None, pad=0, upsample=False):
+        if x.shape[1] == 1 or (upsample and x.shape[1] == state.g_net.params["gconv1.w"].shape[1]):
+            exempt.append(x.data)
+        return conv2d(x, w, b, pad=pad, upsample=upsample)
+
+    monkeypatch.setattr(ad, "_im2col", spy_im2col)
+    monkeypatch.setattr(ad, "conv2d", spy_conv2d)
+    step(state, settings.train, settings, 1e-3)
+    return seen, exempt
+
+
+@pytest.mark.parametrize("step,n_calls", [
+    # forward: 3 generator and 6 teacher convs; backward: the input
+    # gradients of all 9, as the images require a gradient
+    (trainer._generator_step, 18),
+    # forward: 3 generator convs without a tape, then 6 teacher and 6
+    # student convs; backward: the student's input gradients but conv1's
+    (trainer._quantized_step, 20),
+])
+def test_step_hands_im2col_batch_innermost_arrays(world, monkeypatch, step, n_calls):
+    settings = tiny_settings(train_kw={"batch_size": 64})
+    state = make_state(world, settings)
+    seen, exempt = _im2col_inputs(monkeypatch, step, state, settings)
+    assert len(seen) == n_calls
+    odd = [x for x in seen if not is_batch_innermost(x)]
+    assert all(any(x is e for e in exempt) for x in odd)
 
 
 # ---------------------------------------------------------------------------
