@@ -97,9 +97,10 @@ def generator_total_loss(
     w: LossWeights,
     distortion: DistortionParams,
     rng: np.random.Generator,
-) -> tuple[Tensor, dict[str, Tensor]]:
+) -> tuple[Tensor, dict[str, Tensor], Tensor]:
     """One pass of the synthetic batch through the frozen classifier, scoring
-    Eq-style weighted sum of classification + alignment terms.
+    Eq-style weighted sum of classification + alignment terms. Returns the
+    total, its parts and the classifier's logits for ``images`` from that pass.
 
     A centroid term is computed only when its weight is nonzero, and only over
     the batch's classes that have a centroid (it is absent when none has);
@@ -126,4 +127,4 @@ def generator_total_loss(
                 parts["cbns"] = alignment_loss(stats, targets)
             if w.dbns:
                 parts["dbns"] = alignment_loss(stats, distort(targets, distortion, rng))
-    return combine_generator_loss(parts, w), parts
+    return combine_generator_loss(parts, w), parts, cap.output

@@ -96,10 +96,12 @@ class TrainState:
     quant: FakeQuantRuntime
     g_opt: Adam | None
     q_opt: NesterovSGD
+    # labels and noise of each generator step, and of the synthetic batch
+    # that calibrates activations when there are no calibration images
     rng_labels: np.random.Generator
     rng_noise: np.random.Generator
-    rng_distort: np.random.Generator
-    rng_mix: np.random.Generator
+    rng_distort: np.random.Generator  # distorted centroids of each generator step
+    rng_mix: np.random.Generator  # calibration rows of each quantized step
     split: tuple[int, int]  # calibration and synthetic rows of each batch
     # the frozen teacher's logits for each calibration image, built on first use
     teacher_calib: np.ndarray | None = None
@@ -140,20 +142,24 @@ def batch_split(cfg: TrainConfig, n_calib: int) -> tuple[int, int]:
     return n_cal, cfg.batch_size - n_cal
 
 
-def _mixed_batch(state: TrainState, cfg: TrainConfig) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Fresh synthetic images mixed with resampled calibration items, their
-    labels and the frozen teacher's logits. The teacher runs on the synthetic
-    rows only; the calibration rows come from :func:`_teacher_calib_logits`."""
+Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # images, labels, teacher logits
+
+
+def _mixed_batch(state: TrainState, cfg: TrainConfig,
+                 synthetic: Batch | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """A quantized-model batch, its labels and the frozen teacher's logits.
+
+    As in GDFQ, the synthetic rows are the first ``n_syn`` rows of the
+    preceding generator step's batch, with the teacher logits of that step's
+    own forward pass, so neither the generator nor the teacher runs here
+    (``synthetic`` is None when the split has no synthetic rows). Resampled
+    calibration items follow, their logits from :func:`_teacher_calib_logits`.
+    """
     n_cal, n_syn = state.split
     xs, ys, ts = [], [], []
     if n_syn > 0:
-        labels = sample_labels(state.f_net.meta["num_classes"], n_syn, state.rng_labels)
-        with ad.no_grad():
-            images = generate(state.g_net, labels, state.rng_noise)
-            logits = forward(state.f_net, images, train=False).output
-        xs.append(images.data)
-        ys.append(labels)
-        ts.append(logits.data)
+        for rows, part in zip((xs, ys, ts), synthetic):
+            rows.append(part[:n_syn])
     if n_cal > 0:
         pick = state.rng_mix.integers(0, len(state.calib), size=n_cal)
         xs.append(state.calib.images[pick])
@@ -163,23 +169,26 @@ def _mixed_batch(state: TrainState, cfg: TrainConfig) -> tuple[Tensor, np.ndarra
 
 
 def _generator_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
-                    lr: float) -> float:
+                    lr: float) -> tuple[float, Batch]:
+    """One generator update on its composite loss. Returns the loss and the
+    step's batch: its images and labels, and the teacher's logits from the
+    loss's forward pass, all detached from the tape."""
     labels = sample_labels(state.f_net.meta["num_classes"], cfg.batch_size,
                            state.rng_labels)
     images = generate(state.g_net, labels, state.rng_noise)
-    loss, _ = generator_total_loss(
+    loss, _, logits = generator_total_loss(
         images, labels, state.f_net, state.running, state.centroids,
         settings.weights, settings.distortion, state.rng_distort,
     )
     state.g_net.zero_grad()
     ad.backward(loss)
     state.g_opt.step(lr)
-    return float(loss.data)
+    return float(loss.data), (images.data, labels, logits.data)
 
 
 def _quantized_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
-                    lr: float) -> float:
-    images, labels, teacher_logits = _mixed_batch(state, cfg)
+                    lr: float, synthetic: Batch | None) -> float:
+    images, labels, teacher_logits = _mixed_batch(state, cfg, synthetic)
     loss, _ = quantized_model_loss(state.q_net, teacher_logits, images, labels,
                                    settings.weights, state.quant)
     state.q_net.zero_grad()
@@ -189,13 +198,14 @@ def _quantized_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
 
 
 def warmup_generator(state: TrainState, cfg: TrainConfig, settings: RunSettings) -> list[float]:
-    """Generator-only updates before the quantized model starts training;
-    raises :class:`TrainingDiverged` on a non-finite loss."""
+    """Generator-only updates before the quantized model starts training,
+    their batches discarded; raises :class:`TrainingDiverged` on a non-finite
+    loss."""
     losses = []
     for epoch in range(cfg.warmup_epochs):
         lr = step_lr(cfg.lr_generator, epoch)
         for step in range(cfg.steps_per_epoch):
-            losses.append(_generator_step(state, cfg, settings, lr))
+            losses.append(_generator_step(state, cfg, settings, lr)[0])
             _check_finite(losses[-1], "generator", "warm-up", epoch, step)
     return losses
 
@@ -203,17 +213,20 @@ def warmup_generator(state: TrainState, cfg: TrainConfig, settings: RunSettings)
 def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
                 epoch: int) -> dict:
     """One epoch of per-step alternation: a generator update on its composite
-    loss (when the run has a generator), then a quantized-model update on a
-    fresh mixed batch. Returns the epoch's report entry, its mean losses;
+    loss (when the run has a generator), then a quantized-model update on the
+    first rows of that update's batch mixed with calibration rows (see
+    :func:`_mixed_batch`). Returns the epoch's report entry, its mean losses;
     raises :class:`TrainingDiverged` on a non-finite loss."""
     lr_g = step_lr(cfg.lr_generator, epoch)
     lr_q = cosine_lr(cfg.lr_quantized, epoch, cfg.total_epochs)
     g_losses, q_losses = [], []
     for step in range(cfg.steps_per_epoch):
+        synthetic = None
         if state.g_net is not None:
-            g_losses.append(_generator_step(state, cfg, settings, lr_g))
-            _check_finite(g_losses[-1], "generator", "training", epoch, step)
-        q_losses.append(_quantized_step(state, cfg, settings, lr_q))
+            loss, synthetic = _generator_step(state, cfg, settings, lr_g)
+            g_losses.append(loss)
+            _check_finite(loss, "generator", "training", epoch, step)
+        q_losses.append(_quantized_step(state, cfg, settings, lr_q, synthetic))
         _check_finite(q_losses[-1], "quantized-model", "training", epoch, step)
     return {
         "epoch": epoch,
@@ -348,7 +361,6 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         "warmup_loss_last": warmup_losses[-1] if warmup_losses else None,
         "final_acc": final_acc,
         "float_test_acc": evaluate(f_net, test),
-        "policy": settings.to_dict()["policy"],
         "available_classes": list(centroids.classes),
         "dropped_calibration_classes": dropped,
     }

@@ -122,8 +122,8 @@ def test_quantize_policy_flags(pretrained):
                "--first-bits", "8", "--last-bits", "8", "--seed", "1"])
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert report["policy"]["default_bits"] == 8
-    assert report["policy"]["act_bits"] == 8
+    assert report["config"]["policy"]["default_bits"] == 8
+    assert report["config"]["policy"]["act_bits"] == 8
 
 
 def test_validation_failure_exits_nonzero(pretrained, capsys):
@@ -310,8 +310,12 @@ def test_seeded_reports_are_byte_identical(pretrained):
     assert (out_a / "quantized.fdda").read_bytes() == (out_b / "quantized.fdda").read_bytes()
 
 
-@pytest.mark.parametrize("step", ["_generator_step", "_quantized_step"])
-def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, monkeypatch, step):
+@pytest.mark.parametrize("step,nan", [
+    ("_generator_step", (float("nan"), None)),  # the loss and the step's batch
+    ("_quantized_step", float("nan")),
+], ids=["_generator_step", "_quantized_step"])
+def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, monkeypatch,
+                                                          step, nan):
     root, cfg, model = pretrained
     out_dir = root / f"diverged{step}"
     argv = ["quantize", "--config", str(cfg), "--model", str(model),
@@ -319,7 +323,7 @@ def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, mo
     assert main(argv) == 0  # outputs of an earlier run in the same directory
     assert (out_dir / "report.json").exists() and (out_dir / "quantized.fdda").exists()
     capsys.readouterr()
-    monkeypatch.setattr(trainer, step, lambda *a: float("nan"))
+    monkeypatch.setattr(trainer, step, lambda *a: nan)
     rc = main(argv)
     assert rc == 3
     err = capsys.readouterr().err

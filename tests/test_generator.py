@@ -22,6 +22,7 @@ from fdda.generator import (
     sample_labels,
 )
 from fdda.models import build_generator, build_toy_classifier
+from fdda.network import forward
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +124,7 @@ def test_total_loss_runs_and_flows_to_generator_only(setup):
     f, g, running, centroids = setup
     labels = sample_labels(8, 16, np.random.default_rng(3))
     images = generate(g, labels, np.random.default_rng(4))
-    loss, parts = generator_total_loss(
+    loss, parts, _ = generator_total_loss(
         images, labels, f, running, centroids, LossWeights(),
         DistortionParams(), np.random.default_rng(5),
     )
@@ -138,6 +139,20 @@ def test_total_loss_runs_and_flows_to_generator_only(setup):
     assert all(p.grad is None for p in f.params.values())
 
 
+def test_total_loss_returns_the_classifier_logits_of_its_pass(setup):
+    # the quantized step reuses them as the teacher's logits
+    f, g, running, centroids = setup
+    labels = sample_labels(8, 16, np.random.default_rng(3))
+    images = generate(g, labels, np.random.default_rng(4))
+    _, _, logits = generator_total_loss(
+        images, labels, f, running, centroids, LossWeights(),
+        DistortionParams(), np.random.default_rng(5),
+    )
+    with ad.no_grad():
+        ref = forward(f, images, train=False).output.data
+    np.testing.assert_array_equal(logits.data, ref)
+
+
 def test_classifier_bit_identical_after_generator_update(setup):
     f, _, running, centroids = setup
     g2 = build_generator(seed=7)
@@ -148,7 +163,7 @@ def test_classifier_bit_identical_after_generator_update(setup):
     opt = Adam(g2.params)
     labels = sample_labels(8, 16, np.random.default_rng(6))
     images = generate(g2, labels, np.random.default_rng(7))
-    loss, _ = generator_total_loss(
+    loss, _, _ = generator_total_loss(
         images, labels, f, running, centroids, LossWeights(),
         DistortionParams(), np.random.default_rng(8),
     )
@@ -168,7 +183,7 @@ def test_coarse_reduction_matches_manual_sum(setup):
     with ad.no_grad():
         images = generate(g, labels, np.random.default_rng(10))
         w = LossWeights(dbns=0.0, cbns=0.0)
-        total, parts = generator_total_loss(
+        total, parts, _ = generator_total_loss(
             images, labels, f, running, centroids, w,
             DistortionParams(), np.random.default_rng(11),
         )
@@ -186,12 +201,12 @@ def test_missing_centroids_skip_their_classes(setup):
     w = LossWeights(dbns=0.0)
     with ad.no_grad():
         images = generate(g, labels, np.random.default_rng(12))
-        _, parts = generator_total_loss(
+        _, parts, _ = generator_total_loss(
             images, labels, f, running, cen5, w,
             DistortionParams(), np.random.default_rng(13),
         )
         # the same centroid term as a batch of only the classes with a centroid
-        _, parts_kept = generator_total_loss(
+        _, parts_kept, _ = generator_total_loss(
             Tensor(images.data[:5]), labels[:5], f, running, cen5, w,
             DistortionParams(), np.random.default_rng(13),
         )

@@ -1,6 +1,8 @@
 """Training-loop contracts: schedules, the quantized-model loss, frozen
-teacher, the teacher-logit table of the calibration images, null updates,
-divergence, selective weight decay, and the missing-class rule."""
+teacher, the quantized step's reuse of the generator step's batch, a
+generator independent of the student, the teacher-logit table of the
+calibration images, null updates, divergence, selective weight decay, and
+the missing-class rule."""
 
 import inspect
 import tracemalloc
@@ -10,6 +12,7 @@ import pytest
 
 from fdda import autodiff as ad
 from fdda import trainer
+from fdda.archive import ModelArchive, save_model
 from fdda.autodiff import Tensor
 from fdda.bns import (
     DistortionParams,
@@ -186,7 +189,7 @@ def test_warmup_reduces_generator_loss(world):
             labels = sample_labels(8, 32, np.random.default_rng(999))
             with ad.no_grad():
                 imgs = generate(state.g_net, labels, np.random.default_rng(998))
-                loss, _ = generator_total_loss(
+                loss, _, _ = generator_total_loss(
                     imgs, labels, state.f_net, state.running, state.centroids,
                     settings.weights, settings.distortion, np.random.default_rng(997),
                 )
@@ -281,8 +284,101 @@ def test_calibration_only_run_has_no_generator(world):
     settings = tiny_settings(calibration_only=True)
     state = make_state(world, settings)
     assert state.g_net is None and state.split == (16, 0)
-    images, _, _ = _mixed_batch(state, settings.train)
+    images, _, _ = _mixed_batch(state, settings.train, None)
     assert images.shape[0] == 16
+
+
+# ---------------------------------------------------------------------------
+# the quantized step trains on the generator step's batch
+# ---------------------------------------------------------------------------
+
+def test_quantized_step_trains_on_the_first_rows_of_the_generator_steps_batch(
+        world, monkeypatch):
+    settings = tiny_settings()
+    state = make_state(world, settings)
+    n_cal, n_syn = state.split
+    assert n_cal > 0 and n_syn > 0
+    events = []
+    loss_fn, q_loss_fn = trainer.generator_total_loss, trainer.quantized_model_loss
+
+    def spy_loss(images, labels, *args):
+        out = loss_fn(images, labels, *args)
+        events.append(("G", images.data.copy(), labels.copy(), out[2].data.copy()))
+        return out
+
+    def spy_q_loss(q_net, teacher_logits, images, labels, *args):
+        events.append(("Q", images.data.copy(), labels.copy(), teacher_logits.copy()))
+        return q_loss_fn(q_net, teacher_logits, images, labels, *args)
+
+    monkeypatch.setattr(trainer, "generator_total_loss", spy_loss)
+    monkeypatch.setattr(trainer, "quantized_model_loss", spy_q_loss)
+    train_epoch(state, settings.train, settings, epoch=0)
+    assert [e[0] for e in events] == ["G", "Q"] * settings.train.steps_per_epoch
+    for (_, g_images, g_labels, g_logits), (_, q_images, q_labels, q_logits) in zip(
+            events[::2], events[1::2]):
+        np.testing.assert_array_equal(q_images[:n_syn], g_images[:n_syn])
+        np.testing.assert_array_equal(q_labels[:n_syn], g_labels[:n_syn])
+        # the teacher logits of the generator step's own captured forward pass
+        np.testing.assert_array_equal(q_logits[:n_syn], g_logits[:n_syn])
+        assert len(q_images) == n_cal + n_syn
+
+
+def test_quantized_step_runs_neither_generator_nor_teacher(world, monkeypatch):
+    settings = tiny_settings()
+    state = make_state(world, settings)
+    _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
+    trainer._teacher_calib_logits(state, settings.train)  # the per-run table
+    calls = []
+    fwd, gen = trainer.forward, trainer.generate
+
+    def spy_generate(*args):
+        calls.append("generate")
+        return gen(*args)
+
+    def spy_forward(net, *args, **kw):
+        calls.append("teacher" if net is state.f_net else "student")
+        return fwd(net, *args, **kw)
+
+    monkeypatch.setattr(trainer, "generate", spy_generate)
+    monkeypatch.setattr(trainer, "forward", spy_forward)
+    trainer._quantized_step(state, settings.train, settings, 1e-3, synthetic)
+    assert calls == ["student"]
+
+
+def test_zero_shot_batch_is_the_whole_generator_batch(world):
+    settings = tiny_settings()
+    state = make_state(world, settings, calib=extract_calibration(world[1], 8, classes=[]))
+    assert state.split == (0, settings.train.batch_size)
+    _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
+    batch = _mixed_batch(state, settings.train, synthetic)
+    for got, want in zip(batch, synthetic):
+        assert len(want) == settings.train.batch_size
+        np.testing.assert_array_equal(got.data if isinstance(got, Tensor) else got, want)
+
+
+def test_generator_does_not_read_the_student(world, tmp_path, monkeypatch):
+    # runs at one seed share their generator whatever the student's policy,
+    # so single-policy runs at one seed are paired
+    model = tmp_path / "float.fdda"
+    save_model(model, ModelArchive(world[0]))
+    generators = []
+    build = trainer.build_generator
+
+    def keep(*args, **kw):
+        generators.append(build(*args, **kw))
+        return generators[-1]
+
+    monkeypatch.setattr(trainer, "build_generator", keep)
+    w3, w2 = (trainer.run_fdda(tiny_settings(policy=QuantPolicy(default_bits=bits)), model)[1]
+              for bits in (3, 2))
+    assert [e["lossQ"] for e in w3["per_epoch"]] != [e["lossQ"] for e in w2["per_epoch"]]
+    for key in ("warmup_loss_first", "warmup_loss_last"):
+        assert w3[key] == w2[key]
+    assert [e["lossG"] for e in w3["per_epoch"]] == [e["lossG"] for e in w2["per_epoch"]]
+    g3, g2 = generators
+    assert g3.params.keys() == g2.params.keys()
+    for k in g3.params:
+        np.testing.assert_array_equal(g3.params[k].data, g2.params[k].data)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +389,10 @@ def test_calibration_only_run_has_no_generator(world):
 def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, calibration_only):
     settings = tiny_settings(calibration_only=calibration_only, train_kw={"batch_size": 64})
     state = make_state(world, settings)
-    images, _, teacher = _mixed_batch(state, settings.train)
+    synthetic = None
+    if not calibration_only:
+        _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
+    images, _, teacher = _mixed_batch(state, settings.train, synthetic)
     assert images.shape[0] == 64
     with ad.no_grad():
         ref = forward(state.f_net, images, train=False).output.data
@@ -315,7 +414,7 @@ def test_teacher_table_is_built_once_per_run(world):
 def test_teacher_table_covers_more_images_than_one_batch(world):
     settings = tiny_settings(calibration_only=True, train_kw={"batch_size": 3})
     state = make_state(world, settings)
-    _mixed_batch(state, settings.train)
+    _mixed_batch(state, settings.train, None)
     with ad.no_grad():
         ref = forward(state.f_net, Tensor(state.calib.images), train=False).output.data
     # chunks of 3 rows, not one batch of 8: equal up to GEMM blocking
@@ -348,7 +447,7 @@ def test_non_finite_quantized_loss_raises_naming_epoch_and_step(world, monkeypat
 def test_non_finite_generator_loss_raises_in_warmup(world, monkeypatch):
     settings = tiny_settings()
     state = make_state(world, settings)
-    monkeypatch.setattr(trainer, "_generator_step", lambda *a: float("inf"))
+    monkeypatch.setattr(trainer, "_generator_step", lambda *a: (float("inf"), None))
     with pytest.raises(TrainingDiverged, match="generator loss became inf at "
                                                "warm-up epoch 0, step 0"):
         warmup_generator(state, settings.train, settings)
@@ -358,11 +457,22 @@ def test_non_finite_generator_loss_raises_in_warmup(world, monkeypatch):
 # memory of a training step
 # ---------------------------------------------------------------------------
 
-def _step_peak_bytes(step, state, settings):
-    step(state, settings.train, settings, 1e-3)  # allocates the optimizer's moments
+def _step(name, state, settings):
+    """A call of one training step at lr 1e-3; a quantized step's batch comes
+    from a generator step run here, beforehand."""
+    args = (state, settings.train, settings, 1e-3)
+    if name == "_generator_step":
+        return lambda: trainer._generator_step(*args)
+    _, synthetic = trainer._generator_step(*args)
+    return lambda: trainer._quantized_step(*args, synthetic)
+
+
+def _step_peak_bytes(name, state, settings):
+    _step(name, state, settings)()  # allocates the optimizer's moments
+    step = _step(name, state, settings)
     tracemalloc.start()
     try:
-        step(state, settings.train, settings, 1e-3)
+        step()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -378,21 +488,29 @@ def test_generator_step_peak_memory_at_batch_64(world):
     # and a backward that also keeps the whole tape to its end, 57 MB.
     settings = tiny_settings(train_kw={"batch_size": 64})
     state = make_state(world, settings)
-    assert _step_peak_bytes(trainer._generator_step, state, settings) < 20e6
+    assert _step_peak_bytes("_generator_step", state, settings) < 20e6
+
+
+def test_quantized_step_peak_memory_at_batch_64(world):
+    # about 15.4 MB, with the generator step's batch made beforehand
+    settings = tiny_settings(train_kw={"batch_size": 64})
+    state = make_state(world, settings)
+    assert _step_peak_bytes("_quantized_step", state, settings) < 17e6
 
 
 # ---------------------------------------------------------------------------
 # memory layout of a training step
 # ---------------------------------------------------------------------------
 
-def _im2col_inputs(monkeypatch, step, state, settings):
+def _im2col_inputs(monkeypatch, name, state, settings):
     """Every array the second of two steps hands to a conv's im2col (the
     first builds the teacher's table of calibration logits), and the subset
     that are forward inputs of an exempt conv: a classifier's first conv,
     which reads the network's input images (one channel), and the
     generator's first, which reads the normalized output of its Reshape
     layer (upsampling)."""
-    step(state, settings.train, settings, 1e-3)
+    _step(name, state, settings)()
+    step = _step(name, state, settings)
     seen, exempt = [], []
     im2col, conv2d = ad._im2col, ad.conv2d
 
@@ -407,17 +525,17 @@ def _im2col_inputs(monkeypatch, step, state, settings):
 
     monkeypatch.setattr(ad, "_im2col", spy_im2col)
     monkeypatch.setattr(ad, "conv2d", spy_conv2d)
-    step(state, settings.train, settings, 1e-3)
+    step()
     return seen, exempt
 
 
 @pytest.mark.parametrize("step,n_calls", [
     # forward: 3 generator and 6 teacher convs; backward: the input
     # gradients of all 9, as the images require a gradient
-    (trainer._generator_step, 18),
-    # forward: 3 generator convs without a tape, then 6 teacher and 6
-    # student convs; backward: the student's input gradients but conv1's
-    (trainer._quantized_step, 20),
+    ("_generator_step", 18),
+    # forward: the 6 student convs, on the generator step's images and
+    # teacher logits; backward: the student's input gradients but conv1's
+    ("_quantized_step", 11),
 ])
 def test_step_hands_im2col_batch_innermost_arrays(world, monkeypatch, step, n_calls):
     settings = tiny_settings(train_kw={"batch_size": 64})
@@ -493,11 +611,11 @@ def test_missing_class_changes_only_its_own_terms(world):
         images = generate(g, labels, np.random.default_rng(3))
         w = LossWeights()
         d = DistortionParams()
-        total_full, parts_full = generator_total_loss(
+        total_full, parts_full, _ = generator_total_loss(
             images, labels, f64, collect_running_stats(f64), cen_full, w, d,
             np.random.default_rng(7),
         )
-        total_wo, parts_wo = generator_total_loss(
+        total_wo, parts_wo, _ = generator_total_loss(
             images, labels, f64, collect_running_stats(f64), cen_wo, w, d,
             np.random.default_rng(7),
         )
