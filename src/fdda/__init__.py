@@ -15,7 +15,7 @@ from .bns import (
     per_image_bns,
 )
 from .config import RunSettings, TrainConfig
-from .generator import LossWeights, generate, generator_total_loss, predict_labels
+from .generator import LossWeights, generate, generator_total_loss
 from .network import Network, forward
 from .quantizer import QuantParams, QuantPolicy, fake_quantize_ste
 from .trainer import cosine_lr, evaluate, run_fdda, step_lr
@@ -28,7 +28,7 @@ __all__ = [
     "alignment_loss", "collect_running_stats", "deep_layer_start", "distort",
     "per_class_moments", "per_image_bns",
     "RunSettings", "TrainConfig",
-    "LossWeights", "generate", "generator_total_loss", "predict_labels",
+    "LossWeights", "generate", "generator_total_loss",
     "Network", "forward",
     "QuantParams", "QuantPolicy", "fake_quantize_ste",
     "cosine_lr", "evaluate", "run_fdda", "step_lr",

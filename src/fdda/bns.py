@@ -153,19 +153,16 @@ def per_image_bns(net: Network, images: np.ndarray) -> BnStats:
 
 def build_class_centroids(net: Network, calib: CalibrationSet,
                           deep_start: int) -> ClassCentroids:
-    """Per-class targets from the calibration set, which holds one image per
-    class: each class's centroid is that image's statistics, restricted to
-    deep layers."""
-    order = np.argsort(calib.labels)
-    if len(order):
+    """Per-class targets from the calibration set (one image per class, in
+    class order): each centroid is that image's statistics at deep layers."""
+    if len(calib):
         stats = per_image_bns(net, calib.images)
-        means = [m[order] for m in stats.means]
-        variances = [v[order] for v in stats.variances]
+        means, variances = stats.means, stats.variances
     else:  # BN rejects an empty batch
-        means = variances = [np.zeros((0, l.channels), net.dtype) for l in net.bn_layers()]
+        means = variances = tuple(np.zeros((0, l.channels), net.dtype) for l in net.bn_layers())
     deep = slice(deep_start - 1, None)
-    return ClassCentroids(deep_start, tuple(int(c) for c in calib.labels[order]),
-                          BnStats(tuple(means[deep]), tuple(variances[deep])))
+    return ClassCentroids(deep_start, tuple(int(c) for c in calib.labels),
+                          BnStats(means[deep], variances[deep]))
 
 
 def per_class_moments(moments: Sequence[Moments], labels: np.ndarray,

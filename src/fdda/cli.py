@@ -63,8 +63,6 @@ def cmd_quantize(args) -> int:
         overrides["weights.dbns"] = 0.0
     if args.no_synthetic:
         overrides["train.mix_ratio"] = 1.0
-    if args.predict_labels:
-        overrides["predict_labels"] = True
     settings = load_settings(args.config, overrides)
     if args.classes is not None:
         num_classes = settings.dataset.num_classes
@@ -89,6 +87,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_analyze_bns(args) -> int:
+    if args.samples_per_class < 2:
+        raise ConfigError(f"--samples-per-class must be at least 2, got {args.samples_per_class}")
     overrides = _collect_overrides(args, {"seed": "train.seed"})
     settings = load_settings(args.config, overrides)
     net = load_model(args.model).network
@@ -157,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no distorted-centroid alignment (sets weights.dbns to 0)")
     p.add_argument("--no-synthetic", action="store_true",
                    help="fine-tune on calibration data only (sets train.mix_ratio to 1)")
-    p.add_argument("--predict-labels", action="store_true",
-                   help="replace calibration labels with the classifier's predictions")
     p.add_argument("--classes", type=int, default=None,
                    help="restrict calibration to the first N classes")
     p.set_defaults(func=cmd_quantize)

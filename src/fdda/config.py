@@ -69,7 +69,6 @@ class RunSettings:
     weights: LossWeights = field(default_factory=LossWeights)
     distortion: DistortionParams = field(default_factory=DistortionParams)
     policy: QuantPolicy = field(default_factory=QuantPolicy)
-    predict_labels: bool = False
     classes: tuple[int, ...] | None = None  # None = all classes
 
     def to_dict(self) -> dict:
@@ -83,8 +82,8 @@ def _fits(value, hint) -> bool:
         return type(value) is int
     if hint is float:
         return type(value) is int or (type(value) is float and math.isfinite(value))
-    if hint is bool or hint is type(None):
-        return type(value) is hint
+    if hint is type(None):
+        return value is None
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):

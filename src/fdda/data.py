@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -98,22 +99,22 @@ def make_toy_dataset(spec: ToyDatasetSpec) -> tuple[LabeledImages, LabeledImages
 
 @dataclass
 class CalibrationSet:
-    """At most one labelled image per class."""
+    """At most one labelled image per class, in increasing class order."""
 
     images: np.ndarray  # (M, C, H, W)
     labels: np.ndarray  # (M,) int64
 
     def __post_init__(self):
-        if len(np.unique(self.labels)) != len(self.labels):
-            raise ValueError("calibration labels must be unique")
+        if np.any(np.diff(self.labels) <= 0):
+            raise ValueError("calibration labels must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.labels)
 
 
 def extract_calibration(train: LabeledImages, num_classes: int,
-                        classes: list[int] | None = None) -> CalibrationSet:
-    """First-indexed sample of each requested class (default: every class)."""
+                        classes: Sequence[int] | None = None) -> CalibrationSet:
+    """First-indexed sample of each requested class (default: all), in class order."""
     wanted = list(range(num_classes)) if classes is None else sorted(set(classes))
     images, labels = [], []
     for c in wanted:

@@ -70,14 +70,6 @@ def generate(g: Network, labels: np.ndarray, rng: np.random.Generator) -> Tensor
     return forward(g, x, train=True).output
 
 
-def predict_labels(f_net: Network, images: Tensor | np.ndarray) -> np.ndarray:
-    """Argmax of the classifier's logits; ties resolve to the smaller index."""
-    x = images if isinstance(images, Tensor) else Tensor(np.asarray(images))
-    with ad.no_grad():
-        logits = forward(f_net, x, train=False).output
-    return np.argmax(logits.data, axis=1).astype(np.int64)
-
-
 def combine_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> Tensor:
     """Weighted sum of the generator terms; an absent centroid term adds 0."""
     total = parts["ce"] * w.ce + parts["bns"] * w.bns

@@ -20,13 +20,7 @@ from .bns import (BnStats, ClassCentroids, build_class_centroids, collect_runnin
                   deep_layer_start)
 from .config import RunSettings, TrainConfig
 from .data import CalibrationSet, LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
-from .generator import (
-    LossWeights,
-    generate,
-    generator_total_loss,
-    predict_labels,
-    sample_labels,
-)
+from .generator import LossWeights, generate, generator_total_loss, sample_labels
 from .models import build_generator, build_toy_classifier
 from .network import EVAL_BATCH, Network, forward
 from .optim import Adam, NesterovSGD
@@ -246,6 +240,8 @@ def pretrain_classifier(dataset: ToyDatasetSpec, epochs: int = 20,
                         ) -> tuple[Network, dict]:
     """Train the toy classifier from scratch; BN momentum updates leave the
     running statistics the rest of the pipeline depends on."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     train, test = make_toy_dataset(dataset)
     net = build_toy_classifier(dataset.num_classes, dataset.image_size, seed=seed)
     opt = Adam(net.params)
@@ -272,24 +268,6 @@ def pretrain_classifier(dataset: ToyDatasetSpec, epochs: int = 20,
 # end-to-end run
 # ---------------------------------------------------------------------------
 
-def _resolve_calibration(settings: RunSettings, train: LabeledImages,
-                         f_net: Network) -> tuple[CalibrationSet, list[int]]:
-    classes = None if settings.classes is None else list(settings.classes)
-    calib = extract_calibration(train, settings.dataset.num_classes, classes)
-    dropped: list[int] = []
-    if settings.predict_labels and len(calib):
-        pred = predict_labels(f_net, calib.images)
-        keep, seen = [], set()
-        for i, label in enumerate(pred):
-            if int(label) in seen:
-                dropped.append(int(calib.labels[i]))
-                continue
-            seen.add(int(label))
-            keep.append(i)
-        calib = CalibrationSet(calib.images[keep], pred[keep])
-    return calib, dropped
-
-
 def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Network, dict]:
     """Quantize the archived classifier and fine-tune it with synthetic plus
     calibration data; returns the last epoch's model and the run report.
@@ -299,7 +277,7 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
     f_net.set_requires_grad(False)
 
     train, test = make_toy_dataset(settings.dataset)
-    calib, dropped = _resolve_calibration(settings, train, f_net)
+    calib = extract_calibration(train, settings.dataset.num_classes, settings.classes)
     n_cal, n_syn = batch_split(cfg, len(calib))
 
     running = collect_running_stats(f_net)
@@ -362,7 +340,6 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         "final_acc": final_acc,
         "float_test_acc": evaluate(f_net, test),
         "available_classes": list(centroids.classes),
-        "dropped_calibration_classes": dropped,
     }
     if out_model_path is not None:
         save_model(out_model_path, ModelArchive(q_net, state.quant))

@@ -22,7 +22,7 @@ from fdda.bns import (
     per_image_bns,
     sample_moments,
 )
-from fdda.data import CalibrationSet, ToyDatasetSpec, extract_calibration, make_toy_dataset
+from fdda.data import ToyDatasetSpec, extract_calibration, make_toy_dataset
 from fdda.models import build_toy_classifier
 from fdda.network import BN_EPS, forward
 
@@ -355,19 +355,6 @@ def test_centroids_are_the_per_image_rows_of_every_class():
             i = cen.classes.index(int(c))
             np.testing.assert_array_equal(cen.stats.means[k][i], ref_means[l - 1][row])
             np.testing.assert_array_equal(cen.stats.variances[k][i], ref_vars[l - 1][row])
-
-
-def test_centroid_rows_follow_sorted_classes():
-    # calibration labels out of order, as predicted labels may be
-    net = build_toy_classifier(seed=1)
-    calib = _calib_subset([0, 2, 5])
-    shuffled = CalibrationSet(calib.images[[2, 0, 1]], np.array([7, 1, 4]))
-    cen = build_class_centroids(net, shuffled, deep_start=2)
-    assert cen.classes == (1, 4, 7)
-    stats = per_image_bns(net, shuffled.images)
-    for i, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
-        np.testing.assert_array_equal(cen.stats.means[i], stats.means[l - 1][[1, 2, 0]])
-        np.testing.assert_array_equal(cen.stats.variances[i], stats.variances[l - 1][[1, 2, 0]])
 
 
 def test_empty_calibration_gives_empty_centroids():

@@ -1,8 +1,11 @@
 """CLI surface: subcommands run end to end on tiny configs, flags override
 config, and validation failures exit nonzero with a one-line diagnostic."""
 
+import argparse
 import json
+import re
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -103,15 +106,23 @@ def test_quantize_no_synthetic_arm(pretrained):
     assert all(e["lossG"] is None for e in report["per_epoch"])
 
 
-def test_quantize_predict_labels_and_classes(pretrained):
+def test_quantize_classes_flag(pretrained):
     root, cfg, model = pretrained
-    out_dir = root / "run_pred"
+    out_dir = root / "run_classes"
     rc = main(["quantize", "--config", str(cfg), "--model", str(model),
-               "--out", str(out_dir), "--predict-labels", "--classes", "5",
-               "--seed", "1"])
+               "--out", str(out_dir), "--classes", "5", "--seed", "1"])
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert len(report["available_classes"]) <= 5
+    assert report["available_classes"] == [0, 1, 2, 3, 4]
+
+
+def test_quantize_rejects_the_removed_predict_labels_flag(pretrained, capsys):
+    root, cfg, model = pretrained
+    with pytest.raises(SystemExit) as exc:
+        main(["quantize", "--config", str(cfg), "--model", str(model),
+              "--out", str(root / "run_pred"), "--predict-labels"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --predict-labels" in capsys.readouterr().err
 
 
 def test_quantize_policy_flags(pretrained):
@@ -299,6 +310,19 @@ def test_analyze_bns_csv_layer_out_of_range_exits_2(pretrained, capsys, tmp_path
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_analyze_bns_too_few_samples_per_class_exits_2(tiny_cfg, capsys, tmp_path, n):
+    # one image per class has silhouette 0 by definition; the archive named
+    # here does not exist, so the flag is checked before the model loads
+    _, cfg = tiny_cfg
+    rc = main(["analyze-bns", "--config", str(cfg), "--model", str(tmp_path / "none.fdda"),
+               "--samples-per-class", n])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--samples-per-class must be at least 2, got {n}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_seeded_reports_are_byte_identical(pretrained):
     root, cfg, model = pretrained
     out_a, out_b = root / "rep_a", root / "rep_b"
@@ -413,9 +437,10 @@ def test_no_data_run_exits_2_with_one_line_and_no_outputs(pretrained, capsys, tm
     ({"policy": {"default_bits": 2.5}}, "'policy' key 'default_bits' must be of type int"),
     ({"policy": {"default_bits": True}}, "'policy' key 'default_bits' must be of type int"),
     ({"dataset": {"samples_per_class": 1}}, "need at least two samples per class"),
+    ({"predict_labels": True}, "unknown key(s) in the config: predict_labels"),
 ], ids=["use_cbns", "use_dbns", "use_synthetic", "generator_schedule", "quantized_schedule",
         "image-size-not-a-list", "classes-not-a-list", "section-not-an-object",
-        "float-steps", "float-bits", "bool-bits", "one-sample-per-class"])
+        "float-steps", "float-bits", "bool-bits", "one-sample-per-class", "predict_labels"])
 def test_bad_config_exits_2_with_one_line(pretrained, capsys, tmp_path, raw, match):
     root, _, model = pretrained
     cfg = tmp_path / "cfg.json"
@@ -476,6 +501,16 @@ def test_pretrain_trains_with_the_config_training_step(tmp_path):
     assert state_equal(net, configured) and not state_equal(net, default)
 
 
+def test_pretrain_negative_epochs_exits_2_with_one_line(capsys, tmp_path):
+    out = tmp_path / "f.fdda"
+    rc = main(["pretrain", "--out", str(out), "--epochs", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epochs must be >= 0, got -1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pretrain", "quantize"])
 @pytest.mark.parametrize("batch_size", [1025, 10**8])
 def test_oversized_batch_exits_2_before_any_data_is_built(
@@ -496,3 +531,15 @@ def test_oversized_batch_exits_2_before_any_data_is_built(
     assert err.startswith("error:") and f"batch_size {batch_size} exceeds the limit of 1024" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+def test_readme_quantize_flags_are_accepted_by_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("`quantize` exposes the experiment arms:", 1)[1].split("\n\n")[1]
+    documented = {flag for row in table.splitlines() if row.startswith("| `--")
+                  for flag in re.findall(r"--[a-z][a-z-]*", row.split("|")[1])}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = set(subparsers.choices["quantize"]._option_string_actions)
+    assert len(documented) >= 8
+    assert documented - accepted == set()

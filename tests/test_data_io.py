@@ -114,8 +114,20 @@ def test_calibration_missing_class_errors():
 
 
 def test_calibration_unique_labels_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         CalibrationSet(np.zeros((2, 1, 4, 4), np.float32), np.array([1, 1]))
+
+
+def test_calibration_sorted_labels_enforced():
+    # centroid rows are in calibration order, so that order must be class order
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CalibrationSet(np.zeros((2, 1, 4, 4), np.float32), np.array([2, 1]))
+
+
+def test_calibration_is_in_class_order_whatever_the_request():
+    train, _ = make_toy_dataset(ToyDatasetSpec())
+    calib = extract_calibration(train, 8, classes=(5, 0, 5, 2))
+    assert calib.labels.tolist() == [0, 2, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +513,7 @@ def test_config_bad_json(tmp_path):
 
 
 def test_settings_to_dict_roundtrip():
-    s = RunSettings(classes=(0, 1, 2), predict_labels=True)
+    s = RunSettings(classes=(0, 1, 2))
     d = s.to_dict()
     s2 = settings_from_dict(json.loads(json.dumps(d)))
     assert s2 == s

@@ -18,7 +18,6 @@ from fdda.generator import (
     combine_generator_loss,
     generate,
     generator_total_loss,
-    predict_labels,
     sample_labels,
 )
 from fdda.models import build_generator, build_toy_classifier
@@ -72,22 +71,6 @@ def test_sample_labels_stratified_covers_all_classes():
     assert set(labels) == set(range(8))
     labels_small = sample_labels(8, 4, rng)
     assert len(labels_small) == 4
-
-
-def test_predict_labels_argmax_and_tiebreak():
-    from fdda.network import Dense, Network
-
-    # identity "classifier" exposing the logits directly
-    net = Network(
-        [Dense("fc", 3, 3)],
-        {"fc.w": Tensor(np.eye(3, dtype=np.float32)),
-         "fc.b": Tensor(np.zeros(3, dtype=np.float32))},
-        {},
-        meta={"kind": "classifier", "num_classes": 3},
-    )
-    logits = np.array([[0.1, 2.0, -1.0], [1.0, 1.0, 0.0]], dtype=np.float32)
-    labels = predict_labels(net, logits)
-    assert labels.tolist() == [1, 0]  # exact tie resolves to the smaller index
 
 
 def test_combine_loss_weighted_sum_of_unit_parts():

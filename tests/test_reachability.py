@@ -60,8 +60,7 @@ def _run_commands(root: Path):
     assert main(["analyze-bns", *common, "--model", str(model), "--csv",
                  str(root / "l6.csv"), "--layer", "6"]) == 0
     short = ["--warmup", "1", "--epochs", "1", "--steps", "1"]
-    arms = {"full": [], "calib": ["--no-synthetic"], "classes0": ["--classes", "0"],
-            "pred": ["--classes", "3", "--predict-labels"]}
+    arms = {"full": [], "calib": ["--no-synthetic"], "classes0": ["--classes", "0"]}
     for name, flags in arms.items():
         assert main(["quantize", *common, "--model", str(model),
                      "--out", str(root / name), *short, *flags]) == 0
