@@ -10,8 +10,6 @@ from .bns import (
     alignment_loss,
     collect_running_stats,
     deep_layer_start,
-    distort,
-    per_class_moments,
     per_image_bns,
 )
 from .config import RunSettings, TrainConfig
@@ -25,8 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "backward", "no_grad",
     "BnStats", "ClassCentroids", "DistortionParams",
-    "alignment_loss", "collect_running_stats", "deep_layer_start", "distort",
-    "per_class_moments", "per_image_bns",
+    "alignment_loss", "collect_running_stats", "deep_layer_start", "per_image_bns",
     "RunSettings", "TrainConfig",
     "LossWeights", "generate", "generator_total_loss",
     "Network", "forward",

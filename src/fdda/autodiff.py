@@ -19,9 +19,10 @@ generator step, therefore keeps its activations but not those arrays.
 Layout: a conv writes its output batch-innermost, with logical shape
 (N, C, H, W) and (C, H, W, N) in memory. Elementwise ops keep their inputs'
 layout, and the ops that write a gradient array themselves (``avg_pool2d``,
-``mean``, ``sum_``, ``reshape`` and the phase-grid interleaving below) write
-it in their input's layout, so every array a conv reads after a network's
-first conv is batch-innermost. ``reshape`` returns a C-contiguous array,
+``sum_``, ``reshape``, the phase-grid interleaving below, and
+``bns.alignment_loss``, which is taped through ``record_op``) write it in
+their input's layout, so every array a conv reads after a network's first
+conv is batch-innermost. ``reshape`` returns a C-contiguous array,
 copying when its input is not. The conv's im2col copies its input once into
 a zero-padded (C, H + 2*pad, W + 2*pad, N) buffer, then each of the k*k
 taps out of it into the (C*k*k, Ho*Wo*N) column matrix as runs of Wo*N
@@ -114,17 +115,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self.dtype))
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
     def __mul__(self, other):
         return mul(self, _wrap(other, self.dtype))
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
@@ -228,16 +223,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record_op(a.data + b.data, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return record_op(a.data - b.data, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return (
@@ -293,34 +278,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return record_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-
-    def bwd(g):
-        gk = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (_filled_like(a.data, gk / count),)
-
-    return record_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
-def mean_square(a: Tensor, axis: int) -> Tensor:
-    """Mean of a * a over one axis. Taped as one op that keeps only a, so the
-    square, which the gradient 2 * a * g / count does not read, is freed."""
-    count = a.shape[axis]
-
-    def bwd(g):
-        h = (np.expand_dims(g, axis) / count) * a.data
-        return (h + h,)
-
-    return record_op((a.data * a.data).mean(axis=axis), (a,), bwd)
-
-
 def take(a: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows along axis 0 (embedding lookup / class subset)."""
     idx = np.asarray(indices)
@@ -336,18 +293,6 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear-algebra / layer ops
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D (or batched-left) matrix product."""
-
-    def bwd(g):
-        return (
-            g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
-            np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None,
-        )
-
-    return record_op(a.data @ b.data, (a, b), bwd)
-
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map y = x @ w.T + b with w of shape (out, in)."""
@@ -529,16 +474,6 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     return record_op(out, (x,), bwd)
 
 
-def sq_dist(a: Tensor, target: np.ndarray) -> Tensor:
-    """Sum of squared differences against a constant target array."""
-    diff = a.data - target
-
-    def bwd(g):
-        return (g * 2.0 * diff,)
-
-    return record_op(np.asarray((diff * diff).sum(), dtype=a.dtype), (a,), bwd)
-
-
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                    running_mean: np.ndarray, inv_std: np.ndarray) -> Tensor:
     """Eval-mode batch normalization against constant running statistics.
@@ -571,7 +506,7 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     Normalizes per channel over the batch (and spatial) axes with biased
     variance. Returns (y, batch_mean, batch_var); the statistics are plain
     arrays that carry no gradient. A loss on batch statistics takes them
-    from the captured BN input with ``bns.sample_moments`` instead.
+    from the captured BN input with ``bns.alignment_loss`` instead.
     """
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
     count = 1

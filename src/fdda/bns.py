@@ -1,19 +1,19 @@
 """Batch-normalization statistics (BNS) at three granularities and the one
-alignment loss built on them.
+taped loss built on them.
 
 Every statistic is a reduction of one pair of per-sample moments.
-:func:`sample_moments` takes a captured BN input to each sample's
-per-channel mean and biased variance, both (N, C), on the tape; those rows
-are the per-image statistics (:func:`per_image_bns`) that the class
-centroids are built from. :func:`group_moments` pools the rows of a group of
-samples: one group gives the batch statistics, one group per class the
-per-class statistics of the deep layers (:func:`per_class_moments`).
+:func:`sample_moments` takes a BN input to each sample's per-channel mean
+and biased variance, both (N, C); those rows are the per-image statistics
+(:func:`per_image_bns`) that the class centroids are built from.
 
-The paper's three generator terms are one loss, :func:`alignment_loss`, a
-sum of squared distances from statistics to constant targets: the batch
-statistics against the pre-trained running statistics (BNS), the per-class
-statistics against their centroids (centroid alignment), and the same
-against centroids plus fresh Gaussian noise (:func:`distort`).
+The paper's three generator terms are one taped op, :func:`alignment_loss`,
+a weighted sum of squared distances from pooled statistics to constant
+targets: the batch statistics against the pre-trained running statistics
+(BNS), the per-class statistics of the deep layers against their centroids
+(centroid alignment), and the same against centroids plus fresh Gaussian
+noise (distorted centroids). It stacks every layer's per-sample moments
+along channels and pools them with one averaging matrix, a row for the
+batch and a row per class, and writes its input gradients by hand.
 
 Layers are 1-indexed; variances are biased (population) everywhere so the
 three granularities compare directly.
@@ -31,8 +31,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import CalibrationSet
 from .network import EVAL_BATCH, Network, forward
-
-Moments = tuple[Tensor, Tensor]  # (mean, variance) rows, each (rows, C_l)
 
 
 @dataclass(frozen=True)
@@ -97,35 +95,21 @@ def collect_running_stats(net: Network) -> BnStats:
 
 
 # ---------------------------------------------------------------------------
-# moments and their reductions
+# moments
 # ---------------------------------------------------------------------------
 
-def sample_moments(x: Tensor) -> Moments:
-    """Each sample's per-channel mean and biased variance of a captured BN
-    input, both (N, C) and on the tape. The input is (N, C, H, W) or (N, C);
-    a dense sample is its own mean with zero variance. The moments reduce a
-    C-contiguous (N, C, H*W) copy of a batch-innermost input, so each
-    sample's statistics add in one order at any batch size."""
+def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sample's per-channel mean and biased variance of a BN input, both
+    (N, C), and its deviations from that mean, (N, C, H*W). The input is
+    (N, C, H, W) or (N, C); a dense sample is its own mean with zero
+    variance. The moments reduce a C-contiguous (N, C, H*W) copy of a
+    batch-innermost input, so each sample's statistics add in one order at
+    any batch size."""
     n, c = x.shape[:2]
-    flat = x.reshape((n, c, -1))
+    flat = np.ascontiguousarray(x).reshape(n, c, -1)
     m = flat.mean(axis=2, keepdims=True)
-    return m.reshape((n, c)), ad.mean_square(flat - m, axis=2)
-
-
-def group_moments(m: Tensor, v: Tensor, groups: np.ndarray, k: int) -> Moments:
-    """Mean and biased variance of each of k groups of samples, both (k, C).
-
-    ``m`` and ``v`` are per-sample moments from :func:`sample_moments`.
-    Sample i belongs to group ``groups[i]``, or to none if that is negative;
-    every group needs a sample. As all samples of a layer have the same
-    size, the parallel-variance identity pools them exactly: mean_k = avg m_i
-    and var_k = avg(v_i + (m_i - mean_k)^2), averages over group k.
-    """
-    member = groups == np.arange(k)[:, None]
-    avg = Tensor((member / member.sum(axis=1, keepdims=True)).astype(m.dtype))
-    mean = ad.matmul(avg, m)
-    dev = m - ad.take(mean, np.maximum(groups, 0))  # a row in no group weighs 0
-    return mean, ad.matmul(avg, v + dev * dev)
+    dev = flat - m
+    return m.reshape(n, c), (dev * dev).mean(axis=2), dev
 
 
 def per_image_bns(net: Network, images: np.ndarray) -> BnStats:
@@ -144,10 +128,10 @@ def per_image_bns(net: Network, images: np.ndarray) -> BnStats:
         for lo in range(0, len(images), EVAL_BATCH):
             cap = forward(net, Tensor(images[lo : lo + EVAL_BATCH]), train=False,
                           capture_bn=True)
-            chunks.append([sample_moments(x) for x in cap.bn_inputs])
+            chunks.append([sample_moments(x.data)[:2] for x in cap.bn_inputs])
     layers = list(zip(*chunks))
-    means = tuple(np.concatenate([m.data for m, _ in layer]) for layer in layers)
-    variances = tuple(np.concatenate([v.data for _, v in layer]) for layer in layers)
+    means = tuple(np.concatenate([m for m, _ in layer]) for layer in layers)
+    variances = tuple(np.concatenate([v for _, v in layer]) for layer in layers)
     return BnStats(means, variances)
 
 
@@ -165,60 +149,125 @@ def build_class_centroids(net: Network, calib: CalibrationSet,
                           BnStats(means[deep], variances[deep]))
 
 
-def per_class_moments(moments: Sequence[Moments], labels: np.ndarray,
-                      centroids: ClassCentroids) -> tuple[list[Moments], BnStats] | None:
-    """Per-class statistics of the deep layers, from every layer's per-sample
-    moments, with their centroid rows as targets.
-
-    Covers every class that is in ``labels`` and has a centroid, in class
-    order; each class's mean and biased variance are taken over all of its
-    samples jointly (samples x spatial positions). Returns None when no such
-    class exists.
-    """
-    labels = np.asarray(labels)
-    present = np.intersect1d(centroids.classes, labels)
-    if not len(present):
-        return None
-    groups = np.searchsorted(present, labels)
-    groups[~np.isin(labels, present)] = -1  # without a centroid, in no group
-    stats = [group_moments(m, v, groups, len(present))
-             for m, v in moments[centroids.deep_start - 1:]]
-    rows = np.searchsorted(centroids.classes, present)
-    cen = centroids.stats
-    return stats, BnStats(tuple(m[rows] for m in cen.means), tuple(v[rows] for v in cen.variances))
-
-
 # ---------------------------------------------------------------------------
 # the alignment loss
 # ---------------------------------------------------------------------------
 
-def alignment_loss(stats: Sequence[Moments], targets: BnStats) -> Tensor:
-    """Sum over layers of squared L2 distances from (mean, variance)
-    statistics to constant targets of the same layer; the targets are cast
-    to the statistics' dtype and carry no gradient."""
-    if len(stats) != targets.layer_count:
-        raise ValueError(
-            f"layer count mismatch: {len(stats)} statistics vs {targets.layer_count} targets"
-        )
-    total = None
-    for (m, v), tm, tv in zip(stats, targets.means, targets.variances):
-        term = ad.sq_dist(m, tm.astype(m.dtype)) + ad.sq_dist(v, tv.astype(v.dtype))
-        total = term if total is None else total + term
-    return total
+def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnStats,
+                   centroids: ClassCentroids, distortion: DistortionParams,
+                   rng: np.random.Generator, *, w_bns: float, w_cbns: float,
+                   w_dbns: float) -> tuple[Tensor, dict[str, float]]:
+    """The weighted sum of the three BN-statistics terms of a batch, as one
+    taped op, and each term's unweighted value.
 
+    ``bn_inputs`` are every BN layer's captured input, in layer order, and
+    ``labels`` the batch's classes. Each term is a sum of squared L2
+    distances from (mean, biased variance) statistics to constant targets,
+    cast to the inputs' dtype:
 
-def distort(targets: BnStats, distortion: DistortionParams,
-            rng: np.random.Generator) -> BnStats:
-    """Targets plus fresh elementwise Gaussian noise (std ``mean_std`` for
-    means, ``var_std`` for variances), drawn layer by layer: one matrix for
-    the means, then one for the variances.
+    * ``bns``: the batch statistics of every layer against ``running``;
+    * ``cbns``: the per-class statistics of the deep layers against the
+      centroid rows, over the batch's classes that have a centroid;
+    * ``dbns``: the same against the centroid rows plus fresh Gaussian noise
+      (std ``mean_std`` for means, ``var_std`` for variances), drawn layer by
+      layer: one matrix for the means, then one for the variances. Distorted
+      variance targets may go negative; they are regression targets and are
+      used as-is.
 
-    The float64 noise is added before :func:`alignment_loss` casts the
-    targets. Distorted variance targets may go negative; they are regression
-    targets, not normalizers, and are used as-is.
+    A class's statistics are taken over all of its samples jointly (samples
+    x spatial positions): as all samples of a layer have the same size, the
+    parallel-variance identity pools their moments exactly, mean_k = avg m_i
+    and var_k = avg(v_i + (m_i - mean_k)^2), averages over group k. A centroid
+    term is computed only when its weight is nonzero and some class of the
+    batch has a centroid; otherwise it is absent from the returned values and
+    draws no noise. Each input's gradient is written in that input's memory
+    layout.
     """
-    means, variances = [], []
-    for tm, tv in zip(targets.means, targets.variances):
-        means.append(tm + rng.normal(0.0, distortion.mean_std, size=tm.shape))
-        variances.append(tv + rng.normal(0.0, distortion.var_std, size=tv.shape))
-    return BnStats(tuple(means), tuple(variances))
+    if running.layer_count != len(bn_inputs):
+        raise ValueError(f"layer count mismatch: {len(bn_inputs)} statistics vs "
+                         f"{running.layer_count} targets")
+    labels = np.asarray(labels)
+    moments = [sample_moments(x.data) for x in bn_inputs]
+    devs = [dev for _, _, dev in moments]
+    m = np.concatenate([mo[0] for mo in moments], axis=1)  # (N, sum C_l)
+    v = np.concatenate([mo[1] for mo in moments], axis=1)
+    dtype = m.dtype
+
+    # the averaging matrix: row 0 the batch, then one row per present class
+    # that has a centroid, in class order
+    present = np.intersect1d(centroids.classes, labels) if w_cbns or w_dbns else labels[:0]
+    member = np.concatenate([np.ones((1, len(labels)), bool), labels == present[:, None]])
+    avg = (member / member.sum(axis=1, keepdims=True)).astype(dtype)
+    mean = avg @ m
+    dev_b = m - mean[0]
+    var_b = avg[0] @ (v + dev_b * dev_b)
+    err_m = mean[0] - np.concatenate(running.means).astype(dtype)
+    err_v = var_b - np.concatenate(running.variances).astype(dtype)
+    terms = {"bns": (err_m * err_m).sum() + (err_v * err_v).sum()}
+    total = w_bns * terms["bns"]
+
+    if len(present):
+        deep = sum(d.shape[1] for d in devs[:centroids.deep_start - 1])  # first deep column
+        mean_c = mean[1:, deep:]
+        # each sample's deviation from its class mean; a sample in no class
+        # group weighs 0 in every class row
+        dev_c = m[:, deep:] - member[1:].T.astype(dtype) @ mean_c
+        var_c = avg[1:] @ (v[:, deep:] + dev_c * dev_c)
+        rows = np.searchsorted(centroids.classes, present)
+        cen_m = np.concatenate([c[rows] for c in centroids.stats.means], axis=1)
+        cen_v = np.concatenate([c[rows] for c in centroids.stats.variances], axis=1)
+        # half the gradient of the centroid terms w.r.t. (mean_c, var_c)
+        gm_c = np.zeros_like(mean_c)
+        gv_c = np.zeros_like(var_c)
+        if w_cbns:
+            e_m, e_v = mean_c - cen_m.astype(dtype), var_c - cen_v.astype(dtype)
+            terms["cbns"] = (e_m * e_m).sum() + (e_v * e_v).sum()
+            total = total + w_cbns * terms["cbns"]
+            gm_c += w_cbns * e_m
+            gv_c += w_cbns * e_v
+        if w_dbns:
+            noise_m, noise_v = [], []
+            for c in centroids.stats.means:
+                noise_m.append(rng.normal(0.0, distortion.mean_std, size=(len(rows), c.shape[1])))
+                noise_v.append(rng.normal(0.0, distortion.var_std, size=(len(rows), c.shape[1])))
+            e_m = mean_c - (cen_m + np.concatenate(noise_m, axis=1)).astype(dtype)
+            e_v = var_c - (cen_v + np.concatenate(noise_v, axis=1)).astype(dtype)
+            terms["dbns"] = (e_m * e_m).sum() + (e_v * e_v).sum()
+            total = total + w_dbns * terms["dbns"]
+            gm_c += w_dbns * e_m
+            gv_c += w_dbns * e_v
+
+    def bwd(g):
+        scale = 2.0 * float(g)
+        # the gradient w.r.t. each sample's moments, (N, sum C_l); the pooled
+        # means' own gradient through the deviations sums to zero
+        gv = np.outer(avg[0], scale * w_bns * err_v)
+        gm = np.outer(avg[0], scale * w_bns * err_m) + 2 * dev_b * gv
+        if len(present):
+            gv_s = avg[1:].T @ (scale * gv_c)
+            gm[:, deep:] += avg[1:].T @ (scale * gm_c) + 2 * dev_c * gv_s
+            gv[:, deep:] += gv_s
+        # the deviations become each layer's gradient in place; they are
+        # freed with this node, once backward has copied the gradients out.
+        # Freed here instead, layer by layer, they lower a batch-64 step's
+        # tracemalloc peak by 1.4 MB, but in a process that has run the other
+        # commands glibc then trimmed the heap top within each generator step
+        # and the pages faulted back in (about 230k minor faults per full-arm
+        # quantize of the benchmark, where this order measured about 1k)
+        grads, lo = [], 0
+        for dev, x in zip(devs, bn_inputs):
+            _, c, size = dev.shape
+            hi = lo + c
+            if x.requires_grad:
+                dev *= gv[:, lo:hi, None] * (2.0 / size)
+                dev += gm[:, lo:hi, None] / size
+                gx = np.empty_like(x.data)  # in x's memory layout
+                gx[...] = dev.reshape(x.shape)
+                grads.append(gx)
+            else:
+                grads.append(None)
+            lo = hi
+        return grads
+
+    out = ad.record_op(np.asarray(total, dtype=dtype), bn_inputs, bwd)
+    return out, {k: float(t) for k, t in terms.items()}

@@ -93,6 +93,8 @@ def cmd_analyze_bns(args) -> int:
     settings = load_settings(args.config, overrides)
     net = load_model(args.model).network
     net.set_requires_grad(False)
+    if args.csv is not None and not 1 <= args.layer <= net.bn_layer_count:
+        raise ConfigError(f"--layer {args.layer} out of range 1..{net.bn_layer_count}")
     train, _ = make_toy_dataset(settings.dataset)
 
     rng = np.random.default_rng([settings.train.seed, 7])

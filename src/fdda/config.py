@@ -71,6 +71,10 @@ class RunSettings:
     policy: QuantPolicy = field(default_factory=QuantPolicy)
     classes: tuple[int, ...] | None = None  # None = all classes
 
+    def __post_init__(self):
+        if self.classes is not None and any(a >= b for a, b in zip(self.classes, self.classes[1:])):
+            raise ConfigError(f"classes must be strictly increasing, got {list(self.classes)}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -116,7 +120,7 @@ def _build(cls, raw, where: str):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"bad {where} config: {exc}") from exc
+        raise ConfigError(f"invalid value in {where}: {exc}") from exc
 
 
 def settings_from_dict(raw: dict) -> RunSettings:

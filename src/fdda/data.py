@@ -114,8 +114,9 @@ class CalibrationSet:
 
 def extract_calibration(train: LabeledImages, num_classes: int,
                         classes: Sequence[int] | None = None) -> CalibrationSet:
-    """First-indexed sample of each requested class (default: all), in class order."""
-    wanted = list(range(num_classes)) if classes is None else sorted(set(classes))
+    """First-indexed sample of each requested class (default: all); the
+    request must be in class order, as :class:`CalibrationSet` requires."""
+    wanted = range(num_classes) if classes is None else classes
     images, labels = [], []
     for c in wanted:
         idx = np.nonzero(train.labels == c)[0]

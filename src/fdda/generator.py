@@ -10,16 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bns import (
-    BnStats,
-    ClassCentroids,
-    DistortionParams,
-    alignment_loss,
-    distort,
-    group_moments,
-    per_class_moments,
-    sample_moments,
-)
+from .bns import BnStats, ClassCentroids, DistortionParams, alignment_loss
 from .network import Network, forward
 
 
@@ -70,16 +61,6 @@ def generate(g: Network, labels: np.ndarray, rng: np.random.Generator) -> Tensor
     return forward(g, x, train=True).output
 
 
-def combine_generator_loss(parts: dict[str, Tensor], w: LossWeights) -> Tensor:
-    """Weighted sum of the generator terms; an absent centroid term adds 0."""
-    total = parts["ce"] * w.ce + parts["bns"] * w.bns
-    if "dbns" in parts:
-        total = total + parts["dbns"] * w.dbns
-    if "cbns" in parts:
-        total = total + parts["cbns"] * w.cbns
-    return total
-
-
 def generator_total_loss(
     images: Tensor,
     labels: np.ndarray,
@@ -89,10 +70,11 @@ def generator_total_loss(
     w: LossWeights,
     distortion: DistortionParams,
     rng: np.random.Generator,
-) -> tuple[Tensor, dict[str, Tensor], Tensor]:
+) -> tuple[Tensor, dict[str, float], Tensor]:
     """One pass of the synthetic batch through the frozen classifier, scoring
-    Eq-style weighted sum of classification + alignment terms. Returns the
-    total, its parts and the classifier's logits for ``images`` from that pass.
+    the weighted sum of classification and the BN-statistics terms
+    (:func:`bns.alignment_loss`). Returns the total, each term's unweighted
+    value and the classifier's logits for ``images`` from that pass.
 
     A centroid term is computed only when its weight is nonzero, and only over
     the batch's classes that have a centroid (it is absent when none has);
@@ -100,23 +82,7 @@ def generator_total_loss(
     parameters do not require gradients.
     """
     cap = forward(f_net, images, train=False, capture_bn=True)
-    # every statistic is a reduction of one pair of per-sample moments per
-    # layer, taped after the forward pass: backward sums the alignment terms'
-    # gradients into the moments, then adds theirs into each BN input before
-    # BN's own gradient; seeded reports depend on that order of sums
-    moments = [sample_moments(x) for x in cap.bn_inputs]
-    whole_batch = np.zeros(len(labels), dtype=np.intp)
-    parts = {
-        "ce": ad.softmax_cross_entropy(cap.output, labels),
-        "bns": alignment_loss([group_moments(m, v, whole_batch, 1) for m, v in moments],
-                              running),
-    }
-    if w.cbns or w.dbns:
-        per_class = per_class_moments(moments, labels, centroids)
-        if per_class is not None:
-            stats, targets = per_class
-            if w.cbns:
-                parts["cbns"] = alignment_loss(stats, targets)
-            if w.dbns:
-                parts["dbns"] = alignment_loss(stats, distort(targets, distortion, rng))
-    return combine_generator_loss(parts, w), parts, cap.output
+    ce = ad.softmax_cross_entropy(cap.output, labels)
+    align, terms = alignment_loss(cap.bn_inputs, labels, running, centroids, distortion, rng,
+                                  w_bns=w.bns, w_cbns=w.cbns, w_dbns=w.dbns)
+    return ce * w.ce + align, {"ce": float(ce.data), **terms}, cap.output

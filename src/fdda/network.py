@@ -245,8 +245,8 @@ def forward(
 ) -> ForwardResult:
     """Run the layer stack. ``capture_bn`` records each BN layer's input
     tensor, in either mode; callers take the statistics they need from
-    ``bn_inputs`` (``bns.sample_moments``), so losses built on them
-    differentiate back to ``x``."""
+    ``bn_inputs`` (``bns.sample_moments``, and ``bns.alignment_loss`` on the
+    tape), so losses built on them differentiate back to ``x``."""
     bn_inputs: list[Tensor] = []
     n_weights = len(net.weight_layers())
     weight = point = 0

@@ -163,32 +163,38 @@ def _mixed_batch(state: TrainState, cfg: TrainConfig,
 
 
 def _generator_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
-                    lr: float) -> tuple[float, Batch]:
-    """One generator update on its composite loss. Returns the loss and the
-    step's batch: its images and labels, and the teacher's logits from the
-    loss's forward pass, all detached from the tape."""
+                    lr: float) -> tuple[float, dict, Batch]:
+    """One generator update on its composite loss. Returns the loss, its
+    unweighted terms and the step's batch: its images and labels, and the
+    teacher's logits from the loss's forward pass, all detached from the
+    tape."""
     labels = sample_labels(state.f_net.meta["num_classes"], cfg.batch_size,
                            state.rng_labels)
     images = generate(state.g_net, labels, state.rng_noise)
-    loss, _, logits = generator_total_loss(
+    loss, terms, logits = generator_total_loss(
         images, labels, state.f_net, state.running, state.centroids,
         settings.weights, settings.distortion, state.rng_distort,
     )
     state.g_net.zero_grad()
     ad.backward(loss)
     state.g_opt.step(lr)
-    return float(loss.data), (images.data, labels, logits.data)
+    return float(loss.data), terms, (images.data, labels, logits.data)
 
 
 def _quantized_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
-                    lr: float, synthetic: Batch | None) -> float:
+                    lr: float, synthetic: Batch | None) -> tuple[float, dict]:
     images, labels, teacher_logits = _mixed_batch(state, cfg, synthetic)
-    loss, _ = quantized_model_loss(state.q_net, teacher_logits, images, labels,
-                                   settings.weights, state.quant)
+    loss, terms = quantized_model_loss(state.q_net, teacher_logits, images, labels,
+                                       settings.weights, state.quant)
     state.q_net.zero_grad()
     ad.backward(loss)
     state.q_opt.step(lr)
-    return float(loss.data)
+    return float(loss.data), terms
+
+
+def _add_terms(sums: dict, terms: dict) -> None:
+    for name, value in terms.items():
+        sums[name] = sums.get(name, 0.0) + value
 
 
 def warmup_generator(state: TrainState, cfg: TrainConfig, settings: RunSettings) -> list[float]:
@@ -209,23 +215,32 @@ def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
     """One epoch of per-step alternation: a generator update on its composite
     loss (when the run has a generator), then a quantized-model update on the
     first rows of that update's batch mixed with calibration rows (see
-    :func:`_mixed_batch`). Returns the epoch's report entry, its mean losses;
-    raises :class:`TrainingDiverged` on a non-finite loss."""
+    :func:`_mixed_batch`). Returns the epoch's report entry: its mean losses
+    and the mean of each unweighted term, a step that did not compute a term
+    counting 0 (it added 0 to that step's loss) and a term no step computed
+    absent; raises :class:`TrainingDiverged` on a non-finite loss."""
     lr_g = step_lr(cfg.lr_generator, epoch)
     lr_q = cosine_lr(cfg.lr_quantized, epoch, cfg.total_epochs)
     g_losses, q_losses = [], []
+    g_terms, q_terms = {}, {}  # each term's sum over the steps
     for step in range(cfg.steps_per_epoch):
         synthetic = None
         if state.g_net is not None:
-            loss, synthetic = _generator_step(state, cfg, settings, lr_g)
+            loss, terms, synthetic = _generator_step(state, cfg, settings, lr_g)
             g_losses.append(loss)
+            _add_terms(g_terms, terms)
             _check_finite(loss, "generator", "training", epoch, step)
-        q_losses.append(_quantized_step(state, cfg, settings, lr_q, synthetic))
-        _check_finite(q_losses[-1], "quantized-model", "training", epoch, step)
+        loss, terms = _quantized_step(state, cfg, settings, lr_q, synthetic)
+        q_losses.append(loss)
+        _add_terms(q_terms, terms)
+        _check_finite(loss, "quantized-model", "training", epoch, step)
+    steps = cfg.steps_per_epoch
     return {
         "epoch": epoch,
         "lossG": float(np.mean(g_losses)) if g_losses else None,
         "lossQ": float(np.mean(q_losses)),
+        "lossG_terms": {name: total / steps for name, total in g_terms.items()},
+        "lossQ_terms": {name: total / steps for name, total in q_terms.items()},
     }
 
 

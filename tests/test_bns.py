@@ -1,7 +1,10 @@
-"""BN-statistics granularities and alignment losses: the moment reductions
-against plain numpy formulas, identity cases, the Monte-Carlo oracle for
-noise-distorted targets, and finite-difference gradients w.r.t. batch
-statistics."""
+"""BN-statistics granularities and the one taped loss on them: per-sample
+moments against plain numpy formulas, each term of ``alignment_loss``
+against numpy oracles and hand values, identity cases, its noise draws, the
+Monte-Carlo oracle for noise-distorted targets, and finite-difference
+gradients of the op and of the whole generator loss."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,21 +19,15 @@ from fdda.bns import (
     build_class_centroids,
     collect_running_stats,
     deep_layer_start,
-    distort,
-    group_moments,
-    per_class_moments,
     per_image_bns,
     sample_moments,
 )
-from fdda.data import ToyDatasetSpec, extract_calibration, make_toy_dataset
+from fdda.data import CalibrationSet, ToyDatasetSpec, extract_calibration, make_toy_dataset
+from fdda.generator import LossWeights, generator_total_loss
 from fdda.models import build_toy_classifier
 from fdda.network import BN_EPS, forward
 
-from helpers import detach, grad_check
-
-# float32 tolerance of the moment reductions against the numpy references
-# below, for values of order 1 (measured error: about 3e-7 relative)
-F32 = dict(rtol=1e-6, atol=1e-6)
+from helpers import astype, batch_innermost, detach, grad_check
 
 
 def t64(a, rg=False):
@@ -51,15 +48,30 @@ def ref_class_stats(x, labels, classes):
     return np.stack([m for m, _ in stats]), np.stack([v for _, v in stats])
 
 
-def batch_stats(x):
-    """A batch's statistics the way the generator loss takes them: one group
-    of per-sample moments."""
-    m, v = sample_moments(x)
-    return group_moments(m, v, np.zeros(x.shape[0], dtype=np.intp), 1)
+NO_CENTROIDS = ClassCentroids(1, (), BnStats((), ()))
 
 
-def moments_of(inputs):
-    return [sample_moments(x) for x in inputs]
+def align(inputs, labels, running=None, centroids=NO_CENTROIDS, d=DistortionParams(),
+          rng=None, w=(1.0, 1.0, 1.0)):
+    """``alignment_loss`` with weights (bns, cbns, dbns); ``running`` defaults
+    to zero means and unit variances."""
+    if running is None:
+        running = BnStats(tuple(np.zeros(x.shape[1]) for x in inputs),
+                          tuple(np.ones(x.shape[1]) for x in inputs))
+    rng = np.random.default_rng(0) if rng is None else rng
+    return alignment_loss(inputs, np.asarray(labels), running, centroids, d, rng,
+                          w_bns=w[0], w_cbns=w[1], w_dbns=w[2])
+
+
+def centroid_terms(inputs, labels, centroids, d=DistortionParams(), rng=None):
+    """The cbns and dbns values, with the batch term weighted 0."""
+    return align(inputs, labels, centroids=centroids, d=d, rng=rng, w=(0.0, 1.0, 1.0))[1]
+
+
+def sq_dist(stats, targets):
+    """Oracle: the sum of squared distances of (mean, variance) pairs."""
+    return sum(((m - tm) ** 2).sum() + ((v - tv) ** 2).sum()
+               for (m, v), (tm, tv) in zip(stats, targets))
 
 
 # ---------------------------------------------------------------------------
@@ -123,71 +135,59 @@ def test_train_mode_capture_records_bn_inputs_on_the_tape():
     assert [t.shape[1] for t in cap.bn_inputs] == _bn_channels(net)
     conv1 = ad.conv2d(detach(x), net.params["conv1.w"], net.params["conv1.b"], pad=1)
     np.testing.assert_array_equal(cap.bn_inputs[0].data, conv1.data)
-    m, v = sample_moments(cap.bn_inputs[-1])
-    ad.backward(m.sum() + v.sum())
+    loss, _ = align(cap.bn_inputs, np.zeros(4, np.int64), collect_running_stats(net))
+    ad.backward(loss)
     assert x.grad is not None and np.abs(x.grad).sum() > 0
-
-
-def _taped_moments(moments, x, gm, gv):
-    """Per-sample moments of x and the input gradient of <m, gm> + <v, gv>."""
-    xt = Tensor(x, requires_grad=True)
-    m, v = moments(xt)
-    ad.backward((m * Tensor(gm)).sum() + (v * Tensor(gv)).sum())
-    return m.data, v.data, xt.grad
-
-
-def _moments_through_mul_and_mean(x):
-    """sample_moments as a product and a mean op, which tape the square."""
-    n, c = x.shape[:2]
-    flat = x.reshape((n, c, -1))
-    m = flat.mean(axis=2, keepdims=True)
-    centered = flat - m
-    return m.reshape((n, c)), (centered * centered).mean(axis=2)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(64, 8, 16, 16), (64, 16, 8, 8), (64, 32, 2, 2),
                                    (7, 24, 4, 4), (64, 64)], ids=str)
 def test_sample_moments_equal_the_product_and_mean_ops_bit_for_bit(shape, dtype):
+    # the expressions per-image statistics, centroids and analyze-bns have
+    # always used, whatever the input's memory layout
     rng = np.random.default_rng(sum(shape))
     x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
-    gm = rng.standard_normal(shape[:2]).astype(dtype)
-    gv = rng.standard_normal(shape[:2]).astype(dtype)
-    got = _taped_moments(sample_moments, x, gm, gv)
-    ref = _taped_moments(_moments_through_mul_and_mean, x, gm, gv)
-    for a, b in zip(got, ref):
-        assert a.dtype == dtype
-        np.testing.assert_array_equal(a, b)
+    n, c = shape[:2]
+    flat = x.reshape(n, c, -1)
+    m = flat.mean(axis=2, keepdims=True)
+    centered = flat - m
+    ref = (m.reshape(n, c), (centered * centered).mean(axis=2), centered)
+    layouts = [x] if x.ndim == 2 else [x, batch_innermost(x)]
+    for data in layouts:
+        got = sample_moments(data)
+        for a, b in zip(got, ref):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, b)
 
 
 def test_sample_moments_keep_no_square_on_the_tape():
-    import tracemalloc
-
     x = Tensor(np.random.default_rng(0).standard_normal((64, 16, 8, 8)).astype(np.float32),
                requires_grad=True)
     tracemalloc.start()
     try:
-        moments = sample_moments(x)  # held while measuring
+        loss = align([x], np.zeros(64, np.int64))  # held while measuring
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         ad._tape.clear()
     # the centered input, and not its square as well
     assert x.data.nbytes <= kept < 1.5 * x.data.nbytes
-    assert all(t.shape == (64, 16) for t in moments)
+    assert loss[0].shape == ()
 
 
 def test_per_image_stats_hand_values():
-    m, v = sample_moments(Tensor(np.array([[[[1.0, 3.0]]], [[[5.0, 5.0]]]])))
-    np.testing.assert_allclose(m.data, [[2.0], [5.0]])
-    np.testing.assert_allclose(v.data, [[1.0], [0.0]])
+    m, v, _ = sample_moments(np.array([[[[1.0, 3.0]]], [[[5.0, 5.0]]]]))
+    np.testing.assert_allclose(m, [[2.0], [5.0]])
+    np.testing.assert_allclose(v, [[1.0], [0.0]])
 
-    m, v = sample_moments(Tensor(np.full((1, 2, 3, 3), 4.0)))
-    np.testing.assert_allclose(v.data, [[0.0, 0.0]])
+    m, v, _ = sample_moments(np.full((1, 2, 3, 3), 4.0))
+    np.testing.assert_allclose(v, [[0.0, 0.0]])
 
-    m, v = sample_moments(Tensor(np.array([[1.0, -2.0]])))  # dense: the value itself
-    np.testing.assert_array_equal(m.data, [[1.0, -2.0]])
-    np.testing.assert_array_equal(v.data, [[0.0, 0.0]])
+    m, v, dev = sample_moments(np.array([[1.0, -2.0]]))  # dense: the value itself
+    np.testing.assert_array_equal(m, [[1.0, -2.0]])
+    np.testing.assert_array_equal(v, [[0.0, 0.0]])
+    np.testing.assert_array_equal(dev, [[[0.0], [0.0]]])
 
 
 def test_per_image_bns_requires_an_image():
@@ -261,32 +261,35 @@ def test_per_image_equals_batchnorm_batch_stats():
 
 
 def test_identical_images_batch_stats_match_per_image():
-    # a batch of copies of one image carries that image's statistics
+    # a batch of copies of one image carries that image's statistics: against
+    # them as running targets, the batch term is zero up to rounding
     net = build_toy_classifier(seed=2)
     rng = np.random.default_rng(2)
     img = rng.uniform(-1, 1, size=(1, 1, 16, 16)).astype(np.float32)
     batch = np.repeat(img, 4, axis=0)
     stats = per_image_bns(net, img)
+    running = BnStats(tuple(m[0] for m in stats.means), tuple(v[0] for v in stats.variances))
     with ad.no_grad():
         cap = forward(net, Tensor(batch), train=False, capture_bn=True)
-        stats_of_batch = [batch_stats(x) for x in cap.bn_inputs]
-    for l, (bm, bv) in enumerate(stats_of_batch):
-        np.testing.assert_allclose(stats.means[l][0], bm.data[0], atol=1e-5)
-        np.testing.assert_allclose(stats.variances[l][0], bv.data[0], atol=1e-5)
+        _, terms = align(cap.bn_inputs, np.zeros(4, np.int64), running)
+    channels = sum(_bn_channels(net))
+    assert terms["bns"] < 2 * channels * 1e-5 ** 2
 
 
 # ---------------------------------------------------------------------------
-# moment reductions against the numpy references
+# pooled statistics against the numpy references
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("shape", [(12, 5, 4, 4), (12, 5)], ids=["conv", "dense"])
 def test_one_group_is_the_batch_statistics(shape):
-    x = np.random.default_rng(20).normal(1.0, 2.0, size=shape).astype(np.float32)
-    m, v = batch_stats(Tensor(x))
-    assert m.shape == v.shape == (1, shape[1]) and m.dtype == np.float32
-    ref_m, ref_v = ref_batch_stats(x)
-    np.testing.assert_allclose(m.data[0], ref_m, **F32)
-    np.testing.assert_allclose(v.data[0], ref_v, **F32)
+    rng = np.random.default_rng(20)
+    x = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
+    running = BnStats((rng.normal(size=shape[1]),), (rng.uniform(0.5, 2.0, size=shape[1]),))
+    loss, terms = align([Tensor(x)], np.zeros(shape[0], np.int64), running)
+    assert loss.shape == () and loss.dtype == np.float32
+    ref_m, ref_v = ref_batch_stats(x.astype(np.float64))
+    expect = sq_dist([(ref_m, ref_v)], [(running.means[0], running.variances[0])])
+    assert terms == {"bns": pytest.approx(expect, rel=1e-5)}
 
 
 @pytest.mark.parametrize("shape", [(12, 5, 4, 4), (12, 5)], ids=["conv", "dense"])
@@ -294,23 +297,29 @@ def test_class_groups_are_the_per_class_statistics(shape):
     rng = np.random.default_rng(21)
     x = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
     labels = np.array([3, 0, 3, 1, 0, 3, 1, 1, 3, 0, 2, 3])
-    classes = [0, 1, 3]  # class 2 is in no group
-    groups = np.array([classes.index(c) if c in classes else -1 for c in labels])
-    m, v = group_moments(*sample_moments(Tensor(x)), groups, len(classes))
-    ref_m, ref_v = ref_class_stats(x, labels, classes)
-    np.testing.assert_allclose(m.data, ref_m, **F32)
-    np.testing.assert_allclose(v.data, ref_v, **F32)
+    classes = (0, 1, 3)  # class 2 has no centroid
+    cen = ClassCentroids(1, classes, BnStats((rng.normal(size=(3, shape[1])),),
+                                             (rng.uniform(0.5, 2, size=(3, shape[1])),)))
+    d = DistortionParams(0.0, 0.0)
+    terms = centroid_terms([Tensor(x)], labels, cen, d)
+    ref_m, ref_v = ref_class_stats(x.astype(np.float64), labels, classes)
+    expect = sq_dist(zip(ref_m, ref_v), zip(cen.stats.means[0], cen.stats.variances[0]))
+    assert terms["cbns"] == pytest.approx(expect, rel=1e-5)
+    assert terms["dbns"] == terms["cbns"]
 
 
 def test_group_moments_gradient_matches_finite_differences():
+    # a sample whose class has no centroid is in no class group, and with the
+    # batch term weighted 0 its gradient is exactly 0
     rng = np.random.default_rng(22)
     x = t64(rng.normal(size=(6, 2, 2, 3)), rg=True)
-    groups = np.array([1, 0, -1, 1, 1, 0])
-    wm, wv = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    labels = np.array([1, 0, 4, 1, 1, 0])
+    cen = ClassCentroids(1, (0, 1), BnStats((rng.normal(size=(2, 2)),),
+                                            (rng.uniform(0.5, 2, size=(2, 2)),)))
 
     def loss():
-        m, v = group_moments(*sample_moments(x), groups, 2)
-        return (m * Tensor(wm)).sum() + (v * Tensor(wv)).sum()
+        return align([x], labels, centroids=cen, rng=np.random.default_rng(5),
+                     w=(0.0, 0.3, 0.7))[0]
 
     assert grad_check(loss, [x], h=1e-5) < 1e-6
     assert np.all(x.grad[2] == 0.0)  # the sample in no group
@@ -346,7 +355,7 @@ def test_centroid_equals_per_image_stats():
 
 def test_centroids_are_the_per_image_rows_of_every_class():
     net = build_toy_classifier(seed=1)
-    calib = _calib_subset([5, 0, 2, 7])
+    calib = _calib_subset([0, 2, 5, 7])
     cen = build_class_centroids(net, calib, deep_start=2)
     ref_means, ref_vars = batch_one_bns(net, calib.images)
     assert cen.classes == (0, 2, 5, 7)
@@ -372,66 +381,51 @@ def test_centroid_classes_must_be_sorted_and_unique(classes):
 
 
 # ---------------------------------------------------------------------------
-# coarse alignment: the loss against the running statistics
+# coarse alignment: the batch term against the running statistics
 # ---------------------------------------------------------------------------
 
-def _stats_pair(means, variances):
-    return [(t64(m), t64(v)) for m, v in zip(means, variances)]
-
-
 def test_bns_loss_zero_at_exact_match():
-    running = BnStats((np.array([0.5, -1.0]),), (np.array([1.0, 2.0]),))
-    stats = _stats_pair([np.array([0.5, -1.0])], [np.array([1.0, 2.0])])
-    assert float(alignment_loss(stats, running).data) == 0.0
+    # two dense rows whose batch mean is (0.5, -1) and biased variance (1, 4)
+    running = BnStats((np.array([0.5, -1.0]),), (np.array([1.0, 4.0]),))
+    x = t64([[1.5, 1.0], [-0.5, -3.0]])
+    assert align([x], [0, 0], running)[1]["bns"] == 0.0
 
 
 def test_bns_loss_hand_value():
     running = BnStats((np.zeros(2),), (np.array([1.0, 1.0]),))
-    stats = _stats_pair([np.array([1.0, 2.0])], [np.array([1.0, 1.0])])
-    assert float(alignment_loss(stats, running).data) == pytest.approx(5.0)
+    x = t64([[2.0, 3.0], [0.0, 1.0]])  # batch mean (1, 2), variance (1, 1)
+    assert align([x], [0, 0], running)[1]["bns"] == pytest.approx(5.0)
 
 
 def test_bns_loss_permutation_invariant():
     rng = np.random.default_rng(3)
-    means = [rng.normal(size=4), rng.normal(size=3)]
-    variances = [rng.uniform(0.5, 2, size=4), rng.uniform(0.5, 2, size=3)]
+    xs = [t64(rng.normal(size=(5, 4))), t64(rng.normal(size=(5, 3, 2, 2)))]
     r_m = [rng.normal(size=4), rng.normal(size=3)]
     r_v = [rng.uniform(0.5, 2, size=4), rng.uniform(0.5, 2, size=3)]
-    a = alignment_loss(_stats_pair(means, variances), BnStats(tuple(r_m), tuple(r_v)))
-    b = alignment_loss(_stats_pair(means[::-1], variances[::-1]),
-                       BnStats(tuple(r_m[::-1]), tuple(r_v[::-1])))
-    assert float(a.data) == pytest.approx(float(b.data), rel=1e-12)
+    a = align(xs, np.zeros(5, np.int64), BnStats(tuple(r_m), tuple(r_v)))[1]["bns"]
+    b = align(xs[::-1], np.zeros(5, np.int64),
+              BnStats(tuple(r_m[::-1]), tuple(r_v[::-1])))[1]["bns"]
+    assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_bns_loss_layer_count_mismatch():
     running = BnStats((np.zeros(2), np.zeros(2)), (np.ones(2), np.ones(2)))
-    with pytest.raises(ValueError):
-        alignment_loss(_stats_pair([np.zeros(2)], [np.ones(2)]), running)
+    with pytest.raises(ValueError, match="layer count mismatch"):
+        align([t64(np.zeros((3, 2)))], [0, 0, 0], running)
 
 
 def test_bns_loss_nonnegative_random():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        stats = _stats_pair([rng.normal(size=3)], [rng.uniform(0, 2, size=3)])
+        x = t64(rng.normal(size=(4, 3)))
         running = BnStats((rng.normal(size=3),), (rng.uniform(0, 2, size=3),))
-        assert float(alignment_loss(stats, running).data) >= 0.0
+        assert align([x], np.zeros(4, np.int64), running)[1]["bns"] >= 0.0
 
 
 # ---------------------------------------------------------------------------
-# centroid alignment: the loss against centroid rows, plain and distorted
+# centroid alignment: the per-class terms against centroid rows, plain and
+# distorted
 # ---------------------------------------------------------------------------
-
-def cbns(per_class):
-    """The centroid term of ``per_class_moments``' (statistics, targets)."""
-    stats, targets = per_class
-    return alignment_loss(stats, targets)
-
-
-def dbns(per_class, d, rng):
-    """The distorted-centroid term, as the generator loss takes it."""
-    stats, targets = per_class
-    return alignment_loss(stats, distort(targets, d, rng))
-
 
 def _simple_centroids(deep_start=2, layer_count=3, channels=2, classes=(0, 1), seed=5):
     rng = np.random.default_rng(seed)
@@ -439,26 +433,6 @@ def _simple_centroids(deep_start=2, layer_count=3, channels=2, classes=(0, 1), s
     means = tuple(rng.normal(size=(len(classes), channels)) for _ in deep)
     variances = tuple(rng.uniform(0.5, 2.0, size=(len(classes), channels)) for _ in deep)
     return ClassCentroids(deep_start, tuple(classes), BnStats(means, variances))
-
-
-def _targets(cen, classes=None):
-    """The centroid rows of ``classes`` (default: all), per deep layer."""
-    rows = [cen.classes.index(c) for c in (cen.classes if classes is None else classes)]
-    return BnStats(tuple(m[rows] for m in cen.stats.means),
-                   tuple(v[rows] for v in cen.stats.variances))
-
-
-def _assert_targets_are(targets, cen, classes):
-    ref = _targets(cen, classes)
-    assert targets.layer_count == ref.layer_count
-    for a, b in zip(targets.means + targets.variances, ref.means + ref.variances):
-        np.testing.assert_array_equal(a, b)
-
-
-def _matching_stats(cen):
-    """Per-class statistics equal to the centroids of every class."""
-    stats = [(t64(m), t64(v)) for m, v in zip(cen.stats.means, cen.stats.variances)]
-    return stats, _targets(cen)
 
 
 def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, seed=13):
@@ -475,39 +449,48 @@ def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, see
                 tuple(np.zeros((len(labels), channels)) for _ in deep)))
 
 
+def _conv_inputs(labels, layer_count=3, channels=2, seed=14):
+    rng = np.random.default_rng(seed)
+    return [t64(rng.normal(size=(len(labels), channels, 2, 2))) for _ in range(layer_count)]
+
+
+def _oracle_cbns(inputs, labels, cen):
+    """Plain numpy: a loop over the deep layers and the classes present in
+    the batch that have a centroid."""
+    total = 0.0
+    for k, l in enumerate(range(cen.deep_start, len(inputs) + 1)):
+        for i, c in enumerate(cen.classes):
+            if c in labels:
+                m, v = ref_batch_stats(inputs[l - 1].data[labels == c])
+                total += sq_dist([(m, v)], [(cen.stats.means[k][i], cen.stats.variances[k][i])])
+    return total
+
+
 def test_cbns_zero_at_centroids():
-    cen = _simple_centroids()
-    assert float(cbns(_matching_stats(cen)).data) == 0.0
+    labels = np.array([1, 0])
+    inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
+    assert centroid_terms(inputs, labels, cen)["cbns"] == 0.0
 
 
 def test_cbns_ignores_shallow_layers():
     labels = np.array([0, 1])
     inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
     inputs[0] = t64(np.full((2, 2), 100.0))  # layer 1 < K
-    per_class = per_class_moments(moments_of(inputs), labels, cen)
-    assert len(per_class[0]) == 2  # layers 2 and 3
-    _assert_targets_are(per_class[1], cen, (0, 1))
-    assert float(cbns(per_class).data) == 0.0
+    assert centroid_terms(inputs, labels, cen)["cbns"] == 0.0
 
 
 def test_cbns_hand_value():
     cen = ClassCentroids(1, (0,), BnStats((np.zeros((1, 2)),), (np.ones((1, 2)),)))
-    stats = [(t64([[1.0, 1.0]]), t64([[1.0, 1.0]]))]
-    assert float(cbns((stats, _targets(cen))).data) == pytest.approx(2.0)
+    x = t64([[[[0.0, 2.0]], [[2.0, 0.0]]]])  # each channel: mean 1, variance 1
+    assert centroid_terms([x], [0], cen)["cbns"] == pytest.approx(2.0)
 
 
 def test_cbns_decomposes_over_classes_and_layers():
     cen = _simple_centroids(deep_start=1, layer_count=2, classes=(0, 1, 2))
-    rng = np.random.default_rng(6)
-    stats = []
-    expect = 0.0
-    for l in range(1, 3):
-        m, v = rng.normal(size=(3, 2)), rng.uniform(0.5, 2, size=(3, 2))
-        for row in range(3):
-            tm, tv = cen.stats.means[l - 1][row], cen.stats.variances[l - 1][row]
-            expect += ((m[row] - tm) ** 2).sum() + ((v[row] - tv) ** 2).sum()
-        stats.append((t64(m), t64(v)))
-    assert float(cbns((stats, _targets(cen))).data) == pytest.approx(expect, rel=1e-12)
+    labels = np.array([2, 0, 1, 1, 0, 2])
+    inputs = _conv_inputs(labels, layer_count=2)
+    expect = _oracle_cbns(inputs, labels, cen)
+    assert centroid_terms(inputs, labels, cen)["cbns"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_cbns_skips_classes_without_centroid():
@@ -517,52 +500,53 @@ def test_cbns_skips_classes_without_centroid():
     cen = ClassCentroids(cen.deep_start, (0,),
                          BnStats(tuple(m[:1] for m in cen.stats.means),
                                  tuple(v[:1] for v in cen.stats.variances)))
-    per_class = per_class_moments(moments_of(inputs), labels, cen)
-    _assert_targets_are(per_class[1], cen, (0,))
-    assert [m.shape[0] for m, _ in per_class[0]] == [1, 1]  # one class row per layer
-    assert float(cbns(per_class).data) == 0.0
+    assert centroid_terms(inputs, labels, cen)["cbns"] == 0.0
 
 
 def test_dbns_zero_noise_equals_cbns_exactly():
-    cen = _simple_centroids()
-    stats = _matching_stats(cen)
-    rng = np.random.default_rng(7)
-    d0 = DistortionParams(0.0, 0.0)
-    a = dbns(stats, d0, rng)
-    b = cbns(stats)
-    assert float(a.data) == float(b.data)
+    labels = np.array([0, 1, 1, 0])
+    inputs = [Tensor(x.data.astype(np.float32)) for x in _conv_inputs(labels)]
+    terms = centroid_terms(inputs, labels, _simple_centroids(), DistortionParams(0.0, 0.0))
+    assert terms["cbns"] > 0
+    assert terms["dbns"] == terms["cbns"]
 
 
 def test_dbns_resamples_noise_per_call():
-    cen = _simple_centroids()
-    stats = _matching_stats(cen)
+    labels = np.array([0, 1])
+    inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
     rng = np.random.default_rng(8)
-    d = DistortionParams(0.5, 1.0)
-    a = float(dbns(stats, d, rng).data)
-    b = float(dbns(stats, d, rng).data)
+    a = centroid_terms(inputs, labels, cen, rng=rng)["dbns"]
+    b = centroid_terms(inputs, labels, cen, rng=rng)["dbns"]
     assert a != b
 
 
 def test_dbns_fixed_seed_deterministic():
-    cen = _simple_centroids()
-    stats = _matching_stats(cen)
-    d = DistortionParams(0.5, 1.0)
-    a = float(dbns(stats, d, np.random.default_rng(99)).data)
-    b = float(dbns(stats, d, np.random.default_rng(99)).data)
+    labels = np.array([0, 1])
+    inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
+    a = centroid_terms(inputs, labels, cen, rng=np.random.default_rng(99))["dbns"]
+    b = centroid_terms(inputs, labels, cen, rng=np.random.default_rng(99))["dbns"]
     assert a == b
+
+
+def test_zero_dbns_weight_draws_no_noise():
+    labels = np.array([0, 1])
+    inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
+    rng = np.random.default_rng(17)
+    _, terms = align(inputs, labels, centroids=cen, rng=rng, w=(1.0, 1.0, 0.0))
+    assert set(terms) == {"bns", "cbns"}
+    assert rng.bit_generator.state == np.random.default_rng(17).bit_generator.state
 
 
 def test_dbns_monte_carlo_mean():
     # E||a - (c + eps)||^2 = ||a - c||^2 + dim * std^2, summed per class/layer
-    cen = _simple_centroids(deep_start=2, layer_count=3, channels=4, classes=(0, 1))
-    stats = _matching_stats(cen)
+    labels = np.array([0, 1])
+    inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2, channels=4)
     d = DistortionParams(0.5, 1.0)
-    base = float(cbns(stats).data)
-    channels = 4
-    n_class, n_layer = 2, 2
+    base = centroid_terms(inputs, labels, cen)["cbns"]
+    n_class, n_layer, channels = 2, 2, 4
     expect = base + n_class * n_layer * channels * (d.mean_std**2 + d.var_std**2)
     rng = np.random.default_rng(123)
-    draws = [float(dbns(stats, d, rng).data) for _ in range(10_000)]
+    draws = [centroid_terms(inputs, labels, cen, d, rng)["dbns"] for _ in range(10_000)]
     assert np.mean(draws) == pytest.approx(expect, rel=0.05)
 
 
@@ -572,28 +556,44 @@ def test_distortion_params_validate():
 
 
 # ---------------------------------------------------------------------------
-# gradients w.r.t. batch statistics (finite differences, 64-bit)
+# gradients (finite differences, 64-bit)
 # ---------------------------------------------------------------------------
 
 def test_loss_gradients_match_finite_differences():
+    labels = np.array([0, 1, 1, 0, 1])
+    xs = [t64(x.data, rg=True) for x in _conv_inputs(labels, seed=9)]
+    xs[1] = t64(np.random.default_rng(10).normal(size=(5, 3)), rg=True)  # a dense layer
+    cen = ClassCentroids(2, (0, 1), BnStats(
+        (np.ones((2, 3)), np.zeros((2, 2))), (np.full((2, 3), 0.5), np.ones((2, 2)))))
     rng = np.random.default_rng(9)
-    running = BnStats((rng.normal(size=3),), (rng.uniform(0.5, 2, size=3),))
-    m = t64(rng.normal(size=3), rg=True)
-    v = t64(rng.uniform(0.5, 2, size=3), rg=True)
-    assert grad_check(lambda: alignment_loss([(m, v)], running), [m, v], h=1e-4) < 1e-6
+    running = BnStats(tuple(rng.normal(size=x.shape[1]) for x in xs),
+                      tuple(rng.uniform(0.5, 2, size=x.shape[1]) for x in xs))
 
-    cen = _simple_centroids(deep_start=1, layer_count=1, channels=3, classes=(0,))
+    for w in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]:  # each term alone
+        def loss():  # frozen draw: a new rng per call, so FD sees one function
+            return align(xs, labels, running, cen, DistortionParams(0.5, 1.0),
+                         np.random.default_rng(5), w)[0]
 
-    def stats():  # the reshapes go on the tape of each call
-        return [(m.reshape((1, 3)), v.reshape((1, 3)))], _targets(cen)
+        assert grad_check(loss, xs, h=1e-4) < 1e-6
 
-    assert grad_check(lambda: cbns(stats()), [m, v], h=1e-4) < 1e-6
 
-    d = DistortionParams(0.5, 1.0)
-    # frozen draw: rebuild the rng inside the closure so FD sees one function
-    assert grad_check(
-        lambda: dbns(stats(), d, np.random.default_rng(5)), [m, v], h=1e-4
-    ) < 1e-6
+def test_generator_loss_gradient_matches_finite_differences():
+    # the whole generator loss w.r.t. the images, in float64, with deep
+    # layers from 3 on and a batch class (7) that has no centroid
+    f = astype(build_toy_classifier(in_shape=(1, 8, 8), seed=3), np.float64)
+    f.set_requires_grad(False)
+    rng = np.random.default_rng(6)
+    calib = CalibrationSet(rng.uniform(-1, 1, size=(2, 1, 8, 8)), np.array([0, 2]))
+    cen = build_class_centroids(f, calib, deep_start=3)
+    labels = np.array([0, 2, 7, 0])
+    images = t64(rng.uniform(-1, 1, size=(4, 1, 8, 8)), rg=True)
+
+    def loss():
+        return generator_total_loss(images, labels, f, collect_running_stats(f), cen,
+                                    LossWeights(), DistortionParams(),
+                                    np.random.default_rng(7))[0]
+
+    assert grad_check(loss, [images], h=1e-4) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +605,11 @@ def test_per_class_stats_match_direct_computation():
     t1 = Tensor(rng.normal(size=(6, 3, 2, 2)).astype(np.float64))
     t2 = Tensor(rng.normal(size=(6, 4)).astype(np.float64))
     labels = np.array([0, 1, 0, 2, 1, 0])
-    cen = _simple_centroids(deep_start=1, layer_count=2, classes=(0, 1, 2))
-    stats, targets = per_class_moments(moments_of([t1, t2]), labels, cen)
-    _assert_targets_are(targets, cen, (0, 1, 2))
-    for (m, v), t in zip(stats, (t1, t2)):
-        ref_m, ref_v = ref_class_stats(t.data, labels, (0, 1, 2))
-        np.testing.assert_allclose(m.data, ref_m, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(v.data, ref_v, rtol=1e-10, atol=1e-12)
+    cen = ClassCentroids(1, (0, 1, 2), BnStats(
+        (rng.normal(size=(3, 3)), rng.normal(size=(3, 4))),
+        (rng.uniform(0.5, 2, size=(3, 3)), rng.uniform(0.5, 2, size=(3, 4)))))
+    got = centroid_terms([t1, t2], labels, cen)["cbns"]
+    assert got == pytest.approx(_oracle_cbns([t1, t2], labels, cen), rel=1e-10)
 
 
 def test_per_class_stats_skip_absent_and_deep_start():
@@ -619,13 +617,17 @@ def test_per_class_stats_skip_absent_and_deep_start():
     t1 = Tensor(rng.normal(size=(4, 2, 2, 2)).astype(np.float64))
     t2 = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
     labels = np.array([0, 0, 1, 1])
-    cen = _simple_centroids(deep_start=2, layer_count=2, classes=(0, 1, 5))
-    stats, targets = per_class_moments(moments_of([t1, t2]), labels, cen)
-    _assert_targets_are(targets, cen, (0, 1))
     # layer 1 (2 channels) is below the cutoff; layer 2 (3 channels) is in
-    assert [m.shape for m, _ in stats] == [(2, 3)]
-    absent = _simple_centroids(deep_start=2, layer_count=2, classes=(5,))
-    assert per_class_moments(moments_of([t1, t2]), labels, absent) is None
+    cen = _simple_centroids(deep_start=2, layer_count=2, channels=3, classes=(0, 1, 5))
+    got = centroid_terms([t1, t2], labels, cen)["cbns"]
+    assert got == pytest.approx(_oracle_cbns([t1, t2], labels, cen), rel=1e-10)
+    # no class of the batch has a centroid: both centroid terms are absent
+    # and no noise is drawn
+    absent = _simple_centroids(deep_start=2, layer_count=2, channels=3, classes=(5,))
+    rng = np.random.default_rng(3)
+    _, terms = align([t1, t2], labels, centroids=absent, rng=rng)
+    assert set(terms) == {"bns"}
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
 def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
@@ -649,7 +651,9 @@ def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
 
 
 def test_stacked_and_map_losses_agree():
-    """The stacked losses against a per-class, per-layer numpy loop."""
+    """The op's three terms against the numpy oracles: the batch statistics
+    of every layer, and a per-class, per-layer loop for the centroid terms
+    with the same noise draws."""
     net = build_toy_classifier(seed=3)
     net.set_requires_grad(False)
     rng = np.random.default_rng(12)
@@ -657,12 +661,13 @@ def test_stacked_and_map_losses_agree():
     labels = np.tile(np.arange(8), 2)
     calib = _calib_subset(list(range(8)))
     cen = build_class_centroids(net, calib, deep_start=3)
+    running = collect_running_stats(net)
     d = DistortionParams(0.5, 1.0)
     with ad.no_grad():
         cap = forward(net, imgs, train=False, capture_bn=True)
-        per_class = per_class_moments(moments_of(cap.bn_inputs), labels, cen)
-        a = float(cbns(per_class).data)
-        da = float(dbns(per_class, d, np.random.default_rng(3)).data)
-    b, db = _oracle_centroid_losses(cap.bn_inputs, labels, cen, d, np.random.default_rng(3))
-    assert a == pytest.approx(b, rel=1e-5)
-    assert da == pytest.approx(db, rel=1e-5)
+        _, terms = align(cap.bn_inputs, labels, running, cen, d, np.random.default_rng(3))
+    stats = [ref_batch_stats(x.data.astype(np.float64)) for x in cap.bn_inputs]
+    bns = sq_dist(stats, zip(running.means, running.variances))
+    cbns, dbns = _oracle_centroid_losses(cap.bn_inputs, labels, cen, d, np.random.default_rng(3))
+    assert terms == {"bns": pytest.approx(bns, rel=1e-5), "cbns": pytest.approx(cbns, rel=1e-5),
+                     "dbns": pytest.approx(dbns, rel=1e-5)}

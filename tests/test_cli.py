@@ -301,13 +301,17 @@ def test_config_with_bn_momentum_exits_2(pretrained, capsys, tmp_path):
 
 
 def test_analyze_bns_csv_layer_out_of_range_exits_2(pretrained, capsys, tmp_path):
+    # checked against the loaded network before the per-image pass, so no
+    # silhouette table of a failed command reaches stdout
     root, cfg, model = pretrained
     rc = main(["analyze-bns", "--config", str(cfg), "--model", str(model),
                "--samples-per-class", "2", "--csv", str(tmp_path / "l7.csv"), "--layer", "7"])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "layer 7 out of range 1..6" in err
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "--layer 7 out of range 1..6" in err
     assert len(err.strip().splitlines()) == 1
+    assert out == ""
+    assert not (tmp_path / "l7.csv").exists()
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "1"])
@@ -335,8 +339,8 @@ def test_seeded_reports_are_byte_identical(pretrained):
 
 
 @pytest.mark.parametrize("step,nan", [
-    ("_generator_step", (float("nan"), None)),  # the loss and the step's batch
-    ("_quantized_step", float("nan")),
+    ("_generator_step", (float("nan"), {}, None)),  # the loss, its terms and the batch
+    ("_quantized_step", (float("nan"), {})),  # the loss and its terms
 ], ids=["_generator_step", "_quantized_step"])
 def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, monkeypatch,
                                                           step, nan):
@@ -438,9 +442,13 @@ def test_no_data_run_exits_2_with_one_line_and_no_outputs(pretrained, capsys, tm
     ({"policy": {"default_bits": True}}, "'policy' key 'default_bits' must be of type int"),
     ({"dataset": {"samples_per_class": 1}}, "need at least two samples per class"),
     ({"predict_labels": True}, "unknown key(s) in the config: predict_labels"),
+    ({"classes": [2, 0, 0]}, "classes must be strictly increasing, got [2, 0, 0]"),
+    ({"classes": [0, 0, 2]}, "classes must be strictly increasing, got [0, 0, 2]"),
+    ({"classes": [2, 0]}, "classes must be strictly increasing, got [2, 0]"),
 ], ids=["use_cbns", "use_dbns", "use_synthetic", "generator_schedule", "quantized_schedule",
         "image-size-not-a-list", "classes-not-a-list", "section-not-an-object",
-        "float-steps", "float-bits", "bool-bits", "one-sample-per-class", "predict_labels"])
+        "float-steps", "float-bits", "bool-bits", "one-sample-per-class", "predict_labels",
+        "classes-unsorted-repeated", "classes-repeated", "classes-unsorted"])
 def test_bad_config_exits_2_with_one_line(pretrained, capsys, tmp_path, raw, match):
     root, _, model = pretrained
     cfg = tmp_path / "cfg.json"
@@ -531,6 +539,57 @@ def test_oversized_batch_exits_2_before_any_data_is_built(
     assert err.startswith("error:") and f"batch_size {batch_size} exceeds the limit of 1024" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+ARMS = {"full": [], "zero-shot": ["--classes", "0"], "bns-only": ["--no-cbns", "--no-dbns"],
+        "calibration-only": ["--no-synthetic"]}
+
+
+@pytest.fixture(scope="module")
+def arm_reports(pretrained):
+    root, cfg, model = pretrained
+    reports = {}
+    for arm, flags in ARMS.items():
+        out = root / f"terms_{arm}"
+        assert main(["quantize", "--config", str(cfg), "--model", str(model),
+                     "--out", str(out), "--seed", "2", *flags]) == 0
+        reports[arm] = json.loads((out / "report.json").read_text())
+    return reports
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_report_term_means_add_up_to_the_epoch_losses(arm_reports, arm):
+    report = arm_reports[arm]
+    w = report["config"]["weights"]
+    for entry in report["per_epoch"]:
+        q = entry["lossQ_terms"]
+        assert q["ce"] + w["kd"] * q["kd"] == pytest.approx(entry["lossQ"], rel=1e-5)
+        g = entry["lossG_terms"]
+        if entry["lossG"] is None:
+            assert g == {}
+        else:
+            assert sum(w[k] * v for k, v in g.items()) == pytest.approx(entry["lossG"], rel=1e-5)
+
+
+@pytest.mark.parametrize("arm,terms", [
+    ("full", {"ce", "bns", "cbns", "dbns"}),
+    ("zero-shot", {"ce", "bns"}),  # no class has a centroid
+    ("bns-only", {"ce", "bns"}),  # both centroid terms weighted 0
+    ("calibration-only", set()),  # no generator
+])
+def test_report_terms_no_step_computed_are_absent(arm_reports, arm, terms):
+    for entry in arm_reports[arm]["per_epoch"]:
+        assert set(entry["lossG_terms"]) == terms
+        assert set(entry["lossQ_terms"]) == {"ce", "kd"}
+
+
+def test_readme_names_every_report_key(arm_reports):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("`report.json` holds", 1)[1].split("\n\n")[0]
+    report = arm_reports["full"]
+    keys = set(report) | set(report["per_epoch"][0])
+    assert len(keys) >= 12
+    assert sorted(k for k in keys if f"`{k}`" not in paragraph) == []
 
 
 def test_readme_quantize_flags_are_accepted_by_the_parser():

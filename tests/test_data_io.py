@@ -124,10 +124,18 @@ def test_calibration_sorted_labels_enforced():
         CalibrationSet(np.zeros((2, 1, 4, 4), np.float32), np.array([2, 1]))
 
 
-def test_calibration_is_in_class_order_whatever_the_request():
+def test_calibration_rejects_a_request_out_of_class_order():
+    # the request is the set that is used, so it is not sorted or deduplicated
     train, _ = make_toy_dataset(ToyDatasetSpec())
-    calib = extract_calibration(train, 8, classes=(5, 0, 5, 2))
-    assert calib.labels.tolist() == [0, 2, 5]
+    for classes in [(5, 0, 2), (0, 5, 5)]:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            extract_calibration(train, 8, classes=classes)
+
+
+@pytest.mark.parametrize("classes", [(2, 0, 0), (0, 0, 2), (2, 0)])
+def test_settings_reject_classes_out_of_class_order(classes):
+    with pytest.raises(ConfigError, match=r"classes must be strictly increasing, got \["):
+        RunSettings(classes=classes)
 
 
 # ---------------------------------------------------------------------------

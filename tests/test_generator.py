@@ -1,5 +1,6 @@
 """Conditional synthesis and the composite generator loss: determinism,
-output range, loss weighting arithmetic, and the frozen-classifier contract."""
+output range, loss weighting arithmetic over the returned terms, and the
+frozen-classifier contract."""
 
 import numpy as np
 import pytest
@@ -13,13 +14,7 @@ from fdda.bns import (
     deep_layer_start,
 )
 from fdda.data import ToyDatasetSpec, extract_calibration, make_toy_dataset
-from fdda.generator import (
-    LossWeights,
-    combine_generator_loss,
-    generate,
-    generator_total_loss,
-    sample_labels,
-)
+from fdda.generator import LossWeights, generate, generator_total_loss, sample_labels
 from fdda.models import build_generator, build_toy_classifier
 from fdda.network import forward
 
@@ -73,22 +68,35 @@ def test_sample_labels_stratified_covers_all_classes():
     assert len(labels_small) == 4
 
 
-def test_combine_loss_weighted_sum_of_unit_parts():
-    one = Tensor(np.ones(()))
-    parts = {"ce": one, "bns": one, "dbns": one, "cbns": one}
-    total = combine_generator_loss(parts, LossWeights())
-    assert float(total.data) == pytest.approx(0.5 + 0.2 + 0.9 + 0.05)  # 1.65
+def _fixed_batch_loss(setup, w, seed=5):
+    """The loss and terms of one fixed batch of 16, off the tape."""
+    f, g, running, centroids = setup
+    labels = sample_labels(8, 16, np.random.default_rng(3))
+    with ad.no_grad():
+        images = generate(g, labels, np.random.default_rng(4))
+        total, terms, _ = generator_total_loss(images, labels, f, running, centroids, w,
+                                               DistortionParams(), np.random.default_rng(seed))
+    return float(total.data), terms
 
 
-def test_combine_loss_linear_in_weights():
-    rng = np.random.default_rng(2)
-    parts = {k: Tensor(np.asarray(rng.uniform(0.1, 2.0)))
-             for k in ("ce", "bns", "dbns", "cbns")}
+def test_combine_loss_weighted_sum_of_unit_parts(setup):
+    # with unit weights the total is the plain sum of the returned terms, and
+    # with the defaults their weighted sum
+    unit = LossWeights(ce=1.0, bns=1.0, dbns=1.0, cbns=1.0)
+    total, terms = _fixed_batch_loss(setup, unit)
+    assert set(terms) == {"ce", "bns", "cbns", "dbns"}
+    assert total == pytest.approx(sum(terms.values()), rel=1e-6)
+    w = LossWeights()
+    total, terms = _fixed_batch_loss(setup, w)
+    assert total == pytest.approx(sum(getattr(w, k) * v for k, v in terms.items()), rel=1e-6)
+
+
+def test_combine_loss_linear_in_weights(setup):
     w = LossWeights(ce=0.5, bns=0.2, dbns=0.9, cbns=0.05, kd=20.0)
     w2 = LossWeights(ce=1.0, bns=0.4, dbns=1.8, cbns=0.1, kd=40.0)
-    assert float(combine_generator_loss(parts, w2).data) == pytest.approx(
-        2.0 * float(combine_generator_loss(parts, w).data), rel=1e-6
-    )
+    (a, terms), (b, terms2) = _fixed_batch_loss(setup, w), _fixed_batch_loss(setup, w2)
+    assert terms == terms2  # the same noise draws
+    assert b == pytest.approx(2.0 * a, rel=1e-6)
 
 
 def test_loss_weights_reject_negative():
@@ -97,10 +105,11 @@ def test_loss_weights_reject_negative():
 
 
 def test_total_loss_zero_when_all_parts_zero(setup):
-    f, _, running, centroids = setup
-    zero = Tensor(np.zeros(()))
-    parts = {"ce": zero, "bns": zero, "dbns": zero, "cbns": zero}
-    assert float(combine_generator_loss(parts, LossWeights()).data) == 0.0
+    # every weighted part is zero when every weight is; the centroid terms
+    # are then not computed at all
+    total, terms = _fixed_batch_loss(setup, LossWeights(ce=0.0, bns=0.0, dbns=0.0, cbns=0.0))
+    assert total == 0.0
+    assert set(terms) == {"ce", "bns"}
 
 
 def test_total_loss_runs_and_flows_to_generator_only(setup):
@@ -113,7 +122,7 @@ def test_total_loss_runs_and_flows_to_generator_only(setup):
     )
     assert np.isfinite(float(loss.data))
     for key in ("ce", "bns", "cbns", "dbns"):
-        assert float(parts[key].data) >= 0.0
+        assert parts[key] >= 0.0
     g.zero_grad()
     ad.backward(loss)
     grads = [p.grad for p in g.params.values()]
@@ -170,7 +179,7 @@ def test_coarse_reduction_matches_manual_sum(setup):
             images, labels, f, running, centroids, w,
             DistortionParams(), np.random.default_rng(11),
         )
-    expect = 0.5 * float(parts["ce"].data) + 0.2 * float(parts["bns"].data)
+    expect = 0.5 * parts["ce"] + 0.2 * parts["bns"]
     assert float(total.data) == pytest.approx(expect, rel=1e-6)
     assert "cbns" not in parts and "dbns" not in parts
 
@@ -194,4 +203,4 @@ def test_missing_centroids_skip_their_classes(setup):
             DistortionParams(), np.random.default_rng(13),
         )
     assert sorted(set(labels) - set(cen5.classes)) == [5, 6, 7]
-    assert float(parts["cbns"].data) == pytest.approx(float(parts_kept["cbns"].data), rel=1e-5)
+    assert parts["cbns"] == pytest.approx(parts_kept["cbns"], rel=1e-5)

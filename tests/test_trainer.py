@@ -234,7 +234,8 @@ def test_train_epoch_keeps_teacher_frozen_and_metrics_finite(world, monkeypatch)
                      "_quantized_step": settings.train.steps_per_epoch}
     # train_epoch raises TrainingDiverged on any non-finite step, so having
     # returned, every step was finite; it returns the epoch's report entry
-    assert set(metrics) == {"epoch", "lossG", "lossQ"} and metrics["epoch"] == 0
+    assert set(metrics) == {"epoch", "lossG", "lossQ", "lossG_terms", "lossQ_terms"}
+    assert metrics["epoch"] == 0
     assert metrics["lossG"] is not None
 
 
@@ -326,7 +327,7 @@ def test_quantized_step_trains_on_the_first_rows_of_the_generator_steps_batch(
 def test_quantized_step_runs_neither_generator_nor_teacher(world, monkeypatch):
     settings = tiny_settings()
     state = make_state(world, settings)
-    _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
+    _, _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
     trainer._teacher_calib_logits(state, settings.train)  # the per-run table
     calls = []
     fwd, gen = trainer.forward, trainer.generate
@@ -349,7 +350,7 @@ def test_zero_shot_batch_is_the_whole_generator_batch(world):
     settings = tiny_settings()
     state = make_state(world, settings, calib=extract_calibration(world[1], 8, classes=[]))
     assert state.split == (0, settings.train.batch_size)
-    _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
+    _, _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
     batch = _mixed_batch(state, settings.train, synthetic)
     for got, want in zip(batch, synthetic):
         assert len(want) == settings.train.batch_size
@@ -391,7 +392,7 @@ def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, calibration
     state = make_state(world, settings)
     synthetic = None
     if not calibration_only:
-        _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
+        _, _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
     images, _, teacher = _mixed_batch(state, settings.train, synthetic)
     assert images.shape[0] == 64
     with ad.no_grad():
@@ -438,7 +439,7 @@ def test_non_finite_quantized_loss_raises_naming_epoch_and_step(world, monkeypat
     settings = tiny_settings(calibration_only=True)
     state = make_state(world, settings)
     losses = iter([0.5, float("nan")])
-    monkeypatch.setattr(trainer, "_quantized_step", lambda *a: next(losses))
+    monkeypatch.setattr(trainer, "_quantized_step", lambda *a: (next(losses), {}))
     with pytest.raises(TrainingDiverged, match="quantized-model loss became nan at "
                                                "training epoch 4, step 1"):
         train_epoch(state, settings.train, settings, epoch=4)
@@ -447,7 +448,7 @@ def test_non_finite_quantized_loss_raises_naming_epoch_and_step(world, monkeypat
 def test_non_finite_generator_loss_raises_in_warmup(world, monkeypatch):
     settings = tiny_settings()
     state = make_state(world, settings)
-    monkeypatch.setattr(trainer, "_generator_step", lambda *a: (float("inf"), None))
+    monkeypatch.setattr(trainer, "_generator_step", lambda *a: (float("inf"), {}, None))
     with pytest.raises(TrainingDiverged, match="generator loss became inf at "
                                                "warm-up epoch 0, step 0"):
         warmup_generator(state, settings.train, settings)
@@ -463,7 +464,7 @@ def _step(name, state, settings):
     args = (state, settings.train, settings, 1e-3)
     if name == "_generator_step":
         return lambda: trainer._generator_step(*args)
-    _, synthetic = trainer._generator_step(*args)
+    _, _, synthetic = trainer._generator_step(*args)
     return lambda: trainer._quantized_step(*args, synthetic)
 
 
@@ -480,9 +481,10 @@ def _step_peak_bytes(name, state, settings):
 
 
 def test_generator_step_peak_memory_at_batch_64(world):
-    # about 18.5 MB: the taped forward at backward's start, with the
+    # about 19.5 MB: the taped forward at backward's start, with the
     # generator's column matrices (about 7 MB), which its weight gradients
-    # read. Convs that read a 2x-upsampled map instead of sub-pixel convs on
+    # read, and the BN-statistics op's deviations (1.4 MB), which it keeps
+    # until backward has copied the gradients they become. Convs that read a 2x-upsampled map instead of sub-pixel convs on
     # the low-resolution input made those 19 MB and the step about 33 MB;
     # teacher convs that keep their column matrices too reach about 40 MB,
     # and a backward that also keeps the whole tape to its end, 57 MB.
@@ -620,21 +622,20 @@ def test_missing_class_changes_only_its_own_terms(world):
             np.random.default_rng(7),
         )
     # ce and bns are untouched by the missing class
-    assert float(parts_full["ce"].data) == pytest.approx(float(parts_wo["ce"].data), rel=1e-12)
-    assert float(parts_full["bns"].data) == pytest.approx(float(parts_wo["bns"].data), rel=1e-12)
+    assert parts_full["ce"] == pytest.approx(parts_wo["ce"], rel=1e-12)
+    assert parts_full["bns"] == pytest.approx(parts_wo["bns"], rel=1e-12)
     assert set(labels) - set(cen_wo.classes) == {drop}
 
-    # per-class decomposition: difference equals class `drop`'s own terms,
-    # with the same frozen noise draw on the shared classes
-    from fdda.bns import alignment_loss, per_class_moments, sample_moments
+    # per-class decomposition: difference equals class `drop`'s own terms
+    from fdda.bns import alignment_loss
     from fdda.network import forward as fwd
 
     cen_only = build_class_centroids(f64, extract_calibration(train, 8, [drop]), K)
     with ad.no_grad():
         cap = fwd(f64, images, train=False, capture_bn=True)
-        moments = [sample_moments(x) for x in cap.bn_inputs]
         cb_full, cb_wo, cb_only = (
-            float(alignment_loss(*per_class_moments(moments, labels, cen)).data)
+            alignment_loss(cap.bn_inputs, labels, collect_running_stats(f64), cen, d,
+                           np.random.default_rng(7), w_bns=0.0, w_cbns=1.0, w_dbns=0.0)[1]["cbns"]
             for cen in (cen_full, cen_wo, cen_only))
     assert cb_full - cb_wo == pytest.approx(cb_only, rel=1e-9, abs=1e-12)
 
