@@ -1,5 +1,7 @@
 """Single-file model archive: a JSON manifest followed by little-endian
-float32 blobs. It holds what evaluating the model reads: the layer specs,
+float32 blobs. It holds what evaluating the model reads: the classifier's
+``meta`` (its class count and input shape, from which
+:func:`fdda.models.toy_classifier_layers` rebuilds the layer graph),
 parameters and BN running buffers and, for a quantized model, its
 quantization policy and activation quantizer bounds. The policy is the only
 record of every bit-width. All round-trip bitwise."""
@@ -13,17 +15,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .network import (
-    Network,
-    layer_from_dict,
-    layer_state_shapes,
-    layer_to_dict,
-    quant_point_count,
-)
+from .data import ToyDatasetSpec
+from .models import toy_classifier_layers, toy_classifier_meta
+from .network import Network, layer_state_shapes, quant_point_count
 from .quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
 
 MAGIC = b"FDA1"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 class ArchiveError(Exception):
@@ -72,11 +70,7 @@ def save_model(path, archive: ModelArchive | Network) -> None:
     for name, b in net.buffers.items():
         offset = _emit(arrays, payload, f"buffer:{name}", b, offset)
 
-    manifest: dict = {
-        "version": FORMAT_VERSION,
-        "layers": [layer_to_dict(l) for l in net.layers],
-        "meta": net.meta,
-    }
+    manifest: dict = {"version": FORMAT_VERSION, "meta": net.meta}
 
     if archive.quant is not None:
         policy, acts = archive.quant.policy, archive.quant.act_params
@@ -165,11 +159,22 @@ def load_model(path) -> ModelArchive:
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise ArchiveVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    for section in ("arrays", "layers"):
-        if not isinstance(manifest.get(section), list):
-            raise ArchiveCorruptError(f"{path}: manifest has no {section!r} list")
+    if not isinstance(manifest.get("arrays"), list):
+        raise ArchiveCorruptError(f"{path}: manifest has no 'arrays' list")
+    meta = manifest.get("meta")
+    n, shape = (meta.get(k) if isinstance(meta, dict) else None
+                for k in ("num_classes", "input_shape"))
+    try:  # JSON integers, in the ranges a dataset config accepts
+        if (type(n) is not int or not isinstance(shape, list)
+                or any(type(s) is not int for s in shape)):
+            raise ValueError("not an integer and a list of integers")
+        ToyDatasetSpec(num_classes=n, image_size=tuple(shape), samples_per_class=2)
+    except ValueError as exc:
+        raise ArchiveCorruptError(
+            f"{path}: bad meta: num_classes {n!r}, input_shape {shape!r} ({exc})") from exc
 
-    payload = raw[8 + mlen :]
+    # views into the file's bytes: nothing is copied before every shape is checked
+    payload = memoryview(raw)[8 + mlen :]
     values: dict[str, np.ndarray] = {}
     for entry in manifest["arrays"]:
         if not _is_array_entry(entry):
@@ -181,18 +186,17 @@ def load_model(path) -> ModelArchive:
             arr = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(entry["shape"])
         except ValueError as exc:
             raise ArchiveCorruptError(f"{path}: bad blob for {entry['name']} ({exc})") from exc
-        values[entry["name"]] = arr.copy()
+        values[entry["name"]] = arr
 
-    try:
-        layers = [layer_from_dict(d) for d in manifest["layers"]]
-    except ValueError as exc:
-        raise ArchiveCorruptError(f"{path}: {exc}") from exc
+    layers = toy_classifier_layers(n, shape)
     _check_state(path, values, layers)
-    params = {name[len("param:"):]: Tensor(arr, requires_grad=True)
-              for name, arr in values.items() if name.startswith("param:")}
-    buffers = {name[len("buffer:"):]: arr
-               for name, arr in values.items() if name.startswith("buffer:")}
-    net = Network(layers, params, buffers, manifest.get("meta", {}))
+    state = [layer_state_shapes(layer) for layer in layers]
+    params = {k: Tensor(values.pop(f"param:{k}").copy(), requires_grad=True)
+              for shapes, _ in state for k in shapes}
+    buffers = {k: values.pop(f"buffer:{k}").copy() for _, shapes in state for k in shapes}
+    if values:
+        raise ArchiveCorruptError(f"{path}: unexpected array {min(values)}")
+    net = Network(layers, params, buffers, toy_classifier_meta(n, shape))
 
     try:
         quant = _load_quant(manifest, net)

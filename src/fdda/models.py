@@ -3,6 +3,8 @@ label-conditioned generator that synthesizes its training data."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -16,35 +18,47 @@ from .network import (
     ReLU,
     Reshape,
     Tanh,
+    layer_state_shapes,
 )
 
 
-def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
+def _init_state(layers, rng: np.random.Generator) -> tuple[dict, dict]:
+    """Fresh parameters and buffers of ``layers``, drawn in layer order:
+    He-normal weights by fan-in, zero biases and BN shifts, unit BN scales,
+    zero running means and unit running variances."""
+    params: dict[str, Tensor] = {}
+    buffers: dict[str, np.ndarray] = {}
+    for layer in layers:
+        param_shapes, buffer_shapes = layer_state_shapes(layer)
+        for name, shape in param_shapes.items():
+            if name.endswith(".w"):
+                value = rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:]))
+            else:
+                value = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
+            params[name] = Tensor(value.astype(np.float32), requires_grad=True)
+        for name, shape in buffer_shapes.items():
+            fill = np.ones if name.endswith(".running_var") else np.zeros
+            buffers[name] = fill(shape, dtype=np.float32)
+    return params, buffers
 
 
-def _add_conv(layers, params, name: str, c_in: int, c_out: int, rng,
-              kernel: int = 3, pad: int = 1, upsample: bool = False) -> None:
-    layers.append(Conv2d(name, c_in, c_out, kernel, pad=pad, upsample=upsample))
-    params[f"{name}.w"] = Tensor(
-        _he_init(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel),
-        requires_grad=True,
-    )
-    params[f"{name}.b"] = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
+def toy_classifier_layers(num_classes: int, in_shape: tuple[int, int, int]) -> list:
+    """Layer specs of the toy classifier; allocates no arrays. Archives store
+    only the parameters and buffers and rebuild the graph from these two
+    values, so any change to the graph needs a new archive format version."""
+    layers, prev = [], in_shape[0]
+    for i, width in enumerate((8, 16, 16, 24, 32, 32), start=1):
+        layers += [Conv2d(f"conv{i}", prev, width, 3, pad=1), BatchNorm(f"bn{i}", width), ReLU()]
+        if i in (1, 3, 6):  # 16x16 -> 8x8 -> 4x4 -> 2x2
+            layers.append(AvgPool2d(2))
+        prev = width
+    flat = prev * (in_shape[1] // 8) * (in_shape[2] // 8)
+    return layers + [Flatten(), Dense("fc1", flat, 64), ReLU(), Dense("fc2", 64, num_classes)]
 
 
-def _add_dense(layers, params, name: str, n_in: int, n_out: int, rng) -> None:
-    layers.append(Dense(name, n_in, n_out))
-    params[f"{name}.w"] = Tensor(_he_init(rng, (n_out, n_in), n_in), requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros(n_out, dtype=np.float32), requires_grad=True)
-
-
-def _add_bn(layers, params, buffers, name: str, channels: int) -> None:
-    layers.append(BatchNorm(name, channels))
-    params[f"{name}.gamma"] = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
-    params[f"{name}.beta"] = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
-    buffers[f"{name}.running_mean"] = np.zeros(channels, dtype=np.float32)
-    buffers[f"{name}.running_var"] = np.ones(channels, dtype=np.float32)
+def toy_classifier_meta(num_classes: int, in_shape: tuple[int, int, int]) -> dict:
+    """The ``meta`` of a toy classifier, from which an archive rebuilds its graph."""
+    return {"kind": "classifier", "input_shape": list(in_shape), "num_classes": num_classes}
 
 
 def build_toy_classifier(num_classes: int = 8, in_shape: tuple[int, int, int] = (1, 16, 16),
@@ -56,31 +70,9 @@ def build_toy_classifier(num_classes: int = 8, in_shape: tuple[int, int, int] = 
     with spatial extent, so per-image variance statistics stay informative
     through the deepest BN layer.
     """
-    rng = np.random.default_rng([seed, 0])
-    c, h, w = in_shape
-    layers: list = []
-    params: dict[str, Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
-
-    widths = (8, 16, 16, 24, 32, 32)
-    pool_after = {1, 3, 6}  # 16x16 -> 8x8 -> 4x4 -> 2x2
-    prev = c
-    for i, cw in enumerate(widths, start=1):
-        _add_conv(layers, params, f"conv{i}", prev, cw, rng)
-        _add_bn(layers, params, buffers, f"bn{i}", cw)
-        layers.append(ReLU())
-        if i in pool_after:
-            layers.append(AvgPool2d(2))
-        prev = cw
-
-    layers.append(Flatten())
-    flat = prev * (h // 8) * (w // 8)
-    _add_dense(layers, params, "fc1", flat, 64, rng)
-    layers.append(ReLU())
-    _add_dense(layers, params, "fc2", 64, num_classes, rng)
-
-    meta = {"kind": "classifier", "input_shape": list(in_shape), "num_classes": num_classes}
-    return Network(layers, params, buffers, meta)
+    layers = toy_classifier_layers(num_classes, in_shape)
+    params, buffers = _init_state(layers, np.random.default_rng([seed, 0]))
+    return Network(layers, params, buffers, toy_classifier_meta(num_classes, in_shape))
 
 
 def build_generator(num_classes: int = 8, noise_dim: int = 64,
@@ -92,31 +84,20 @@ def build_generator(num_classes: int = 8, noise_dim: int = 64,
     c_out, h, w = out_shape
     if h % 4 or w % 4:
         raise ValueError("generator output extents must be multiples of 4")
-    layers: list = []
-    params: dict[str, Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
-
-    params["embed.w"] = Tensor(
-        rng.standard_normal((num_classes, noise_dim)).astype(np.float32),
-        requires_grad=True,
-    )
+    embed = rng.standard_normal((num_classes, noise_dim)).astype(np.float32)
 
     base = 32
     h0, w0 = h // 4, w // 4
-    _add_dense(layers, params, "fc", noise_dim, base * h0 * w0, rng)
-    layers.append(Reshape((base, h0, w0)))
-    _add_bn(layers, params, buffers, "gbn0", base)
-
-    _add_conv(layers, params, "gconv1", base, base // 2, rng, upsample=True)
-    _add_bn(layers, params, buffers, "gbn1", base // 2)
-    layers.append(ReLU())
-
-    _add_conv(layers, params, "gconv2", base // 2, base // 4, rng, upsample=True)
-    _add_bn(layers, params, buffers, "gbn2", base // 4)
-    layers.append(ReLU())
-
-    _add_conv(layers, params, "gconv3", base // 4, c_out, rng)
-    layers.append(Tanh())
+    layers = [
+        Dense("fc", noise_dim, base * h0 * w0), Reshape((base, h0, w0)), BatchNorm("gbn0", base),
+        Conv2d("gconv1", base, base // 2, 3, pad=1, upsample=True),
+        BatchNorm("gbn1", base // 2), ReLU(),
+        Conv2d("gconv2", base // 2, base // 4, 3, pad=1, upsample=True),
+        BatchNorm("gbn2", base // 4), ReLU(),
+        Conv2d("gconv3", base // 4, c_out, 3, pad=1), Tanh(),
+    ]
+    params, buffers = _init_state(layers, rng)
+    params = {"embed.w": Tensor(embed, requires_grad=True), **params}
 
     meta = {
         "kind": "generator",

@@ -7,7 +7,6 @@ serves as classifier, quantized copy, and generator backbone.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,17 +43,6 @@ class Conv2d:
     pad: int = 0
     upsample: bool = False  # nearest 2x upsampling of the input first
 
-    def __post_init__(self):
-        if not 0 <= self.pad < self.kernel:
-            raise ValueError(f"conv2d layer {self.name!r} needs kernel >= 1 and "
-                             f"0 <= pad < kernel, got kernel {self.kernel}, pad {self.pad}")
-        if not isinstance(self.upsample, bool):
-            raise ValueError(f"conv2d layer {self.name!r} needs a boolean upsample, "
-                             f"got {self.upsample!r}")
-        if self.upsample and (self.kernel, self.pad) != (3, 1):
-            raise ValueError(f"conv2d layer {self.name!r} upsamples only with kernel 3 "
-                             f"and pad 1, got kernel {self.kernel}, pad {self.pad}")
-
 
 @dataclass(frozen=True)
 class BatchNorm:
@@ -85,45 +73,6 @@ class Flatten:
 @dataclass(frozen=True)
 class Reshape:
     shape: tuple[int, ...]  # per-sample shape, batch excluded
-
-
-LAYER_KINDS = {
-    "dense": Dense,
-    "conv2d": Conv2d,
-    "batchnorm": BatchNorm,
-    "relu": ReLU,
-    "tanh": Tanh,
-    "avgpool": AvgPool2d,
-    "flatten": Flatten,
-    "reshape": Reshape,
-}
-_KIND_BY_TYPE = {cls: kind for kind, cls in LAYER_KINDS.items()}
-
-
-def layer_to_dict(layer) -> dict:
-    d = {"kind": _KIND_BY_TYPE[type(layer)]}
-    for field in dataclasses.fields(layer):
-        v = getattr(layer, field.name)
-        if field.name == "upsample" and not v:
-            continue  # so a classifier's specs keep their bytes
-        d[field.name] = list(v) if isinstance(v, tuple) else v
-    return d
-
-
-def layer_from_dict(d: dict):
-    """Inverse of :func:`layer_to_dict`; raises ValueError on a malformed spec,
-    such as a conv whose padding is not below its kernel size."""
-    kind = d.get("kind") if isinstance(d, dict) else None
-    cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unknown layer spec {d!r}")
-    kwargs = {k: v for k, v in d.items() if k != "kind"}
-    try:
-        if cls is Reshape:
-            kwargs["shape"] = tuple(kwargs["shape"])
-        return cls(**kwargs)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad {d['kind']} layer spec {d!r} ({exc})") from exc
 
 
 def layer_state_shapes(layer) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
@@ -209,9 +158,6 @@ def batchnorm_forward(
     """
     if x.shape[0] == 0:
         raise ValueError("batchnorm on zero-size batch")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ValueError(f"batchnorm affine shape mismatch for {c} channels")
 
     if train:
         y, bm, bv = ad.batchnorm_train(x, gamma, beta, BN_EPS)
@@ -288,8 +234,6 @@ def forward(
             x = x.reshape((x.shape[0], -1))
         elif isinstance(layer, Reshape):
             x = x.reshape((x.shape[0],) + layer.shape)
-        else:
-            raise TypeError(f"unknown layer spec {layer!r}")
 
     return ForwardResult(output=x, bn_inputs=bn_inputs if capture_bn else None)
 

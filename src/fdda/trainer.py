@@ -34,8 +34,6 @@ def step_lr(lr0: float, epoch: int) -> float:
 
 def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
     """The quantized model's schedule: a half cosine from lr0 to zero."""
-    if total_epochs <= 0:
-        return lr0
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
@@ -248,10 +246,12 @@ def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
 # classifier pretraining
 # ---------------------------------------------------------------------------
 
+PRETRAIN_LR = 1e-3  # Adam's step size
+
+
 def pretrain_classifier(dataset: ToyDatasetSpec, epochs: int = 20,
                         steps_per_epoch: int = TrainConfig.steps_per_epoch,
-                        batch_size: int = TrainConfig.batch_size,
-                        lr: float = 1e-3, seed: int = 0,
+                        batch_size: int = TrainConfig.batch_size, seed: int = 0,
                         ) -> tuple[Network, dict]:
     """Train the toy classifier from scratch; BN momentum updates leave the
     running statistics the rest of the pipeline depends on."""
@@ -269,7 +269,7 @@ def pretrain_classifier(dataset: ToyDatasetSpec, epochs: int = 20,
             loss = ad.softmax_cross_entropy(logits, train.labels[idx])
             net.zero_grad()
             ad.backward(loss)
-            opt.step(lr)
+            opt.step(PRETRAIN_LR)
     report = {
         "train_acc": evaluate(net, train),
         "test_acc": evaluate(net, test),

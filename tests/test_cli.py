@@ -167,12 +167,12 @@ def _rewrite_manifest(src, dst, edit):
 def test_eval_of_malformed_archive_exits_2_with_one_line(pretrained, capsys, tmp_path):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(model, tmp_path / "bad.fdda",
-                            lambda m: m["layers"][0].update(kind="deconv"))
+                            lambda m: m["arrays"].append({**m["arrays"][0], "name": "param:bogus"}))
     rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "unknown layer spec" in err
-    assert len(err.strip().splitlines()) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "bad.fdda: unexpected array param:bogus" in err
+    assert len(err.strip().splitlines()) == 1 and out == ""
 
 
 def test_eval_of_archive_with_bad_policy_exits_2_with_one_line(pretrained, capsys, tmp_path):
@@ -203,7 +203,7 @@ def _manifest(path):
 
 def test_quantized_archive_holds_only_what_eval_reads(quantized):
     manifest = _manifest(quantized)
-    assert set(manifest) == {"version", "layers", "meta", "arrays", "policy", "act_quant"}
+    assert set(manifest) == {"version", "meta", "arrays", "policy", "act_quant"}
     assert all(a["name"].startswith(("param:", "buffer:")) for a in manifest["arrays"])
 
 
@@ -241,24 +241,13 @@ def test_eval_runs_the_activation_bits_of_the_archived_policy(
     assert capsys.readouterr().err == ""
 
 
-def _as_version_1(m):
-    m["version"] = 1
-    for layer in m["layers"]:
-        if layer["kind"] == "conv2d":
-            layer["stride"] = 1
-
-
 @pytest.mark.parametrize("edit,match", [
-    (_as_version_1, "format version 1, expected 5"),
-    (lambda m: m["layers"][0].update(pad=3),
-     "bad.fdda: conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, "
-     "got kernel 3, pad 3"),
-    (lambda m: m["layers"][0].update(upsample=True, pad=0),
-     "bad.fdda: conv2d layer 'conv1' upsamples only with kernel 3 and pad 1, "
-     "got kernel 3, pad 0"),
-    (lambda m: m["layers"][0].update(upsample="yes"),
-     "bad.fdda: conv2d layer 'conv1' needs a boolean upsample, got 'yes'"),
-], ids=["version-1", "conv-pad-not-below-kernel", "upsample-pad-0", "upsample-not-bool"])
+    (lambda m: m.update(version=1), "format version 1, expected 6"),
+    (lambda m: m["meta"].update(input_shape=[16, 16]),
+     "bad.fdda: bad meta: num_classes 8, input_shape [16, 16] (bad image size (16, 16))"),
+    (lambda m: m["meta"].update(num_classes=9),
+     "bad.fdda: array param:fc2.w has shape (8, 64), expected (9, 64)"),
+], ids=["version-1", "two-extent-shape", "other-num-classes"])
 def test_eval_of_unusable_archive_exits_2_with_one_line(pretrained, capsys, tmp_path, edit, match):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(model, tmp_path / "bad.fdda", edit)
@@ -284,7 +273,7 @@ def test_eval_of_version_4_archive_exits_2_with_one_line(
     rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
     assert rc == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error:") and "v4.fdda: format version 4, expected 5" in err
+    assert err.startswith("error:") and "v4.fdda: format version 4, expected 6" in err
     assert len(err.strip().splitlines()) == 1 and out == ""
 
 

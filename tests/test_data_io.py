@@ -1,8 +1,12 @@
 """Toy dataset determinism, calibration extraction, the archive round trip,
 and config validation."""
 
+import hashlib
 import json
+import re
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdda.archive import (
+    FORMAT_VERSION,
     ArchiveCorruptError,
     ArchiveError,
     ArchiveVersionError,
@@ -25,8 +30,8 @@ from fdda.data import (
     extract_calibration,
     make_toy_dataset,
 )
-from fdda.models import build_toy_classifier
-from fdda.network import quant_point_count
+from fdda.models import build_generator, build_toy_classifier, toy_classifier_layers
+from fdda.network import AvgPool2d, BatchNorm, Conv2d, Dense, Flatten, ReLU, quant_point_count
 from fdda.quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
 
 from helpers import state_equal
@@ -190,7 +195,7 @@ def test_archive_bad_magic_errors(tmp_path):
 def test_archive_version_mismatch(tmp_path):
     import struct
 
-    manifest = json.dumps({"version": 99, "arrays": [], "layers": [], "meta": {}}).encode()
+    manifest = json.dumps({"version": 99, "arrays": [], "meta": {}}).encode()
     path = tmp_path / "vers.fdda"
     path.write_bytes(b"FDA1" + struct.pack("<I", len(manifest)) + manifest)
     with pytest.raises(ArchiveVersionError):
@@ -200,26 +205,23 @@ def test_archive_version_mismatch(tmp_path):
 def test_version_1_archive_is_rejected(saved_classifier, tmp_path):
     def as_version_1(m):
         m["version"] = 1
-        for layer in m["layers"]:
-            if layer["kind"] == "conv2d":
-                layer["stride"] = 1
         return m
 
     old = rewrite_manifest(saved_classifier, tmp_path / "v1.fdda", as_version_1)
-    with pytest.raises(ArchiveVersionError, match="format version 1, expected 5"):
+    with pytest.raises(ArchiveVersionError, match="format version 1, expected 6"):
         load_model(old)
 
 
 def _as_version_2(m):
     """A format-2 manifest: a bn_layer_count key."""
     m["version"] = 2
-    m["bn_layer_count"] = sum(layer["kind"] == "batchnorm" for layer in m["layers"])
+    m["bn_layer_count"] = 6
     return m
 
 
 def test_version_2_archive_is_rejected(saved_quantized, tmp_path):
     old = rewrite_manifest(saved_quantized, tmp_path / "v2.fdda", _as_version_2)
-    with pytest.raises(ArchiveVersionError, match="format version 2, expected 5"):
+    with pytest.raises(ArchiveVersionError, match="format version 2, expected 6"):
         load_model(old)
 
 
@@ -234,7 +236,7 @@ def _as_version_3(m):
 
 def test_version_3_archive_is_rejected(saved_quantized, tmp_path):
     old = rewrite_manifest(saved_quantized, tmp_path / "v3.fdda", _as_version_3)
-    with pytest.raises(ArchiveVersionError, match="format version 3, expected 5"):
+    with pytest.raises(ArchiveVersionError, match="format version 3, expected 6"):
         load_model(old)
 
 
@@ -250,12 +252,87 @@ def _as_version_4(m):
 @pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
 def test_version_4_archive_is_rejected(request, tmp_path, archive):
     old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v4.fdda", _as_version_4)
-    with pytest.raises(ArchiveVersionError, match="format version 4, expected 5"):
+    with pytest.raises(ArchiveVersionError, match="format version 4, expected 6"):
+        load_model(old)
+
+
+def _as_version_5(m):
+    """A format-5 manifest: the layer specs as a ``layers`` list (all but the
+    first left out; the version check comes first)."""
+    m["version"] = 5
+    m["layers"] = [{"kind": "conv2d", "name": "conv1", "in_channels": 1, "out_channels": 8,
+                    "kernel": 3, "pad": 1}]
+    return m
+
+
+@pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
+def test_version_5_archive_is_rejected(request, tmp_path, archive):
+    old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v5.fdda", _as_version_5)
+    with pytest.raises(ArchiveVersionError, match="format version 5, expected 6"):
         load_model(old)
 
 
 def test_manifest_has_no_bn_layer_count(saved_classifier):
     assert "bn_layer_count" not in _manifest(saved_classifier)
+
+
+def test_float_manifest_holds_meta_and_arrays_only(saved_classifier):
+    assert set(_manifest(saved_classifier)) == {"version", "meta", "arrays"}
+
+
+def test_loaded_classifier_is_the_one_its_meta_describes(tmp_path):
+    net = build_toy_classifier(16, (3, 32, 24), seed=1)
+    save_model(tmp_path / "f.fdda", net)
+    loaded = load_model(tmp_path / "f.fdda").network
+    assert loaded.meta == net.meta == {"kind": "classifier", "input_shape": [3, 32, 24],
+                                       "num_classes": 16}
+    assert loaded.layers == net.layers == tuple(toy_classifier_layers(16, (3, 32, 24)))
+    assert list(loaded.params) == list(net.params) and list(loaded.buffers) == list(net.buffers)
+    assert state_equal(loaded, net)
+
+
+def test_classifier_graph_is_pinned():
+    assert toy_classifier_layers(8, (1, 16, 16)) == [
+        Conv2d("conv1", 1, 8, 3, pad=1), BatchNorm("bn1", 8), ReLU(), AvgPool2d(2),
+        Conv2d("conv2", 8, 16, 3, pad=1), BatchNorm("bn2", 16), ReLU(),
+        Conv2d("conv3", 16, 16, 3, pad=1), BatchNorm("bn3", 16), ReLU(), AvgPool2d(2),
+        Conv2d("conv4", 16, 24, 3, pad=1), BatchNorm("bn4", 24), ReLU(),
+        Conv2d("conv5", 24, 32, 3, pad=1), BatchNorm("bn5", 32), ReLU(),
+        Conv2d("conv6", 32, 32, 3, pad=1), BatchNorm("bn6", 32), ReLU(), AvgPool2d(2),
+        Flatten(), Dense("fc1", 128, 64), ReLU(), Dense("fc2", 64, 8),
+    ], ("archives store no layer graph: a changed graph loads old archives as another model. "
+        "Bump archive.FORMAT_VERSION with any change to it, then update this list.")
+
+
+def _state_digest(net):
+    h = hashlib.sha256()
+    for kind, arrays in (("param", {k: v.data for k, v in net.params.items()}),
+                         ("buffer", net.buffers)):
+        for name, arr in arrays.items():
+            h.update(f"{kind}:{name}:{arr.dtype.str}:{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed,classifier,generator", [
+    (0, "747b1f5043eaf102b188721b15470d5c9ef9f6a0d91229e0b98927c208699fdd",
+     "b4988b1098c09767ba979cadbfafe518368727a5809591e4723b7f6e377f2181"),
+    (1, "a3e9fceef77595a664f1e698db610d3f12a46559add06d9d2498ff00821f8e60",
+     "a056738244a7d10ec0c06da11d2100686c76a5094376f73ff623c9a234d63d5c"),
+    (2, "d94e39e60975458413b136b18e243ae692f05a696d5f68fefe8e5733f39ec74c",
+     "c5a5b9b0da05a987db050391ae5fa270baacdebca8fe7d383caa3abd4ac1c649"),
+], ids=["seed-0", "seed-1", "seed-2"])
+def test_initial_state_is_pinned(seed, classifier, generator):
+    # names, order, shapes and bytes of every parameter and buffer: the
+    # initializer draws the weights in this order, the generator's embedding first
+    assert _state_digest(build_toy_classifier(seed=seed)) == classifier
+    assert _state_digest(build_generator(seed=seed)) == generator
+
+
+def test_readme_states_the_archive_format_version():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [int(v) for v in re.findall(r"format version (\d+)", readme)] == [FORMAT_VERSION]
+    assert [int(v) for v in re.findall(r"versions 1–(\d+) fail", readme)] == [FORMAT_VERSION - 1]
 
 
 def test_archive_missing_file_is_oserror(tmp_path):
@@ -294,14 +371,24 @@ def _drop_array(name):
     return edit
 
 
-def _rename_first_kind(m):
-    m["layers"][0]["kind"] = "deconv"
-    return m
-
-
 def _edit_first(section, **fields):
     def edit(m):
         m[section][0].update(fields)
+        return m
+    return edit
+
+
+def _add_array(name):
+    """An entry for one more array, over the last array's bytes."""
+    def edit(m):
+        m["arrays"].append({**m["arrays"][-1], "name": name})
+        return m
+    return edit
+
+
+def _edit_meta(**fields):
+    def edit(m):
+        m["meta"].update(fields)
         return m
     return edit
 
@@ -321,28 +408,47 @@ def _shrink_array(name):
     (lambda m: [m], "not a JSON object"),
     (lambda m: {k: v for k, v in m.items() if k != "arrays"}, "'arrays'"),
     (lambda m: {**m, "arrays": [{"name": "param:conv1.w"}] + m["arrays"]}, "bad array entry"),
-    (_rename_first_kind, "unknown layer spec"),
     (_drop_array("param:conv1.w"), "missing array param:conv1.w"),
     (_drop_array("buffer:bn6.running_var"), "missing array buffer:bn6.running_var"),
     (_shrink_array("param:fc2.b"), "param:fc2.b has shape"),
-    (_edit_first("layers", pad=3),
-     "conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, got kernel 3, pad 3"),
-    (_edit_first("layers", kernel=0, pad=0),
-     "conv2d layer 'conv1' needs kernel >= 1 and 0 <= pad < kernel, got kernel 0, pad 0"),
-    (_edit_first("layers", pad=-1), "got kernel 3, pad -1"),
-    (_edit_first("layers", upsample=True, pad=0),
-     "conv2d layer 'conv1' upsamples only with kernel 3 and pad 1, got kernel 3, pad 0"),
-    (_edit_first("layers", upsample=True, kernel=5),
-     "conv2d layer 'conv1' upsamples only with kernel 3 and pad 1, got kernel 5, pad 1"),
-    (_edit_first("layers", upsample=1), "conv2d layer 'conv1' needs a boolean upsample, got 1"),
     (_edit_first("arrays", nbytes=2.5), "bad array entry"),
-], ids=["list-manifest", "no-arrays", "bad-array-entry", "unknown-kind", "missing-param", "missing-buffer",
-        "wrong-shape", "conv-pad-not-below-kernel", "conv-kernel-zero", "conv-pad-negative",
-        "upsample-pad-0", "upsample-kernel-5", "upsample-not-bool", "float-nbytes"])
+    (_add_array("param:bogus"), "bad.fdda: unexpected array param:bogus"),
+    (_add_array("buffer:bogus"), "bad.fdda: unexpected array buffer:bogus"),
+    (lambda m: {k: v for k, v in m.items() if k != "meta"},
+     "bad meta: num_classes None, input_shape None"),
+    (lambda m: {**m, "meta": None}, "bad meta: num_classes None, input_shape None"),
+    (_edit_meta(num_classes=8.0), "bad meta: num_classes 8.0, input_shape"),
+    (_edit_meta(num_classes=True), "bad meta: num_classes True, input_shape"),
+    (_edit_meta(input_shape=[16, 16]), r"input_shape \[16, 16\] \(bad image size \(16, 16\)\)"),
+    (_edit_meta(input_shape=[1, 16, 16.0]), r"input_shape \[1, 16, 16.0\] \(not an integer"),
+    (_edit_meta(num_classes=1), "bad meta: .*need at least two classes"),
+    (_edit_meta(num_classes=10**9), "exceeds the limit"),
+    (_edit_meta(input_shape=[1, 16, 24]),
+     r"param:fc1.w has shape \(64, 128\), expected \(64, 192\)"),
+    (_edit_meta(num_classes=9), r"param:fc2.w has shape \(8, 64\), expected \(9, 64\)"),
+], ids=["list-manifest", "no-arrays", "bad-array-entry", "missing-param", "missing-buffer",
+        "wrong-shape", "float-nbytes", "extra-param", "extra-buffer", "no-meta", "null-meta",
+        "float-num-classes", "bool-num-classes", "two-extent-shape", "float-extent", "one-class",
+        "huge-num-classes", "other-input-shape", "other-num-classes"])
 def test_archive_malformed_manifest_is_corrupt(saved_classifier, tmp_path, edit, match):
     bad = rewrite_manifest(saved_classifier, tmp_path / "bad.fdda", edit)
     with pytest.raises(ArchiveCorruptError, match=match):
         load_model(bad)
+
+
+def test_meta_of_a_classifier_larger_than_the_payload_allocates_no_more_than_the_file(
+        saved_classifier, tmp_path):
+    # 32 * 512 * 512 features: fc1.w alone would be 2 GiB of float32
+    bad = rewrite_manifest(saved_classifier, tmp_path / "big.fdda",
+                           _edit_meta(num_classes=2, input_shape=[1, 4096, 4096]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArchiveCorruptError, match=r"param:fc1.w has shape \(64, 128\)"):
+            load_model(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * bad.stat().st_size
 
 
 @pytest.fixture

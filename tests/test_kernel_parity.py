@@ -22,7 +22,7 @@ import pytest
 from fdda import autodiff as ad
 from fdda.autodiff import Tensor
 from fdda.models import build_generator, build_toy_classifier
-from fdda.network import Conv2d, layer_from_dict, layer_to_dict
+from fdda.network import Conv2d
 
 from helpers import batch_innermost, grad_check, is_batch_innermost
 
@@ -349,27 +349,6 @@ def test_upsample_conv_needs_kernel_3_and_pad_1(kernel, pad):
     w = Tensor(np.zeros((3, 2, kernel, kernel), dtype=np.float32))
     with pytest.raises(ValueError):
         ad.conv2d(x, w, None, pad=pad, upsample=True)
-    with pytest.raises(ValueError):
-        Conv2d("up", 2, 3, kernel, pad=pad, upsample=True)
-
-
-@pytest.mark.parametrize("flag", [1, 0, "true", None])
-def test_upsample_conv_spec_needs_a_boolean_flag(flag):
-    with pytest.raises(ValueError, match="needs a boolean upsample"):
-        Conv2d("up", 2, 3, 3, pad=1, upsample=flag)
-
-
-def test_only_upsampling_conv_specs_write_the_flag():
-    # a classifier's archive keeps the bytes it had before the flag existed
-    for layer in build_toy_classifier().layers:
-        d = layer_to_dict(layer)
-        assert "upsample" not in d and layer_from_dict(d) == layer
-    gen = {l.name: l for l in build_generator().layers if isinstance(l, Conv2d)}
-    assert layer_to_dict(gen["gconv1"]) == {"kind": "conv2d", "name": "gconv1", "in_channels": 32,
-                                            "out_channels": 16, "kernel": 3, "pad": 1,
-                                            "upsample": True}
-    assert "upsample" not in layer_to_dict(gen["gconv3"])
-    assert all(layer_from_dict(layer_to_dict(l)) == l for l in gen.values())
 
 
 # ---------------------------------------------------------------------------
