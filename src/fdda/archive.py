@@ -1,14 +1,17 @@
-"""Single-file model archive: a JSON manifest followed by little-endian
-float32 blobs. It holds what evaluating the model reads: the classifier's
-``meta`` (its class count and input shape, from which
-:func:`fdda.models.toy_classifier_layers` rebuilds the layer graph),
-parameters and BN running buffers and, for a quantized model, its
-quantization policy and activation quantizer bounds. The policy is the only
-record of every bit-width. All round-trip bitwise."""
+"""Single-file model archive: a JSON manifest followed by a little-endian
+float32 payload. It holds what evaluating the model reads. The manifest has
+the classifier's ``meta`` (its class count and input shape, from which
+:func:`fdda.models.toy_classifier_layers` rebuilds the layer graph) and, for
+a quantized model, its quantization policy and activation quantizer bounds.
+The policy is the only record of every bit-width. The payload is every
+parameter, then every BN running buffer, in the order
+:func:`fdda.network.layer_state_shapes` walks that graph, so the graph fixes
+each array's name, shape and place. All round-trip bitwise."""
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -21,7 +24,7 @@ from .network import Network, layer_state_shapes, quant_point_count
 from .quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
 
 MAGIC = b"FDA1"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 class ArchiveError(Exception):
@@ -29,7 +32,8 @@ class ArchiveError(Exception):
 
 
 class ArchiveCorruptError(ArchiveError):
-    """Bad magic, unparsable manifest, or truncated payload."""
+    """Bad magic, unparsable manifest, bad meta or quantizers, or a payload
+    of the wrong length."""
 
 
 class ArchiveVersionError(ArchiveError):
@@ -44,33 +48,34 @@ class ModelArchive:
     quant: FakeQuantRuntime | None = None
 
 
-def _emit(arrays: list, payload: list, name: str, arr: np.ndarray, offset: int) -> int:
-    data = np.ascontiguousarray(arr, dtype="<f4")
-    raw = data.tobytes()
-    arrays.append({
-        "name": name,
-        "shape": list(data.shape),
-        "offset": offset,
-        "nbytes": len(raw),
-    })
-    payload.append(raw)
-    return offset + len(raw)
+def _state_shapes(layers) -> tuple[dict, dict]:
+    """The name and shape of every parameter, then of every buffer, that
+    ``layers`` read, layer by layer: the order of the archive's payload."""
+    params: dict[str, tuple[int, ...]] = {}
+    buffers: dict[str, tuple[int, ...]] = {}
+    for layer in layers:
+        layer_params, layer_buffers = layer_state_shapes(layer)
+        params.update(layer_params)
+        buffers.update(layer_buffers)
+    return params, buffers
 
 
 def save_model(path, archive: ModelArchive | Network) -> None:
-    """Write an archive (a bare Network is wrapped with no extras)."""
+    """Write an archive (a bare Network is wrapped with no extras). Only a toy
+    classifier whose layers, parameters and buffers are the ones its ``meta``
+    describes can be written, since that is what loading rebuilds."""
     if isinstance(archive, Network):
         archive = ModelArchive(archive)
     net = archive.network
-    arrays: list[dict] = []
-    payload: list[bytes] = []
-    offset = 0
-    for name, p in net.params.items():
-        offset = _emit(arrays, payload, f"param:{name}", p.data, offset)
-    for name, b in net.buffers.items():
-        offset = _emit(arrays, payload, f"buffer:{name}", b, offset)
-
-    manifest: dict = {"version": FORMAT_VERSION, "meta": net.meta}
+    meta = net.meta
+    params, buffers = _state_shapes(net.layers)
+    if (meta.get("kind") != "classifier"
+            or net.layers != tuple(toy_classifier_layers(meta["num_classes"], meta["input_shape"]))
+            or {k: p.shape for k, p in net.params.items()} != params
+            or {k: b.shape for k, b in net.buffers.items()} != buffers):
+        raise ValueError(f"cannot archive a {meta.get('kind')} network that is not the toy "
+                         f"classifier of its meta {meta}: loading rebuilds only that")
+    manifest: dict = {"version": FORMAT_VERSION, "meta": meta}
 
     if archive.quant is not None:
         policy, acts = archive.quant.policy, archive.quant.act_params
@@ -82,38 +87,13 @@ def save_model(path, archive: ModelArchive | Network) -> None:
         manifest["policy"] = asdict(policy)
         manifest["act_quant"] = [{"lower": float(q.lower), "upper": float(q.upper)} for q in acts]
 
-    manifest["arrays"] = arrays
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for raw in payload:
-            fh.write(raw)
-
-
-def _is_array_entry(entry) -> bool:
-    """A string name, a list of integer extents, and a non-negative integer
-    offset and size in bytes."""
-    return (isinstance(entry, dict) and {"name", "shape", "offset", "nbytes"} <= entry.keys()
-            and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
-            and all(type(n) is int for n in entry["shape"])
-            and all(type(entry[k]) is int and entry[k] >= 0 for k in ("offset", "nbytes")))
-
-
-def _check_state(path, values: dict[str, np.ndarray], layers) -> None:
-    """Every parameter and buffer the layer specs read is present, with its shape."""
-    for layer in layers:
-        params, buffers = layer_state_shapes(layer)
-        need = {f"param:{k}": v for k, v in params.items()}
-        need.update({f"buffer:{k}": v for k, v in buffers.items()})
-        for name, shape in need.items():
-            if name not in values:
-                raise ArchiveCorruptError(f"{path}: missing array {name}")
-            if values[name].shape != shape:
-                raise ArchiveCorruptError(
-                    f"{path}: array {name} has shape {values[name].shape}, expected {shape}"
-                )
+        for arr in [net.params[k].data for k in params] + [net.buffers[k] for k in buffers]:
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
@@ -159,8 +139,6 @@ def load_model(path) -> ModelArchive:
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise ArchiveVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    if not isinstance(manifest.get("arrays"), list):
-        raise ArchiveCorruptError(f"{path}: manifest has no 'arrays' list")
     meta = manifest.get("meta")
     n, shape = (meta.get(k) if isinstance(meta, dict) else None
                 for k in ("num_classes", "input_shape"))
@@ -173,30 +151,20 @@ def load_model(path) -> ModelArchive:
         raise ArchiveCorruptError(
             f"{path}: bad meta: num_classes {n!r}, input_shape {shape!r} ({exc})") from exc
 
-    # views into the file's bytes: nothing is copied before every shape is checked
-    payload = memoryview(raw)[8 + mlen :]
-    values: dict[str, np.ndarray] = {}
-    for entry in manifest["arrays"]:
-        if not _is_array_entry(entry):
-            raise ArchiveCorruptError(f"{path}: bad array entry {entry!r}")
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if hi > len(payload):
-            raise ArchiveCorruptError(f"{path}: truncated payload at {entry['name']}")
-        try:
-            arr = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(entry["shape"])
-        except ValueError as exc:
-            raise ArchiveCorruptError(f"{path}: bad blob for {entry['name']} ({exc})") from exc
-        values[entry["name"]] = arr
-
     layers = toy_classifier_layers(n, shape)
-    _check_state(path, values, layers)
-    state = [layer_state_shapes(layer) for layer in layers]
-    params = {k: Tensor(values.pop(f"param:{k}").copy(), requires_grad=True)
-              for shapes, _ in state for k in shapes}
-    buffers = {k: values.pop(f"buffer:{k}").copy() for _, shapes in state for k in shapes}
-    if values:
-        raise ArchiveCorruptError(f"{path}: unexpected array {min(values)}")
-    net = Network(layers, params, buffers, toy_classifier_meta(n, shape))
+    params, buffers = _state_shapes(layers)
+    size = sum(math.prod(s) for s in (*params.values(), *buffers.values()))
+    payload = memoryview(raw)[8 + mlen :]  # a view: nothing is copied before its length is checked
+    if len(payload) != 4 * size:
+        raise ArchiveCorruptError(f"{path}: payload of {len(payload)} bytes, expected "
+                                  f"{4 * size} for the classifier of its meta")
+    flat = np.frombuffer(payload, dtype="<f4")
+    values, at = {}, 0
+    for name, s in (*params.items(), *buffers.items()):
+        values[name] = flat[at : at + math.prod(s)].reshape(s).copy()
+        at += values[name].size
+    net = Network(layers, {k: Tensor(values[k], requires_grad=True) for k in params},
+                  {k: values[k] for k in buffers}, toy_classifier_meta(n, shape))
 
     try:
         quant = _load_quant(manifest, net)

@@ -198,37 +198,28 @@ def _apply(node: _Node) -> None:
             t.grad += g.astype(t.dtype, copy=False)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / arithmetic ops
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape; it does not broadcast."""
+    if a.shape != b.shape:
+        raise ValueError(f"add shape mismatch: {a.shape} and {b.shape}")
+
     def bwd(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
 
     return record_op(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two tensors of one shape; it does not broadcast."""
+    if a.shape != b.shape:
+        raise ValueError(f"mul shape mismatch: {a.shape} and {b.shape}")
+
     def bwd(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
+        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
 
     return record_op(a.data * b.data, (a, b), bwd)
 

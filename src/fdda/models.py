@@ -75,7 +75,10 @@ def build_toy_classifier(num_classes: int = 8, in_shape: tuple[int, int, int] = 
     return Network(layers, params, buffers, toy_classifier_meta(num_classes, in_shape))
 
 
-def build_generator(num_classes: int = 8, noise_dim: int = 64,
+NOISE_DIM = 64  # the generator's noise and label-embedding width
+
+
+def build_generator(num_classes: int = 8,
                     out_shape: tuple[int, int, int] = (1, 16, 16), seed: int = 0) -> Network:
     """Label-conditioned generator: noise * label-embedding -> dense ->
     4x4 feature map -> two blocks of a conv on the 2x-upsampled map ->
@@ -84,12 +87,12 @@ def build_generator(num_classes: int = 8, noise_dim: int = 64,
     c_out, h, w = out_shape
     if h % 4 or w % 4:
         raise ValueError("generator output extents must be multiples of 4")
-    embed = rng.standard_normal((num_classes, noise_dim)).astype(np.float32)
+    embed = rng.standard_normal((num_classes, NOISE_DIM)).astype(np.float32)
 
     base = 32
     h0, w0 = h // 4, w // 4
     layers = [
-        Dense("fc", noise_dim, base * h0 * w0), Reshape((base, h0, w0)), BatchNorm("gbn0", base),
+        Dense("fc", NOISE_DIM, base * h0 * w0), Reshape((base, h0, w0)), BatchNorm("gbn0", base),
         Conv2d("gconv1", base, base // 2, 3, pad=1, upsample=True),
         BatchNorm("gbn1", base // 2), ReLU(),
         Conv2d("gconv2", base // 2, base // 4, 3, pad=1, upsample=True),
@@ -101,7 +104,7 @@ def build_generator(num_classes: int = 8, noise_dim: int = 64,
 
     meta = {
         "kind": "generator",
-        "noise_dim": noise_dim,
+        "noise_dim": NOISE_DIM,
         "num_classes": num_classes,
         "output_shape": list(out_shape),
     }

@@ -7,6 +7,8 @@ import numpy as np
 
 from .autodiff import Tensor
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def decays_weight(name: str) -> bool:
     """Weight decay targets conv/dense kernels only, never biases or BN affine."""
@@ -14,19 +16,15 @@ def decays_weight(name: str) -> bool:
 
 
 class Adam:
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for k, p in self.params.items():
@@ -37,7 +35,7 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1 - b2) * (g * g)
             mhat = self.m[k] / bias1
             vhat = self.v[k] / bias2
-            p.data -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype)
+            p.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.dtype)
 
 
 class NesterovSGD:

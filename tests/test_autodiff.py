@@ -42,6 +42,12 @@ def test_dense_shape_mismatch():
         ad.dense(Tensor([[1.0, 2.0, 3.0]]), Tensor([[1.0, 2.0]]), Tensor([0.0]))
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+def test_elementwise_ops_do_not_broadcast(op):
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 1\) and \(2,\)"):
+        op(Tensor([[1.0], [2.0]], requires_grad=True), Tensor([1.0, 2.0]))
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------

@@ -166,12 +166,12 @@ def _rewrite_manifest(src, dst, edit):
 
 def test_eval_of_malformed_archive_exits_2_with_one_line(pretrained, capsys, tmp_path):
     root, cfg, model = pretrained
-    bad = _rewrite_manifest(model, tmp_path / "bad.fdda",
-                            lambda m: m["arrays"].append({**m["arrays"][0], "name": "param:bogus"}))
+    bad = tmp_path / "bad.fdda"
+    bad.write_bytes(model.read_bytes() + bytes(4))  # one float more than the graph reads
     rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
     assert rc == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error:") and "bad.fdda: unexpected array param:bogus" in err
+    assert err.startswith("error:") and "bad.fdda: payload of 130116 bytes, expected 130112" in err
     assert len(err.strip().splitlines()) == 1 and out == ""
 
 
@@ -203,8 +203,7 @@ def _manifest(path):
 
 def test_quantized_archive_holds_only_what_eval_reads(quantized):
     manifest = _manifest(quantized)
-    assert set(manifest) == {"version", "meta", "arrays", "policy", "act_quant"}
-    assert all(a["name"].startswith(("param:", "buffer:")) for a in manifest["arrays"])
+    assert set(manifest) == {"version", "meta", "policy", "act_quant"}
 
 
 @pytest.mark.parametrize("missing", ["act_quant", "policy"])
@@ -242,12 +241,15 @@ def test_eval_runs_the_activation_bits_of_the_archived_policy(
 
 
 @pytest.mark.parametrize("edit,match", [
-    (lambda m: m.update(version=1), "format version 1, expected 6"),
+    (lambda m: m.update(version=1), "format version 1, expected 7"),
+    (lambda m: m.update(version=6, arrays=[{"name": "param:conv1.w", "shape": [8, 1, 3, 3],
+                                            "offset": 0, "nbytes": 288}]),
+     "format version 6, expected 7"),
     (lambda m: m["meta"].update(input_shape=[16, 16]),
      "bad.fdda: bad meta: num_classes 8, input_shape [16, 16] (bad image size (16, 16))"),
     (lambda m: m["meta"].update(num_classes=9),
-     "bad.fdda: array param:fc2.w has shape (8, 64), expected (9, 64)"),
-], ids=["version-1", "two-extent-shape", "other-num-classes"])
+     "bad.fdda: payload of 130112 bytes, expected 130372 for the classifier of its meta"),
+], ids=["version-1", "version-6", "two-extent-shape", "other-num-classes"])
 def test_eval_of_unusable_archive_exits_2_with_one_line(pretrained, capsys, tmp_path, edit, match):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(model, tmp_path / "bad.fdda", edit)
@@ -273,7 +275,7 @@ def test_eval_of_version_4_archive_exits_2_with_one_line(
     rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
     assert rc == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error:") and "v4.fdda: format version 4, expected 6" in err
+    assert err.startswith("error:") and "v4.fdda: format version 4, expected 7" in err
     assert len(err.strip().splitlines()) == 1 and out == ""
 
 

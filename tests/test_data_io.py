@@ -22,6 +22,7 @@ from fdda.archive import (
     load_model,
     save_model,
 )
+from fdda.autodiff import Tensor
 from fdda.config import ConfigError, RunSettings, load_settings, settings_from_dict
 from fdda.data import (
     CalibrationSet,
@@ -31,7 +32,16 @@ from fdda.data import (
     make_toy_dataset,
 )
 from fdda.models import build_generator, build_toy_classifier, toy_classifier_layers
-from fdda.network import AvgPool2d, BatchNorm, Conv2d, Dense, Flatten, ReLU, quant_point_count
+from fdda.network import (
+    AvgPool2d,
+    BatchNorm,
+    Conv2d,
+    Dense,
+    Flatten,
+    ReLU,
+    layer_state_shapes,
+    quant_point_count,
+)
 from fdda.quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
 
 from helpers import state_equal
@@ -208,7 +218,7 @@ def test_version_1_archive_is_rejected(saved_classifier, tmp_path):
         return m
 
     old = rewrite_manifest(saved_classifier, tmp_path / "v1.fdda", as_version_1)
-    with pytest.raises(ArchiveVersionError, match="format version 1, expected 6"):
+    with pytest.raises(ArchiveVersionError, match="format version 1, expected 7"):
         load_model(old)
 
 
@@ -221,7 +231,7 @@ def _as_version_2(m):
 
 def test_version_2_archive_is_rejected(saved_quantized, tmp_path):
     old = rewrite_manifest(saved_quantized, tmp_path / "v2.fdda", _as_version_2)
-    with pytest.raises(ArchiveVersionError, match="format version 2, expected 6"):
+    with pytest.raises(ArchiveVersionError, match="format version 2, expected 7"):
         load_model(old)
 
 
@@ -236,7 +246,7 @@ def _as_version_3(m):
 
 def test_version_3_archive_is_rejected(saved_quantized, tmp_path):
     old = rewrite_manifest(saved_quantized, tmp_path / "v3.fdda", _as_version_3)
-    with pytest.raises(ArchiveVersionError, match="format version 3, expected 6"):
+    with pytest.raises(ArchiveVersionError, match="format version 3, expected 7"):
         load_model(old)
 
 
@@ -252,7 +262,7 @@ def _as_version_4(m):
 @pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
 def test_version_4_archive_is_rejected(request, tmp_path, archive):
     old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v4.fdda", _as_version_4)
-    with pytest.raises(ArchiveVersionError, match="format version 4, expected 6"):
+    with pytest.raises(ArchiveVersionError, match="format version 4, expected 7"):
         load_model(old)
 
 
@@ -268,7 +278,22 @@ def _as_version_5(m):
 @pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
 def test_version_5_archive_is_rejected(request, tmp_path, archive):
     old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v5.fdda", _as_version_5)
-    with pytest.raises(ArchiveVersionError, match="format version 5, expected 6"):
+    with pytest.raises(ArchiveVersionError, match="format version 5, expected 7"):
+        load_model(old)
+
+
+def _as_version_6(m):
+    """A format-6 manifest: an ``arrays`` list of each array's name, shape
+    and place (all but the first left out; the version check comes first)."""
+    m["version"] = 6
+    m["arrays"] = [{"name": "param:conv1.w", "shape": [8, 1, 3, 3], "offset": 0, "nbytes": 288}]
+    return m
+
+
+@pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
+def test_version_6_archive_is_rejected(request, tmp_path, archive):
+    old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v6.fdda", _as_version_6)
+    with pytest.raises(ArchiveVersionError, match="format version 6, expected 7"):
         load_model(old)
 
 
@@ -276,8 +301,39 @@ def test_manifest_has_no_bn_layer_count(saved_classifier):
     assert "bn_layer_count" not in _manifest(saved_classifier)
 
 
-def test_float_manifest_holds_meta_and_arrays_only(saved_classifier):
-    assert set(_manifest(saved_classifier)) == {"version", "meta", "arrays"}
+def test_float_manifest_holds_meta_only(saved_classifier):
+    assert set(_manifest(saved_classifier)) == {"version", "meta"}
+
+
+def test_payload_is_every_parameter_then_every_buffer_in_graph_order(tmp_path):
+    net = build_toy_classifier(16, (3, 32, 24), seed=1)
+    save_model(tmp_path / "f.fdda", net)
+    raw = (tmp_path / "f.fdda").read_bytes()
+    (mlen,) = struct.unpack("<I", raw[4:8])
+    state = [layer_state_shapes(layer) for layer in toy_classifier_layers(16, (3, 32, 24))]
+    arrays = ([net.params[k].data for params, _ in state for k in params]
+              + [net.buffers[k] for _, buffers in state for k in buffers])
+    assert len(arrays) == len(net.params) + len(net.buffers)
+    assert raw[8 + mlen :] == b"".join(a.astype("<f4").tobytes() for a in arrays)
+
+
+def _changed(net, meta=(), params=()):
+    net.meta.update(meta)
+    net.params.update(params)
+    return net
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_generator(),
+    lambda: _changed(build_toy_classifier(), meta={"num_classes": 9}),
+    lambda: _changed(build_toy_classifier(), params={"fc2.b": Tensor(np.zeros(9, np.float32))}),
+], ids=["generator", "meta-of-another-class-count", "parameter-of-another-shape"])
+def test_save_refuses_a_network_that_load_cannot_rebuild(tmp_path, make):
+    path = tmp_path / "x.fdda"
+    with pytest.raises(ValueError, match="cannot archive a .* network that is not the toy "
+                                         "classifier of its meta"):
+        save_model(path, make())
+    assert not path.exists()
 
 
 def test_loaded_classifier_is_the_one_its_meta_describes(tmp_path):
@@ -364,28 +420,6 @@ def saved_classifier(tmp_path):
     return path
 
 
-def _drop_array(name):
-    def edit(m):
-        m["arrays"] = [a for a in m["arrays"] if a["name"] != name]
-        return m
-    return edit
-
-
-def _edit_first(section, **fields):
-    def edit(m):
-        m[section][0].update(fields)
-        return m
-    return edit
-
-
-def _add_array(name):
-    """An entry for one more array, over the last array's bytes."""
-    def edit(m):
-        m["arrays"].append({**m["arrays"][-1], "name": name})
-        return m
-    return edit
-
-
 def _edit_meta(**fields):
     def edit(m):
         m["meta"].update(fields)
@@ -393,27 +427,8 @@ def _edit_meta(**fields):
     return edit
 
 
-def _shrink_array(name):
-    def edit(m):
-        for a in m["arrays"]:
-            if a["name"] == name:
-                rows = a["shape"][0]
-                a["nbytes"] = a["nbytes"] // rows * (rows - 1)
-                a["shape"] = [rows - 1] + a["shape"][1:]
-        return m
-    return edit
-
-
 @pytest.mark.parametrize("edit,match", [
     (lambda m: [m], "not a JSON object"),
-    (lambda m: {k: v for k, v in m.items() if k != "arrays"}, "'arrays'"),
-    (lambda m: {**m, "arrays": [{"name": "param:conv1.w"}] + m["arrays"]}, "bad array entry"),
-    (_drop_array("param:conv1.w"), "missing array param:conv1.w"),
-    (_drop_array("buffer:bn6.running_var"), "missing array buffer:bn6.running_var"),
-    (_shrink_array("param:fc2.b"), "param:fc2.b has shape"),
-    (_edit_first("arrays", nbytes=2.5), "bad array entry"),
-    (_add_array("param:bogus"), "bad.fdda: unexpected array param:bogus"),
-    (_add_array("buffer:bogus"), "bad.fdda: unexpected array buffer:bogus"),
     (lambda m: {k: v for k, v in m.items() if k != "meta"},
      "bad meta: num_classes None, input_shape None"),
     (lambda m: {**m, "meta": None}, "bad meta: num_classes None, input_shape None"),
@@ -424,10 +439,9 @@ def _shrink_array(name):
     (_edit_meta(num_classes=1), "bad meta: .*need at least two classes"),
     (_edit_meta(num_classes=10**9), "exceeds the limit"),
     (_edit_meta(input_shape=[1, 16, 24]),
-     r"param:fc1.w has shape \(64, 128\), expected \(64, 192\)"),
-    (_edit_meta(num_classes=9), r"param:fc2.w has shape \(8, 64\), expected \(9, 64\)"),
-], ids=["list-manifest", "no-arrays", "bad-array-entry", "missing-param", "missing-buffer",
-        "wrong-shape", "float-nbytes", "extra-param", "extra-buffer", "no-meta", "null-meta",
+     "bad.fdda: payload of 130112 bytes, expected 146496 for the classifier of its meta"),
+    (_edit_meta(num_classes=9), "bad.fdda: payload of 130112 bytes, expected 130372 "),
+], ids=["list-manifest", "no-meta", "null-meta",
         "float-num-classes", "bool-num-classes", "two-extent-shape", "float-extent", "one-class",
         "huge-num-classes", "other-input-shape", "other-num-classes"])
 def test_archive_malformed_manifest_is_corrupt(saved_classifier, tmp_path, edit, match):
@@ -443,12 +457,23 @@ def test_meta_of_a_classifier_larger_than_the_payload_allocates_no_more_than_the
                            _edit_meta(num_classes=2, input_shape=[1, 4096, 4096]))
     tracemalloc.start()
     try:
-        with pytest.raises(ArchiveCorruptError, match=r"param:fc1.w has shape \(64, 128\)"):
+        with pytest.raises(ArchiveCorruptError,
+                           match="payload of 130112 bytes, expected 2147579432 for"):
             load_model(bad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * bad.stat().st_size
+
+
+@pytest.mark.parametrize("delta", [-4, 4], ids=["one-float-short", "one-float-extra"])
+def test_archive_payload_of_another_length_is_corrupt(saved_classifier, tmp_path, delta):
+    raw = saved_classifier.read_bytes()
+    bad = tmp_path / "bad.fdda"
+    bad.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+    with pytest.raises(ArchiveCorruptError, match=f"bad.fdda: payload of {130112 + delta} bytes, "
+                                                  "expected 130112 for the classifier of its meta"):
+        load_model(bad)
 
 
 @pytest.fixture
