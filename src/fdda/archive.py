@@ -32,8 +32,8 @@ class ArchiveError(Exception):
 
 
 class ArchiveCorruptError(ArchiveError):
-    """Bad magic, unparsable manifest, bad meta or quantizers, or a payload
-    of the wrong length."""
+    """Bad magic, unparsable manifest, an unknown manifest key, bad meta or
+    quantizers, or a payload of the wrong length."""
 
 
 class ArchiveVersionError(ArchiveError):
@@ -122,7 +122,9 @@ def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
 
 def load_model(path) -> ModelArchive:
     """Read an archive back; raises ArchiveCorruptError / ArchiveVersionError
-    on malformed input instead of crashing."""
+    on malformed input instead of crashing. The manifest must hold exactly
+    the keys ``save_model`` writes, and ``meta`` exactly the classifier meta
+    of its class count and input shape."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 8 or raw[:4] != MAGIC:
@@ -139,6 +141,9 @@ def load_model(path) -> ModelArchive:
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise ArchiveVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    unknown = manifest.keys() - {"version", "meta", "policy", "act_quant"}
+    if unknown:
+        raise ArchiveCorruptError(f"{path}: unknown manifest key(s) {sorted(unknown)}")
     meta = manifest.get("meta")
     n, shape = (meta.get(k) if isinstance(meta, dict) else None
                 for k in ("num_classes", "input_shape"))
@@ -150,6 +155,11 @@ def load_model(path) -> ModelArchive:
     except ValueError as exc:
         raise ArchiveCorruptError(
             f"{path}: bad meta: num_classes {n!r}, input_shape {shape!r} ({exc})") from exc
+    expected = toy_classifier_meta(n, shape)
+    if meta != expected:
+        raise ArchiveCorruptError(f"{path}: bad meta: keys {sorted(meta)}, kind "
+                                  f"{meta.get('kind')!r}; expected keys {sorted(expected)}, "
+                                  f"kind 'classifier'")
 
     layers = toy_classifier_layers(n, shape)
     params, buffers = _state_shapes(layers)
@@ -164,7 +174,7 @@ def load_model(path) -> ModelArchive:
         values[name] = flat[at : at + math.prod(s)].reshape(s).copy()
         at += values[name].size
     net = Network(layers, {k: Tensor(values[k], requires_grad=True) for k in params},
-                  {k: values[k] for k in buffers}, toy_classifier_meta(n, shape))
+                  {k: values[k] for k in buffers}, expected)
 
     try:
         quant = _load_quant(manifest, net)

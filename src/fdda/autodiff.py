@@ -153,7 +153,8 @@ def record_op(data: np.ndarray, inputs: Sequence[Tensor], bwd: Callable) -> Tens
     ``bwd(grad_out)`` must return one gradient array (or None) per input, in
     order. It is called at most once. Ops should only compute a gradient for
     inputs whose ``requires_grad`` flag is set, and keep only the arrays those
-    gradients read.
+    gradients read. A returned array may become an input's ``.grad`` as it
+    is, so apart from ``grad_out`` it must be one that nothing else holds.
     """
     req = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=req)
@@ -184,16 +185,23 @@ def backward(loss: Tensor) -> None:
 def _apply(node: _Node) -> None:
     """Run one node's adjoint rule and accumulate into its inputs' ``.grad``.
 
+    An input's first gradient is the rule's array itself, not a copy, unless
+    it may share memory with the output's gradient (``add`` passes that on,
+    once per input) or with a gradient this node has already handed over.
     A function of its own so that the node, its output gradient and the
     gradients it returns are dropped when it returns."""
     g_out = node.out.grad
     if g_out is None:
         return
+    adopted = [g_out]
     for t, g in zip(node.inputs, node.bwd(g_out)):
         if g is None or not t.requires_grad:
             continue
         if t.grad is None:
-            t.grad = g.astype(t.dtype, copy=True)
+            if g.dtype != t.dtype or any(np.may_share_memory(g, a) for a in adopted):
+                g = g.astype(t.dtype, copy=True)
+            t.grad = g
+            adopted.append(g)
         else:
             t.grad += g.astype(t.dtype, copy=False)
 
@@ -476,10 +484,14 @@ def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     cshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     rm = running_mean.reshape(cshape)
     ri = inv_std.reshape(cshape)
-    xhat = (x.data - rm) * ri
-    y = xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
-    if not gamma.requires_grad:
-        xhat = None  # only the gamma gradient reads the normalized input
+    xhat = x.data - rm
+    xhat *= ri
+    if gamma.requires_grad:
+        y = xhat * gamma.data.reshape(cshape)
+    else:  # only the gamma gradient reads the normalized input
+        y, xhat = xhat, None
+        y *= gamma.data.reshape(cshape)
+    y += beta.data.reshape(cshape)
 
     def bwd(g):
         return (
@@ -506,24 +518,33 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     cshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
 
     bm = x.data.mean(axis=axes)
-    xc = x.data - bm.reshape(cshape)
-    bv = np.mean(xc * xc, axis=axes)
+    xhat = x.data - bm.reshape(cshape)  # centred here, normalized below
+    y = xhat * xhat  # the squares, then the output
+    bv = y.mean(axis=axes)
     inv = 1.0 / np.sqrt(bv + eps)
-    xhat = xc * inv.reshape(cshape)
+    xhat *= inv.reshape(cshape)
     gm = gamma.data.reshape(cshape)
-    y = xhat * gm + beta.data.reshape(cshape)
+    np.multiply(xhat, gm, out=y)
+    y += beta.data.reshape(cshape)
 
     def bwd(g):
-        gx = gg = gb = None
+        gx = gg = gb = prod = None
         if gamma.requires_grad:
-            gg = (g * xhat).sum(axis=axes)
+            prod = g * xhat
+            gg = prod.sum(axis=axes)
         if beta.requires_grad:
             gb = g.sum(axis=axes)
         if x.requires_grad:
+            # inv * (dxhat - m1 - xhat * m2), written into dxhat; prod has
+            # the layout of dxhat * xhat, so m2 adds in the same order
             dxhat = g * gm
             m1 = dxhat.mean(axis=axes).reshape(cshape)
-            m2 = (dxhat * xhat).mean(axis=axes).reshape(cshape)
-            gx = inv.reshape(cshape) * (dxhat - m1 - xhat * m2)
+            prod = np.multiply(dxhat, xhat, out=prod)
+            m2 = prod.mean(axis=axes).reshape(cshape)
+            dxhat -= m1
+            dxhat -= np.multiply(xhat, m2, out=prod)
+            dxhat *= inv.reshape(cshape)
+            gx = dxhat
         return (gx, gg, gb)
 
     return record_op(y, (x, gamma, beta), bwd), bm, bv

@@ -247,15 +247,11 @@ def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnS
             gv_s = avg[1:].T @ (scale * gv_c)
             gm[:, deep:] += avg[1:].T @ (scale * gm_c) + 2 * dev_c * gv_s
             gv[:, deep:] += gv_s
-        # the deviations become each layer's gradient in place; they are
-        # freed with this node, once backward has copied the gradients out.
-        # Freed here instead, layer by layer, they lower a batch-64 step's
-        # tracemalloc peak by 1.4 MB, but in a process that has run the other
-        # commands glibc then trimmed the heap top within each generator step
-        # and the pages faulted back in (about 230k minor faults per full-arm
-        # quantize of the benchmark, where this order measured about 1k)
+        # the deviations become each layer's gradient in place, and each is
+        # dropped once its layer's gradient is written
         grads, lo = [], 0
-        for dev, x in zip(devs, bn_inputs):
+        for x in bn_inputs:
+            dev = devs.pop(0)
             _, c, size = dev.shape
             hi = lo + c
             if x.requires_grad:

@@ -4,6 +4,7 @@ pipeline, inspect per-layer BN-statistics clustering, evaluate archives."""
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -17,6 +18,33 @@ from .clusters import export_bns_csv, mean_silhouette_per_layer
 from .config import ConfigError, load_settings
 from .data import make_toy_dataset
 from .trainer import TrainingDiverged, evaluate, pretrain_classifier, run_fdda
+
+
+# glibc's malloc.h parameters, and the value both are set to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_THRESHOLD = 256 << 20
+
+
+def _keep_heap() -> None:
+    """Make glibc keep freed memory in the process's heap: no trimming of the
+    heap top below 256 MiB free, and no mmap for blocks below 256 MiB.
+
+    A training step allocates and frees tens of MB of arrays. With glibc's
+    defaults, which adapt to the largest block freed, the heap top can be
+    handed back to the kernel inside a step and its pages fault back in on
+    the next one, as often as the placement of long-lived arrays decides.
+    Without glibc, or where the C library has no ``mallopt``, this does
+    nothing."""
+    try:
+        libc = ctypes.CDLL(None)  # the symbols already loaded, libc's among them
+    except (OSError, TypeError):  # a platform that cannot open the running program
+        return
+    if not hasattr(libc, "gnu_get_libc_version") or not hasattr(libc, "mallopt"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -180,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -332,6 +332,27 @@ def test_caller_held_intermediates_keep_their_grad():
     np.testing.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
 
 
+def test_gradients_share_no_memory_with_each_other_or_with_values():
+    # add hands its output's gradient to both inputs, add(a, a) to one input
+    # twice, and reshape writes a new array: each .grad must be its own
+    rng = np.random.default_rng(0)
+    a, b, c = (Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    twice = ad.add(a, a)
+    both = ad.add(a, b)
+    flat = ad.reshape(ad.mul(both, c), (6,))
+    loss = ad.add(twice.sum(), flat.sum())
+    ad.backward(loss)
+    tensors = [a, b, c, twice, both, flat, loss]
+    grads = [t.grad for t in tensors]
+    assert all(g is not None for g in grads)
+    np.testing.assert_array_equal(a.grad, 2 + c.data)
+    np.testing.assert_array_equal(b.grad, c.data)
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1 :])
+        assert not any(np.shares_memory(g, t.data) for t in tensors)
+
+
 # ---------------------------------------------------------------------------
 # memory layout: conv outputs are batch-innermost, (C, H, W, N) in memory,
 # and every op that writes a gradient array itself writes it in its input's

@@ -54,6 +54,38 @@ def test_pretrain_reports_accuracy(pretrained, capsys):
     assert out["quantized"] is False
 
 
+class _Libc:
+    """A C library that records its ``mallopt`` calls; ``names`` are the
+    functions it has."""
+
+    def __init__(self, names):
+        self.names, self.calls = names, []
+
+    def __getattr__(self, name):
+        if name not in self.names:
+            raise AttributeError(name)
+        return lambda *args: self.calls.append((name, args)) or 1
+
+
+@pytest.mark.parametrize("names,calls", [
+    (("gnu_get_libc_version", "mallopt"),
+     [("mallopt", (-1, 256 << 20)), ("mallopt", (-3, 256 << 20))]),
+    (("gnu_get_libc_version",), []),  # a glibc without mallopt
+    (("mallopt",), []),  # another C library: glibc's parameter numbers mean nothing there
+], ids=["glibc", "no-mallopt", "not-glibc"])
+def test_allocator_is_set_only_through_glibcs_mallopt(pretrained, capsys, monkeypatch,
+                                                      names, calls):
+    root, cfg, model = pretrained
+    args = ["eval", "--config", str(cfg), "--model", str(model)]
+    assert main(args) == 0
+    expected = capsys.readouterr()
+    libc = _Libc(names)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert main(args) == 0
+    assert capsys.readouterr() == expected
+    assert libc.calls == calls
+
+
 def test_analyze_bns_prints_layer_table(pretrained, capsys, tmp_path):
     root, cfg, model = pretrained
     csv_path = tmp_path / "layer1.csv"
@@ -249,7 +281,16 @@ def test_eval_runs_the_activation_bits_of_the_archived_policy(
      "bad.fdda: bad meta: num_classes 8, input_shape [16, 16] (bad image size (16, 16))"),
     (lambda m: m["meta"].update(num_classes=9),
      "bad.fdda: payload of 130112 bytes, expected 130372 for the classifier of its meta"),
-], ids=["version-1", "version-6", "two-extent-shape", "other-num-classes"])
+    (lambda m: m.update(arrays=[{"name": "param:conv1.w", "shape": [8, 1, 3, 3],
+                                 "offset": 0, "nbytes": 288}]),
+     "bad.fdda: unknown manifest key(s) ['arrays']"),
+    (lambda m: m.update(layers=[]), "bad.fdda: unknown manifest key(s) ['layers']"),
+    (lambda m: m["meta"].update(kind="generator"),
+     "bad.fdda: bad meta: keys ['input_shape', 'kind', 'num_classes'], kind 'generator'"),
+    (lambda m: m["meta"].update(note="x"),
+     "bad.fdda: bad meta: keys ['input_shape', 'kind', 'note', 'num_classes'], kind 'classifier'"),
+], ids=["version-1", "version-6", "two-extent-shape", "other-num-classes", "stray-arrays",
+        "stray-layers", "generator-kind", "extra-meta-key"])
 def test_eval_of_unusable_archive_exits_2_with_one_line(pretrained, capsys, tmp_path, edit, match):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(model, tmp_path / "bad.fdda", edit)

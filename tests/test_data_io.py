@@ -212,14 +212,9 @@ def test_archive_version_mismatch(tmp_path):
         load_model(path)
 
 
-def test_version_1_archive_is_rejected(saved_classifier, tmp_path):
-    def as_version_1(m):
-        m["version"] = 1
-        return m
-
-    old = rewrite_manifest(saved_classifier, tmp_path / "v1.fdda", as_version_1)
-    with pytest.raises(ArchiveVersionError, match="format version 1, expected 7"):
-        load_model(old)
+def _as_version_1(m):
+    m["version"] = 1
+    return m
 
 
 def _as_version_2(m):
@@ -229,25 +224,12 @@ def _as_version_2(m):
     return m
 
 
-def test_version_2_archive_is_rejected(saved_quantized, tmp_path):
-    old = rewrite_manifest(saved_quantized, tmp_path / "v2.fdda", _as_version_2)
-    with pytest.raises(ArchiveVersionError, match="format version 2, expected 7"):
-        load_model(old)
-
-
 def _as_version_3(m):
-    """A format-3 manifest: the quantized archive plus a centroids section
-    (its centroid:{l}:mean|var arrays are left out; the version check
-    comes first)."""
+    """A format-3 manifest: a centroids section (its centroid:{l}:mean|var
+    arrays are left out; the version check comes first)."""
     m["version"] = 3
     m["centroids"] = {"deep_start": 1, "layer_count": 6, "classes": [0, 1]}
     return m
-
-
-def test_version_3_archive_is_rejected(saved_quantized, tmp_path):
-    old = rewrite_manifest(saved_quantized, tmp_path / "v3.fdda", _as_version_3)
-    with pytest.raises(ArchiveVersionError, match="format version 3, expected 7"):
-        load_model(old)
 
 
 def _as_version_4(m):
@@ -259,13 +241,6 @@ def _as_version_4(m):
     return m
 
 
-@pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
-def test_version_4_archive_is_rejected(request, tmp_path, archive):
-    old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v4.fdda", _as_version_4)
-    with pytest.raises(ArchiveVersionError, match="format version 4, expected 7"):
-        load_model(old)
-
-
 def _as_version_5(m):
     """A format-5 manifest: the layer specs as a ``layers`` list (all but the
     first left out; the version check comes first)."""
@@ -273,13 +248,6 @@ def _as_version_5(m):
     m["layers"] = [{"kind": "conv2d", "name": "conv1", "in_channels": 1, "out_channels": 8,
                     "kernel": 3, "pad": 1}]
     return m
-
-
-@pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
-def test_version_5_archive_is_rejected(request, tmp_path, archive):
-    old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v5.fdda", _as_version_5)
-    with pytest.raises(ArchiveVersionError, match="format version 5, expected 7"):
-        load_model(old)
 
 
 def _as_version_6(m):
@@ -290,11 +258,35 @@ def _as_version_6(m):
     return m
 
 
+EARLIER_VERSIONS = {1: _as_version_1, 2: _as_version_2, 3: _as_version_3, 4: _as_version_4,
+                    5: _as_version_5, 6: _as_version_6}
+
+
 @pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
-def test_version_6_archive_is_rejected(request, tmp_path, archive):
-    old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "v6.fdda", _as_version_6)
-    with pytest.raises(ArchiveVersionError, match="format version 6, expected 7"):
+@pytest.mark.parametrize("version", sorted(EARLIER_VERSIONS))
+def test_earlier_version_archive_is_rejected(request, tmp_path, version, archive):
+    old = rewrite_manifest(request.getfixturevalue(archive), tmp_path / f"v{version}.fdda",
+                           EARLIER_VERSIONS[version])
+    with pytest.raises(ArchiveVersionError, match=f"format version {version}, expected 7"):
         load_model(old)
+
+
+@pytest.mark.parametrize("archive", ["saved_classifier", "saved_quantized"])
+@pytest.mark.parametrize("edit,match", [
+    (lambda m: {**m, "arrays": [{"name": "param:conv1.w", "shape": [8, 1, 3, 3],
+                                 "offset": 0, "nbytes": 288}]},
+     r"unknown manifest key\(s\) \['arrays'\]"),
+    (lambda m: {**m, "layers": []}, r"unknown manifest key\(s\) \['layers'\]"),
+    (lambda m: {**m, "meta": {**m["meta"], "kind": "generator"}},
+     "bad meta: .* kind 'generator'"),
+    (lambda m: {**m, "meta": {**m["meta"], "note": "x"}},
+     r"bad meta: keys \['input_shape', 'kind', 'note', 'num_classes'\]"),
+], ids=["stray-arrays", "stray-layers", "generator-kind", "extra-meta-key"])
+def test_manifest_key_that_save_model_never_writes_is_rejected(request, tmp_path, archive,
+                                                                edit, match):
+    bad = rewrite_manifest(request.getfixturevalue(archive), tmp_path / "bad.fdda", edit)
+    with pytest.raises(ArchiveCorruptError, match=match):
+        load_model(bad)
 
 
 def test_manifest_has_no_bn_layer_count(saved_classifier):

@@ -1,9 +1,10 @@
-"""Parity of the conv and pooling kernels with the plain numpy formulas
-they replace, in float32.
+"""Parity of the conv, pooling and batch-norm kernels with the plain numpy
+formulas they replace, in float32.
 
 The references below are the earlier implementations: a sliding-window
-im2col after ``np.pad``, reductions over reshaped block axes, and nearest 2x
-upsampling by ``np.repeat``. Where the kernels keep the reference's order of
+im2col after ``np.pad``, reductions over reshaped block axes, nearest 2x
+upsampling by ``np.repeat``, and batch norm's expressions before it wrote
+into arrays it owns. Where the kernels keep the reference's order of
 additions the results must be equal bit for bit, because seeded reports and
 archives depend on it. Two results add in another order and are held to a
 stated tolerance: the conv weight gradient, whose GEMM sums over the batch
@@ -373,3 +374,103 @@ def test_im2col_peak_memory_is_columns_plus_one_padded_buffer():
         tracemalloc.stop()
     assert cols.nbytes == cols_bytes
     assert cols_bytes + padded_bytes <= peak <= 1.1 * (cols_bytes + padded_bytes)
+
+
+# ---------------------------------------------------------------------------
+# batch norm: the ops write into arrays they own; these are the expressions
+# they were written as, whose bits seeded archives and reports depend on
+# ---------------------------------------------------------------------------
+
+def _bn_shapes(x):
+    axes = (0, 2, 3) if x.ndim == 4 else (0,)
+    return axes, (1, x.shape[1]) + (1,) * (x.ndim - 2)
+
+
+def ref_batchnorm_train(x, gamma, beta, g, eps):
+    """Output, batch mean and variance, and the x, gamma, beta gradients."""
+    axes, cshape = _bn_shapes(x)
+    bm = x.mean(axis=axes)
+    xc = x - bm.reshape(cshape)
+    bv = np.mean(xc * xc, axis=axes)
+    inv = 1.0 / np.sqrt(bv + eps)
+    xhat = xc * inv.reshape(cshape)
+    gm = gamma.reshape(cshape)
+    y = xhat * gm + beta.reshape(cshape)
+    dxhat = g * gm
+    m1 = dxhat.mean(axis=axes).reshape(cshape)
+    m2 = (dxhat * xhat).mean(axis=axes).reshape(cshape)
+    gx = inv.reshape(cshape) * (dxhat - m1 - xhat * m2)
+    return y, bm, bv, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def ref_batchnorm_eval(x, gamma, beta, mean, inv_std, g):
+    """Output and the x, gamma, beta gradients."""
+    axes, cshape = _bn_shapes(x)
+    ri = inv_std.reshape(cshape)
+    xhat = (x - mean.reshape(cshape)) * ri
+    y = xhat * gamma.reshape(cshape) + beta.reshape(cshape)
+    gx = g * (gamma.reshape(cshape) * ri)
+    return y, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def _rule(out, g):
+    """Run the adjoint rule of the op that made ``out`` on g as it is (no
+    loss in between reorders g's memory)."""
+    node = ad._tape.pop()
+    ad._tape.clear()
+    assert node.out is out
+    return node.bwd(g)
+
+
+def _bn_case(shape, x_layout, g_layout):
+    rng = np.random.default_rng(sum(shape))
+    c = shape[1]
+    x = _in_layout(_rand(rng, shape) * 3 + 1, x_layout)
+    g = _in_layout(_rand(rng, shape), g_layout)
+    gamma = _rand(rng, (c,)) + 1
+    beta = _rand(rng, (c,))
+    return x, g, gamma, beta
+
+
+# (input shape, x's layout, g's layout): the classifier's first BN at batch
+# 64, the generator's gbn0 (its input C-contiguous, its gradient from a conv
+# batch-innermost) and a batch-1 map in every pair of layouts, and a 2-D input
+BN_LAYOUTS = [("contiguous", "contiguous"), ("batch-innermost", "batch-innermost"),
+              ("contiguous", "batch-innermost"), ("batch-innermost", "contiguous")]
+BN_CASES = [(shape, *layouts) for shape in [(64, 8, 16, 16), (64, 32, 4, 4), (1, 16, 4, 4)]
+            for layouts in BN_LAYOUTS] + [((64, 32), "contiguous", "contiguous")]
+BN_IDS = [f"{shape}-{xl}-{gl}" for shape, xl, gl in BN_CASES]
+
+
+@pytest.mark.parametrize("shape,x_layout,g_layout", BN_CASES, ids=BN_IDS)
+def test_batchnorm_train_equals_its_expressions(shape, x_layout, g_layout):
+    x, g, gamma, beta = _bn_case(shape, x_layout, g_layout)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    out, bm, bv = ad.batchnorm_train(*leaves, 1e-5)
+    grads = _rule(out, g)
+    ref = ref_batchnorm_train(x, gamma, beta, g, 1e-5)
+    for got, want in zip((out.data, bm, bv, *grads), ref):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+    # the x gradient is written in g's layout; the expression's layout is
+    # numpy's choice between x's and g's when they differ
+    assert out.data.strides == x.strides and grads[0].strides == g.strides
+
+
+@pytest.mark.parametrize("shape,x_layout,g_layout", BN_CASES, ids=BN_IDS)
+@pytest.mark.parametrize("gamma_grad", [True, False])
+def test_batchnorm_eval_equals_its_expressions(shape, x_layout, g_layout, gamma_grad):
+    x, g, gamma, beta = _bn_case(shape, x_layout, g_layout)
+    rng = np.random.default_rng(7)
+    mean = _rand(rng, (shape[1],))
+    inv_std = (1.0 / np.sqrt(rng.uniform(0.5, 2.0, shape[1]) + 1e-5)).astype(np.float32)
+    leaves = [Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=gamma_grad),
+              Tensor(beta, requires_grad=True)]
+    out = ad.batchnorm_eval(*leaves, mean, inv_std)
+    gx, gg, gb = _rule(out, g)
+    ref_y, ref_gx, ref_gg, ref_gb = ref_batchnorm_eval(x, gamma, beta, mean, inv_std, g)
+    pairs = [(out.data, ref_y), (gx, ref_gx), (gb, ref_gb)] + ([(gg, ref_gg)] if gamma_grad else [])
+    for got, want in pairs:
+        assert got.dtype == np.float32 and got.strides == want.strides
+        np.testing.assert_array_equal(got, want)
+    assert gamma_grad or gg is None
