@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .data import ToyDatasetSpec
 from .models import toy_classifier_layers, toy_classifier_meta
 from .network import Network, layer_state_shapes, quant_point_count
-from .quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
+from .quantizer import FakeQuantRuntime, QuantPolicy
 
 MAGIC = b"FDA1"
 FORMAT_VERSION = 7
@@ -78,13 +78,11 @@ def save_model(path, archive: ModelArchive | Network) -> None:
     manifest: dict = {"version": FORMAT_VERSION, "meta": meta}
 
     if archive.quant is not None:
-        policy, acts = archive.quant.policy, archive.quant.act_params
-        n = quant_point_count(net)
-        if [q.bits for q in acts] != [policy.activation_bits(i, n) for i in range(n)]:
-            raise ValueError(f"cannot archive {len(acts)} activation quantizers at bit-widths "
-                             f"{[q.bits for q in acts]}: loading gives the {n} quantization points "
-                             f"the policy's, {[policy.activation_bits(i, n) for i in range(n)]}")
-        manifest["policy"] = asdict(policy)
+        acts, n = archive.quant.act_params, quant_point_count(net)
+        if len(acts) != n:
+            raise ValueError(f"cannot archive {len(acts)} activation quantizers: loading gives "
+                             f"one to each of the network's {n} quantization points")
+        manifest["policy"] = asdict(archive.quant.policy)
         manifest["act_quant"] = [{"lower": float(q.lower), "upper": float(q.upper)} for q in acts]
 
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -99,8 +97,7 @@ def save_model(path, archive: ModelArchive | Network) -> None:
 def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
     """The quantizers of a quantized model: a policy and the bounds of one
     activation quantizer per quantization point of ``net``, both or neither.
-    Each quantizer runs at the bit-width the policy gives its point. Raises
-    KeyError, TypeError or ValueError if malformed."""
+    Raises KeyError, TypeError or ValueError if malformed."""
     missing = [key for key in ("policy", "act_quant") if key not in manifest]
     if len(missing) == 2:
         return None
@@ -111,13 +108,11 @@ def _load_quant(manifest: dict, net: Network) -> FakeQuantRuntime | None:
     n = quant_point_count(net)
     if len(bounds) != n:
         raise ValueError(f"{len(bounds)} quantizers for {n} quantization points")
-    act_quant = []
     for point, q in enumerate(bounds):
         if not isinstance(q, dict) or q.keys() != {"lower", "upper"}:
             raise ValueError(f"activation quantizer {point} is {q!r}, "
                              f"expected exactly 'lower' and 'upper'")
-        act_quant.append(QuantParams(policy.activation_bits(point, n), q["lower"], q["upper"]))
-    return FakeQuantRuntime(policy, act_quant)
+    return FakeQuantRuntime(policy, [(q["lower"], q["upper"]) for q in bounds])
 
 
 def load_model(path) -> ModelArchive:

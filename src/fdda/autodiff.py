@@ -512,9 +512,6 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     from the captured BN input with ``bns.alignment_loss`` instead.
     """
     axes = (0, 2, 3) if x.ndim == 4 else (0,)
-    count = 1
-    for ax in axes:
-        count *= x.shape[ax]
     cshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
 
     bm = x.data.mean(axis=axes)

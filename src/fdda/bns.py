@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import CalibrationSet
+from .data import LabeledImages
 from .network import EVAL_BATCH, Network, forward
 
 
@@ -135,10 +135,11 @@ def per_image_bns(net: Network, images: np.ndarray) -> BnStats:
     return BnStats(means, variances)
 
 
-def build_class_centroids(net: Network, calib: CalibrationSet,
+def build_class_centroids(net: Network, calib: LabeledImages,
                           deep_start: int) -> ClassCentroids:
     """Per-class targets from the calibration set (one image per class, in
-    class order): each centroid is that image's statistics at deep layers."""
+    class order, as :class:`ClassCentroids` requires): each centroid is that
+    image's statistics at deep layers."""
     if len(calib):
         stats = per_image_bns(net, calib.images)
         means, variances = stats.means, stats.variances

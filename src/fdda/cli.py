@@ -15,7 +15,7 @@ import numpy as np
 from .archive import ArchiveError, load_model, save_model
 from .bns import per_image_bns
 from .clusters import export_bns_csv, mean_silhouette_per_layer
-from .config import ConfigError, load_settings
+from .config import ConfigError, RunSettings, load_settings
 from .data import make_toy_dataset
 from .trainer import TrainingDiverged, evaluate, pretrain_classifier, run_fdda
 
@@ -49,21 +49,20 @@ def _keep_heap() -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None, help="root random seed")
+    p.add_argument("--seed", dest="train.seed", type=int, metavar="SEED",
+                   help="root random seed")
 
 
-def _collect_overrides(args: argparse.Namespace, mapping: dict[str, str]) -> dict:
-    overrides = {}
-    for attr, dotted in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[dotted] = value
-    return overrides
+def _settings(args: argparse.Namespace) -> RunSettings:
+    """The config file's settings under the flags given, each flag whose
+    ``dest`` is a dotted config key overriding that key."""
+    overrides = {dest: value for dest, value in vars(args).items()
+                 if "." in dest and value is not None}
+    return load_settings(args.config, overrides)
 
 
 def cmd_pretrain(args) -> int:
-    overrides = _collect_overrides(args, {"seed": "train.seed"})
-    settings = load_settings(args.config, overrides)
+    settings = _settings(args)
     cfg = settings.train
     net, report = pretrain_classifier(
         settings.dataset, epochs=args.epochs, steps_per_epoch=cfg.steps_per_epoch,
@@ -75,23 +74,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    overrides = _collect_overrides(args, {
-        "seed": "train.seed",
-        "wbits": "policy.default_bits",
-        "abits": "policy.act_bits",
-        "first_bits": "policy.first_layer_bits",
-        "last_bits": "policy.last_layer_bits",
-        "epochs": "train.total_epochs",
-        "warmup": "train.warmup_epochs",
-        "steps": "train.steps_per_epoch",
-    })
-    if args.no_cbns:
-        overrides["weights.cbns"] = 0.0
-    if args.no_dbns:
-        overrides["weights.dbns"] = 0.0
-    if args.no_synthetic:
-        overrides["train.mix_ratio"] = 1.0
-    settings = load_settings(args.config, overrides)
+    settings = _settings(args)
     if args.classes is not None:
         num_classes = settings.dataset.num_classes
         if not 0 <= args.classes <= num_classes:
@@ -117,8 +100,7 @@ def cmd_quantize(args) -> int:
 def cmd_analyze_bns(args) -> int:
     if args.samples_per_class < 2:
         raise ConfigError(f"--samples-per-class must be at least 2, got {args.samples_per_class}")
-    overrides = _collect_overrides(args, {"seed": "train.seed"})
-    settings = load_settings(args.config, overrides)
+    settings = _settings(args)
     net = load_model(args.model).network
     net.set_requires_grad(False)
     if args.csv is not None and not 1 <= args.layer <= net.bn_layer_count:
@@ -147,8 +129,7 @@ def cmd_analyze_bns(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    overrides = _collect_overrides(args, {"seed": "train.seed"})
-    settings = load_settings(args.config, overrides)
+    settings = _settings(args)
     archive = load_model(args.model)
     archive.network.set_requires_grad(False)
     _, test = make_toy_dataset(settings.dataset)
@@ -174,18 +155,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", type=Path, required=True, help="pretrained classifier archive")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--wbits", type=int, default=None, help="default weight bit-width")
-    p.add_argument("--abits", type=int, default=None, help="activation bit-width")
-    p.add_argument("--first-bits", dest="first_bits", type=int, default=None)
-    p.add_argument("--last-bits", dest="last_bits", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None, help="override total epochs")
-    p.add_argument("--warmup", type=int, default=None, help="override warm-up epochs")
-    p.add_argument("--steps", type=int, default=None, help="override steps per epoch")
-    p.add_argument("--no-cbns", action="store_true",
+    p.add_argument("--wbits", dest="policy.default_bits", type=int, metavar="WBITS",
+                   help="default weight bit-width")
+    p.add_argument("--abits", dest="policy.act_bits", type=int, metavar="ABITS",
+                   help="activation bit-width")
+    p.add_argument("--first-bits", dest="policy.first_layer_bits", type=int, metavar="FIRST_BITS")
+    p.add_argument("--last-bits", dest="policy.last_layer_bits", type=int, metavar="LAST_BITS")
+    p.add_argument("--epochs", dest="train.total_epochs", type=int, metavar="EPOCHS",
+                   help="override total epochs")
+    p.add_argument("--warmup", dest="train.warmup_epochs", type=int, metavar="WARMUP",
+                   help="override warm-up epochs")
+    p.add_argument("--steps", dest="train.steps_per_epoch", type=int, metavar="STEPS",
+                   help="override steps per epoch")
+    p.add_argument("--no-cbns", dest="weights.cbns", action="store_const", const=0.0,
                    help="no centroid alignment (sets weights.cbns to 0)")
-    p.add_argument("--no-dbns", action="store_true",
+    p.add_argument("--no-dbns", dest="weights.dbns", action="store_const", const=0.0,
                    help="no distorted-centroid alignment (sets weights.dbns to 0)")
-    p.add_argument("--no-synthetic", action="store_true",
+    p.add_argument("--no-synthetic", dest="train.mix_ratio", action="store_const", const=1.0,
                    help="fine-tune on calibration data only (sets train.mix_ratio to 1)")
     p.add_argument("--classes", type=int, default=None,
                    help="restrict calibration to the first N classes")

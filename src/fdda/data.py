@@ -97,35 +97,16 @@ def make_toy_dataset(spec: ToyDatasetSpec) -> tuple[LabeledImages, LabeledImages
     return train, test
 
 
-@dataclass
-class CalibrationSet:
-    """At most one labelled image per class, in increasing class order."""
-
-    images: np.ndarray  # (M, C, H, W)
-    labels: np.ndarray  # (M,) int64
-
-    def __post_init__(self):
-        if np.any(np.diff(self.labels) <= 0):
-            raise ValueError("calibration labels must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 def extract_calibration(train: LabeledImages, num_classes: int,
-                        classes: Sequence[int] | None = None) -> CalibrationSet:
-    """First-indexed sample of each requested class (default: all); the
-    request must be in class order, as :class:`CalibrationSet` requires."""
+                        classes: Sequence[int] | None = None) -> LabeledImages:
+    """The calibration set: the first-indexed sample of each requested class
+    (default: all), in the order requested."""
     wanted = range(num_classes) if classes is None else classes
-    images, labels = [], []
+    rows = []
     for c in wanted:
         idx = np.nonzero(train.labels == c)[0]
         if len(idx) == 0:
             raise ValueError(f"requested class {c} not present in the training set")
-        images.append(train.images[idx[0]])
-        labels.append(c)
-    if not images:
-        c, h, w = train.images.shape[1:]
-        return CalibrationSet(np.zeros((0, c, h, w), dtype=np.float32),
-                              np.zeros(0, dtype=np.int64))
-    return CalibrationSet(np.stack(images), np.array(labels, dtype=np.int64))
+        rows.append(idx[0])
+    rows = np.array(rows, dtype=np.int64)
+    return LabeledImages(train.images[rows], train.labels[rows])

@@ -42,14 +42,14 @@ class QuantParams:
         object.__setattr__(self, "scale", (self.upper - self.lower) / (2**self.bits - 1))
 
 
-def observed_params(bits: int, lo, hi) -> QuantParams:
-    """Quantizer over an observed [lo, hi] (scalars or per-channel arrays),
+def observed_bounds(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds of an observed [lo, hi] (scalars or per-channel arrays),
     widened by DEGENERATE_MARGIN on each side where the range collapses to a point."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     degenerate = hi - lo < 1e-12
-    return QuantParams(bits, np.where(degenerate, lo - DEGENERATE_MARGIN, lo),
-                       np.where(degenerate, hi + DEGENERATE_MARGIN, hi))
+    return (np.where(degenerate, lo - DEGENERATE_MARGIN, lo),
+            np.where(degenerate, hi + DEGENERATE_MARGIN, hi))
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def _fake_quantize(x: Tensor, levels: tuple[np.ndarray, ...]) -> Tensor:
 def channel_bounds(w: np.ndarray, bits: int) -> QuantParams:
     """Min/max bounds per output channel (axis 0), widened when degenerate."""
     flat = w.reshape(w.shape[0], -1)
-    return observed_params(bits, flat.min(axis=1), flat.max(axis=1))
+    return QuantParams(bits, *observed_bounds(flat.min(axis=1), flat.max(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +156,14 @@ def channel_bounds(w: np.ndarray, bits: int) -> QuantParams:
 class FakeQuantRuntime:
     """Quantization hooks for ``network.forward``: weights are re-bounded from
     the current float values on every pass, activations use frozen calibrated
-    bounds, one per quantization point."""
+    bounds, one ``(lower, upper)`` pair per quantization point, each point at
+    the bit-width ``policy`` gives it."""
 
-    def __init__(self, policy: QuantPolicy, act_params: Sequence[QuantParams]):
+    def __init__(self, policy: QuantPolicy, bounds: Sequence[tuple]):
         self.policy = policy
-        self.act_params = tuple(act_params)
+        n = len(bounds)
+        self.act_params = tuple(QuantParams(policy.activation_bits(point, n), lower, upper)
+                                for point, (lower, upper) in enumerate(bounds))
         # (point, dtype) -> the point's prepared scalar bounds; they broadcast
         # against an input of any rank
         self._act_levels: dict[tuple, tuple[np.ndarray, ...]] = {}
@@ -189,20 +192,14 @@ class RangeCalibrator(FakeQuantRuntime):
         self.hi[point] = max(self.hi[point], float(x.data.max()))
         return x
 
-    def finalize(self) -> list[QuantParams]:
-        if not np.isfinite(self.lo + self.hi).all():
-            raise ValueError("calibration saw no activations at some point")
-        n = len(self.lo)
-        return [observed_params(self.policy.activation_bits(point, n), lo, hi)
-                for point, (lo, hi) in enumerate(zip(self.lo, self.hi))]
-
 
 def calibrate_activation_bounds(net: Network, data: np.ndarray,
-                                policy: QuantPolicy) -> list[QuantParams]:
-    """One eval-mode pass over ``data`` recording (min, max) per quant point.
+                                policy: QuantPolicy) -> FakeQuantRuntime:
+    """The runtime of ``policy`` whose activation bounds are the (min, max)
+    of each quant point over one eval-mode pass over ``data``.
 
-    Bounds that collapse to a point are widened by +-1e-3. The list is ordered
-    network input first, then one entry per activation in layer order.
+    Bounds that collapse to a point are widened by +-1e-3. The points are
+    ordered network input first, then one per activation in layer order.
     """
     data = np.asarray(data)
     if data.shape[0] == 0:
@@ -210,4 +207,6 @@ def calibrate_activation_bounds(net: Network, data: np.ndarray,
     calib = RangeCalibrator(policy, quant_point_count(net))
     with ad.no_grad():
         forward(net, Tensor(data), train=False, quant=calib)
-    return calib.finalize()
+    if not np.isfinite(calib.lo + calib.hi).all():
+        raise ValueError("calibration saw no activations at some point")
+    return FakeQuantRuntime(policy, [observed_bounds(lo, hi) for lo, hi in zip(calib.lo, calib.hi)])

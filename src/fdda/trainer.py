@@ -1,4 +1,5 @@
-"""The full fine-tuning pipeline: classifier pretraining, generator warm-up,
+"""The full fine-tuning pipeline: classifier pretraining, a run's set-up
+(calibration set, centroids, generator warm-up, activation calibration),
 alternating generator / quantized-model updates, per-epoch evaluation, and
 the end-to-end run with its JSON report.
 
@@ -19,7 +20,7 @@ from .autodiff import Tensor
 from .bns import (BnStats, ClassCentroids, build_class_centroids, collect_running_stats,
                   deep_layer_start)
 from .config import RunSettings, TrainConfig
-from .data import CalibrationSet, LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
+from .data import LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
 from .generator import LossWeights, generate, generator_total_loss, sample_labels
 from .models import build_generator, build_toy_classifier
 from .network import EVAL_BATCH, Network, forward
@@ -77,15 +78,16 @@ def quantized_model_loss(q_net: Network, teacher_logits: np.ndarray, images: Ten
 
 @dataclass
 class TrainState:
-    """Mutable pieces shared across epochs of one run."""
+    """Mutable pieces shared across epochs of one run, built by :func:`start_run`."""
 
+    settings: RunSettings
     g_net: Network | None
     q_net: Network
     f_net: Network
     running: BnStats
     centroids: ClassCentroids
-    calib: CalibrationSet
-    quant: FakeQuantRuntime
+    calib: LabeledImages
+    quant: FakeQuantRuntime | None  # None until the warm-up is over
     g_opt: Adam | None
     q_opt: NesterovSGD
     # labels and noise of each generator step, and of the synthetic batch
@@ -99,16 +101,16 @@ class TrainState:
     teacher_calib: np.ndarray | None = None
 
 
-def _teacher_calib_logits(state: TrainState, cfg: TrainConfig) -> np.ndarray:
+def _teacher_calib_logits(state: TrainState) -> np.ndarray:
     """The frozen teacher's logits for every calibration image, one row per
     image, computed once per run.
 
-    Each forward pass cycles the images up to ``cfg.batch_size`` rows, so its
-    GEMMs have the shape of a training step's; row i then equals, bit for
-    bit, the logits of image i inside a step's batch.
+    Each forward pass cycles the images up to the batch size, so its GEMMs
+    have the shape of a training step's; row i then equals, bit for bit, the
+    logits of image i inside a step's batch.
     """
     if state.teacher_calib is None:
-        n, rows = len(state.calib), cfg.batch_size
+        n, rows = len(state.calib), state.settings.train.batch_size
         chunks = []
         with ad.no_grad():
             for lo in range(0, n, rows):
@@ -137,7 +139,7 @@ def batch_split(cfg: TrainConfig, n_calib: int) -> tuple[int, int]:
 Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # images, labels, teacher logits
 
 
-def _mixed_batch(state: TrainState, cfg: TrainConfig,
+def _mixed_batch(state: TrainState,
                  synthetic: Batch | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """A quantized-model batch, its labels and the frozen teacher's logits.
 
@@ -156,17 +158,17 @@ def _mixed_batch(state: TrainState, cfg: TrainConfig,
         pick = state.rng_mix.integers(0, len(state.calib), size=n_cal)
         xs.append(state.calib.images[pick])
         ys.append(state.calib.labels[pick])
-        ts.append(_teacher_calib_logits(state, cfg)[pick])
+        ts.append(_teacher_calib_logits(state)[pick])
     return Tensor(np.concatenate(xs)), np.concatenate(ys), np.concatenate(ts)
 
 
-def _generator_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
-                    lr: float) -> tuple[float, dict, Batch]:
+def _generator_step(state: TrainState, lr: float) -> tuple[float, dict, Batch]:
     """One generator update on its composite loss. Returns the loss, its
     unweighted terms and the step's batch: its images and labels, and the
     teacher's logits from the loss's forward pass, all detached from the
     tape."""
-    labels = sample_labels(state.f_net.meta["num_classes"], cfg.batch_size,
+    settings = state.settings
+    labels = sample_labels(state.f_net.meta["num_classes"], settings.train.batch_size,
                            state.rng_labels)
     images = generate(state.g_net, labels, state.rng_noise)
     loss, terms, logits = generator_total_loss(
@@ -179,11 +181,11 @@ def _generator_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
     return float(loss.data), terms, (images.data, labels, logits.data)
 
 
-def _quantized_step(state: TrainState, cfg: TrainConfig, settings: RunSettings,
-                    lr: float, synthetic: Batch | None) -> tuple[float, dict]:
-    images, labels, teacher_logits = _mixed_batch(state, cfg, synthetic)
+def _quantized_step(state: TrainState, lr: float,
+                    synthetic: Batch | None) -> tuple[float, dict]:
+    images, labels, teacher_logits = _mixed_batch(state, synthetic)
     loss, terms = quantized_model_loss(state.q_net, teacher_logits, images, labels,
-                                       settings.weights, state.quant)
+                                       state.settings.weights, state.quant)
     state.q_net.zero_grad()
     ad.backward(loss)
     state.q_opt.step(lr)
@@ -195,21 +197,21 @@ def _add_terms(sums: dict, terms: dict) -> None:
         sums[name] = sums.get(name, 0.0) + value
 
 
-def warmup_generator(state: TrainState, cfg: TrainConfig, settings: RunSettings) -> list[float]:
+def warmup_generator(state: TrainState) -> list[float]:
     """Generator-only updates before the quantized model starts training,
     their batches discarded; raises :class:`TrainingDiverged` on a non-finite
     loss."""
+    cfg = state.settings.train
     losses = []
     for epoch in range(cfg.warmup_epochs):
         lr = step_lr(cfg.lr_generator, epoch)
         for step in range(cfg.steps_per_epoch):
-            losses.append(_generator_step(state, cfg, settings, lr)[0])
+            losses.append(_generator_step(state, lr)[0])
             _check_finite(losses[-1], "generator", "warm-up", epoch, step)
     return losses
 
 
-def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
-                epoch: int) -> dict:
+def train_epoch(state: TrainState, epoch: int) -> dict:
     """One epoch of per-step alternation: a generator update on its composite
     loss (when the run has a generator), then a quantized-model update on the
     first rows of that update's batch mixed with calibration rows (see
@@ -217,6 +219,7 @@ def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
     and the mean of each unweighted term, a step that did not compute a term
     counting 0 (it added 0 to that step's loss) and a term no step computed
     absent; raises :class:`TrainingDiverged` on a non-finite loss."""
+    cfg = state.settings.train
     lr_g = step_lr(cfg.lr_generator, epoch)
     lr_q = cosine_lr(cfg.lr_quantized, epoch, cfg.total_epochs)
     g_losses, q_losses = [], []
@@ -224,11 +227,11 @@ def train_epoch(state: TrainState, cfg: TrainConfig, settings: RunSettings,
     for step in range(cfg.steps_per_epoch):
         synthetic = None
         if state.g_net is not None:
-            loss, terms, synthetic = _generator_step(state, cfg, settings, lr_g)
+            loss, terms, synthetic = _generator_step(state, lr_g)
             g_losses.append(loss)
             _add_terms(g_terms, terms)
             _check_finite(loss, "generator", "training", epoch, step)
-        loss, terms = _quantized_step(state, cfg, settings, lr_q, synthetic)
+        loss, terms = _quantized_step(state, lr_q, synthetic)
         q_losses.append(loss)
         _add_terms(q_terms, terms)
         _check_finite(loss, "quantized-model", "training", epoch, step)
@@ -283,15 +286,20 @@ def pretrain_classifier(dataset: ToyDatasetSpec, epochs: int = 20,
 # end-to-end run
 # ---------------------------------------------------------------------------
 
-def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Network, dict]:
-    """Quantize the archived classifier and fine-tune it with synthetic plus
-    calibration data; returns the last epoch's model and the run report.
-    Raises ValueError when a batch would have no data source."""
-    cfg = settings.train
-    f_net = load_model(model_path).network
-    f_net.set_requires_grad(False)
+def start_run(settings: RunSettings, f_net: Network,
+              train: LabeledImages) -> tuple[TrainState, list[float]]:
+    """The state of a run that quantizes ``f_net``, which it freezes, and
+    the generator's warm-up losses.
 
-    train, test = make_toy_dataset(settings.dataset)
+    The calibration set is the first image of each class of ``train`` that
+    the settings name. It sets the batch split, the class centroids and,
+    after the generator's warm-up, the activation bounds; a run with no
+    calibration images calibrates them on a synthetic batch drawn from the
+    warmed-up generator instead. Raises ValueError when a batch would have
+    no data source.
+    """
+    cfg = settings.train
+    f_net.set_requires_grad(False)
     calib = extract_calibration(train, settings.dataset.num_classes, settings.classes)
     n_cal, n_syn = batch_split(cfg, len(calib))
 
@@ -309,6 +317,7 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
     ) if n_syn else None
 
     state = TrainState(
+        settings=settings,
         g_net=g_net,
         q_net=q_net,
         f_net=f_net,
@@ -326,10 +335,8 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         split=(n_cal, n_syn),
     )
 
-    warmup_losses = warmup_generator(state, cfg, settings) if g_net is not None else []
+    warmup_losses = warmup_generator(state) if g_net is not None else []
 
-    # activation bounds come from real calibration data when there is any;
-    # the synthetic-only arm calibrates on a post-warm-up synthetic batch
     if len(calib) > 0:
         calib_images = calib.images
     else:
@@ -337,15 +344,24 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
                                state.rng_labels)
         with ad.no_grad():
             calib_images = generate(g_net, labels, state.rng_noise).data
-    act_quant = calibrate_activation_bounds(f_net, calib_images, settings.policy)
-    state.quant = FakeQuantRuntime(settings.policy, act_quant)
+    state.quant = calibrate_activation_bounds(f_net, calib_images, settings.policy)
+    return state, warmup_losses
+
+
+def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Network, dict]:
+    """Quantize the archived classifier and fine-tune it with synthetic plus
+    calibration data; returns the last epoch's model and the run report.
+    Raises ValueError when a batch would have no data source."""
+    f_net = load_model(model_path).network
+    train, test = make_toy_dataset(settings.dataset)
+    state, warmup_losses = start_run(settings, f_net, train)
 
     per_epoch = []
-    for epoch in range(cfg.total_epochs):
-        entry = train_epoch(state, cfg, settings, epoch)
-        entry["acc"] = evaluate(q_net, test, quant=state.quant)
+    for epoch in range(settings.train.total_epochs):
+        entry = train_epoch(state, epoch)
+        entry["acc"] = evaluate(state.q_net, test, quant=state.quant)
         per_epoch.append(entry)
-    final_acc = per_epoch[-1]["acc"] if per_epoch else evaluate(q_net, test, quant=state.quant)
+    final_acc = per_epoch[-1]["acc"] if per_epoch else evaluate(state.q_net, test, quant=state.quant)
 
     report = {
         "config": settings.to_dict(),
@@ -354,8 +370,8 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         "warmup_loss_last": warmup_losses[-1] if warmup_losses else None,
         "final_acc": final_acc,
         "float_test_acc": evaluate(f_net, test),
-        "available_classes": list(centroids.classes),
+        "available_classes": list(state.centroids.classes),
     }
     if out_model_path is not None:
-        save_model(out_model_path, ModelArchive(q_net, state.quant))
-    return q_net, report
+        save_model(out_model_path, ModelArchive(state.q_net, state.quant))
+    return state.q_net, report

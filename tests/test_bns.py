@@ -22,7 +22,7 @@ from fdda.bns import (
     per_image_bns,
     sample_moments,
 )
-from fdda.data import CalibrationSet, ToyDatasetSpec, extract_calibration, make_toy_dataset
+from fdda.data import LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
 from fdda.generator import LossWeights, generator_total_loss
 from fdda.models import build_toy_classifier
 from fdda.network import BN_EPS, forward
@@ -583,7 +583,7 @@ def test_generator_loss_gradient_matches_finite_differences():
     f = astype(build_toy_classifier(in_shape=(1, 8, 8), seed=3), np.float64)
     f.set_requires_grad(False)
     rng = np.random.default_rng(6)
-    calib = CalibrationSet(rng.uniform(-1, 1, size=(2, 1, 8, 8)), np.array([0, 2]))
+    calib = LabeledImages(rng.uniform(-1, 1, size=(2, 1, 8, 8)), np.array([0, 2]))
     cen = build_class_centroids(f, calib, deep_start=3)
     labels = np.array([0, 2, 7, 0])
     images = t64(rng.uniform(-1, 1, size=(4, 1, 8, 8)), rg=True)

@@ -2,9 +2,11 @@
 config, and validation failures exit nonzero with a one-line diagnostic."""
 
 import argparse
+import dataclasses
 import json
 import re
 import struct
+import typing
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from fdda import cli, trainer
 from fdda.archive import load_model
 from fdda.cli import main
+from fdda.config import RunSettings
 from fdda.data import ToyDatasetSpec
 
 from helpers import state_equal
@@ -634,3 +637,19 @@ def test_readme_quantize_flags_are_accepted_by_the_parser():
     accepted = set(subparsers.choices["quantize"]._option_string_actions)
     assert len(documented) >= 8
     assert documented - accepted == set()
+
+
+def test_every_dotted_flag_dest_names_a_config_field():
+    # a flag whose dest is dotted overrides the config key of that name, so a
+    # typo in a dest must fail here rather than in a user's run
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    sections = typing.get_type_hints(RunSettings)
+    dests = [(command, action.dest) for command, sub in subparsers.choices.items()
+             for action in sub._actions if "." in action.dest]
+    # --seed on every subcommand, and quantize's seven numeric and three arm flags
+    assert len(dests) == len(subparsers.choices) + 10
+    for command, dest in dests:
+        section, key = dest.split(".")
+        assert dataclasses.is_dataclass(sections.get(section)), (command, dest)
+        assert key in {f.name for f in dataclasses.fields(sections[section])}, (command, dest)

@@ -24,8 +24,8 @@ from fdda.archive import (
 )
 from fdda.autodiff import Tensor
 from fdda.config import ConfigError, RunSettings, load_settings, settings_from_dict
+from fdda.bns import build_class_centroids
 from fdda.data import (
-    CalibrationSet,
     ToyDatasetSpec,
     class_pattern,
     extract_calibration,
@@ -42,7 +42,7 @@ from fdda.network import (
     layer_state_shapes,
     quant_point_count,
 )
-from fdda.quantizer import FakeQuantRuntime, QuantParams, QuantPolicy
+from fdda.quantizer import FakeQuantRuntime, QuantPolicy
 
 from helpers import state_equal
 
@@ -128,23 +128,16 @@ def test_calibration_missing_class_errors():
         extract_calibration(train, 8, classes=[11])
 
 
-def test_calibration_unique_labels_enforced():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        CalibrationSet(np.zeros((2, 1, 4, 4), np.float32), np.array([1, 1]))
-
-
-def test_calibration_sorted_labels_enforced():
+def test_centroids_reject_a_calibration_request_out_of_class_order():
+    # the request is the set that is used, so it is not sorted or deduplicated;
     # centroid rows are in calibration order, so that order must be class order
-    with pytest.raises(ValueError, match="strictly increasing"):
-        CalibrationSet(np.zeros((2, 1, 4, 4), np.float32), np.array([2, 1]))
-
-
-def test_calibration_rejects_a_request_out_of_class_order():
-    # the request is the set that is used, so it is not sorted or deduplicated
     train, _ = make_toy_dataset(ToyDatasetSpec())
+    net = build_toy_classifier(seed=0)
     for classes in [(5, 0, 2), (0, 5, 5)]:
-        with pytest.raises(ValueError, match="strictly increasing"):
-            extract_calibration(train, 8, classes=classes)
+        calib = extract_calibration(train, 8, classes=classes)
+        assert calib.labels.tolist() == list(classes)
+        with pytest.raises(ValueError, match="not sorted and unique"):
+            build_class_centroids(net, calib, deep_start=1)
 
 
 @pytest.mark.parametrize("classes", [(2, 0, 0), (0, 0, 2), (2, 0)])
@@ -173,7 +166,7 @@ def test_archive_roundtrip_with_sections(tmp_path):
     # one activation quantizer per quantization point, as load_model requires
     # at the bit-width the policy gives its point
     points = quant_point_count(net)
-    act = [QuantParams(8, -1.0, 1.0)] + [QuantParams(4, 0.0, 2.5)] * (points - 1)
+    act = [(-1.0, 1.0)] + [(0.0, 2.5)] * (points - 1)
     policy = QuantPolicy(default_bits=4, first_layer_bits=8)
     path = tmp_path / "q.fdda"
     save_model(path, ModelArchive(net, FakeQuantRuntime(policy, act)))
@@ -472,7 +465,7 @@ def test_archive_payload_of_another_length_is_corrupt(saved_classifier, tmp_path
 def saved_quantized(tmp_path):
     """An archive of a quantized model: a policy and activation quantizers."""
     net = build_toy_classifier(seed=7)
-    act = [QuantParams(4, -1.0, 1.0)] * quant_point_count(net)
+    act = [(-1.0, 1.0)] * quant_point_count(net)
     path = tmp_path / "q.fdda"
     save_model(path, ModelArchive(net, FakeQuantRuntime(QuantPolicy(), act)))
     return path
@@ -518,7 +511,7 @@ def test_archive_malformed_optional_section_is_corrupt(saved_quantized, tmp_path
 def test_archived_activation_bits_come_from_the_policy(tmp_path):
     net = build_toy_classifier(seed=7)
     points = quant_point_count(net)
-    act = [QuantParams(3, -1.0, 1.0)] * points
+    act = [(-1.0, 1.0)] * points
     path = tmp_path / "q.fdda"
     save_model(path, ModelArchive(net, FakeQuantRuntime(QuantPolicy(default_bits=3, act_bits=3), act)))
     assert all(set(q) == {"lower", "upper"} for q in _manifest(path)["act_quant"])
@@ -530,12 +523,11 @@ def test_archived_activation_bits_come_from_the_policy(tmp_path):
     assert [(q.lower, q.upper) for q in back] == [(-1.0, 1.0)] * points
 
 
-@pytest.mark.parametrize("bits,count", [(8, 0), (3, -1), (3, 1)],
-                         ids=["wrong-bits", "one-too-few", "one-too-many"])
-def test_quantizers_whose_bits_differ_from_the_policy_cannot_be_archived(tmp_path, bits, count):
-    # the archive stores no activation bit-width, so these could not load back
+@pytest.mark.parametrize("count", [-1, 1], ids=["one-too-few", "one-too-many"])
+def test_quantizers_of_another_count_than_the_points_cannot_be_archived(tmp_path, count):
+    # loading gives each quantization point one quantizer, so these could not load back
     net = build_toy_classifier(seed=7)
-    act = [QuantParams(bits, -1.0, 1.0)] * (quant_point_count(net) + count)
+    act = [(-1.0, 1.0)] * (quant_point_count(net) + count)
     path = tmp_path / "q.fdda"
     with pytest.raises(ValueError, match="cannot archive .* activation quantizers"):
         save_model(path, ModelArchive(net, FakeQuantRuntime(QuantPolicy(default_bits=3), act)))
@@ -556,7 +548,7 @@ def archive_bytes(tmp_path_factory):
     in its manifest, and a scratch path for mutated copies."""
     root = tmp_path_factory.mktemp("mutated")
     net = build_toy_classifier(seed=8)
-    act = [QuantParams(3, -1.0, 1.0)] * quant_point_count(net)
+    act = [(-1.0, 1.0)] * quant_point_count(net)
     save_model(root / "q.fdda", ModelArchive(net, FakeQuantRuntime(QuantPolicy(default_bits=3), act)))
     raw = (root / "q.fdda").read_bytes()
     (mlen,) = struct.unpack("<I", raw[4:8])

@@ -216,7 +216,7 @@ def test_runtime_activation_quantizer_equals_reference(bits):
     # the runtime prepares each point's bounds once per dtype and reuses them
     # for inputs of any rank
     q = _params("per-layer", bits)
-    runtime = FakeQuantRuntime(QuantPolicy(default_bits=bits), [q])
+    runtime = FakeQuantRuntime(QuantPolicy(default_bits=bits), [(q.lower, q.upper)])
     rng = np.random.default_rng(bits)
     for shape in [(6, 5, 4, 4), (6, 5), (6, 5, 4, 4)]:
         for dtype in (np.float32, np.float64):
@@ -333,11 +333,18 @@ def test_runtime_needs_activation_quantizers():
         FakeQuantRuntime(QuantPolicy(), None)
 
 
+def test_runtime_activation_bits_come_from_the_policy():
+    policy = QuantPolicy(default_bits=3, act_bits=4, first_layer_bits=8, last_layer_bits=6)
+    runtime = FakeQuantRuntime(policy, [(-1.0, 1.0)] * 5)
+    assert [q.bits for q in runtime.act_params] == [8, 4, 4, 4, 6]
+    assert [(q.lower, q.upper) for q in runtime.act_params] == [(-1.0, 1.0)] * 5
+
+
 def test_calibration_observes_min_max():
     net = build_toy_classifier(seed=0)
     rng = np.random.default_rng(4)
     data = rng.uniform(-1, 1, size=(8, 1, 16, 16)).astype(np.float32)
-    params = calibrate_activation_bounds(net, data, QuantPolicy(default_bits=4))
+    params = calibrate_activation_bounds(net, data, QuantPolicy(default_bits=4)).act_params
     assert params[0].lower == pytest.approx(float(data.min()))
     assert params[0].upper == pytest.approx(float(data.max()))
     # post-relu points have nonnegative bounds, with zero present
@@ -354,11 +361,10 @@ def test_calibration_empty_batch_errors():
 
 
 def test_calibration_degenerate_constant_activation():
-    # constant observed range collapses to a point and must widen by 1e-3
-    from fdda.quantizer import RangeCalibrator
-
-    cal = RangeCalibrator(QuantPolicy(default_bits=4), 1)
-    cal.on_activation(Tensor(np.full((2, 3), 5.0, dtype=np.float32)), 0)
-    qp = cal.finalize()[0]
+    # constant observed range collapses to a point and must widen by 1e-3:
+    # the network's input, here constant, is the first quantization point
+    net = build_toy_classifier(seed=0)
+    data = np.full((2, 1, 16, 16), 5.0, dtype=np.float32)
+    qp = calibrate_activation_bounds(net, data, QuantPolicy(default_bits=4)).act_params[0]
     assert qp.lower == pytest.approx(4.999)
     assert qp.upper == pytest.approx(5.001)

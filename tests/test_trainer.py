@@ -1,8 +1,8 @@
-"""Training-loop contracts: schedules, the quantized-model loss, frozen
-teacher, the quantized step's reuse of the generator step's batch, a
-generator independent of the student, the teacher-logit table of the
-calibration images, null updates, divergence, selective weight decay, and
-the missing-class rule."""
+"""Training-loop contracts: schedules, the quantized-model loss, a run's
+set-up, frozen teacher, the quantized step's reuse of the generator step's
+batch, a generator independent of the student, the teacher-logit table of
+the calibration images, null updates, divergence, selective weight decay,
+and the missing-class rule."""
 
 import inspect
 import tracemalloc
@@ -26,18 +26,17 @@ from fdda.generator import LossWeights, generate, generator_total_loss, sample_l
 from fdda.models import build_generator, build_toy_classifier
 from fdda.network import forward
 from fdda.optim import Adam, NesterovSGD, decays_weight
-from fdda.quantizer import FakeQuantRuntime, QuantPolicy, calibrate_activation_bounds
+from fdda.quantizer import QuantPolicy, calibrate_activation_bounds
 from fdda.trainer import (
     TrainingDiverged,
-    TrainState,
     _mixed_batch,
     batch_split,
     cosine_lr,
     evaluate,
     quantized_model_loss,
+    start_run,
     step_lr,
     train_epoch,
-    warmup_generator,
 )
 
 from helpers import astype, is_batch_innermost
@@ -82,32 +81,14 @@ def world():
         ad.backward(loss)
         opt.step(1e-3)
     f.set_requires_grad(False)
-    calib = extract_calibration(train, 8)
-    return f, train, test, calib
+    return f, train, test
 
 
-def make_state(world, settings, calib=None, seed=0):
-    f, train, test, full_calib = world
-    calib = full_calib if calib is None else calib
-    cfg = settings.train
-    running = collect_running_stats(f)
-    centroids = build_class_centroids(f, calib, deep_layer_start(f.bn_layer_count))
-    q = f.copy()
-    q.set_requires_grad(True)
-    split = batch_split(cfg, len(calib))
-    g = build_generator(seed=seed) if split[1] else None
-    act = calibrate_activation_bounds(f, train.images[:16], settings.policy)
-    return TrainState(
-        g_net=g, q_net=q, f_net=f, running=running, centroids=centroids,
-        calib=calib, quant=FakeQuantRuntime(settings.policy, act),
-        g_opt=Adam(g.params) if g else None,
-        q_opt=NesterovSGD(q.params, momentum=cfg.momentum, weight_decay=cfg.weight_decay),
-        rng_labels=np.random.default_rng([seed, 3]),
-        rng_noise=np.random.default_rng([seed, 4]),
-        rng_distort=np.random.default_rng([seed, 5]),
-        rng_mix=np.random.default_rng([seed, 6]),
-        split=split,
-    )
+def run_state(world, settings):
+    """The state of a run of ``settings`` on the fixture's classifier, after
+    its warm-up."""
+    f, train, _ = world
+    return start_run(settings, f, train)[0]
 
 
 def tiny_settings(calibration_only=False, **kw):
@@ -125,12 +106,11 @@ def tiny_settings(calibration_only=False, **kw):
 
 def _runtime8(f, images):
     """An 8-bit runtime whose activation bounds are calibrated on ``images``."""
-    policy = QuantPolicy(default_bits=8)
-    return FakeQuantRuntime(policy, calibrate_activation_bounds(f, images, policy))
+    return calibrate_activation_bounds(f, images, QuantPolicy(default_bits=8))
 
 
 def test_qloss_identity_case_kd_zero(world):
-    f, train, _, _ = world
+    f, train, _ = world
     xs = Tensor(train.images[:8])
     ys = train.labels[:8]
     quant = _runtime8(f, train.images[:8])
@@ -155,7 +135,7 @@ def test_qloss_weighted_sum_arithmetic():
 
 
 def test_qloss_empty_batch_errors(world):
-    f, train, _, _ = world
+    f, train, _ = world
     q = f.copy()
     rt = _runtime8(f, train.images[:8])
     with pytest.raises(ValueError):
@@ -165,48 +145,76 @@ def test_qloss_empty_batch_errors(world):
 
 
 # ---------------------------------------------------------------------------
+# a run's set-up
+# ---------------------------------------------------------------------------
+
+def _act_bounds(quant):
+    return [(q.bits, float(q.lower), float(q.upper)) for q in quant.act_params]
+
+
+def test_activation_bounds_come_from_the_calibration_images(world):
+    f, train, _ = world
+    settings = tiny_settings(policy=QuantPolicy(default_bits=3, first_layer_bits=8))
+    state = run_state(world, settings)
+    ref = calibrate_activation_bounds(f, extract_calibration(train, 8).images, settings.policy)
+    assert _act_bounds(state.quant) == _act_bounds(ref)
+
+
+def test_zero_shot_activation_bounds_come_from_a_synthetic_batch_after_the_warm_up(world):
+    settings = tiny_settings(classes=())
+    cfg = settings.train
+    state = run_state(world, settings)
+    assert len(state.calib) == 0
+    # the label and noise streams continue from the warm-up's draws, one
+    # batch per step, and the warmed-up generator draws the calibration batch
+    rng_labels, rng_noise = (np.random.default_rng([cfg.seed, k]) for k in (3, 4))
+    for _ in range(cfg.warmup_epochs * cfg.steps_per_epoch + 1):
+        labels = sample_labels(8, cfg.batch_size, rng_labels)
+        with ad.no_grad():
+            images = generate(state.g_net, labels, rng_noise).data
+    ref = calibrate_activation_bounds(world[0], images, settings.policy)
+    assert _act_bounds(state.quant) == _act_bounds(ref)
+
+
+# ---------------------------------------------------------------------------
 # warm-up and epochs
 # ---------------------------------------------------------------------------
 
 def test_zero_warmup_leaves_generator_unchanged(world):
     settings = tiny_settings(train_kw={"warmup_epochs": 0})
-    state = make_state(world, settings)
-    before = {k: p.data.copy() for k, p in state.g_net.params.items()}
-    losses = warmup_generator(state, settings.train, settings)
+    state, losses = start_run(settings, world[0], world[1])
     assert losses == []
-    for k in before:
-        assert np.array_equal(before[k], state.g_net.params[k].data)
+    fresh = build_generator(seed=settings.train.seed)
+    for k, p in fresh.params.items():
+        assert np.array_equal(p.data, state.g_net.params[k].data)
 
 
 def test_warmup_reduces_generator_loss(world):
-    f, *_ , calib = world
+    def eval_loss(state):
+        labels = sample_labels(8, 32, np.random.default_rng(999))
+        with ad.no_grad():
+            imgs = generate(state.g_net, labels, np.random.default_rng(998))
+            loss, _, _ = generator_total_loss(
+                imgs, labels, state.f_net, state.running, state.centroids,
+                state.settings.weights, state.settings.distortion, np.random.default_rng(997),
+            )
+        return float(loss.data)
+
     outcomes = []
     for seed in range(3):
-        settings = tiny_settings(train_kw={"warmup_epochs": 6, "steps_per_epoch": 10})
-        state = make_state(world, settings, seed=seed)
-
-        def eval_loss():
-            labels = sample_labels(8, 32, np.random.default_rng(999))
-            with ad.no_grad():
-                imgs = generate(state.g_net, labels, np.random.default_rng(998))
-                loss, _, _ = generator_total_loss(
-                    imgs, labels, state.f_net, state.running, state.centroids,
-                    settings.weights, settings.distortion, np.random.default_rng(997),
-                )
-            return float(loss.data)
-
-        before = eval_loss()
-        warmup_generator(state, settings.train, settings)
-        outcomes.append(eval_loss() <= before)
+        # the same run before and after its warm-up: the generator's initial
+        # weights depend only on the seed
+        before, after = (
+            run_state(world, tiny_settings(train_kw={"warmup_epochs": epochs,
+                                                     "steps_per_epoch": 10, "seed": seed}))
+            for epochs in (0, 6))
+        outcomes.append(eval_loss(after) <= eval_loss(before))
     assert np.median(outcomes) == 1.0
 
 
 def test_warmup_deterministic_given_seed(world):
-    settings = tiny_settings()
-    s1 = make_state(world, settings, seed=11)
-    s2 = make_state(world, settings, seed=11)
-    warmup_generator(s1, settings.train, settings)
-    warmup_generator(s2, settings.train, settings)
+    settings = tiny_settings(train_kw={"seed": 11})
+    s1, s2 = run_state(world, settings), run_state(world, settings)
     for k in s1.g_net.params:
         assert np.array_equal(s1.g_net.params[k].data, s2.g_net.params[k].data)
 
@@ -214,7 +222,7 @@ def test_warmup_deterministic_given_seed(world):
 def test_train_epoch_keeps_teacher_frozen_and_metrics_finite(world, monkeypatch):
     f = world[0]
     settings = tiny_settings()
-    state = make_state(world, settings)
+    state = run_state(world, settings)
     assert state.g_net is not None
     calls = {"_generator_step": 0, "_quantized_step": 0}
     for name in calls:
@@ -224,7 +232,7 @@ def test_train_epoch_keeps_teacher_frozen_and_metrics_finite(world, monkeypatch)
         monkeypatch.setattr(trainer, name, counted)
     before = {k: p.data.copy() for k, p in f.params.items()}
     buf_before = {k: v.copy() for k, v in f.buffers.items()}
-    metrics = train_epoch(state, settings.train, settings, epoch=0)
+    metrics = train_epoch(state, epoch=0)
     for k in before:
         assert np.array_equal(before[k], f.params[k].data)
     for k in buf_before:
@@ -244,10 +252,10 @@ def test_zero_lr_and_zero_weights_change_nothing(world):
         weights=LossWeights(ce=0.0, bns=0.0, dbns=0.0, cbns=0.0, kd=0.0),
         train_kw={"lr_generator": 0.0, "lr_quantized": 0.0, "weight_decay": 0.0},
     )
-    state = make_state(world, settings)
+    state = run_state(world, settings)
     g_before = {k: p.data.copy() for k, p in state.g_net.params.items()}
     q_before = {k: p.data.copy() for k, p in state.q_net.params.items()}
-    train_epoch(state, settings.train, settings, epoch=0)
+    train_epoch(state, epoch=0)
     for k in g_before:
         assert np.array_equal(g_before[k], state.g_net.params[k].data)
     for k in q_before:
@@ -256,8 +264,8 @@ def test_zero_lr_and_zero_weights_change_nothing(world):
 
 def test_no_synthetic_uses_calibration_batches(world):
     settings = tiny_settings(calibration_only=True)
-    state = make_state(world, settings)
-    metrics = train_epoch(state, settings.train, settings, epoch=0)
+    state = run_state(world, settings)
+    metrics = train_epoch(state, epoch=0)
     assert metrics["lossG"] is None
     assert metrics["lossQ"] is not None
 
@@ -283,9 +291,9 @@ def test_batch_split(mix_ratio, n_calib, split):
 
 def test_calibration_only_run_has_no_generator(world):
     settings = tiny_settings(calibration_only=True)
-    state = make_state(world, settings)
+    state = run_state(world, settings)
     assert state.g_net is None and state.split == (16, 0)
-    images, _, _ = _mixed_batch(state, settings.train, None)
+    images, _, _ = _mixed_batch(state, None)
     assert images.shape[0] == 16
 
 
@@ -296,7 +304,7 @@ def test_calibration_only_run_has_no_generator(world):
 def test_quantized_step_trains_on_the_first_rows_of_the_generator_steps_batch(
         world, monkeypatch):
     settings = tiny_settings()
-    state = make_state(world, settings)
+    state = run_state(world, settings)
     n_cal, n_syn = state.split
     assert n_cal > 0 and n_syn > 0
     events = []
@@ -313,7 +321,7 @@ def test_quantized_step_trains_on_the_first_rows_of_the_generator_steps_batch(
 
     monkeypatch.setattr(trainer, "generator_total_loss", spy_loss)
     monkeypatch.setattr(trainer, "quantized_model_loss", spy_q_loss)
-    train_epoch(state, settings.train, settings, epoch=0)
+    train_epoch(state, epoch=0)
     assert [e[0] for e in events] == ["G", "Q"] * settings.train.steps_per_epoch
     for (_, g_images, g_labels, g_logits), (_, q_images, q_labels, q_logits) in zip(
             events[::2], events[1::2]):
@@ -326,9 +334,9 @@ def test_quantized_step_trains_on_the_first_rows_of_the_generator_steps_batch(
 
 def test_quantized_step_runs_neither_generator_nor_teacher(world, monkeypatch):
     settings = tiny_settings()
-    state = make_state(world, settings)
-    _, _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
-    trainer._teacher_calib_logits(state, settings.train)  # the per-run table
+    state = run_state(world, settings)
+    _, _, synthetic = trainer._generator_step(state, 1e-3)
+    trainer._teacher_calib_logits(state)  # the per-run table
     calls = []
     fwd, gen = trainer.forward, trainer.generate
 
@@ -342,16 +350,16 @@ def test_quantized_step_runs_neither_generator_nor_teacher(world, monkeypatch):
 
     monkeypatch.setattr(trainer, "generate", spy_generate)
     monkeypatch.setattr(trainer, "forward", spy_forward)
-    trainer._quantized_step(state, settings.train, settings, 1e-3, synthetic)
+    trainer._quantized_step(state, 1e-3, synthetic)
     assert calls == ["student"]
 
 
 def test_zero_shot_batch_is_the_whole_generator_batch(world):
-    settings = tiny_settings()
-    state = make_state(world, settings, calib=extract_calibration(world[1], 8, classes=[]))
+    settings = tiny_settings(classes=())
+    state = run_state(world, settings)
     assert state.split == (0, settings.train.batch_size)
-    _, _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
-    batch = _mixed_batch(state, settings.train, synthetic)
+    _, _, synthetic = trainer._generator_step(state, 1e-3)
+    batch = _mixed_batch(state, synthetic)
     for got, want in zip(batch, synthetic):
         assert len(want) == settings.train.batch_size
         np.testing.assert_array_equal(got.data if isinstance(got, Tensor) else got, want)
@@ -389,11 +397,11 @@ def test_generator_does_not_read_the_student(world, tmp_path, monkeypatch):
 @pytest.mark.parametrize("calibration_only", [False, True], ids=["mixed", "calibration-only"])
 def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, calibration_only):
     settings = tiny_settings(calibration_only=calibration_only, train_kw={"batch_size": 64})
-    state = make_state(world, settings)
+    state = run_state(world, settings)
     synthetic = None
     if not calibration_only:
-        _, _, synthetic = trainer._generator_step(state, settings.train, settings, 1e-3)
-    images, _, teacher = _mixed_batch(state, settings.train, synthetic)
+        _, _, synthetic = trainer._generator_step(state, 1e-3)
+    images, _, teacher = _mixed_batch(state, synthetic)
     assert images.shape[0] == 64
     with ad.no_grad():
         ref = forward(state.f_net, images, train=False).output.data
@@ -403,19 +411,19 @@ def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, calibration
 
 def test_teacher_table_is_built_once_per_run(world):
     settings = tiny_settings(calibration_only=True)
-    state = make_state(world, settings)
+    state = run_state(world, settings)
     assert state.teacher_calib is None
-    train_epoch(state, settings.train, settings, epoch=0)
+    train_epoch(state, epoch=0)
     table = state.teacher_calib
     assert table is not None
-    train_epoch(state, settings.train, settings, epoch=1)
+    train_epoch(state, epoch=1)
     assert state.teacher_calib is table
 
 
 def test_teacher_table_covers_more_images_than_one_batch(world):
     settings = tiny_settings(calibration_only=True, train_kw={"batch_size": 3})
-    state = make_state(world, settings)
-    _mixed_batch(state, settings.train, None)
+    state = run_state(world, settings)
+    _mixed_batch(state, None)
     with ad.no_grad():
         ref = forward(state.f_net, Tensor(state.calib.images), train=False).output.data
     # chunks of 3 rows, not one batch of 8: equal up to GEMM blocking
@@ -423,11 +431,9 @@ def test_teacher_table_covers_more_images_than_one_batch(world):
 
 
 def test_teacher_table_not_built_without_calibration_rows(world):
-    f, train, _, _ = world
-    empty = extract_calibration(train, 8, classes=[])
-    settings = tiny_settings()
-    state = make_state(world, settings, calib=empty)
-    train_epoch(state, settings.train, settings, epoch=0)
+    settings = tiny_settings(classes=())
+    state = run_state(world, settings)
+    train_epoch(state, epoch=0)
     assert state.teacher_calib is None
 
 
@@ -437,40 +443,38 @@ def test_teacher_table_not_built_without_calibration_rows(world):
 
 def test_non_finite_quantized_loss_raises_naming_epoch_and_step(world, monkeypatch):
     settings = tiny_settings(calibration_only=True)
-    state = make_state(world, settings)
+    state = run_state(world, settings)
     losses = iter([0.5, float("nan")])
     monkeypatch.setattr(trainer, "_quantized_step", lambda *a: (next(losses), {}))
     with pytest.raises(TrainingDiverged, match="quantized-model loss became nan at "
                                                "training epoch 4, step 1"):
-        train_epoch(state, settings.train, settings, epoch=4)
+        train_epoch(state, epoch=4)
 
 
 def test_non_finite_generator_loss_raises_in_warmup(world, monkeypatch):
-    settings = tiny_settings()
-    state = make_state(world, settings)
     monkeypatch.setattr(trainer, "_generator_step", lambda *a: (float("inf"), {}, None))
     with pytest.raises(TrainingDiverged, match="generator loss became inf at "
                                                "warm-up epoch 0, step 0"):
-        warmup_generator(state, settings.train, settings)
+        run_state(world, tiny_settings())
 
 
 # ---------------------------------------------------------------------------
 # memory of a training step
 # ---------------------------------------------------------------------------
 
-def _step(name, state, settings):
+def _step(name, state):
     """A call of one training step at lr 1e-3; a quantized step's batch comes
     from a generator step run here, beforehand."""
-    args = (state, settings.train, settings, 1e-3)
+    args = (state, 1e-3)
     if name == "_generator_step":
         return lambda: trainer._generator_step(*args)
     _, _, synthetic = trainer._generator_step(*args)
     return lambda: trainer._quantized_step(*args, synthetic)
 
 
-def _step_peak_bytes(name, state, settings):
-    _step(name, state, settings)()  # allocates the optimizer's moments
-    step = _step(name, state, settings)
+def _step_peak_bytes(name, state):
+    _step(name, state)()  # allocates the optimizer's moments
+    step = _step(name, state)
     tracemalloc.start()
     try:
         step()
@@ -491,30 +495,30 @@ def test_generator_step_peak_memory_at_batch_64(world):
     # keep their column matrices too reach about 40 MB, and a backward that
     # also keeps the whole tape to its end, 57 MB.
     settings = tiny_settings(train_kw={"batch_size": 64})
-    state = make_state(world, settings)
-    assert _step_peak_bytes("_generator_step", state, settings) < 18e6
+    state = run_state(world, settings)
+    assert _step_peak_bytes("_generator_step", state) < 18e6
 
 
 def test_quantized_step_peak_memory_at_batch_64(world):
     # about 15.4 MB, with the generator step's batch made beforehand
     settings = tiny_settings(train_kw={"batch_size": 64})
-    state = make_state(world, settings)
-    assert _step_peak_bytes("_quantized_step", state, settings) < 17e6
+    state = run_state(world, settings)
+    assert _step_peak_bytes("_quantized_step", state) < 17e6
 
 
 # ---------------------------------------------------------------------------
 # memory layout of a training step
 # ---------------------------------------------------------------------------
 
-def _im2col_inputs(monkeypatch, name, state, settings):
+def _im2col_inputs(monkeypatch, name, state):
     """Every array the second of two steps hands to a conv's im2col (the
     first builds the teacher's table of calibration logits), and the subset
     that are forward inputs of an exempt conv: a classifier's first conv,
     which reads the network's input images (one channel), and the
     generator's first, which reads the normalized output of its Reshape
     layer (upsampling)."""
-    _step(name, state, settings)()
-    step = _step(name, state, settings)
+    _step(name, state)()
+    step = _step(name, state)
     seen, exempt = [], []
     im2col, conv2d = ad._im2col, ad.conv2d
 
@@ -543,8 +547,8 @@ def _im2col_inputs(monkeypatch, name, state, settings):
 ])
 def test_step_hands_im2col_batch_innermost_arrays(world, monkeypatch, step, n_calls):
     settings = tiny_settings(train_kw={"batch_size": 64})
-    state = make_state(world, settings)
-    seen, exempt = _im2col_inputs(monkeypatch, step, state, settings)
+    state = run_state(world, settings)
+    seen, exempt = _im2col_inputs(monkeypatch, step, state)
     assert len(seen) == n_calls
     odd = [x for x in seen if not is_batch_innermost(x)]
     assert all(any(x is e for e in exempt) for x in odd)
@@ -647,7 +651,7 @@ def test_missing_class_changes_only_its_own_terms(world):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_all_correct_and_chance(world):
-    f, train, test, _ = world
+    f, train, test = world
     acc = evaluate(f, train)
     assert 0.0 <= acc <= 1.0
     # a constant-logit network guesses one class: chance level on balanced set
