@@ -5,7 +5,7 @@ the classifier's ``meta`` (its class count and input shape, from which
 a quantized model, its quantization policy and activation quantizer bounds.
 The policy is the only record of every bit-width. The payload is every
 parameter, then every BN running buffer, in the order
-:func:`fdda.network.layer_state_shapes` walks that graph, so the graph fixes
+:func:`fdda.network.state_shapes` walks that graph, so the graph fixes
 each array's name, shape and place. All round-trip bitwise."""
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tensor
 from .data import ToyDatasetSpec
 from .models import toy_classifier_layers, toy_classifier_meta
-from .network import Network, layer_state_shapes, quant_point_count
+from .network import Network, quant_point_count, state_shapes
 from .quantizer import FakeQuantRuntime, QuantPolicy
 
 MAGIC = b"FDA1"
@@ -48,18 +48,6 @@ class ModelArchive:
     quant: FakeQuantRuntime | None = None
 
 
-def _state_shapes(layers) -> tuple[dict, dict]:
-    """The name and shape of every parameter, then of every buffer, that
-    ``layers`` read, layer by layer: the order of the archive's payload."""
-    params: dict[str, tuple[int, ...]] = {}
-    buffers: dict[str, tuple[int, ...]] = {}
-    for layer in layers:
-        layer_params, layer_buffers = layer_state_shapes(layer)
-        params.update(layer_params)
-        buffers.update(layer_buffers)
-    return params, buffers
-
-
 def save_model(path, archive: ModelArchive | Network) -> None:
     """Write an archive (a bare Network is wrapped with no extras). Only a toy
     classifier whose layers, parameters and buffers are the ones its ``meta``
@@ -68,7 +56,7 @@ def save_model(path, archive: ModelArchive | Network) -> None:
         archive = ModelArchive(archive)
     net = archive.network
     meta = net.meta
-    params, buffers = _state_shapes(net.layers)
+    params, buffers = state_shapes(net.layers)
     if (meta.get("kind") != "classifier"
             or net.layers != tuple(toy_classifier_layers(meta["num_classes"], meta["input_shape"]))
             or {k: p.shape for k, p in net.params.items()} != params
@@ -157,7 +145,7 @@ def load_model(path) -> ModelArchive:
                                   f"kind 'classifier'")
 
     layers = toy_classifier_layers(n, shape)
-    params, buffers = _state_shapes(layers)
+    params, buffers = state_shapes(layers)
     size = sum(math.prod(s) for s in (*params.values(), *buffers.values()))
     payload = memoryview(raw)[8 + mlen :]  # a view: nothing is copied before its length is checked
     if len(payload) != 4 * size:

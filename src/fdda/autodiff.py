@@ -108,9 +108,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # arithmetic sugar; scalars are promoted without changing dtype
     def __add__(self, other):
         return add(self, _wrap(other, self.dtype))

@@ -217,26 +217,26 @@ def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnS
         rows = np.searchsorted(centroids.classes, present)
         cen_m = np.concatenate([c[rows] for c in centroids.stats.means], axis=1)
         cen_v = np.concatenate([c[rows] for c in centroids.stats.variances], axis=1)
-        # half the gradient of the centroid terms w.r.t. (mean_c, var_c)
-        gm_c = np.zeros_like(mean_c)
-        gv_c = np.zeros_like(var_c)
+        # each centroid term's weight and mean and variance targets
+        targets = {}
         if w_cbns:
-            e_m, e_v = mean_c - cen_m.astype(dtype), var_c - cen_v.astype(dtype)
-            terms["cbns"] = (e_m * e_m).sum() + (e_v * e_v).sum()
-            total = total + w_cbns * terms["cbns"]
-            gm_c += w_cbns * e_m
-            gv_c += w_cbns * e_v
+            targets["cbns"] = (w_cbns, cen_m, cen_v)
         if w_dbns:
             noise_m, noise_v = [], []
             for c in centroids.stats.means:
                 noise_m.append(rng.normal(0.0, distortion.mean_std, size=(len(rows), c.shape[1])))
                 noise_v.append(rng.normal(0.0, distortion.var_std, size=(len(rows), c.shape[1])))
-            e_m = mean_c - (cen_m + np.concatenate(noise_m, axis=1)).astype(dtype)
-            e_v = var_c - (cen_v + np.concatenate(noise_v, axis=1)).astype(dtype)
-            terms["dbns"] = (e_m * e_m).sum() + (e_v * e_v).sum()
-            total = total + w_dbns * terms["dbns"]
-            gm_c += w_dbns * e_m
-            gv_c += w_dbns * e_v
+            targets["dbns"] = (w_dbns, cen_m + np.concatenate(noise_m, axis=1),
+                               cen_v + np.concatenate(noise_v, axis=1))
+        # half the gradient of the centroid terms w.r.t. (mean_c, var_c)
+        gm_c = np.zeros_like(mean_c)
+        gv_c = np.zeros_like(var_c)
+        for name, (weight, target_m, target_v) in targets.items():
+            e_m, e_v = mean_c - target_m.astype(dtype), var_c - target_v.astype(dtype)
+            terms[name] = (e_m * e_m).sum() + (e_v * e_v).sum()
+            total = total + weight * terms[name]
+            gm_c += weight * e_m
+            gv_c += weight * e_v
 
     def bwd(g):
         scale = 2.0 * float(g)

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import ArchiveError, load_model, save_model
+from .archive import ArchiveError, ModelArchive, load_model, save_model
 from .bns import per_image_bns
 from .clusters import export_bns_csv, mean_silhouette_per_layer
 from .config import ConfigError, RunSettings, load_settings
-from .data import make_toy_dataset
+from .data import LabeledImages, make_toy_dataset
+from .models import toy_classifier_meta
 from .trainer import TrainingDiverged, evaluate, pretrain_classifier, run_fdda
 
 
@@ -61,6 +62,19 @@ def _settings(args: argparse.Namespace) -> RunSettings:
     return load_settings(args.config, overrides)
 
 
+def _classifier(args, settings: RunSettings) -> tuple[ModelArchive, LabeledImages, LabeledImages]:
+    """The archive of ``--model``, its network frozen, and the splits of the
+    config's dataset, which must be the one the archive classifies."""
+    archive, spec = load_model(args.model), settings.dataset
+    meta = archive.network.meta
+    if meta != toy_classifier_meta(spec.num_classes, spec.image_size):
+        raise ConfigError(f"{args.model} classifies {meta['num_classes']} classes of "
+                          f"{meta['input_shape']} images, but the config's dataset has "
+                          f"{spec.num_classes} classes of {list(spec.image_size)} images")
+    archive.network.set_requires_grad(False)
+    return (archive, *make_toy_dataset(spec))
+
+
 def cmd_pretrain(args) -> int:
     settings = _settings(args)
     cfg = settings.train
@@ -87,7 +101,9 @@ def cmd_quantize(args) -> int:
     # a run that fails must not leave an earlier run's outputs behind
     model_path.unlink(missing_ok=True)
     report_path.unlink(missing_ok=True)
-    _, report = run_fdda(settings, args.model, out_model_path=model_path)
+    pretrained, train, test = _classifier(args, settings)
+    quantized, report = run_fdda(settings, pretrained.network, train, test)
+    save_model(model_path, quantized)
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(json.dumps({
         "report": str(report_path),
@@ -101,11 +117,10 @@ def cmd_analyze_bns(args) -> int:
     if args.samples_per_class < 2:
         raise ConfigError(f"--samples-per-class must be at least 2, got {args.samples_per_class}")
     settings = _settings(args)
-    net = load_model(args.model).network
-    net.set_requires_grad(False)
+    archive, train, _ = _classifier(args, settings)
+    net = archive.network
     if args.csv is not None and not 1 <= args.layer <= net.bn_layer_count:
         raise ConfigError(f"--layer {args.layer} out of range 1..{net.bn_layer_count}")
-    train, _ = make_toy_dataset(settings.dataset)
 
     rng = np.random.default_rng([settings.train.seed, 7])
     per_class = args.samples_per_class
@@ -130,9 +145,7 @@ def cmd_analyze_bns(args) -> int:
 
 def cmd_eval(args) -> int:
     settings = _settings(args)
-    archive = load_model(args.model)
-    archive.network.set_requires_grad(False)
-    _, test = make_toy_dataset(settings.dataset)
+    archive, _, test = _classifier(args, settings)
     acc = evaluate(archive.network, test, quant=archive.quant)
     print(json.dumps({"accuracy": acc, "quantized": archive.quant is not None}))
     return 0

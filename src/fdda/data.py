@@ -92,9 +92,8 @@ def make_toy_dataset(spec: ToyDatasetSpec) -> tuple[LabeledImages, LabeledImages
         test_x.append(samples[n_train:])
         train_y.append(np.full(n_train, c, dtype=np.int64))
         test_y.append(np.full(spec.samples_per_class - n_train, c, dtype=np.int64))
-    train = LabeledImages(np.concatenate(train_x).astype(np.float32), np.concatenate(train_y))
-    test = LabeledImages(np.concatenate(test_x).astype(np.float32), np.concatenate(test_y))
-    return train, test
+    return (LabeledImages(np.concatenate(train_x), np.concatenate(train_y)),
+            LabeledImages(np.concatenate(test_x), np.concatenate(test_y)))
 
 
 def extract_calibration(train: LabeledImages, num_classes: int,

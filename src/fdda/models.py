@@ -18,7 +18,7 @@ from .network import (
     ReLU,
     Reshape,
     Tanh,
-    layer_state_shapes,
+    state_shapes,
 )
 
 
@@ -26,19 +26,16 @@ def _init_state(layers, rng: np.random.Generator) -> tuple[dict, dict]:
     """Fresh parameters and buffers of ``layers``, drawn in layer order:
     He-normal weights by fan-in, zero biases and BN shifts, unit BN scales,
     zero running means and unit running variances."""
+    param_shapes, buffer_shapes = state_shapes(layers)
     params: dict[str, Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
-    for layer in layers:
-        param_shapes, buffer_shapes = layer_state_shapes(layer)
-        for name, shape in param_shapes.items():
-            if name.endswith(".w"):
-                value = rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:]))
-            else:
-                value = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
-            params[name] = Tensor(value.astype(np.float32), requires_grad=True)
-        for name, shape in buffer_shapes.items():
-            fill = np.ones if name.endswith(".running_var") else np.zeros
-            buffers[name] = fill(shape, dtype=np.float32)
+    for name, shape in param_shapes.items():
+        if name.endswith(".w"):
+            value = rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:]))
+        else:
+            value = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
+        params[name] = Tensor(value.astype(np.float32), requires_grad=True)
+    buffers = {name: np.full(shape, 1.0 if name.endswith(".running_var") else 0.0, np.float32)
+               for name, shape in buffer_shapes.items()}
     return params, buffers
 
 

@@ -75,20 +75,21 @@ class Reshape:
     shape: tuple[int, ...]  # per-sample shape, batch excluded
 
 
-def layer_state_shapes(layer) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
-    """Names and shapes of the parameters and buffers a layer spec reads."""
-    if isinstance(layer, Dense):
-        return {f"{layer.name}.w": (layer.out_features, layer.in_features),
-                f"{layer.name}.b": (layer.out_features,)}, {}
-    if isinstance(layer, Conv2d):
-        k = layer.kernel
-        return {f"{layer.name}.w": (layer.out_channels, layer.in_channels, k, k),
-                f"{layer.name}.b": (layer.out_channels,)}, {}
-    if isinstance(layer, BatchNorm):
-        c = (layer.channels,)
-        return ({f"{layer.name}.gamma": c, f"{layer.name}.beta": c},
-                {f"{layer.name}.running_mean": c, f"{layer.name}.running_var": c})
-    return {}, {}
+def state_shapes(layers) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
+    """The name and shape of every parameter, then of every buffer, that
+    ``layers`` read, each in layer order."""
+    params: dict[str, tuple[int, ...]] = {}
+    buffers: dict[str, tuple[int, ...]] = {}
+    for layer in layers:
+        if isinstance(layer, (Dense, Conv2d)):
+            w = ((layer.out_features, layer.in_features) if isinstance(layer, Dense)
+                 else (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel))
+            params.update({f"{layer.name}.w": w, f"{layer.name}.b": w[:1]})
+        elif isinstance(layer, BatchNorm):
+            c = (layer.channels,)
+            params.update({f"{layer.name}.gamma": c, f"{layer.name}.beta": c})
+            buffers.update({f"{layer.name}.running_mean": c, f"{layer.name}.running_var": c})
+    return params, buffers
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +119,6 @@ class Network:
 
     def weight_layers(self) -> list:
         return [l for l in self.layers if isinstance(l, (Dense, Conv2d))]
-
-    def activation_count(self) -> int:
-        return sum(1 for l in self.layers if isinstance(l, (ReLU, Tanh)))
 
     def set_requires_grad(self, flag: bool) -> None:
         for p in self.params.values():
@@ -240,4 +238,4 @@ def forward(
 
 def quant_point_count(net: Network) -> int:
     """Activation-quantizer slots: the network input plus one per activation."""
-    return 1 + net.activation_count()
+    return 1 + sum(1 for l in net.layers if isinstance(l, (ReLU, Tanh)))

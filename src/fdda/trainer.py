@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .archive import ModelArchive, load_model, save_model
+from .archive import ModelArchive
 from .autodiff import Tensor
 from .bns import (BnStats, ClassCentroids, build_class_centroids, collect_running_stats,
                   deep_layer_start)
@@ -168,7 +168,7 @@ def _generator_step(state: TrainState, lr: float) -> tuple[float, dict, Batch]:
     teacher's logits from the loss's forward pass, all detached from the
     tape."""
     settings = state.settings
-    labels = sample_labels(state.f_net.meta["num_classes"], settings.train.batch_size,
+    labels = sample_labels(settings.dataset.num_classes, settings.train.batch_size,
                            state.rng_labels)
     images = generate(state.g_net, labels, state.rng_noise)
     loss, terms, logits = generator_total_loss(
@@ -348,12 +348,12 @@ def start_run(settings: RunSettings, f_net: Network,
     return state, warmup_losses
 
 
-def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Network, dict]:
-    """Quantize the archived classifier and fine-tune it with synthetic plus
-    calibration data; returns the last epoch's model and the run report.
-    Raises ValueError when a batch would have no data source."""
-    f_net = load_model(model_path).network
-    train, test = make_toy_dataset(settings.dataset)
+def run_fdda(settings: RunSettings, f_net: Network, train: LabeledImages,
+             test: LabeledImages) -> tuple[ModelArchive, dict]:
+    """Quantize the classifier ``f_net`` of the settings' dataset, whose splits
+    are ``train`` and ``test``, and fine-tune it with synthetic plus
+    calibration data; returns the last epoch's model with its quantizers and
+    the run report. Raises ValueError when a batch would have no data source."""
     state, warmup_losses = start_run(settings, f_net, train)
 
     per_epoch = []
@@ -372,6 +372,4 @@ def run_fdda(settings: RunSettings, model_path, out_model_path=None) -> tuple[Ne
         "float_test_acc": evaluate(f_net, test),
         "available_classes": list(state.centroids.classes),
     }
-    if out_model_path is not None:
-        save_model(out_model_path, ModelArchive(state.q_net, state.quant))
-    return state.q_net, report
+    return ModelArchive(state.q_net, state.quant), report

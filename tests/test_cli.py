@@ -463,6 +463,33 @@ def test_no_data_run_exits_2_with_one_line_and_no_outputs(pretrained, capsys, tm
     assert not (out_dir / "quantized.fdda").exists()
 
 
+@pytest.mark.parametrize("dataset,config_shape", [
+    ({"num_classes": 4}, "4 classes of [1, 16, 16]"),
+    ({"num_classes": 10}, "10 classes of [1, 16, 16]"),
+    ({"image_size": [1, 32, 32]}, "8 classes of [1, 32, 32]"),
+], ids=["4-classes", "10-classes", "32x32-images"])
+@pytest.mark.parametrize("command", ["quantize", "eval", "analyze-bns"])
+def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_outputs(
+        pretrained, capsys, tmp_path, command, dataset, config_shape):
+    root, cfg, model = pretrained
+    out_dir = tmp_path / "run"
+    argv = [command, "--config", str(_config_with(tmp_path, cfg, dataset=dataset)),
+            "--model", str(model)]
+    if command == "quantize":
+        argv += ["--out", str(out_dir)]
+        # an earlier run's outputs in the same directory
+        assert main(["quantize", "--config", str(cfg), "--model", str(model),
+                     "--out", str(out_dir), "--seed", "1"]) == 0
+        capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {model} classifies 8 classes of [1, 16, 16] images, but the "
+                            f"config's dataset has {config_shape} images\n")
+    assert not (out_dir / "report.json").exists()
+    assert not (out_dir / "quantized.fdda").exists()
+
+
 @pytest.mark.parametrize("raw,match", [
     ({"use_cbns": False}, "unknown key(s) in the config: use_cbns"),
     ({"use_dbns": False}, "unknown key(s) in the config: use_dbns"),
@@ -563,7 +590,8 @@ def test_oversized_batch_exits_2_before_any_data_is_built(
     def build(spec):
         raise AssertionError("data built for an oversized batch")
 
-    monkeypatch.setattr(trainer, "make_toy_dataset", build)
+    for module in (trainer, cli):  # pretrain's and quantize's builders
+        monkeypatch.setattr(module, "make_toy_dataset", build)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"batch_size": batch_size}}))
     out = tmp_path / "out"

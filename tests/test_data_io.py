@@ -39,8 +39,8 @@ from fdda.network import (
     Dense,
     Flatten,
     ReLU,
-    layer_state_shapes,
     quant_point_count,
+    state_shapes,
 )
 from fdda.quantizer import FakeQuantRuntime, QuantPolicy
 
@@ -78,6 +78,11 @@ def test_class_patterns_pairwise_distinct_and_zeroish_mean():
         assert abs(float(pats[i].mean())) < 0.05
         for j in range(i + 1, 8):
             assert np.abs(pats[i] - pats[j]).max() > 0.1
+
+
+def test_images_are_float32():
+    train, test = make_toy_dataset(ToyDatasetSpec(samples_per_class=4))
+    assert train.images.dtype == test.images.dtype == np.float32
 
 
 def test_images_within_unit_range():
@@ -295,9 +300,14 @@ def test_payload_is_every_parameter_then_every_buffer_in_graph_order(tmp_path):
     save_model(tmp_path / "f.fdda", net)
     raw = (tmp_path / "f.fdda").read_bytes()
     (mlen,) = struct.unpack("<I", raw[4:8])
-    state = [layer_state_shapes(layer) for layer in toy_classifier_layers(16, (3, 32, 24))]
-    arrays = ([net.params[k].data for params, _ in state for k in params]
-              + [net.buffers[k] for _, buffers in state for k in buffers])
+    layers = toy_classifier_layers(16, (3, 32, 24))
+    params, buffers = state_shapes(layers)
+    # two parameters per conv, dense and BN layer, two buffers per BN layer, in graph order
+    assert [k.split(".")[0] for k in params] == [l.name for l in layers if hasattr(l, "name")
+                                                 for _ in range(2)]
+    assert [k.split(".")[0] for k in buffers] == [l.name for l in layers
+                                                  if isinstance(l, BatchNorm) for _ in range(2)]
+    arrays = [net.params[k].data for k in params] + [net.buffers[k] for k in buffers]
     assert len(arrays) == len(net.params) + len(net.buffers)
     assert raw[8 + mlen :] == b"".join(a.astype("<f4").tobytes() for a in arrays)
 

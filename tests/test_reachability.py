@@ -17,7 +17,6 @@ PACKAGE_DIR = Path(fdda.__file__).parent
 # qualified name -> why no command calls it
 ALLOWED = {
     "autodiff.tape_size": "read by the benchmark's tracing of backward",
-    "autodiff.Tensor.__repr__": "debugging output",
     "autodiff.Tensor.sum": "the benchmark's layer-attribution test sums logits to a scalar loss",
     "autodiff.sum_": "Tensor.sum's op",
 }

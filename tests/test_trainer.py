@@ -12,7 +12,6 @@ import pytest
 
 from fdda import autodiff as ad
 from fdda import trainer
-from fdda.archive import ModelArchive, save_model
 from fdda.autodiff import Tensor
 from fdda.bns import (
     DistortionParams,
@@ -365,11 +364,9 @@ def test_zero_shot_batch_is_the_whole_generator_batch(world):
         np.testing.assert_array_equal(got.data if isinstance(got, Tensor) else got, want)
 
 
-def test_generator_does_not_read_the_student(world, tmp_path, monkeypatch):
+def test_generator_does_not_read_the_student(world, monkeypatch):
     # runs at one seed share their generator whatever the student's policy,
     # so single-policy runs at one seed are paired
-    model = tmp_path / "float.fdda"
-    save_model(model, ModelArchive(world[0]))
     generators = []
     build = trainer.build_generator
 
@@ -378,7 +375,7 @@ def test_generator_does_not_read_the_student(world, tmp_path, monkeypatch):
         return generators[-1]
 
     monkeypatch.setattr(trainer, "build_generator", keep)
-    w3, w2 = (trainer.run_fdda(tiny_settings(policy=QuantPolicy(default_bits=bits)), model)[1]
+    w3, w2 = (trainer.run_fdda(tiny_settings(policy=QuantPolicy(default_bits=bits)), *world)[1]
               for bits in (3, 2))
     assert [e["lossQ"] for e in w3["per_epoch"]] != [e["lossQ"] for e in w2["per_epoch"]]
     for key in ("warmup_loss_first", "warmup_loss_last"):
