@@ -275,7 +275,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def take(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows along axis 0 (embedding lookup / class subset)."""
+    """Select rows along axis 0 (an embedding lookup, or each batch row's
+    logits from a pass over the batch's distinct images); the gradient of a
+    repeated row is summed over its copies."""
     idx = np.asarray(indices)
 
     def bwd(g):

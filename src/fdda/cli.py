@@ -88,6 +88,12 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    out_dir = Path(args.out)
+    model_path, report_path = out_dir / "quantized.fdda", out_dir / "report.json"
+    # a run that fails, even one refused before it starts, must not leave an
+    # earlier run's outputs behind; a refused run creates no --out directory
+    model_path.unlink(missing_ok=True)
+    report_path.unlink(missing_ok=True)
     settings = _settings(args)
     if args.classes is not None:
         num_classes = settings.dataset.num_classes
@@ -95,12 +101,7 @@ def cmd_quantize(args) -> int:
             raise ConfigError(f"--classes must lie in [0, {num_classes}], got {args.classes}")
         settings = dataclasses.replace(settings, classes=tuple(range(args.classes)))
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_path, report_path = out_dir / "quantized.fdda", out_dir / "report.json"
-    # a run that fails must not leave an earlier run's outputs behind
-    model_path.unlink(missing_ok=True)
-    report_path.unlink(missing_ok=True)
     pretrained, train, test = _classifier(args, settings)
     quantized, report = run_fdda(settings, pretrained.network, train, test)
     save_model(model_path, quantized)

@@ -62,14 +62,18 @@ def _check_finite(loss: float, kind: str, phase: str, epoch: int, step: int) -> 
 
 
 def quantized_model_loss(q_net: Network, teacher_logits: np.ndarray, images: Tensor,
-                         labels: np.ndarray, w: LossWeights,
+                         rows: np.ndarray, labels: np.ndarray, w: LossWeights,
                          quant: FakeQuantRuntime) -> tuple[Tensor, dict]:
     """Cross-entropy on the mixed batch plus weighted distillation from the
-    frozen full-precision model, whose logits for ``images`` are given (the
-    teacher side carries no gradient)."""
+    frozen full-precision model, whose logits for the batch are given (the
+    teacher side carries no gradient).
+
+    The student runs once over ``images``, and ``rows`` maps each batch row
+    to its image, so a repeated image's gradient is summed over its rows
+    (``ad.take``) and each row's logits are those of a pass over the batch."""
     if images.shape[0] == 0:
         raise ValueError("quantized-model loss needs a non-empty batch")
-    logits_q = forward(q_net, images, train=False, quant=quant).output
+    logits_q = ad.take(forward(q_net, images, train=False, quant=quant).output, rows)
     ce = ad.softmax_cross_entropy(logits_q, labels)
     kd = ad.kl_divergence(logits_q, Tensor(teacher_logits))
     total = ce + kd * w.kd
@@ -106,8 +110,9 @@ def _teacher_calib_logits(state: TrainState) -> np.ndarray:
     image, computed once per run.
 
     Each forward pass cycles the images up to the batch size, so its GEMMs
-    have the shape of a training step's; row i then equals, bit for bit, the
-    logits of image i inside a step's batch.
+    have the shape of a pass over a whole batch; row i then equals, bit for
+    bit, the logits of image i at any row of such a pass, however often
+    the image repeats in the batch.
     """
     if state.teacher_calib is None:
         n, rows = len(state.calib), state.settings.train.batch_size
@@ -139,27 +144,32 @@ def batch_split(cfg: TrainConfig, n_calib: int) -> tuple[int, int]:
 Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # images, labels, teacher logits
 
 
-def _mixed_batch(state: TrainState,
-                 synthetic: Batch | None) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """A quantized-model batch, its labels and the frozen teacher's logits.
+def _mixed_batch(state: TrainState, synthetic: Batch | None
+                 ) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
+    """A quantized-model batch: its distinct images, each batch row's index
+    into them, and each row's label and frozen-teacher logits.
 
     As in GDFQ, the synthetic rows are the first ``n_syn`` rows of the
     preceding generator step's batch, with the teacher logits of that step's
     own forward pass, so neither the generator nor the teacher runs here
-    (``synthetic`` is None when the split has no synthetic rows). Resampled
-    calibration items follow, their logits from :func:`_teacher_calib_logits`.
+    (``synthetic`` is None when the split has no synthetic rows). Calibration
+    rows, drawn with replacement, follow; each drawn image appears once among
+    the images, and its logits come from :func:`_teacher_calib_logits`.
     """
     n_cal, n_syn = state.split
     xs, ys, ts = [], [], []
+    rows = np.arange(n_syn)
     if n_syn > 0:
-        for rows, part in zip((xs, ys, ts), synthetic):
-            rows.append(part[:n_syn])
+        for parts, part in zip((xs, ys, ts), synthetic):
+            parts.append(part[:n_syn])
     if n_cal > 0:
         pick = state.rng_mix.integers(0, len(state.calib), size=n_cal)
-        xs.append(state.calib.images[pick])
+        distinct, inverse = np.unique(pick, return_inverse=True)
+        xs.append(state.calib.images[distinct])
         ys.append(state.calib.labels[pick])
         ts.append(_teacher_calib_logits(state)[pick])
-    return Tensor(np.concatenate(xs)), np.concatenate(ys), np.concatenate(ts)
+        rows = np.concatenate([rows, n_syn + inverse])
+    return Tensor(np.concatenate(xs)), rows, np.concatenate(ys), np.concatenate(ts)
 
 
 def _generator_step(state: TrainState, lr: float) -> tuple[float, dict, Batch]:
@@ -183,8 +193,8 @@ def _generator_step(state: TrainState, lr: float) -> tuple[float, dict, Batch]:
 
 def _quantized_step(state: TrainState, lr: float,
                     synthetic: Batch | None) -> tuple[float, dict]:
-    images, labels, teacher_logits = _mixed_batch(state, synthetic)
-    loss, terms = quantized_model_loss(state.q_net, teacher_logits, images, labels,
+    images, rows, labels, teacher_logits = _mixed_batch(state, synthetic)
+    loss, terms = quantized_model_loss(state.q_net, teacher_logits, images, rows, labels,
                                        state.settings.weights, state.quant)
     state.q_net.zero_grad()
     ad.backward(loss)

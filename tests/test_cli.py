@@ -396,6 +396,27 @@ def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, mo
     assert not (out_dir / "quantized.fdda").exists()
 
 
+@pytest.mark.parametrize("flags,sections", [
+    (["--classes", "9"], {}),
+    ([], {"train": {"steps_per_epoch": 0}}),
+], ids=["classes-out-of-range", "invalid-config"])
+def test_refused_run_exits_2_and_leaves_no_earlier_outputs(pretrained, capsys, tmp_path,
+                                                           flags, sections):
+    root, cfg, model = pretrained
+    out_dir = tmp_path / "q"
+    assert main(["quantize", "--config", str(cfg), "--model", str(model),
+                 "--out", str(out_dir), "--seed", "1"]) == 0
+    assert (out_dir / "report.json").exists() and (out_dir / "quantized.fdda").exists()
+    capsys.readouterr()
+    rc = main(["quantize", "--config", str(_config_with(tmp_path, cfg, **sections)),
+               "--model", str(model), "--out", str(out_dir), "--seed", "1"] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (out_dir / "report.json").exists()
+    assert not (out_dir / "quantized.fdda").exists()
+
+
 @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--classes", "0"]],
                          ids=["no-epochs", "no-calibration"])
 def test_teacher_table_not_built_without_calibration_steps(pretrained, monkeypatch, flags):

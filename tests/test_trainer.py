@@ -118,12 +118,13 @@ def test_qloss_identity_case_kd_zero(world):
     q.set_requires_grad(True)
     with ad.no_grad():
         logits_f = forward(f, xs, train=False).output
-    loss, parts = quantized_model_loss(q, logits_f.data, xs, ys, LossWeights(kd=20.0), quant)
+    loss, parts = quantized_model_loss(q, logits_f.data, xs, np.arange(8), ys,
+                                       LossWeights(kd=20.0), quant)
     # weights per channel and activations per layer are fake-quantized at 8 bits;
     # compare up to that
     assert parts["kd"] < 1e-3
-    ce_only, parts0 = quantized_model_loss(q, logits_f.data, xs, ys, LossWeights(kd=0.0),
-                                           quant)
+    ce_only, parts0 = quantized_model_loss(q, logits_f.data, xs, np.arange(8), ys,
+                                           LossWeights(kd=0.0), quant)
     assert float(ce_only.data) == pytest.approx(parts0["ce"], rel=1e-6)
 
 
@@ -139,7 +140,7 @@ def test_qloss_empty_batch_errors(world):
     rt = _runtime8(f, train.images[:8])
     with pytest.raises(ValueError):
         quantized_model_loss(q, np.zeros((0, 8), np.float32),
-                             Tensor(np.zeros((0, 1, 16, 16), np.float32)),
+                             Tensor(np.zeros((0, 1, 16, 16), np.float32)), np.arange(0),
                              np.zeros(0, np.int64), LossWeights(), rt)
 
 
@@ -292,8 +293,9 @@ def test_calibration_only_run_has_no_generator(world):
     settings = tiny_settings(calibration_only=True)
     state = run_state(world, settings)
     assert state.g_net is None and state.split == (16, 0)
-    images, _, _ = _mixed_batch(state, None)
-    assert images.shape[0] == 16
+    images, rows, _, _ = _mixed_batch(state, None)
+    # 16 rows drawn from the 8 calibration images, each image run once
+    assert len(rows) == 16 and images.shape[0] == len(np.unique(rows)) <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +316,9 @@ def test_quantized_step_trains_on_the_first_rows_of_the_generator_steps_batch(
         events.append(("G", images.data.copy(), labels.copy(), out[2].data.copy()))
         return out
 
-    def spy_q_loss(q_net, teacher_logits, images, labels, *args):
-        events.append(("Q", images.data.copy(), labels.copy(), teacher_logits.copy()))
-        return q_loss_fn(q_net, teacher_logits, images, labels, *args)
+    def spy_q_loss(q_net, teacher_logits, images, rows, labels, *args):
+        events.append(("Q", images.data[rows], labels.copy(), teacher_logits.copy()))
+        return q_loss_fn(q_net, teacher_logits, images, rows, labels, *args)
 
     monkeypatch.setattr(trainer, "generator_total_loss", spy_loss)
     monkeypatch.setattr(trainer, "quantized_model_loss", spy_q_loss)
@@ -358,8 +360,9 @@ def test_zero_shot_batch_is_the_whole_generator_batch(world):
     state = run_state(world, settings)
     assert state.split == (0, settings.train.batch_size)
     _, _, synthetic = trainer._generator_step(state, 1e-3)
-    batch = _mixed_batch(state, synthetic)
-    for got, want in zip(batch, synthetic):
+    images, rows, labels, teacher = _mixed_batch(state, synthetic)
+    np.testing.assert_array_equal(rows, np.arange(settings.train.batch_size))
+    for got, want in zip((images, labels, teacher), synthetic):
         assert len(want) == settings.train.batch_size
         np.testing.assert_array_equal(got.data if isinstance(got, Tensor) else got, want)
 
@@ -398,10 +401,10 @@ def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, calibration
     synthetic = None
     if not calibration_only:
         _, _, synthetic = trainer._generator_step(state, 1e-3)
-    images, _, teacher = _mixed_batch(state, synthetic)
-    assert images.shape[0] == 64
+    images, rows, _, teacher = _mixed_batch(state, synthetic)
+    assert len(rows) == 64
     with ad.no_grad():
-        ref = forward(state.f_net, images, train=False).output.data
+        ref = forward(state.f_net, Tensor(images.data[rows]), train=False).output.data
     np.testing.assert_array_equal(teacher, ref)
     assert state.teacher_calib.shape == (len(state.calib), 8)
 
@@ -435,6 +438,91 @@ def test_teacher_table_not_built_without_calibration_rows(world):
 
 
 # ---------------------------------------------------------------------------
+# the student runs each distinct image of a batch once
+# ---------------------------------------------------------------------------
+
+SPLITS = pytest.mark.parametrize("calibration_only", [False, True],
+                                 ids=["mixed", "calibration-only"])
+
+
+def _batch64(world, calibration_only):
+    """A batch-64 run's state after its warm-up, and the synthetic batch of
+    one generator step (None in a calibration-only run)."""
+    state = run_state(world, tiny_settings(calibration_only=calibration_only,
+                                           train_kw={"batch_size": 64}))
+    synthetic = None if calibration_only else trainer._generator_step(state, 1e-3)[2]
+    return state, synthetic
+
+
+@SPLITS
+def test_mixed_batch_keeps_the_draws_and_runs_each_image_once(world, calibration_only):
+    state, synthetic = _batch64(world, calibration_only)
+    n_cal, n_syn = state.split
+    calib = state.calib
+    pick = np.random.default_rng([state.settings.train.seed, 6]).integers(
+        0, len(calib), size=n_cal)
+    images, rows, labels, teacher = _mixed_batch(state, synthetic)
+    drawn = (calib.images[pick], calib.labels[pick], trainer._teacher_calib_logits(state)[pick])
+    want_images, want_labels, want_teacher = (
+        np.concatenate([part[:n_syn], d]) for part, d in zip(synthetic or drawn, drawn))
+    np.testing.assert_array_equal(labels, want_labels)
+    np.testing.assert_array_equal(teacher, want_teacher)
+    # the batch of a pass over every row, rebuilt bit for bit
+    np.testing.assert_array_equal(images.data[rows], want_images)
+    np.testing.assert_array_equal(rows[:n_syn], np.arange(n_syn))
+    distinct = images.data[n_syn:].reshape(images.shape[0] - n_syn, -1)
+    assert len(np.unique(distinct, axis=0)) == len(distinct) == len(np.unique(pick))
+
+
+def _loss_and_grads(state, images, rows, labels, teacher):
+    loss, terms = quantized_model_loss(state.q_net, teacher, images, rows, labels,
+                                       state.settings.weights, state.quant)
+    state.q_net.zero_grad()
+    ad.backward(loss)
+    return loss.data, terms, {k: p.grad.copy() for k, p in state.q_net.params.items()}
+
+
+@SPLITS
+def test_step_loss_equals_a_pass_over_every_row(world, calibration_only):
+    state, synthetic = _batch64(world, calibration_only)
+    images, rows, labels, teacher = _mixed_batch(state, synthetic)
+    assert images.shape[0] < len(rows)  # some calibration image repeats
+    every_row = (Tensor(images.data[rows]), np.arange(len(rows)), labels, teacher)
+    # float32: the loss and both terms, bit for bit
+    loss, terms, _ = _loss_and_grads(state, images, rows, labels, teacher)
+    ref_loss, ref_terms, _ = _loss_and_grads(state, *every_row)
+    assert loss.tobytes() == ref_loss.tobytes() and terms == ref_terms
+    # float64: the gradients, summed over a repeated image's rows in another order
+    state.q_net = astype(state.q_net, np.float64)
+    f64 = [(Tensor(x.data.astype(np.float64)), r, y, t.astype(np.float64))
+           for x, r, y, t in ((images, rows, labels, teacher), every_row)]
+    (_, _, grads), (_, _, ref_grads) = (_loss_and_grads(state, *b) for b in f64)
+    for k, g in grads.items():
+        assert np.abs(g - ref_grads[k]).max() <= 1e-12 * np.abs(ref_grads[k]).max(), k
+
+
+@SPLITS
+def test_student_forward_gets_one_row_per_distinct_image(world, monkeypatch, calibration_only):
+    state, synthetic = _batch64(world, calibration_only)
+    n_cal, n_syn = state.split
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state.rng_mix.bit_generator.state
+    distinct = len(np.unique(rng.integers(0, len(state.calib), size=n_cal)))
+    trainer._teacher_calib_logits(state)  # the per-run table
+    rows = []
+    fwd = trainer.forward
+
+    def spy_forward(net, x, *args, **kw):
+        rows.append(x.shape[0])
+        return fwd(net, x, *args, **kw)
+
+    monkeypatch.setattr(trainer, "forward", spy_forward)
+    trainer._quantized_step(state, 1e-3, synthetic)
+    assert rows == [n_syn + distinct]
+    assert distinct <= len(state.calib) < n_cal
+
+
+# ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
 
@@ -460,12 +548,13 @@ def test_non_finite_generator_loss_raises_in_warmup(world, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _step(name, state):
-    """A call of one training step at lr 1e-3; a quantized step's batch comes
-    from a generator step run here, beforehand."""
+    """A call of one training step at lr 1e-3; a quantized step's synthetic
+    rows come from a generator step run here, beforehand, when the run has a
+    generator."""
     args = (state, 1e-3)
     if name == "_generator_step":
         return lambda: trainer._generator_step(*args)
-    _, _, synthetic = trainer._generator_step(*args)
+    synthetic = trainer._generator_step(*args)[2] if state.g_net is not None else None
     return lambda: trainer._quantized_step(*args, synthetic)
 
 
@@ -497,10 +586,20 @@ def test_generator_step_peak_memory_at_batch_64(world):
 
 
 def test_quantized_step_peak_memory_at_batch_64(world):
-    # about 15.4 MB, with the generator step's batch made beforehand
+    # about 13.5 MB, with the generator step's batch made beforehand: the
+    # student runs 48 synthetic rows and the 5-8 distinct images of the 16
+    # calibration rows (15.4 MB when it ran all 64 rows)
     settings = tiny_settings(train_kw={"batch_size": 64})
     state = run_state(world, settings)
     assert _step_peak_bytes("_quantized_step", state) < 17e6
+
+
+def test_calibration_only_step_peak_memory_at_batch_64(world):
+    # about 2.1 MB: the student runs once over the at most 8 distinct
+    # calibration images of its 64 rows; a pass over all 64 rows took 15.4 MB
+    settings = tiny_settings(calibration_only=True, train_kw={"batch_size": 64})
+    state = run_state(world, settings)
+    assert _step_peak_bytes("_quantized_step", state) < 4e6
 
 
 # ---------------------------------------------------------------------------
