@@ -382,10 +382,10 @@ def _deinterleave(g: np.ndarray) -> np.ndarray:
     return grid.reshape(4 * o, h + 1, w + 1, n).transpose(3, 0, 1, 2)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0,
-           upsample: bool = False) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0, upsample: bool = False) -> Tensor:
     """Cross-correlation of x (N,C,H,W) with a square kernel w (O,C,k,k),
-    moved one pixel at a time, x zero-padded by 0 <= pad < k on each side.
+    plus a bias b (O,), moved one pixel at a time, x zero-padded by
+    0 <= pad < k on each side.
 
     With ``upsample`` (kernel 3, pad 1 only) the input is first upsampled 2x
     by nearest neighbour. That runs as a sub-pixel conv on x itself: a 2x2
@@ -410,10 +410,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0,
         out = _interleave(out)
     if not w.requires_grad:
         cols = None  # only the weight gradient reads the column matrix
-    if b is not None:
-        out += b.data.reshape(1, o, 1, 1)  # out is this op's own array
-
-    inputs = (x, w) if b is None else (x, w, b)
+    out += b.data.reshape(1, o, 1, 1)  # out is this op's own array
 
     def bwd(g):
         gx = gw = gb = None
@@ -431,11 +428,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0,
             gw = (cols @ g_mat.T).T.reshape(kern.shape)
             if upsample:
                 gw = _fold_phase_kernels(gw)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
-        return (gx, gw) if b is None else (gx, gw, gb)
+        return gx, gw, gb
 
-    return record_op(out, inputs, bwd)
+    return record_op(out, (x, w, b), bwd)
 
 
 def _block_sum(x: np.ndarray, k: int) -> np.ndarray:

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import LabeledImages
 from .network import EVAL_BATCH, Network, forward
 
 
@@ -112,42 +111,47 @@ def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m.reshape(n, c), (dev * dev).mean(axis=2), dev
 
 
-def per_image_bns(net: Network, images: np.ndarray) -> BnStats:
-    """Each image's per-channel statistics at every BN layer input.
+def per_image_bns(net: Network, images: np.ndarray,
+                  rows: int | None = None) -> tuple[BnStats, np.ndarray]:
+    """Each image's per-channel statistics at every BN layer input, and its
+    logits: the one eval-mode pass over a set of images.
 
-    ``images`` is an (N, C, H, W) stack with N >= 1. The statistics come
-    from eval-mode forward passes over chunks of at most ``EVAL_BATCH``
-    images; eval-mode BN treats every image on its own, so row i equals,
-    bit for bit, the statistics of a forward pass over image i alone.
+    ``images`` is an (N, C, H, W) stack with N >= 1. Each forward pass holds
+    exactly ``rows`` images, the stack cycled to fill the last one; by
+    default, the fewest rows that cover the stack in ceil(N / EVAL_BATCH)
+    passes. Eval-mode BN treats every image on its own, so statistics row i
+    equals, bit for bit, those of a forward pass over image i alone, and
+    logits row i those of image i at any row of a pass of ``rows`` images.
     """
     images = np.asarray(images)
-    if len(images) == 0:
+    n = len(images)
+    if n == 0:
         raise ValueError("per-image statistics need at least one image")
-    chunks = []
+    if rows is None:
+        rows = math.ceil(n / math.ceil(n / EVAL_BATCH))
+    moments, logits = [], []
     with ad.no_grad():
-        for lo in range(0, len(images), EVAL_BATCH):
-            cap = forward(net, Tensor(images[lo : lo + EVAL_BATCH]), train=False,
+        for lo in range(0, n, rows):
+            keep = min(rows, n - lo)
+            cap = forward(net, Tensor(images[(lo + np.arange(rows)) % n]), train=False,
                           capture_bn=True)
-            chunks.append([sample_moments(x.data)[:2] for x in cap.bn_inputs])
-    layers = list(zip(*chunks))
+            moments.append([sample_moments(x.data[:keep])[:2] for x in cap.bn_inputs])
+            logits.append(cap.output.data[:keep])
+    layers = list(zip(*moments))
     means = tuple(np.concatenate([m for m, _ in layer]) for layer in layers)
     variances = tuple(np.concatenate([v for _, v in layer]) for layer in layers)
-    return BnStats(means, variances)
+    return BnStats(means, variances), np.concatenate(logits)
 
 
-def build_class_centroids(net: Network, calib: LabeledImages,
+def build_class_centroids(stats: BnStats, labels: Sequence[int],
                           deep_start: int) -> ClassCentroids:
-    """Per-class targets from the calibration set (one image per class, in
-    class order, as :class:`ClassCentroids` requires): each centroid is that
-    image's statistics at deep layers."""
-    if len(calib):
-        stats = per_image_bns(net, calib.images)
-        means, variances = stats.means, stats.variances
-    else:  # BN rejects an empty batch
-        means = variances = tuple(np.zeros((0, l.channels), net.dtype) for l in net.bn_layers())
+    """Per-class targets from the per-image statistics of the calibration set
+    and its labels (one image per class, in class order, as
+    :class:`ClassCentroids` requires): each centroid is that image's
+    statistics at the deep layers."""
     deep = slice(deep_start - 1, None)
-    return ClassCentroids(deep_start, tuple(int(c) for c in calib.labels),
-                          BnStats(means[deep], variances[deep]))
+    return ClassCentroids(deep_start, tuple(int(c) for c in labels),
+                          BnStats(stats.means[deep], stats.variances[deep]))
 
 
 # ---------------------------------------------------------------------------

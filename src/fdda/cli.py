@@ -63,15 +63,14 @@ def _settings(args: argparse.Namespace) -> RunSettings:
 
 
 def _classifier(args, settings: RunSettings) -> tuple[ModelArchive, LabeledImages, LabeledImages]:
-    """The archive of ``--model``, its network frozen, and the splits of the
-    config's dataset, which must be the one the archive classifies."""
+    """The archive of ``--model`` and the splits of the config's dataset,
+    which must be the one the archive classifies."""
     archive, spec = load_model(args.model), settings.dataset
     meta = archive.network.meta
     if meta != toy_classifier_meta(spec.num_classes, spec.image_size):
         raise ConfigError(f"{args.model} classifies {meta['num_classes']} classes of "
                           f"{meta['input_shape']} images, but the config's dataset has "
                           f"{spec.num_classes} classes of {list(spec.image_size)} images")
-    archive.network.set_requires_grad(False)
     return (archive, *make_toy_dataset(spec))
 
 
@@ -131,7 +130,7 @@ def cmd_analyze_bns(args) -> int:
         picks.append(idx if len(idx) <= per_class
                      else rng.choice(idx, size=per_class, replace=False))
     picks = np.concatenate(picks)
-    stats, labels = per_image_bns(net, train.images[picks]), train.labels[picks]
+    stats, labels = per_image_bns(net, train.images[picks])[0], train.labels[picks]
 
     sc_mean = mean_silhouette_per_layer(stats.means, labels)
     sc_var = mean_silhouette_per_layer(stats.variances, labels)

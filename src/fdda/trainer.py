@@ -1,7 +1,7 @@
 """The full fine-tuning pipeline: classifier pretraining, a run's set-up
-(calibration set, centroids, generator warm-up, activation calibration),
-alternating generator / quantized-model updates, per-epoch evaluation, and
-the end-to-end run with its JSON report.
+(calibration set, centroids and teacher logits, generator warm-up,
+activation calibration), alternating generator / quantized-model updates,
+per-epoch evaluation, and the end-to-end run with its JSON report.
 
 The pre-trained classifier is frozen throughout; the quantized copy trains
 through the straight-through estimator with eval-mode (frozen) BN buffers.
@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .archive import ModelArchive
 from .autodiff import Tensor
 from .bns import (BnStats, ClassCentroids, build_class_centroids, collect_running_stats,
-                  deep_layer_start)
+                  deep_layer_start, per_image_bns)
 from .config import RunSettings, TrainConfig
 from .data import LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
 from .generator import LossWeights, generate, generator_total_loss, sample_labels
@@ -52,13 +52,19 @@ def evaluate(net: Network, data: LabeledImages, quant: FakeQuantRuntime | None =
 
 
 class TrainingDiverged(RuntimeError):
-    """A training loss became non-finite; the message names where."""
+    """A training loss or the parameters an optimizer stepped became
+    non-finite; the message names where."""
 
 
-def _check_finite(loss: float, kind: str, phase: str, epoch: int, step: int) -> None:
+def _check_finite(loss: float, opt: Adam | NesterovSGD, kind: str, phase: str, epoch: int,
+                  step: int) -> None:
+    """Raise :class:`TrainingDiverged` when a step's loss, or the parameters
+    its optimizer updated, are not all finite."""
+    where = f"at {phase} epoch {epoch}, step {step}"
     if not math.isfinite(loss):
-        raise TrainingDiverged(
-            f"{kind} loss became {loss} at {phase} epoch {epoch}, step {step}")
+        raise TrainingDiverged(f"{kind} loss became {loss} {where}")
+    if not np.isfinite(opt.flat.data).all():
+        raise TrainingDiverged(f"{kind} parameters became non-finite {where}")
 
 
 def quantized_model_loss(q_net: Network, teacher_logits: np.ndarray, images: Tensor,
@@ -101,29 +107,9 @@ class TrainState:
     rng_distort: np.random.Generator  # distorted centroids of each generator step
     rng_mix: np.random.Generator  # calibration rows of each quantized step
     split: tuple[int, int]  # calibration and synthetic rows of each batch
-    # the frozen teacher's logits for each calibration image, built on first use
-    teacher_calib: np.ndarray | None = None
-
-
-def _teacher_calib_logits(state: TrainState) -> np.ndarray:
-    """The frozen teacher's logits for every calibration image, one row per
-    image, computed once per run.
-
-    Each forward pass cycles the images up to the batch size, so its GEMMs
-    have the shape of a pass over a whole batch; row i then equals, bit for
-    bit, the logits of image i at any row of such a pass, however often
-    the image repeats in the batch.
-    """
-    if state.teacher_calib is None:
-        n, rows = len(state.calib), state.settings.train.batch_size
-        chunks = []
-        with ad.no_grad():
-            for lo in range(0, n, rows):
-                cycled = state.calib.images[(lo + np.arange(rows)) % n]
-                logits = forward(state.f_net, Tensor(cycled), train=False).output
-                chunks.append(logits.data[: min(rows, n - lo)])
-        state.teacher_calib = np.concatenate(chunks)
-    return state.teacher_calib
+    # the frozen teacher's logits for each calibration image, from passes of
+    # batch_size rows, so a batch row's logits are those of a pass over the batch
+    teacher_calib: np.ndarray
 
 
 def batch_split(cfg: TrainConfig, n_calib: int) -> tuple[int, int]:
@@ -154,7 +140,7 @@ def _mixed_batch(state: TrainState, synthetic: Batch | None
     own forward pass, so neither the generator nor the teacher runs here
     (``synthetic`` is None when the split has no synthetic rows). Calibration
     rows, drawn with replacement, follow; each drawn image appears once among
-    the images, and its logits come from :func:`_teacher_calib_logits`.
+    the images, and its logits come from the run's table of teacher logits.
     """
     n_cal, n_syn = state.split
     xs, ys, ts = [], [], []
@@ -167,7 +153,7 @@ def _mixed_batch(state: TrainState, synthetic: Batch | None
         distinct, inverse = np.unique(pick, return_inverse=True)
         xs.append(state.calib.images[distinct])
         ys.append(state.calib.labels[pick])
-        ts.append(_teacher_calib_logits(state)[pick])
+        ts.append(state.teacher_calib[pick])
         rows = np.concatenate([rows, n_syn + inverse])
     return Tensor(np.concatenate(xs)), rows, np.concatenate(ys), np.concatenate(ts)
 
@@ -210,14 +196,14 @@ def _add_terms(sums: dict, terms: dict) -> None:
 def warmup_generator(state: TrainState) -> list[float]:
     """Generator-only updates before the quantized model starts training,
     their batches discarded; raises :class:`TrainingDiverged` on a non-finite
-    loss."""
+    loss or parameter."""
     cfg = state.settings.train
     losses = []
     for epoch in range(cfg.warmup_epochs):
         lr = step_lr(cfg.lr_generator, epoch)
         for step in range(cfg.steps_per_epoch):
             losses.append(_generator_step(state, lr)[0])
-            _check_finite(losses[-1], "generator", "warm-up", epoch, step)
+            _check_finite(losses[-1], state.g_opt, "generator", "warm-up", epoch, step)
     return losses
 
 
@@ -228,7 +214,7 @@ def train_epoch(state: TrainState, epoch: int) -> dict:
     :func:`_mixed_batch`). Returns the epoch's report entry: its mean losses
     and the mean of each unweighted term, a step that did not compute a term
     counting 0 (it added 0 to that step's loss) and a term no step computed
-    absent; raises :class:`TrainingDiverged` on a non-finite loss."""
+    absent; raises :class:`TrainingDiverged` on a non-finite loss or parameter."""
     cfg = state.settings.train
     lr_g = step_lr(cfg.lr_generator, epoch)
     lr_q = cosine_lr(cfg.lr_quantized, epoch, cfg.total_epochs)
@@ -240,11 +226,11 @@ def train_epoch(state: TrainState, epoch: int) -> dict:
             loss, terms, synthetic = _generator_step(state, lr_g)
             g_losses.append(loss)
             _add_terms(g_terms, terms)
-            _check_finite(loss, "generator", "training", epoch, step)
+            _check_finite(loss, state.g_opt, "generator", "training", epoch, step)
         loss, terms = _quantized_step(state, lr_q, synthetic)
         q_losses.append(loss)
         _add_terms(q_terms, terms)
-        _check_finite(loss, "quantized-model", "training", epoch, step)
+        _check_finite(loss, state.q_opt, "quantized-model", "training", epoch, step)
     steps = cfg.steps_per_epoch
     return {
         "epoch": epoch,
@@ -302,20 +288,26 @@ def start_run(settings: RunSettings, f_net: Network,
     the generator's warm-up losses.
 
     The calibration set is the first image of each class of ``train`` that
-    the settings name. It sets the batch split, the class centroids and,
-    after the generator's warm-up, the activation bounds; a run with no
-    calibration images calibrates them on a synthetic batch drawn from the
-    warmed-up generator instead. Raises ValueError when a batch would have
-    no data source.
+    the settings name. It sets the batch split, and one eval pass of the
+    teacher over it, in passes of ``batch_size`` rows, gives both the class
+    centroids and the table of its teacher logits. After the generator's
+    warm-up it sets the activation bounds; a run with no calibration images
+    calibrates them on a synthetic batch drawn from the warmed-up generator
+    instead. Raises ValueError when a batch would have no data source.
     """
     cfg = settings.train
     f_net.set_requires_grad(False)
     calib = extract_calibration(train, settings.dataset.num_classes, settings.classes)
     n_cal, n_syn = batch_split(cfg, len(calib))
 
-    running = collect_running_stats(f_net)
-    deep_start = deep_layer_start(f_net.bn_layer_count)
-    centroids = build_class_centroids(f_net, calib, deep_start)
+    if len(calib):
+        stats, teacher_calib = per_image_bns(f_net, calib.images, cfg.batch_size)
+    else:  # BN rejects an empty batch
+        empty = tuple(np.zeros((0, l.channels), f_net.dtype) for l in f_net.bn_layers())
+        stats = BnStats(empty, empty)
+        teacher_calib = np.zeros((0, settings.dataset.num_classes), f_net.dtype)
+    centroids = build_class_centroids(stats, calib.labels,
+                                      deep_layer_start(f_net.bn_layer_count))
 
     q_net = f_net.copy()
     q_net.set_requires_grad(True)
@@ -331,7 +323,7 @@ def start_run(settings: RunSettings, f_net: Network,
         g_net=g_net,
         q_net=q_net,
         f_net=f_net,
-        running=running,
+        running=collect_running_stats(f_net),
         centroids=centroids,
         calib=calib,
         quant=None,
@@ -343,6 +335,7 @@ def start_run(settings: RunSettings, f_net: Network,
         rng_distort=np.random.default_rng([cfg.seed, 5]),
         rng_mix=np.random.default_rng([cfg.seed, 6]),
         split=(n_cal, n_syn),
+        teacher_calib=teacher_calib,
     )
 
     warmup_losses = warmup_generator(state) if g_net is not None else []

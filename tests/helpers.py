@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a finite-difference gradient check,
 float64 copies of networks, bitwise comparison of networks, a tensor cut
-off the tape, and the batch-innermost memory layout of 4-D arrays. No
-command needs them, so they live here and not in the package."""
+off the tape, the batch-innermost memory layout of 4-D arrays, and the
+class centroids of a calibration set. No command needs them, so they live
+here and not in the package."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import numpy as np
 
 from fdda import autodiff as ad
 from fdda.autodiff import Tensor
+from fdda.bns import ClassCentroids, build_class_centroids, per_image_bns
+from fdda.data import LabeledImages
 from fdda.network import Network
 
 
@@ -28,6 +31,12 @@ def batch_innermost(x: np.ndarray) -> np.ndarray:
 def is_batch_innermost(x: np.ndarray) -> bool:
     """Whether a 4-D (N, C, H, W) array is laid out (C, H, W, N) in memory."""
     return x.ndim == 4 and x.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def class_centroids(net: Network, calib: LabeledImages, deep_start: int) -> ClassCentroids:
+    """The centroids of a non-empty calibration set, from the per-image
+    statistics of one default pass over its images."""
+    return build_class_centroids(per_image_bns(net, calib.images)[0], calib.labels, deep_start)
 
 
 def astype(net: Network, dtype) -> Network:

@@ -55,14 +55,14 @@ def test_elementwise_ops_do_not_broadcast(op):
 def test_conv_scalar_product():
     x = Tensor(np.full((1, 1, 1, 1), 2.0))
     w = Tensor(np.full((1, 1, 1, 1), 3.0))
-    out = ad.conv2d(x, w, pad=0)
+    out = ad.conv2d(x, w, Tensor(np.zeros(1)), pad=0)
     np.testing.assert_allclose(out.data, np.full((1, 1, 1, 1), 6.0))
 
 
 def test_conv_all_ones_sums_window():
     x = Tensor(np.ones((1, 1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
-    out = ad.conv2d(x, w, pad=0)
+    out = ad.conv2d(x, w, Tensor(np.zeros(1)), pad=0)
     np.testing.assert_allclose(out.data, np.full((1, 1, 1, 1), 9.0))
 
 
@@ -70,7 +70,7 @@ def test_conv_identity_kernel():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(2, 1, 4, 5)).astype(np.float32))
     w = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-    out = ad.conv2d(x, w, pad=0)
+    out = ad.conv2d(x, w, Tensor(np.zeros(1, dtype=np.float32)), pad=0)
     np.testing.assert_allclose(out.data, x.data)
 
 
@@ -80,7 +80,7 @@ def test_conv_identity_kernel():
 def test_conv_rejects_pad_not_below_kernel_and_non_square_kernel(wshape, pad):
     x = Tensor(np.ones((1, 1, 8, 8)))
     with pytest.raises(ValueError, match="square kernel and 0 <= pad < kernel"):
-        ad.conv2d(x, Tensor(np.ones(wshape)), pad=pad)
+        ad.conv2d(x, Tensor(np.ones(wshape)), Tensor(np.zeros(1)), pad=pad)
 
 
 def test_conv_matches_brute_force():
@@ -89,7 +89,7 @@ def test_conv_matches_brute_force():
     x = rng.normal(size=(2, 3, 6, 6))
     w = rng.normal(size=(4, 3, 3, 3))
     pad = 1
-    out = ad.conv2d(tensor64(x), tensor64(w), pad=pad).data
+    out = ad.conv2d(tensor64(x), tensor64(w), tensor64(np.zeros(4)), pad=pad).data
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     expect = np.zeros_like(out)
     for n in range(2):
@@ -495,9 +495,9 @@ def test_grad_check_elementwise_ops(op_name):
         # the input gradient of the sub-pixel conv; tests/test_kernel_parity.py
         # checks its weight and bias gradients too
         p = tensor64(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-        w = tensor64(rng.normal(size=(2, 2, 3, 3)))
-        f = lambda: (ad.conv2d(p, w, None, pad=1, upsample=True)
-                     * ad.conv2d(p, w, None, pad=1, upsample=True)).sum()
+        w, b = tensor64(rng.normal(size=(2, 2, 3, 3))), tensor64(np.zeros(2))
+        f = lambda: (ad.conv2d(p, w, b, pad=1, upsample=True)
+                     * ad.conv2d(p, w, b, pad=1, upsample=True)).sum()
     else:
         p = tensor64(rng.normal(size=(5, 3)), requires_grad=True)
         idx = np.array([0, 2, 2, 4])
@@ -571,5 +571,6 @@ def test_finite_outputs_through_composite_net():
     w1 = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
     b1 = Tensor(np.zeros(3, dtype=np.float32))
     w2 = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32))
-    out = ad.tanh(ad.conv2d(ad.relu(ad.conv2d(x, w1, b1, pad=1)), w2, None, pad=1))
+    b2 = Tensor(np.zeros(2, dtype=np.float32))
+    out = ad.tanh(ad.conv2d(ad.relu(ad.conv2d(x, w1, b1, pad=1)), w2, b2, pad=1))
     assert np.all(np.isfinite(out.data))

@@ -16,18 +16,19 @@ from fdda.bns import (
     ClassCentroids,
     DistortionParams,
     alignment_loss,
-    build_class_centroids,
     collect_running_stats,
     deep_layer_start,
     per_image_bns,
     sample_moments,
 )
+from fdda.config import RunSettings, TrainConfig
 from fdda.data import LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
 from fdda.generator import LossWeights, generator_total_loss
 from fdda.models import build_toy_classifier
 from fdda.network import BN_EPS, forward
+from fdda.trainer import start_run
 
-from helpers import astype, batch_innermost, detach, grad_check
+from helpers import astype, batch_innermost, class_centroids, detach, grad_check
 
 
 def t64(a, rg=False):
@@ -208,12 +209,13 @@ def batch_one_bns(net, images):
     return [np.stack(layer) for layer in zip(*means)], [np.stack(layer) for layer in zip(*variances)]
 
 
-@pytest.mark.parametrize("n", [1, 7, 300])  # 300 spans two forward chunks
+# 300 and 320 take two passes, of 150 and of 160 images
+@pytest.mark.parametrize("n", [1, 7, 300, 320])
 def test_per_image_bns_is_bit_identical_to_batch_one_passes(n):
     net = build_toy_classifier(seed=5)
     net.set_requires_grad(False)
     images = np.random.default_rng(n).uniform(-1, 1, size=(n, 1, 16, 16)).astype(np.float32)
-    stats = per_image_bns(net, images)
+    stats, _ = per_image_bns(net, images)
     ref_means, ref_vars = batch_one_bns(net, images)
     assert stats.layer_count == net.bn_layer_count
     for l in range(stats.layer_count):
@@ -235,7 +237,7 @@ def test_per_image_bns_of_dense_input_is_value_with_zero_variance():
         {"bn.running_mean": np.zeros(4, np.float32), "bn.running_var": np.ones(4, np.float32)},
     )
     x = rng.normal(size=(5, 3)).astype(np.float32)
-    stats = per_image_bns(net, x)
+    stats, _ = per_image_bns(net, x)
     np.testing.assert_array_equal(stats.means[0], x @ w.T + b)
     np.testing.assert_array_equal(stats.variances[0], np.zeros((5, 4), np.float32))
 
@@ -250,7 +252,7 @@ def test_per_image_equals_batchnorm_batch_stats():
     net = build_toy_classifier(seed=2)
     rng = np.random.default_rng(1)
     img = rng.uniform(-1, 1, size=(1, 1, 16, 16)).astype(np.float32)
-    stats = per_image_bns(net, img)
+    stats, _ = per_image_bns(net, img)
     with ad.no_grad():
         cap = forward(net, Tensor(img), train=False, capture_bn=True)
         for l, (x_in, c) in enumerate(zip(cap.bn_inputs, _bn_channels(net))):
@@ -267,7 +269,7 @@ def test_identical_images_batch_stats_match_per_image():
     rng = np.random.default_rng(2)
     img = rng.uniform(-1, 1, size=(1, 1, 16, 16)).astype(np.float32)
     batch = np.repeat(img, 4, axis=0)
-    stats = per_image_bns(net, img)
+    stats, _ = per_image_bns(net, img)
     running = BnStats(tuple(m[0] for m in stats.means), tuple(v[0] for v in stats.variances))
     with ad.no_grad():
         cap = forward(net, Tensor(batch), train=False, capture_bn=True)
@@ -336,7 +338,7 @@ def _calib_subset(classes):
 
 def test_centroids_available_classes():
     net = build_toy_classifier(seed=0)
-    cen = build_class_centroids(net, _calib_subset([0, 1]), deep_start=2)
+    cen = class_centroids(net, _calib_subset([0, 1]), deep_start=2)
     assert cen.classes == (0, 1)
     assert cen.deep_start == 2 and cen.stats.layer_count == 5  # layers 2..6
 
@@ -344,9 +346,9 @@ def test_centroids_available_classes():
 def test_centroid_equals_per_image_stats():
     net = build_toy_classifier(seed=0)
     calib = _calib_subset([3])
-    cen = build_class_centroids(net, calib, deep_start=4)
+    cen = class_centroids(net, calib, deep_start=4)
     img = calib.images[0:1]
-    stats = per_image_bns(net, img)
+    stats, _ = per_image_bns(net, img)
     assert cen.classes == (3,)
     for i, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
         np.testing.assert_array_equal(cen.stats.means[i][0], stats.means[l - 1][0])
@@ -356,7 +358,7 @@ def test_centroid_equals_per_image_stats():
 def test_centroids_are_the_per_image_rows_of_every_class():
     net = build_toy_classifier(seed=1)
     calib = _calib_subset([0, 2, 5, 7])
-    cen = build_class_centroids(net, calib, deep_start=2)
+    cen = class_centroids(net, calib, deep_start=2)
     ref_means, ref_vars = batch_one_bns(net, calib.images)
     assert cen.classes == (0, 2, 5, 7)
     for row, c in enumerate(calib.labels):
@@ -367,10 +369,18 @@ def test_centroids_are_the_per_image_rows_of_every_class():
 
 
 def test_empty_calibration_gives_empty_centroids():
+    # a run with no calibration images (per_image_bns needs one) starts with
+    # no centroid rows and no teacher logits
+    spec = ToyDatasetSpec(samples_per_class=2)
+    settings = RunSettings(dataset=spec, classes=(),
+                           train=TrainConfig(warmup_epochs=0, batch_size=4))
     net = build_toy_classifier(seed=0)
-    cen = build_class_centroids(net, _calib_subset([]), deep_start=1)
-    assert cen.classes == ()
+    state, _ = start_run(settings, net, make_toy_dataset(spec)[0])
+    cen = state.centroids
+    assert cen.classes == () and cen.deep_start == 1
     assert [m.shape for m in cen.stats.means] == [(0, c) for c in _bn_channels(net)]
+    assert [v.shape for v in cen.stats.variances] == [(0, c) for c in _bn_channels(net)]
+    assert state.teacher_calib.shape == (0, 8)
 
 
 @pytest.mark.parametrize("classes", [(1, 0), (2, 2)], ids=["unsorted", "duplicate"])
@@ -584,7 +594,7 @@ def test_generator_loss_gradient_matches_finite_differences():
     f.set_requires_grad(False)
     rng = np.random.default_rng(6)
     calib = LabeledImages(rng.uniform(-1, 1, size=(2, 1, 8, 8)), np.array([0, 2]))
-    cen = build_class_centroids(f, calib, deep_start=3)
+    cen = class_centroids(f, calib, deep_start=3)
     labels = np.array([0, 2, 7, 0])
     images = t64(rng.uniform(-1, 1, size=(4, 1, 8, 8)), rg=True)
 
@@ -660,7 +670,7 @@ def test_stacked_and_map_losses_agree():
     imgs = Tensor(rng.uniform(-1, 1, size=(16, 1, 16, 16)).astype(np.float32))
     labels = np.tile(np.arange(8), 2)
     calib = _calib_subset(list(range(8)))
-    cen = build_class_centroids(net, calib, deep_start=3)
+    cen = class_centroids(net, calib, deep_start=3)
     running = collect_running_stats(net)
     d = DistortionParams(0.5, 1.0)
     with ad.no_grad():

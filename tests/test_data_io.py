@@ -24,7 +24,6 @@ from fdda.archive import (
 )
 from fdda.autodiff import Tensor
 from fdda.config import ConfigError, RunSettings, load_settings, settings_from_dict
-from fdda.bns import build_class_centroids
 from fdda.data import (
     ToyDatasetSpec,
     class_pattern,
@@ -44,7 +43,7 @@ from fdda.network import (
 )
 from fdda.quantizer import FakeQuantRuntime, QuantPolicy
 
-from helpers import state_equal
+from helpers import class_centroids, state_equal
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def test_centroids_reject_a_calibration_request_out_of_class_order():
         calib = extract_calibration(train, 8, classes=classes)
         assert calib.labels.tolist() == list(classes)
         with pytest.raises(ValueError, match="not sorted and unique"):
-            build_class_centroids(net, calib, deep_start=1)
+            class_centroids(net, calib, deep_start=1)
 
 
 @pytest.mark.parametrize("classes", [(2, 0, 0), (0, 0, 2), (2, 0)])

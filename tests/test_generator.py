@@ -7,16 +7,13 @@ import pytest
 
 from fdda import autodiff as ad
 from fdda.autodiff import Tensor
-from fdda.bns import (
-    DistortionParams,
-    build_class_centroids,
-    collect_running_stats,
-    deep_layer_start,
-)
+from fdda.bns import DistortionParams, collect_running_stats, deep_layer_start
 from fdda.data import ToyDatasetSpec, extract_calibration, make_toy_dataset
 from fdda.generator import LossWeights, generate, generator_total_loss, sample_labels
 from fdda.models import build_generator, build_toy_classifier
 from fdda.network import forward
+
+from helpers import class_centroids
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +24,7 @@ def setup():
     train, _ = make_toy_dataset(ToyDatasetSpec())
     calib = extract_calibration(train, 8)
     running = collect_running_stats(f)
-    centroids = build_class_centroids(f, calib, deep_layer_start(f.bn_layer_count))
+    centroids = class_centroids(f, calib, deep_layer_start(f.bn_layer_count))
     return f, g, running, centroids
 
 
@@ -188,7 +185,7 @@ def test_missing_centroids_skip_their_classes(setup):
     f, g, running, _ = setup
     train, _ = make_toy_dataset(ToyDatasetSpec())
     calib5 = extract_calibration(train, 8, classes=[0, 1, 2, 3, 4])
-    cen5 = build_class_centroids(f, calib5, deep_layer_start(f.bn_layer_count))
+    cen5 = class_centroids(f, calib5, deep_layer_start(f.bn_layer_count))
     labels = np.arange(8)
     w = LossWeights(dbns=0.0)
     with ad.no_grad():

@@ -349,7 +349,7 @@ def test_upsample_conv_needs_kernel_3_and_pad_1(kernel, pad):
     x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
     w = Tensor(np.zeros((3, 2, kernel, kernel), dtype=np.float32))
     with pytest.raises(ValueError):
-        ad.conv2d(x, w, None, pad=pad, upsample=True)
+        ad.conv2d(x, w, Tensor(np.zeros(3, dtype=np.float32)), pad=pad, upsample=True)
 
 
 # ---------------------------------------------------------------------------

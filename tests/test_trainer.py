@@ -4,6 +4,7 @@ batch, a generator independent of the student, the teacher-logit table of
 the calibration images, null updates, divergence, selective weight decay,
 and the missing-class rule."""
 
+import dataclasses
 import inspect
 import tracemalloc
 
@@ -11,11 +12,10 @@ import numpy as np
 import pytest
 
 from fdda import autodiff as ad
-from fdda import trainer
+from fdda import bns, trainer
 from fdda.autodiff import Tensor
 from fdda.bns import (
     DistortionParams,
-    build_class_centroids,
     collect_running_stats,
     deep_layer_start,
 )
@@ -38,7 +38,7 @@ from fdda.trainer import (
     train_epoch,
 )
 
-from helpers import astype, is_batch_innermost
+from helpers import astype, class_centroids, is_batch_innermost
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,14 @@ def test_calibration_only_run_has_no_generator(world):
     assert len(rows) == 16 and images.shape[0] == len(np.unique(rows)) <= 8
 
 
+@pytest.mark.parametrize("calibration_only,unset", [(False, []), (True, ["g_net", "g_opt"])],
+                         ids=["mixed", "calibration-only"])
+def test_start_run_leaves_no_state_unset_but_an_absent_generator(world, calibration_only,
+                                                                  unset):
+    state = run_state(world, tiny_settings(calibration_only=calibration_only))
+    assert [f.name for f in dataclasses.fields(state) if getattr(state, f.name) is None] == unset
+
+
 # ---------------------------------------------------------------------------
 # the quantized step trains on the generator step's batch
 # ---------------------------------------------------------------------------
@@ -337,7 +345,6 @@ def test_quantized_step_runs_neither_generator_nor_teacher(world, monkeypatch):
     settings = tiny_settings()
     state = run_state(world, settings)
     _, _, synthetic = trainer._generator_step(state, 1e-3)
-    trainer._teacher_calib_logits(state)  # the per-run table
     calls = []
     fwd, gen = trainer.forward, trainer.generate
 
@@ -412,10 +419,9 @@ def test_teacher_logits_equal_rows_of_the_mixed_batch_forward(world, calibration
 def test_teacher_table_is_built_once_per_run(world):
     settings = tiny_settings(calibration_only=True)
     state = run_state(world, settings)
-    assert state.teacher_calib is None
-    train_epoch(state, epoch=0)
     table = state.teacher_calib
-    assert table is not None
+    assert table.shape == (len(state.calib), 8)
+    train_epoch(state, epoch=0)
     train_epoch(state, epoch=1)
     assert state.teacher_calib is table
 
@@ -423,18 +429,63 @@ def test_teacher_table_is_built_once_per_run(world):
 def test_teacher_table_covers_more_images_than_one_batch(world):
     settings = tiny_settings(calibration_only=True, train_kw={"batch_size": 3})
     state = run_state(world, settings)
-    _mixed_batch(state, None)
     with ad.no_grad():
         ref = forward(state.f_net, Tensor(state.calib.images), train=False).output.data
     # chunks of 3 rows, not one batch of 8: equal up to GEMM blocking
     np.testing.assert_allclose(state.teacher_calib, ref, rtol=1e-5, atol=1e-5)
 
 
-def test_teacher_table_not_built_without_calibration_rows(world):
-    settings = tiny_settings(classes=())
-    state = run_state(world, settings)
+def test_teacher_table_not_built_without_calibration_rows(world, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("teacher pass over no calibration images")
+
+    monkeypatch.setattr(trainer, "per_image_bns", refuse)
+    state = run_state(world, tiny_settings(classes=()))
+    assert state.teacher_calib.shape == (0, 8)
     train_epoch(state, epoch=0)
-    assert state.teacher_calib is None
+
+
+@pytest.mark.parametrize("batch_size", [3, 16])
+@pytest.mark.parametrize("calibration_only", [False, True], ids=["mixed", "calibration-only"])
+def test_start_run_is_the_one_teacher_pass_over_the_calibration_images(
+        world, monkeypatch, calibration_only, batch_size):
+    # per_image_bns's passes, counted wherever the teacher's eval forward
+    # runs outside the generator and the activation calibration
+    f, train, _ = world
+    calib = {x.tobytes() for x in extract_calibration(train, 8).images}
+    passes = []
+
+    def spy(module):
+        fwd = module.forward
+
+        def spy_forward(net, x, *args, **kw):
+            if net is f and all(img.tobytes() in calib for img in x.data):
+                passes.append(x.shape[0])
+            return fwd(net, x, *args, **kw)
+        monkeypatch.setattr(module, "forward", spy_forward)
+
+    spy(trainer)
+    spy(bns)
+    state = run_state(world, tiny_settings(calibration_only=calibration_only,
+                                           train_kw={"batch_size": batch_size}))
+    assert passes == [batch_size] * -(-len(state.calib) // batch_size)
+    passes.clear()
+    train_epoch(state, epoch=0)
+    assert passes == []
+
+
+@pytest.mark.parametrize("batch_size", [3, 16, 64])
+def test_start_run_centroids_do_not_depend_on_the_batch_size(world, batch_size):
+    # the run's centroids come from cycled passes of batch_size rows; they
+    # equal those of per_image_bns's own passes, bit for bit
+    f, train, _ = world
+    state = run_state(world, tiny_settings(calibration_only=True,
+                                           train_kw={"batch_size": batch_size}))
+    want = class_centroids(f, state.calib, state.centroids.deep_start)
+    assert state.centroids.classes == want.classes
+    for got, ref in zip(state.centroids.stats.means + state.centroids.stats.variances,
+                        want.stats.means + want.stats.variances):
+        assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +513,7 @@ def test_mixed_batch_keeps_the_draws_and_runs_each_image_once(world, calibration
     pick = np.random.default_rng([state.settings.train.seed, 6]).integers(
         0, len(calib), size=n_cal)
     images, rows, labels, teacher = _mixed_batch(state, synthetic)
-    drawn = (calib.images[pick], calib.labels[pick], trainer._teacher_calib_logits(state)[pick])
+    drawn = (calib.images[pick], calib.labels[pick], state.teacher_calib[pick])
     want_images, want_labels, want_teacher = (
         np.concatenate([part[:n_syn], d]) for part, d in zip(synthetic or drawn, drawn))
     np.testing.assert_array_equal(labels, want_labels)
@@ -508,7 +559,6 @@ def test_student_forward_gets_one_row_per_distinct_image(world, monkeypatch, cal
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_mix.bit_generator.state
     distinct = len(np.unique(rng.integers(0, len(state.calib), size=n_cal)))
-    trainer._teacher_calib_logits(state)  # the per-run table
     rows = []
     fwd = trainer.forward
 
@@ -607,13 +657,10 @@ def test_calibration_only_step_peak_memory_at_batch_64(world):
 # ---------------------------------------------------------------------------
 
 def _im2col_inputs(monkeypatch, name, state):
-    """Every array the second of two steps hands to a conv's im2col (the
-    first builds the teacher's table of calibration logits), and the subset
-    that are forward inputs of an exempt conv: a classifier's first conv,
-    which reads the network's input images (one channel), and the
-    generator's first, which reads the normalized output of its Reshape
-    layer (upsampling)."""
-    _step(name, state)()
+    """Every array a step hands to a conv's im2col, and the subset that are
+    forward inputs of an exempt conv: a classifier's first conv, which reads
+    the network's input images (one channel), and the generator's first,
+    which reads the normalized output of its Reshape layer (upsampling)."""
     step = _step(name, state)
     seen, exempt = [], []
     im2col, conv2d = ad._im2col, ad.conv2d
@@ -622,7 +669,7 @@ def _im2col_inputs(monkeypatch, name, state):
         seen.append(x)
         return im2col(x, k, pad)
 
-    def spy_conv2d(x, w, b=None, pad=0, upsample=False):
+    def spy_conv2d(x, w, b, pad=0, upsample=False):
         if x.shape[1] == 1 or (upsample and x.shape[1] == state.g_net.params["gconv1.w"].shape[1]):
             exempt.append(x.data)
         return conv2d(x, w, b, pad=pad, upsample=upsample)
@@ -704,9 +751,9 @@ def test_missing_class_changes_only_its_own_terms(world):
     train, _ = make_toy_dataset(SPEC)
     calib = extract_calibration(train, 8)
     K = deep_layer_start(f64.bn_layer_count)
-    cen_full = build_class_centroids(f64, calib, K)
+    cen_full = class_centroids(f64, calib, K)
     drop = 5
-    cen_wo = build_class_centroids(
+    cen_wo = class_centroids(
         f64, extract_calibration(train, 8, [c for c in range(8) if c != drop]), K)
 
     g = astype(build_generator(seed=1), np.float64)
@@ -732,7 +779,7 @@ def test_missing_class_changes_only_its_own_terms(world):
     from fdda.bns import alignment_loss
     from fdda.network import forward as fwd
 
-    cen_only = build_class_centroids(f64, extract_calibration(train, 8, [drop]), K)
+    cen_only = class_centroids(f64, extract_calibration(train, 8, [drop]), K)
     with ad.no_grad():
         cap = fwd(f64, images, train=False, capture_bn=True)
         cb_full, cb_wo, cb_only = (
