@@ -289,11 +289,12 @@ def start_run(settings: RunSettings, f_net: Network,
 
     The calibration set is the first image of each class of ``train`` that
     the settings name. It sets the batch split, and one eval pass of the
-    teacher over it, in passes of ``batch_size`` rows, gives both the class
-    centroids and the table of its teacher logits. After the generator's
-    warm-up it sets the activation bounds; a run with no calibration images
-    calibrates them on a synthetic batch drawn from the warmed-up generator
-    instead. Raises ValueError when a batch would have no data source.
+    teacher over it gives both the class centroids and the table of its
+    teacher logits: in passes of ``batch_size`` rows, as the steps' own
+    passes, when the run trains, and in the fewest passes when no step reads
+    the table. After the generator's warm-up it sets the activation bounds;
+    a run with no calibration images calibrates them on a synthetic batch
+    drawn from the warmed-up generator instead. Raises ValueError when a batch would have no data source.
     """
     cfg = settings.train
     f_net.set_requires_grad(False)
@@ -301,7 +302,8 @@ def start_run(settings: RunSettings, f_net: Network,
     n_cal, n_syn = batch_split(cfg, len(calib))
 
     if len(calib):
-        stats, teacher_calib = per_image_bns(f_net, calib.images, cfg.batch_size)
+        stats, teacher_calib = per_image_bns(f_net, calib.images,
+                                             cfg.batch_size if cfg.total_epochs else None)
     else:  # BN rejects an empty batch
         empty = tuple(np.zeros((0, l.channels), f_net.dtype) for l in f_net.bn_layers())
         stats = BnStats(empty, empty)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fdda import cli, trainer
+from fdda import bns, cli, trainer
 from fdda.archive import load_model
 from fdda.cli import main
 from fdda.config import RunSettings
@@ -417,17 +417,23 @@ def test_refused_run_exits_2_and_leaves_no_earlier_outputs(pretrained, capsys, t
     assert not (out_dir / "quantized.fdda").exists()
 
 
-@pytest.mark.parametrize("flags", [["--classes", "0"]], ids=["no-calibration"])
-def test_teacher_table_not_built_without_calibration_steps(pretrained, monkeypatch, flags):
+@pytest.mark.parametrize("flags,passes", [(["--epochs", "0"], [8]), (["--classes", "0"], [])],
+                         ids=["no-epochs", "no-calibration"])
+def test_teacher_table_not_built_without_calibration_steps(pretrained, monkeypatch, flags, passes):
+    # with no step to read the table, the teacher's one calibration pass is
+    # the centroids' pass over the 8 images, not a pass of batch_size rows
     root, cfg, model = pretrained
+    seen, fwd = [], bns.forward
 
-    def refuse(*args):
-        raise AssertionError("teacher pass over the calibration images")
+    def spy_forward(net, x, *args, **kw):
+        seen.append(x.shape[0])
+        return fwd(net, x, *args, **kw)
 
-    monkeypatch.setattr(trainer, "per_image_bns", refuse)
+    monkeypatch.setattr(bns, "forward", spy_forward)
     rc = main(["quantize", "--config", str(cfg), "--model", str(model),
                "--out", str(root / f"table{flags[0]}{flags[1]}"), "--seed", "1"] + flags)
     assert rc == 0
+    assert seen == passes
 
 
 # the huge weights overflow numpy's float arithmetic before they become
