@@ -86,11 +86,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None

@@ -119,7 +119,7 @@ def cmd_analyze_bns(args) -> int:
     settings = _settings(args)
     archive, train, _ = _classifier(args, settings)
     net = archive.network
-    if args.csv is not None and not 1 <= args.layer <= net.bn_layer_count:
+    if not 1 <= args.layer <= net.bn_layer_count:
         raise ConfigError(f"--layer {args.layer} out of range 1..{net.bn_layer_count}")
 
     rng = np.random.default_rng([settings.train.seed, 7])

@@ -64,17 +64,14 @@ def export_bns_csv(stats: BnStats, labels: np.ndarray, layer: int, path) -> None
     """Write one layer's raw per-image statistics as CSV.
 
     Header is ``label,stat,c0,c1,...``; each image contributes a 'mean' row
-    and a 'variance' row. With no images it writes the bare header.
+    and a 'variance' row.
     """
-    channels = 0
-    if len(labels):
-        if not 1 <= layer <= stats.layer_count:
-            raise ValueError(f"layer {layer} out of range 1..{stats.layer_count}")
-        means, variances = stats.means[layer - 1], stats.variances[layer - 1]
-        channels = means.shape[1]
+    if not 1 <= layer <= stats.layer_count:
+        raise ValueError(f"layer {layer} out of range 1..{stats.layer_count}")
+    means, variances = stats.means[layer - 1], stats.variances[layer - 1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label", "stat"] + [f"c{i}" for i in range(channels)])
+        writer.writerow(["label", "stat"] + [f"c{i}" for i in range(means.shape[1])])
         for i, label in enumerate(labels):
             writer.writerow([int(label), "mean"] + [f"{x:.6g}" for x in means[i]])
             writer.writerow([int(label), "variance"] + [f"{x:.6g}" for x in variances[i]])

@@ -58,6 +58,8 @@ class TrainConfig:
             raise ConfigError("mix_ratio must lie in [0, 1]")
         if self.lr_generator < 0 or self.lr_quantized < 0 or self.weight_decay < 0:
             raise ConfigError("learning rates and weight decay must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ class ToyDatasetSpec:
             raise ValueError(f"bad image size {self.image_size}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         values = self.num_classes * self.samples_per_class * math.prod(self.image_size)
         if values > MAX_IMAGE_VALUES:
             raise ValueError(f"dataset of {values} image values exceeds the limit of "

@@ -52,19 +52,31 @@ def evaluate(net: Network, data: LabeledImages, quant: FakeQuantRuntime | None =
 
 
 class TrainingDiverged(RuntimeError):
-    """A training loss or the parameters an optimizer stepped became
-    non-finite; the message names where."""
+    """A training step overflowed, or its loss or the parameters its optimizer
+    stepped became non-finite; the message names the network and where."""
 
 
-def _check_finite(loss: float, opt: Adam | NesterovSGD, kind: str, phase: str, epoch: int,
-                  step: int) -> None:
-    """Raise :class:`TrainingDiverged` when a step's loss, or the parameters
-    its optimizer updated, are not all finite."""
+def _checked_step(opt: Adam | NesterovSGD, kind: str, phase: str, epoch: int, step: int,
+                  step_fn, *args) -> tuple:
+    """``step_fn(*args)``, one step of the ``kind`` network that ``opt``
+    updates, and its result, whose first item is the loss.
+
+    Raises :class:`TrainingDiverged` when numpy's arithmetic in the step
+    overflows, divides by zero or makes an invalid value, or when the loss
+    or the updated parameters are not all finite afterwards: an overflow
+    inside a multi-threaded BLAS call raises nothing in this thread."""
     where = f"at {phase} epoch {epoch}, step {step}"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = step_fn(*args)
+    except FloatingPointError as exc:
+        raise TrainingDiverged(f"{kind} step: {exc} {where}") from None
+    loss = result[0]
     if not math.isfinite(loss):
         raise TrainingDiverged(f"{kind} loss became {loss} {where}")
     if not np.isfinite(opt.flat.data).all():
         raise TrainingDiverged(f"{kind} parameters became non-finite {where}")
+    return result
 
 
 def quantized_model_loss(q_net: Network, teacher_logits: np.ndarray, images: Tensor,
@@ -195,15 +207,15 @@ def _add_terms(sums: dict, terms: dict) -> None:
 
 def warmup_generator(state: TrainState) -> list[float]:
     """Generator-only updates before the quantized model starts training,
-    their batches discarded; raises :class:`TrainingDiverged` on a non-finite
-    loss or parameter."""
+    their batches discarded; raises :class:`TrainingDiverged` when a step
+    diverges (see :func:`_checked_step`)."""
     cfg = state.settings.train
     losses = []
     for epoch in range(cfg.warmup_epochs):
         lr = step_lr(cfg.lr_generator, epoch)
         for step in range(cfg.steps_per_epoch):
-            losses.append(_generator_step(state, lr)[0])
-            _check_finite(losses[-1], state.g_opt, "generator", "warm-up", epoch, step)
+            losses.append(_checked_step(state.g_opt, "generator", "warm-up", epoch, step,
+                                        _generator_step, state, lr)[0])
     return losses
 
 
@@ -214,7 +226,8 @@ def train_epoch(state: TrainState, epoch: int) -> dict:
     :func:`_mixed_batch`). Returns the epoch's report entry: its mean losses
     and the mean of each unweighted term, a step that did not compute a term
     counting 0 (it added 0 to that step's loss) and a term no step computed
-    absent; raises :class:`TrainingDiverged` on a non-finite loss or parameter."""
+    absent; raises :class:`TrainingDiverged` when a step diverges (see
+    :func:`_checked_step`)."""
     cfg = state.settings.train
     lr_g = step_lr(cfg.lr_generator, epoch)
     lr_q = cosine_lr(cfg.lr_quantized, epoch, cfg.total_epochs)
@@ -223,14 +236,14 @@ def train_epoch(state: TrainState, epoch: int) -> dict:
     for step in range(cfg.steps_per_epoch):
         synthetic = None
         if state.g_net is not None:
-            loss, terms, synthetic = _generator_step(state, lr_g)
+            loss, terms, synthetic = _checked_step(state.g_opt, "generator", "training", epoch,
+                                                   step, _generator_step, state, lr_g)
             g_losses.append(loss)
             _add_terms(g_terms, terms)
-            _check_finite(loss, state.g_opt, "generator", "training", epoch, step)
-        loss, terms = _quantized_step(state, lr_q, synthetic)
+        loss, terms = _checked_step(state.q_opt, "quantized-model", "training", epoch, step,
+                                    _quantized_step, state, lr_q, synthetic)
         q_losses.append(loss)
         _add_terms(q_terms, terms)
-        _check_finite(loss, state.q_opt, "quantized-model", "training", epoch, step)
     steps = cfg.steps_per_epoch
     return {
         "epoch": epoch,

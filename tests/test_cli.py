@@ -172,21 +172,31 @@ def test_quantize_policy_flags(pretrained):
     assert report["config"]["policy"]["act_bits"] == 8
 
 
+def _refused(capsys, argv, code, fragment, absent=()):
+    """Run ``main(argv)`` and check the contract of a refused input: exit
+    ``code``, nothing on stdout, one stderr line that starts with ``error: ``
+    and contains ``fragment``, and no path of ``absent`` on disk. Returns
+    that line, without its newline."""
+    capsys.readouterr()
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out, err.count("\n")) == (code, "", 1), (rc, out, err)
+    assert err.startswith("error: ") and err.endswith("\n") and fragment in err, err
+    assert [p for p in absent if Path(p).exists()] == []
+    return err[:-1]
+
+
 def test_validation_failure_exits_nonzero(pretrained, capsys):
     root, cfg, model = pretrained
-    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
-               "--out", str(root / "bad"), "--wbits", "11"])
-    assert rc != 0
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert len(err.strip().splitlines()) == 1
+    _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
+                      "--out", str(root / "bad"), "--wbits", "11"],
+             2, "default_bits must be an integer in [2, 8], got 11", absent=[root / "bad"])
 
 
 def test_missing_model_exits_nonzero(tiny_cfg, capsys):
     root, cfg = tiny_cfg
-    rc = main(["eval", "--config", str(cfg), "--model", str(root / "missing.fdda")])
-    assert rc != 0
-    assert capsys.readouterr().err.startswith("error:")
+    _refused(capsys, ["eval", "--config", str(cfg), "--model", str(root / "missing.fdda")],
+             1, "missing.fdda")
 
 
 def _rewrite_manifest(src, dst, edit):
@@ -203,22 +213,17 @@ def test_eval_of_malformed_archive_exits_2_with_one_line(pretrained, capsys, tmp
     root, cfg, model = pretrained
     bad = tmp_path / "bad.fdda"
     bad.write_bytes(model.read_bytes() + bytes(4))  # one float more than the graph reads
-    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error:") and "bad.fdda: payload of 130116 bytes, expected 130112" in err
-    assert len(err.strip().splitlines()) == 1 and out == ""
+    _refused(capsys, ["eval", "--config", str(cfg), "--model", str(bad)],
+             2, "bad.fdda: payload of 130116 bytes, expected 130112")
 
 
 def test_eval_of_archive_with_bad_policy_exits_2_with_one_line(pretrained, capsys, tmp_path):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(model, tmp_path / "bad.fdda",
                             lambda m: m.update(policy={"default_bits": 4, "bogus": 1}, act_quant=[]))
-    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "bad quantizers" in err and "'bogus'" in err
-    assert len(err.strip().splitlines()) == 1
+    line = _refused(capsys, ["eval", "--config", str(cfg), "--model", str(bad)],
+                    2, "bad quantizers")
+    assert "'bogus'" in line
 
 
 @pytest.fixture(scope="module")
@@ -246,11 +251,8 @@ def test_eval_of_archive_with_one_quantizer_key_exits_2_with_one_line(
         pretrained, quantized, capsys, tmp_path, missing):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(quantized, tmp_path / "bad.fdda", lambda m: m.pop(missing))
-    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error:") and f"bad quantizers (no '{missing}' key)" in err
-    assert len(err.strip().splitlines()) == 1 and out == ""
+    _refused(capsys, ["eval", "--config", str(cfg), "--model", str(bad)],
+             2, f"bad quantizers (no '{missing}' key)")
 
 
 def test_eval_runs_the_activation_bits_of_the_archived_policy(
@@ -297,11 +299,7 @@ def test_eval_runs_the_activation_bits_of_the_archived_policy(
 def test_eval_of_unusable_archive_exits_2_with_one_line(pretrained, capsys, tmp_path, edit, match):
     root, cfg, model = pretrained
     bad = _rewrite_manifest(model, tmp_path / "bad.fdda", edit)
-    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and match in err
-    assert len(err.strip().splitlines()) == 1
+    _refused(capsys, ["eval", "--config", str(cfg), "--model", str(bad)], 2, match)
 
 
 @pytest.mark.parametrize("kind", ["float", "quantized"])
@@ -316,37 +314,35 @@ def test_eval_of_version_4_archive_exits_2_with_one_line(
 
     bad = _rewrite_manifest(model if kind == "float" else quantized, tmp_path / "v4.fdda",
                             as_version_4)
-    rc = main(["eval", "--config", str(cfg), "--model", str(bad)])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error:") and "v4.fdda: format version 4, expected 7" in err
-    assert len(err.strip().splitlines()) == 1 and out == ""
+    _refused(capsys, ["eval", "--config", str(cfg), "--model", str(bad)],
+             2, "v4.fdda: format version 4, expected 7")
 
 
 def test_config_with_bn_momentum_exits_2(pretrained, capsys, tmp_path):
     root, _, model = pretrained
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"bn_momentum": 0.1}}))
-    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
-               "--out", str(tmp_path / "run")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "unknown key(s) in 'train': bn_momentum" in err
-    assert len(err.strip().splitlines()) == 1
+    _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
+                      "--out", str(tmp_path / "run")],
+             2, "unknown key(s) in 'train': bn_momentum", absent=[tmp_path / "run"])
 
 
 def test_analyze_bns_csv_layer_out_of_range_exits_2(pretrained, capsys, tmp_path):
     # checked against the loaded network before the per-image pass, so no
     # silhouette table of a failed command reaches stdout
     root, cfg, model = pretrained
-    rc = main(["analyze-bns", "--config", str(cfg), "--model", str(model),
-               "--samples-per-class", "2", "--csv", str(tmp_path / "l7.csv"), "--layer", "7"])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error:") and "--layer 7 out of range 1..6" in err
-    assert len(err.strip().splitlines()) == 1
-    assert out == ""
-    assert not (tmp_path / "l7.csv").exists()
+    _refused(capsys, ["analyze-bns", "--config", str(cfg), "--model", str(model),
+                      "--samples-per-class", "2", "--csv", str(tmp_path / "l7.csv"),
+                      "--layer", "7"],
+             2, "--layer 7 out of range 1..6", absent=[tmp_path / "l7.csv"])
+
+
+@pytest.mark.parametrize("layer", ["0", "7"])
+def test_analyze_bns_layer_out_of_range_exits_2_without_csv(pretrained, capsys, layer):
+    root, cfg, model = pretrained
+    _refused(capsys, ["analyze-bns", "--config", str(cfg), "--model", str(model),
+                      "--samples-per-class", "2", "--layer", layer],
+             2, f"--layer {layer} out of range 1..6")
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "1"])
@@ -354,12 +350,9 @@ def test_analyze_bns_too_few_samples_per_class_exits_2(tiny_cfg, capsys, tmp_pat
     # one image per class has silhouette 0 by definition; the archive named
     # here does not exist, so the flag is checked before the model loads
     _, cfg = tiny_cfg
-    rc = main(["analyze-bns", "--config", str(cfg), "--model", str(tmp_path / "none.fdda"),
-               "--samples-per-class", n])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"--samples-per-class must be at least 2, got {n}" in err
-    assert len(err.strip().splitlines()) == 1
+    _refused(capsys, ["analyze-bns", "--config", str(cfg), "--model", str(tmp_path / "none.fdda"),
+                      "--samples-per-class", n],
+             2, f"--samples-per-class must be at least 2, got {n}")
 
 
 def test_seeded_reports_are_byte_identical(pretrained):
@@ -385,36 +378,26 @@ def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, mo
             "--out", str(out_dir), "--seed", "1"]
     assert main(argv) == 0  # outputs of an earlier run in the same directory
     assert (out_dir / "report.json").exists() and (out_dir / "quantized.fdda").exists()
-    capsys.readouterr()
     monkeypatch.setattr(trainer, step, lambda *a: nan)
-    rc = main(argv)
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "loss became nan" in err and "epoch 0, step 0" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not (out_dir / "report.json").exists()
-    assert not (out_dir / "quantized.fdda").exists()
+    line = _refused(capsys, argv, 3, "loss became nan",
+                    absent=[out_dir / "report.json", out_dir / "quantized.fdda"])
+    assert "epoch 0, step 0" in line
 
 
-@pytest.mark.parametrize("flags,sections", [
-    (["--classes", "9"], {}),
-    ([], {"train": {"steps_per_epoch": 0}}),
+@pytest.mark.parametrize("flags,sections,match", [
+    (["--classes", "9"], {}, "--classes must lie in [0, 8], got 9"),
+    ([], {"train": {"steps_per_epoch": 0}}, "steps_per_epoch and batch_size must be positive"),
 ], ids=["classes-out-of-range", "invalid-config"])
 def test_refused_run_exits_2_and_leaves_no_earlier_outputs(pretrained, capsys, tmp_path,
-                                                           flags, sections):
+                                                           flags, sections, match):
     root, cfg, model = pretrained
     out_dir = tmp_path / "q"
     assert main(["quantize", "--config", str(cfg), "--model", str(model),
                  "--out", str(out_dir), "--seed", "1"]) == 0
     assert (out_dir / "report.json").exists() and (out_dir / "quantized.fdda").exists()
-    capsys.readouterr()
-    rc = main(["quantize", "--config", str(_config_with(tmp_path, cfg, **sections)),
-               "--model", str(model), "--out", str(out_dir), "--seed", "1"] + flags)
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-    assert not (out_dir / "report.json").exists()
-    assert not (out_dir / "quantized.fdda").exists()
+    _refused(capsys, ["quantize", "--config", str(_config_with(tmp_path, cfg, **sections)),
+                      "--model", str(model), "--out", str(out_dir), "--seed", "1"] + flags,
+             2, match, absent=[out_dir / "report.json", out_dir / "quantized.fdda"])
 
 
 @pytest.mark.parametrize("flags,passes", [(["--epochs", "0"], [8]), (["--classes", "0"], [])],
@@ -436,28 +419,23 @@ def test_teacher_table_not_built_without_calibration_steps(pretrained, monkeypat
     assert seen == passes
 
 
-# the huge weights overflow numpy's float arithmetic before they become
-# non-finite; those warnings are this input's expected output, not a failure
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("flags,sections", [
     (["--warmup", "0", "--epochs", "2", "--steps", "3", "--no-synthetic"], {}),
     (["--warmup", "1", "--epochs", "1", "--steps", "2"], {"policy": {"default_bits": 8}}),
 ], ids=["calibration-only", "full"])
 def test_diverging_student_exits_3_with_one_line_and_no_report(pretrained, capsys, tmp_path,
                                                                flags, sections):
-    # a finite loss whose update overflows the student's weights: the next
-    # forward would quantize them with non-finite bounds
+    # a finite loss whose update leaves the student's weights near 1e28: the
+    # next step's arithmetic overflows, and no numpy warning reaches stderr
     root, cfg, model = pretrained
     cfg = _config_with(tmp_path, cfg, train={"lr_quantized": 1e30}, **sections)
     out_dir = tmp_path / "q"
-    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
-               "--out", str(out_dir), "--seed", "1"] + flags)
-    err = capsys.readouterr().err
-    assert rc == 3, err
-    assert err == ("error: quantized-model parameters became non-finite at "
-                   "training epoch 0, step 1\n")
-    assert not (out_dir / "report.json").exists()
-    assert not (out_dir / "quantized.fdda").exists()
+    line = _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
+                             "--out", str(out_dir), "--seed", "1"] + flags,
+                    3, "overflow encountered",
+                    absent=[out_dir / "report.json", out_dir / "quantized.fdda"])
+    assert line == ("error: quantized-model step: overflow encountered in multiply at "
+                    "training epoch 0, step 1")
 
 
 def _config_with(tmp_path, base_cfg, **sections):
@@ -503,14 +481,9 @@ def test_calibration_only_config_builds_no_generator(pretrained, tmp_path, monke
 def test_no_data_run_exits_2_with_one_line_and_no_outputs(pretrained, capsys, tmp_path):
     root, cfg, model = pretrained
     out_dir = tmp_path / "run"
-    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
-               "--out", str(out_dir), "--classes", "0", "--no-synthetic"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "no training data" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not (out_dir / "report.json").exists()
-    assert not (out_dir / "quantized.fdda").exists()
+    _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
+                      "--out", str(out_dir), "--classes", "0", "--no-synthetic"],
+             2, "no training data", absent=[out_dir / "report.json", out_dir / "quantized.fdda"])
 
 
 @pytest.mark.parametrize("dataset,config_shape", [
@@ -530,14 +503,10 @@ def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_out
         # an earlier run's outputs in the same directory
         assert main(["quantize", "--config", str(cfg), "--model", str(model),
                      "--out", str(out_dir), "--seed", "1"]) == 0
-        capsys.readouterr()
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: {model} classifies 8 classes of [1, 16, 16] images, but the "
-                            f"config's dataset has {config_shape} images\n")
-    assert not (out_dir / "report.json").exists()
-    assert not (out_dir / "quantized.fdda").exists()
+    line = _refused(capsys, argv, 2, "classifies 8 classes",
+                    absent=[out_dir / "report.json", out_dir / "quantized.fdda"])
+    assert line == (f"error: {model} classifies 8 classes of [1, 16, 16] images, but the "
+                    f"config's dataset has {config_shape} images")
 
 
 @pytest.mark.parametrize("raw,match", [
@@ -557,33 +526,38 @@ def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_out
     ({"classes": [2, 0, 0]}, "classes must be strictly increasing, got [2, 0, 0]"),
     ({"classes": [0, 0, 2]}, "classes must be strictly increasing, got [0, 0, 2]"),
     ({"classes": [2, 0]}, "classes must be strictly increasing, got [2, 0]"),
+    ({"train": {"seed": -1}}, "invalid value in 'train': seed must be >= 0, got -1"),
+    ({"dataset": {"seed": -1}}, "invalid value in 'dataset': seed must be >= 0, got -1"),
 ], ids=["use_cbns", "use_dbns", "use_synthetic", "generator_schedule", "quantized_schedule",
         "image-size-not-a-list", "classes-not-a-list", "section-not-an-object",
         "float-steps", "float-bits", "bool-bits", "one-sample-per-class", "predict_labels",
-        "classes-unsorted-repeated", "classes-repeated", "classes-unsorted"])
+        "classes-unsorted-repeated", "classes-repeated", "classes-unsorted", "negative-train-seed",
+        "negative-dataset-seed"])
 def test_bad_config_exits_2_with_one_line(pretrained, capsys, tmp_path, raw, match):
     root, _, model = pretrained
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     out_dir = tmp_path / "run"
-    rc = main(["quantize", "--config", str(cfg), "--model", str(model), "--out", str(out_dir),
-               "--seed", "1"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and match in err
-    assert len(err.strip().splitlines()) == 1
-    assert not (out_dir / "report.json").exists()
+    _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
+                      "--out", str(out_dir)],
+             2, match, absent=[out_dir])
+
+
+@pytest.mark.parametrize("command", ["pretrain", "quantize"])
+def test_negative_seed_exits_2_before_any_output(pretrained, capsys, tmp_path, command):
+    root, cfg, model = pretrained
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]
+    _refused(capsys, argv + (["--model", str(model)] if command == "quantize" else []),
+             2, "invalid value in 'train': seed must be >= 0, got -1", absent=[out])
 
 
 @pytest.mark.parametrize("n", ["-1", "9"])
 def test_classes_out_of_range_exits_2(pretrained, capsys, tmp_path, n):
     root, cfg, model = pretrained
-    rc = main(["quantize", "--config", str(cfg), "--model", str(model),
-               "--out", str(tmp_path / "run"), "--classes", n])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"--classes must lie in [0, 8], got {n}" in err
-    assert len(err.strip().splitlines()) == 1
+    _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
+                      "--out", str(tmp_path / "run"), "--classes", n],
+             2, f"--classes must lie in [0, 8], got {n}", absent=[tmp_path / "run"])
 
 
 @pytest.mark.parametrize("dataset", [
@@ -598,12 +572,8 @@ def test_oversized_dataset_exits_2_before_building_it(capsys, tmp_path, monkeypa
     monkeypatch.setattr(trainer, "make_toy_dataset", build)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": dataset}))
-    rc = main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "f.fdda")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "exceeds the limit of 67108864" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "f.fdda").exists()
+    _refused(capsys, ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "f.fdda")],
+             2, "exceeds the limit of 67108864", absent=[tmp_path / "f.fdda"])
 
 
 def test_pretrain_trains_with_the_config_training_step(tmp_path):
@@ -623,12 +593,8 @@ def test_pretrain_trains_with_the_config_training_step(tmp_path):
 
 def test_pretrain_negative_epochs_exits_2_with_one_line(capsys, tmp_path):
     out = tmp_path / "f.fdda"
-    rc = main(["pretrain", "--out", str(out), "--epochs", "-1"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "epochs must be >= 0, got -1" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not out.exists()
+    _refused(capsys, ["pretrain", "--out", str(out), "--epochs", "-1"],
+             2, "epochs must be >= 0, got -1", absent=[out])
 
 
 @pytest.mark.parametrize("command", ["pretrain", "quantize"])
@@ -645,13 +611,9 @@ def test_oversized_batch_exits_2_before_any_data_is_built(
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"batch_size": batch_size}}))
     out = tmp_path / "out"
-    argv = ["--config", str(cfg), "--out", str(out)]
-    rc = main([command] + argv + (["--model", str(model)] if command == "quantize" else []))
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"batch_size {batch_size} exceeds the limit of 1024" in err
-    assert len(err.strip().splitlines()) == 1
-    assert not out.exists()
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    _refused(capsys, argv + (["--model", str(model)] if command == "quantize" else []),
+             2, f"batch_size {batch_size} exceeds the limit of 1024", absent=[out])
 
 
 ARMS = {"full": [], "zero-shot": ["--classes", "0"], "bns-only": ["--no-cbns", "--no-dbns"],

@@ -202,14 +202,6 @@ def test_csv_shape_and_roundtrip(tmp_path):
     np.testing.assert_allclose(parsed, stats.means[0][0], rtol=1e-5)
 
 
-def test_csv_empty_dataset_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    export_bns_csv(BnStats((), ()), np.zeros(0, dtype=np.int64), 1, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [["label", "stat"]]
-
-
 def test_csv_layer_out_of_range_rejected_before_writing(tmp_path):
     rng = np.random.default_rng(11)
     stats, labels = _fake_dataset([rng.normal(size=(2, 3))], labels=[0, 1])
