@@ -27,12 +27,13 @@ MAX_BATCH_SIZE = 1024
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Schedule and optimizer settings for the alternating training loop.
+    """Schedule and learning rates of the alternating training loop.
 
     The committed defaults are desk-scale; the large-scale reference settings
     (50 warm-up epochs, 350 training epochs, generator lr 1e-3, quantized lr
-    1e-6) remain expressible through the config file. ``mix_ratio`` is the
-    share of calibration rows in each quantized-model batch: 1 fine-tunes on
+    1e-6) remain expressible through the config file. The optimizers' other
+    settings are constants of :mod:`fdda.optim`. ``mix_ratio`` is the share
+    of calibration rows in each quantized-model batch: 1 fine-tunes on
     calibration images only and trains no generator.
     """
 
@@ -42,8 +43,6 @@ class TrainConfig:
     batch_size: int = 64
     lr_generator: float = 1e-3
     lr_quantized: float = 1e-4
-    weight_decay: float = 1e-4
-    momentum: float = 0.9
     mix_ratio: float = 0.25
     seed: int = 0
 
@@ -56,8 +55,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size {self.batch_size} exceeds the limit of {MAX_BATCH_SIZE}")
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ConfigError("mix_ratio must lie in [0, 1]")
-        if self.lr_generator < 0 or self.lr_quantized < 0 or self.weight_decay < 0:
-            raise ConfigError("learning rates and weight decay must be >= 0")
+        if self.lr_generator < 0 or self.lr_quantized < 0:
+            raise ConfigError("learning rates must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

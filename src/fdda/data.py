@@ -35,6 +35,9 @@ class ToyDatasetSpec:
             raise ValueError("need at least two samples per class (one train, one test)")
         if len(self.image_size) != 3 or any(s <= 0 for s in self.image_size):
             raise ValueError(f"bad image size {self.image_size}")
+        if any(s % 8 for s in self.image_size[1:]):  # the classifier pools by 2 three times
+            raise ValueError(f"image height and width must be multiples of 8, got "
+                             f"{list(self.image_size[1:])}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         if self.seed < 0:

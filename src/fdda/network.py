@@ -124,10 +124,6 @@ class Network:
         for p in self.params.values():
             p.requires_grad = flag
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def copy(self) -> "Network":
         params = {k: Tensor(v.data.copy(), requires_grad=v.requires_grad)
                   for k, v in self.params.items()}

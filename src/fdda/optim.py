@@ -3,11 +3,11 @@ selective weight decay for the quantized model.
 
 Each optimizer keeps its parameters, their gradients, a scratch array and
 its state as the rows of one array: on construction every parameter's
-``data`` becomes a view into the first row, and a step copies the gradients
-into the second, then updates all of them with a few whole-array numpy
-calls that allocate nothing. The update of each element is the per-array
-formula's, with the same operations in the same order, so the bits are
-those of updating each array on its own."""
+``data`` becomes a view into the first row, and a step moves the gradients
+into the second (every ``.grad`` is None afterwards), then updates all of
+them with a few whole-array numpy calls that allocate nothing. The update
+of each element is the per-array formula's, with the same operations in the
+same order, so the bits are those of updating each array on its own."""
 
 from __future__ import annotations
 
@@ -16,11 +16,13 @@ import numpy as np
 from .autodiff import Tensor
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+SGD_MOMENTUM, SGD_WEIGHT_DECAY = 0.9, 1e-4
 
 
 def decays_weight(name: str) -> bool:
-    """Weight decay targets conv/dense kernels only, never biases or BN affine."""
-    return name.endswith(".w") and not name.startswith("embed")
+    """Weight decay targets the classifier's conv/dense kernels only, never
+    biases or BN affine."""
+    return name.endswith(".w")
 
 
 class _FlatParams:
@@ -47,11 +49,13 @@ class _FlatParams:
             at += size
 
     def gather_grads(self) -> np.ndarray:
-        """The flat gradient array, filled from every parameter's ``.grad``."""
+        """The flat gradient array, filled from every parameter's ``.grad``,
+        which it then sets to None: a step consumes the gradients it reads."""
         for name, p, view in self.slots:
             if p.grad is None:
                 raise ValueError(f"parameter {name} has no gradient")
             view[...] = p.grad
+            p.grad = None
         return self.grad
 
 
@@ -64,11 +68,11 @@ class Adam:
     def step(self, lr: float) -> None:
         """m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), and
         p -= lr * (m/bias1) / (sqrt(v/bias2) + eps)."""
+        g, tmp = self.flat.gather_grads(), self.flat.tmp
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        g, tmp = self.flat.gather_grads(), self.flat.tmp
         self.m *= b1
         self.m += np.multiply(g, 1 - b1, out=tmp)
         self.v *= b2
@@ -85,21 +89,16 @@ class Adam:
 
 
 class NesterovSGD:
-    def __init__(self, params: dict[str, Tensor], momentum: float = 0.9,
-                 weight_decay: float = 1e-4):
+    def __init__(self, params: dict[str, Tensor]):
         self.flat = _FlatParams(params, states=1, first=decays_weight)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         (self.buf,) = self.flat.states
 
     def step(self, lr: float) -> None:
         """g += wd * p where ``decays_weight``, buf = mu*buf + g, and
         p -= lr * (g + mu*buf)."""
-        mu = self.momentum
+        mu, lead = SGD_MOMENTUM, self.flat.lead
         g, tmp = self.flat.gather_grads(), self.flat.tmp
-        if self.weight_decay:
-            lead = self.flat.lead
-            g[:lead] += np.multiply(self.flat.data[:lead], self.weight_decay, out=tmp[:lead])
+        g[:lead] += np.multiply(self.flat.data[:lead], SGD_WEIGHT_DECAY, out=tmp[:lead])
         self.buf *= mu
         self.buf += g
         g += np.multiply(self.buf, mu, out=tmp)

@@ -183,7 +183,6 @@ def _generator_step(state: TrainState, lr: float) -> tuple[float, dict, Batch]:
         images, labels, state.f_net, state.running, state.centroids,
         settings.weights, settings.distortion, state.rng_distort,
     )
-    state.g_net.zero_grad()
     ad.backward(loss)
     state.g_opt.step(lr)
     return float(loss.data), terms, (images.data, labels, logits.data)
@@ -194,7 +193,6 @@ def _quantized_step(state: TrainState, lr: float,
     images, rows, labels, teacher_logits = _mixed_batch(state, synthetic)
     loss, terms = quantized_model_loss(state.q_net, teacher_logits, images, rows, labels,
                                        state.settings.weights, state.quant)
-    state.q_net.zero_grad()
     ad.backward(loss)
     state.q_opt.step(lr)
     return float(loss.data), terms
@@ -279,7 +277,6 @@ def pretrain_classifier(dataset: ToyDatasetSpec, epochs: int = 20,
             xs = Tensor(train.images[idx])
             logits = forward(net, xs, train=True).output
             loss = ad.softmax_cross_entropy(logits, train.labels[idx])
-            net.zero_grad()
             ad.backward(loss)
             opt.step(PRETRAIN_LR)
     report = {
@@ -343,8 +340,7 @@ def start_run(settings: RunSettings, f_net: Network,
         calib=calib,
         quant=None,
         g_opt=Adam(g_net.params) if g_net is not None else None,
-        q_opt=NesterovSGD(q_net.params, momentum=cfg.momentum,
-                          weight_decay=cfg.weight_decay),
+        q_opt=NesterovSGD(q_net.params),
         rng_labels=np.random.default_rng([cfg.seed, 3]),
         rng_noise=np.random.default_rng([cfg.seed, 4]),
         rng_distort=np.random.default_rng([cfg.seed, 5]),

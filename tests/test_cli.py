@@ -528,11 +528,13 @@ def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_out
     ({"classes": [2, 0]}, "classes must be strictly increasing, got [2, 0]"),
     ({"train": {"seed": -1}}, "invalid value in 'train': seed must be >= 0, got -1"),
     ({"dataset": {"seed": -1}}, "invalid value in 'dataset': seed must be >= 0, got -1"),
+    ({"train": {"momentum": 0.9}}, "unknown key(s) in 'train': momentum"),
+    ({"train": {"weight_decay": 0.0}}, "unknown key(s) in 'train': weight_decay"),
 ], ids=["use_cbns", "use_dbns", "use_synthetic", "generator_schedule", "quantized_schedule",
         "image-size-not-a-list", "classes-not-a-list", "section-not-an-object",
         "float-steps", "float-bits", "bool-bits", "one-sample-per-class", "predict_labels",
         "classes-unsorted-repeated", "classes-repeated", "classes-unsorted", "negative-train-seed",
-        "negative-dataset-seed"])
+        "negative-dataset-seed", "momentum", "weight-decay"])
 def test_bad_config_exits_2_with_one_line(pretrained, capsys, tmp_path, raw, match):
     root, _, model = pretrained
     cfg = tmp_path / "cfg.json"
@@ -574,6 +576,22 @@ def test_oversized_dataset_exits_2_before_building_it(capsys, tmp_path, monkeypa
     cfg.write_text(json.dumps({"dataset": dataset}))
     _refused(capsys, ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "f.fdda")],
              2, "exceeds the limit of 67108864", absent=[tmp_path / "f.fdda"])
+
+
+@pytest.mark.parametrize("size", [[1, 4, 4], [1, 12, 12]], ids=["4x4", "12x12"])
+def test_unpoolable_image_size_exits_2_before_building_the_dataset(capsys, tmp_path,
+                                                                   monkeypatch, size):
+    # the classifier halves height and width three times
+    def build(spec):
+        raise AssertionError("a dataset the classifier cannot pool was built")
+
+    monkeypatch.setattr(trainer, "make_toy_dataset", build)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"image_size": size}}))
+    line = _refused(capsys, ["pretrain", "--config", str(cfg), "--out", str(tmp_path / "f.fdda")],
+                    2, "multiples of 8", absent=[tmp_path / "f.fdda"])
+    assert line == ("error: invalid value in 'dataset': image height and width must be "
+                    f"multiples of 8, got {size[1:]}")
 
 
 def test_pretrain_trains_with_the_config_training_step(tmp_path):

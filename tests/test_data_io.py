@@ -430,14 +430,16 @@ def _edit_meta(**fields):
     (_edit_meta(num_classes=True), "bad meta: num_classes True, input_shape"),
     (_edit_meta(input_shape=[16, 16]), r"input_shape \[16, 16\] \(bad image size \(16, 16\)\)"),
     (_edit_meta(input_shape=[1, 16, 16.0]), r"input_shape \[1, 16, 16.0\] \(not an integer"),
+    (_edit_meta(input_shape=[1, 12, 12]),
+     r"input_shape \[1, 12, 12\] \(image height and width must be multiples of 8"),
     (_edit_meta(num_classes=1), "bad meta: .*need at least two classes"),
     (_edit_meta(num_classes=10**9), "exceeds the limit"),
     (_edit_meta(input_shape=[1, 16, 24]),
      "bad.fdda: payload of 130112 bytes, expected 146496 for the classifier of its meta"),
     (_edit_meta(num_classes=9), "bad.fdda: payload of 130112 bytes, expected 130372 "),
 ], ids=["list-manifest", "no-meta", "null-meta",
-        "float-num-classes", "bool-num-classes", "two-extent-shape", "float-extent", "one-class",
-        "huge-num-classes", "other-input-shape", "other-num-classes"])
+        "float-num-classes", "bool-num-classes", "two-extent-shape", "float-extent", "unpoolable",
+        "one-class", "huge-num-classes", "other-input-shape", "other-num-classes"])
 def test_archive_malformed_manifest_is_corrupt(saved_classifier, tmp_path, edit, match):
     bad = rewrite_manifest(saved_classifier, tmp_path / "bad.fdda", edit)
     with pytest.raises(ArchiveCorruptError, match=match):
@@ -566,6 +568,7 @@ def archive_bytes(tmp_path_factory):
 
 
 def _loads_or_raises_archive_error(path, raw):
+    path.unlink(missing_ok=True)  # a new file: rewriting one in place is far slower
     path.write_bytes(raw)
     try:
         load_model(path)
@@ -683,6 +686,7 @@ def test_mutated_config_loads_or_raises_config_error(config_path, data):
     else:  # a section that is not an object
         raw[data.draw(st.sampled_from(_SECTIONS))] = data.draw(
             _JSON.filter(lambda v: not isinstance(v, dict)))
+    config_path.unlink(missing_ok=True)  # as in _loads_or_raises_archive_error
     config_path.write_text(json.dumps(raw))
     overrides = data.draw(st.sampled_from([{}, {"train.seed": 3}, {"weights.cbns": 0.0}]))
     try:

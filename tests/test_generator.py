@@ -120,7 +120,6 @@ def test_total_loss_runs_and_flows_to_generator_only(setup):
     assert np.isfinite(float(loss.data))
     for key in ("ce", "bns", "cbns", "dbns"):
         assert parts[key] >= 0.0
-    g.zero_grad()
     ad.backward(loss)
     grads = [p.grad for p in g.params.values()]
     assert all(gr is not None for gr in grads)
@@ -156,7 +155,6 @@ def test_classifier_bit_identical_after_generator_update(setup):
         images, labels, f, running, centroids, LossWeights(),
         DistortionParams(), np.random.default_rng(8),
     )
-    g2.zero_grad()
     ad.backward(loss)
     opt.step(1e-3)
     for k in before:
