@@ -62,18 +62,13 @@ class DistortionParams:
 class ClassCentroids:
     """Per-class BN-statistics targets for the deep layers, deep_start..L.
 
-    ``classes`` is strictly increasing. ``stats`` holds, for each deep layer
-    in order, a (len(classes), C_l) mean and variance matrix whose row i is
-    the centroid of class ``classes[i]``.
+    ``stats`` holds, for each deep layer in order, a (K, C_l) mean and
+    variance matrix whose row i is the centroid of class i; classes K and up
+    have none.
     """
 
     deep_start: int
-    classes: tuple[int, ...]
     stats: BnStats
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
-            raise ValueError(f"centroid classes {list(self.classes)} are not sorted and unique")
 
 
 def deep_layer_start(layer_count: int) -> int:
@@ -143,15 +138,12 @@ def per_image_bns(net: Network, images: np.ndarray,
     return BnStats(means, variances), np.concatenate(logits)
 
 
-def build_class_centroids(stats: BnStats, labels: Sequence[int],
-                          deep_start: int) -> ClassCentroids:
-    """Per-class targets from the per-image statistics of the calibration set
-    and its labels (one image per class, in class order, as
-    :class:`ClassCentroids` requires): each centroid is that image's
-    statistics at the deep layers."""
+def build_class_centroids(stats: BnStats, deep_start: int) -> ClassCentroids:
+    """Per-class targets from the per-image statistics of the calibration set,
+    whose image i is of class i: each centroid is its image's statistics at
+    the deep layers."""
     deep = slice(deep_start - 1, None)
-    return ClassCentroids(deep_start, tuple(int(c) for c in labels),
-                          BnStats(stats.means[deep], stats.variances[deep]))
+    return ClassCentroids(deep_start, BnStats(stats.means[deep], stats.variances[deep]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +191,9 @@ def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnS
     dtype = m.dtype
 
     # the averaging matrix: row 0 the batch, then one row per present class
-    # that has a centroid, in class order
-    present = np.intersect1d(centroids.classes, labels) if w_cbns or w_dbns else labels[:0]
+    # that has a centroid (classes 0..k-1), in class order
+    k = len(centroids.stats.means[0]) if w_cbns or w_dbns else 0
+    present = np.unique(labels[labels < k])
     member = np.concatenate([np.ones((1, len(labels)), bool), labels == present[:, None]])
     avg = (member / member.sum(axis=1, keepdims=True)).astype(dtype)
     mean = avg @ m
@@ -218,9 +211,8 @@ def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnS
         # group weighs 0 in every class row
         dev_c = m[:, deep:] - member[1:].T.astype(dtype) @ mean_c
         var_c = avg[1:] @ (v[:, deep:] + dev_c * dev_c)
-        rows = np.searchsorted(centroids.classes, present)
-        cen_m = np.concatenate([c[rows] for c in centroids.stats.means], axis=1)
-        cen_v = np.concatenate([c[rows] for c in centroids.stats.variances], axis=1)
+        cen_m = np.concatenate([c[present] for c in centroids.stats.means], axis=1)
+        cen_v = np.concatenate([c[present] for c in centroids.stats.variances], axis=1)
         # each centroid term's weight and mean and variance targets
         targets = {}
         if w_cbns:
@@ -228,8 +220,8 @@ def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnS
         if w_dbns:
             noise_m, noise_v = [], []
             for c in centroids.stats.means:
-                noise_m.append(rng.normal(0.0, distortion.mean_std, size=(len(rows), c.shape[1])))
-                noise_v.append(rng.normal(0.0, distortion.var_std, size=(len(rows), c.shape[1])))
+                noise_m.append(rng.normal(0.0, distortion.mean_std, size=(len(present), c.shape[1])))
+                noise_v.append(rng.normal(0.0, distortion.var_std, size=(len(present), c.shape[1])))
             targets["dbns"] = (w_dbns, cen_m + np.concatenate(noise_m, axis=1),
                                cen_v + np.concatenate(noise_v, axis=1))
         # half the gradient of the centroid terms w.r.t. (mean_c, var_c)

@@ -56,9 +56,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _settings(args: argparse.Namespace) -> RunSettings:
     """The config file's settings under the flags given, each flag whose
-    ``dest`` is a dotted config key overriding that key."""
+    ``dest`` is a config key (dotted for a key of a section) overriding that
+    key."""
+    keys = {f.name for f in dataclasses.fields(RunSettings)}
     overrides = {dest: value for dest, value in vars(args).items()
-                 if "." in dest and value is not None}
+                 if dest.split(".")[0] in keys and value is not None}
     return load_settings(args.config, overrides)
 
 
@@ -94,14 +96,8 @@ def cmd_quantize(args) -> int:
     model_path.unlink(missing_ok=True)
     report_path.unlink(missing_ok=True)
     settings = _settings(args)
-    if args.classes is not None:
-        num_classes = settings.dataset.num_classes
-        if not 0 <= args.classes <= num_classes:
-            raise ConfigError(f"--classes must lie in [0, {num_classes}], got {args.classes}")
-        settings = dataclasses.replace(settings, classes=tuple(range(args.classes)))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     pretrained, train, test = _classifier(args, settings)
+    out_dir.mkdir(parents=True, exist_ok=True)
     quantized, report = run_fdda(settings, pretrained.network, train, test)
     save_model(model_path, quantized)
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -186,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no distorted-centroid alignment (sets weights.dbns to 0)")
     p.add_argument("--no-synthetic", dest="train.mix_ratio", action="store_const", const=1.0,
                    help="fine-tune on calibration data only (sets train.mix_ratio to 1)")
-    p.add_argument("--classes", type=int, default=None,
-                   help="restrict calibration to the first N classes")
+    p.add_argument("--classes", type=int, metavar="N",
+                   help="calibrate on the first N classes (sets classes)")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("analyze-bns", help="per-layer silhouette of per-image BN statistics")

@@ -70,11 +70,30 @@ class RunSettings:
     weights: LossWeights = field(default_factory=LossWeights)
     distortion: DistortionParams = field(default_factory=DistortionParams)
     policy: QuantPolicy = field(default_factory=QuantPolicy)
-    classes: tuple[int, ...] | None = None  # None = all classes
+    # the calibration set is the first training image of each of the first
+    # ``classes`` classes; None = every class
+    classes: int | None = None
 
     def __post_init__(self):
-        if self.classes is not None and any(a >= b for a, b in zip(self.classes, self.classes[1:])):
-            raise ConfigError(f"classes must be strictly increasing, got {list(self.classes)}")
+        num_classes = self.dataset.num_classes
+        if self.classes is not None and not 0 <= self.classes <= num_classes:
+            raise ConfigError(f"classes must lie in [0, {num_classes}], got {self.classes}")
+        self.batch_split()
+
+    def batch_split(self) -> tuple[int, int]:
+        """Calibration and synthetic rows of every quantized-model batch:
+        round(mix_ratio * batch_size) calibration rows when there are
+        calibration images, none otherwise, and the rest synthetic. Raises
+        ConfigError when that leaves a batch with no data source."""
+        cfg = self.train
+        n_cal = int(round(cfg.mix_ratio * cfg.batch_size))
+        if self.classes == 0:
+            if n_cal == cfg.batch_size:
+                raise ConfigError(f"no training data: no calibration images, and mix_ratio "
+                                  f"{cfg.mix_ratio} leaves no synthetic rows in a batch of "
+                                  f"{cfg.batch_size}")
+            n_cal = 0
+        return n_cal, cfg.batch_size - n_cal
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -91,11 +110,8 @@ def _fits(value, hint) -> bool:
         return value is None
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_fits(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_fits, value, args))
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
     return any(_fits(value, a) for a in args)  # a union
 
 

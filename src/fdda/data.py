@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -101,16 +100,9 @@ def make_toy_dataset(spec: ToyDatasetSpec) -> tuple[LabeledImages, LabeledImages
             LabeledImages(np.concatenate(test_x), np.concatenate(test_y)))
 
 
-def extract_calibration(train: LabeledImages, num_classes: int,
-                        classes: Sequence[int] | None = None) -> LabeledImages:
-    """The calibration set: the first-indexed sample of each requested class
-    (default: all), in the order requested."""
-    wanted = range(num_classes) if classes is None else classes
-    rows = []
-    for c in wanted:
-        idx = np.nonzero(train.labels == c)[0]
-        if len(idx) == 0:
-            raise ValueError(f"requested class {c} not present in the training set")
-        rows.append(idx[0])
-    rows = np.array(rows, dtype=np.int64)
+def extract_calibration(train: LabeledImages, num_classes: int) -> LabeledImages:
+    """The calibration set: the first-indexed sample of each class
+    0..num_classes-1, in class order."""
+    rows = np.array([np.nonzero(train.labels == c)[0][0] for c in range(num_classes)],
+                    dtype=np.int64)
     return LabeledImages(train.images[rows], train.labels[rows])

@@ -118,25 +118,9 @@ class TrainState:
     rng_noise: np.random.Generator
     rng_distort: np.random.Generator  # distorted centroids of each generator step
     rng_mix: np.random.Generator  # calibration rows of each quantized step
-    split: tuple[int, int]  # calibration and synthetic rows of each batch
     # the frozen teacher's logits for each calibration image, from passes of
     # batch_size rows, so a batch row's logits are those of a pass over the batch
     teacher_calib: np.ndarray
-
-
-def batch_split(cfg: TrainConfig, n_calib: int) -> tuple[int, int]:
-    """Calibration and synthetic rows of every quantized-model batch:
-    round(mix_ratio * batch_size) calibration rows when there are calibration
-    images, none otherwise, and the rest synthetic. Raises ValueError when
-    that leaves a batch with no data source."""
-    n_cal = int(round(cfg.mix_ratio * cfg.batch_size))
-    if n_calib == 0:
-        if n_cal == cfg.batch_size:
-            raise ValueError(f"no training data: no calibration images, and mix_ratio "
-                             f"{cfg.mix_ratio} leaves no synthetic rows in a batch of "
-                             f"{cfg.batch_size}")
-        n_cal = 0
-    return n_cal, cfg.batch_size - n_cal
 
 
 Batch = tuple[np.ndarray, np.ndarray, np.ndarray]  # images, labels, teacher logits
@@ -154,7 +138,7 @@ def _mixed_batch(state: TrainState, synthetic: Batch | None
     rows, drawn with replacement, follow; each drawn image appears once among
     the images, and its logits come from the run's table of teacher logits.
     """
-    n_cal, n_syn = state.split
+    n_cal, n_syn = state.settings.batch_split()
     xs, ys, ts = [], [], []
     rows = np.arange(n_syn)
     if n_syn > 0:
@@ -297,19 +281,19 @@ def start_run(settings: RunSettings, f_net: Network,
     """The state of a run that quantizes ``f_net``, which it freezes, and
     the generator's warm-up losses.
 
-    The calibration set is the first image of each class of ``train`` that
-    the settings name. It sets the batch split, and one eval pass of the
-    teacher over it gives both the class centroids and the table of its
-    teacher logits: in passes of ``batch_size`` rows, as the steps' own
-    passes, when the run trains, and in the fewest passes when no step reads
-    the table. After the generator's warm-up it sets the activation bounds;
-    a run with no calibration images calibrates them on a synthetic batch
-    drawn from the warmed-up generator instead. Raises ValueError when a batch would have no data source.
+    The calibration set is the first image in ``train`` of each of the first
+    ``settings.classes`` classes (of each class when that is None). One eval
+    pass of the teacher over it gives both the class centroids and the table
+    of its teacher logits: in passes of ``batch_size`` rows, as the steps'
+    own passes, when the run trains, and in the fewest passes when no step
+    reads the table. After the generator's warm-up it sets the activation
+    bounds; a run with no calibration images calibrates them on a synthetic
+    batch drawn from the warmed-up generator instead.
     """
     cfg = settings.train
     f_net.set_requires_grad(False)
-    calib = extract_calibration(train, settings.dataset.num_classes, settings.classes)
-    n_cal, n_syn = batch_split(cfg, len(calib))
+    calib = extract_calibration(train, settings.dataset.num_classes
+                                if settings.classes is None else settings.classes)
 
     if len(calib):
         stats, teacher_calib = per_image_bns(f_net, calib.images,
@@ -318,8 +302,7 @@ def start_run(settings: RunSettings, f_net: Network,
         empty = tuple(np.zeros((0, l.channels), f_net.dtype) for l in f_net.bn_layers())
         stats = BnStats(empty, empty)
         teacher_calib = np.zeros((0, settings.dataset.num_classes), f_net.dtype)
-    centroids = build_class_centroids(stats, calib.labels,
-                                      deep_layer_start(f_net.bn_layer_count))
+    centroids = build_class_centroids(stats, deep_layer_start(f_net.bn_layer_count))
 
     q_net = f_net.copy()
     q_net.set_requires_grad(True)
@@ -328,7 +311,7 @@ def start_run(settings: RunSettings, f_net: Network,
         settings.dataset.num_classes,
         out_shape=tuple(settings.dataset.image_size),
         seed=cfg.seed,
-    ) if n_syn else None
+    ) if settings.batch_split()[1] else None
 
     state = TrainState(
         settings=settings,
@@ -345,7 +328,6 @@ def start_run(settings: RunSettings, f_net: Network,
         rng_noise=np.random.default_rng([cfg.seed, 4]),
         rng_distort=np.random.default_rng([cfg.seed, 5]),
         rng_mix=np.random.default_rng([cfg.seed, 6]),
-        split=(n_cal, n_syn),
         teacher_calib=teacher_calib,
     )
 
@@ -367,7 +349,7 @@ def run_fdda(settings: RunSettings, f_net: Network, train: LabeledImages,
     """Quantize the classifier ``f_net`` of the settings' dataset, whose splits
     are ``train`` and ``test``, and fine-tune it with synthetic plus
     calibration data; returns the last epoch's model with its quantizers and
-    the run report. Raises ValueError when a batch would have no data source."""
+    the run report."""
     state, warmup_losses = start_run(settings, f_net, train)
 
     per_epoch = []
@@ -384,6 +366,6 @@ def run_fdda(settings: RunSettings, f_net: Network, train: LabeledImages,
         "warmup_loss_last": warmup_losses[-1] if warmup_losses else None,
         "final_acc": final_acc,
         "float_test_acc": evaluate(f_net, test),
-        "available_classes": list(state.centroids.classes),
+        "available_classes": state.calib.labels.tolist(),
     }
     return ModelArchive(state.q_net, state.quant), report

@@ -34,9 +34,9 @@ def is_batch_innermost(x: np.ndarray) -> bool:
 
 
 def class_centroids(net: Network, calib: LabeledImages, deep_start: int) -> ClassCentroids:
-    """The centroids of a non-empty calibration set, from the per-image
-    statistics of one default pass over its images."""
-    return build_class_centroids(per_image_bns(net, calib.images)[0], calib.labels, deep_start)
+    """The centroids of a non-empty calibration set whose image i is of class
+    i, from the per-image statistics of one default pass over its images."""
+    return build_class_centroids(per_image_bns(net, calib.images)[0], deep_start)
 
 
 def astype(net: Network, dtype) -> Network:

@@ -362,7 +362,7 @@ def test_gradients_share_no_memory_with_each_other_or_with_values():
 def _alignment_loss(t):
     """The BN-statistics op on one layer, with a centroid for class 0 only."""
     c = t.shape[1]
-    cen = ClassCentroids(1, (0,), BnStats((np.zeros((1, c)),), (np.ones((1, c)),)))
+    cen = ClassCentroids(1, BnStats((np.zeros((1, c)),), (np.ones((1, c)),)))
     return alignment_loss([t], np.array([0, 1, 0, 2]), BnStats((np.zeros(c),), (np.ones(c),)),
                           cen, DistortionParams(), np.random.default_rng(0),
                           w_bns=0.2, w_cbns=0.05, w_dbns=0.9)[0]

@@ -49,7 +49,7 @@ def ref_class_stats(x, labels, classes):
     return np.stack([m for m, _ in stats]), np.stack([v for _, v in stats])
 
 
-NO_CENTROIDS = ClassCentroids(1, (), BnStats((), ()))
+NO_CENTROIDS = ClassCentroids(1, BnStats((np.zeros((0, 1)),), (np.zeros((0, 1)),)))  # K = 0
 
 
 def align(inputs, labels, running=None, centroids=NO_CENTROIDS, d=DistortionParams(),
@@ -298,13 +298,13 @@ def test_one_group_is_the_batch_statistics(shape):
 def test_class_groups_are_the_per_class_statistics(shape):
     rng = np.random.default_rng(21)
     x = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
-    labels = np.array([3, 0, 3, 1, 0, 3, 1, 1, 3, 0, 2, 3])
-    classes = (0, 1, 3)  # class 2 has no centroid
-    cen = ClassCentroids(1, classes, BnStats((rng.normal(size=(3, shape[1])),),
-                                             (rng.uniform(0.5, 2, size=(3, shape[1])),)))
+    labels = np.array([2, 0, 2, 1, 0, 2, 1, 1, 2, 0, 3, 2])
+    # centroids for classes 0..2; class 3 has none
+    cen = ClassCentroids(1, BnStats((rng.normal(size=(3, shape[1])),),
+                                    (rng.uniform(0.5, 2, size=(3, shape[1])),)))
     d = DistortionParams(0.0, 0.0)
     terms = centroid_terms([Tensor(x)], labels, cen, d)
-    ref_m, ref_v = ref_class_stats(x.astype(np.float64), labels, classes)
+    ref_m, ref_v = ref_class_stats(x.astype(np.float64), labels, range(3))
     expect = sq_dist(zip(ref_m, ref_v), zip(cen.stats.means[0], cen.stats.variances[0]))
     assert terms["cbns"] == pytest.approx(expect, rel=1e-5)
     assert terms["dbns"] == terms["cbns"]
@@ -316,8 +316,8 @@ def test_group_moments_gradient_matches_finite_differences():
     rng = np.random.default_rng(22)
     x = t64(rng.normal(size=(6, 2, 2, 3)), rg=True)
     labels = np.array([1, 0, 4, 1, 1, 0])
-    cen = ClassCentroids(1, (0, 1), BnStats((rng.normal(size=(2, 2)),),
-                                            (rng.uniform(0.5, 2, size=(2, 2)),)))
+    cen = ClassCentroids(1, BnStats((rng.normal(size=(2, 2)),),
+                                    (rng.uniform(0.5, 2, size=(2, 2)),)))
 
     def loss():
         return align([x], labels, centroids=cen, rng=np.random.default_rng(5),
@@ -331,63 +331,55 @@ def test_group_moments_gradient_matches_finite_differences():
 # centroids
 # ---------------------------------------------------------------------------
 
-def _calib_subset(classes):
+def _calib(num_classes):
     train, _ = make_toy_dataset(ToyDatasetSpec())
-    return extract_calibration(train, 8, classes)
+    return extract_calibration(train, num_classes)
 
 
 def test_centroids_available_classes():
     net = build_toy_classifier(seed=0)
-    cen = class_centroids(net, _calib_subset([0, 1]), deep_start=2)
-    assert cen.classes == (0, 1)
+    cen = class_centroids(net, _calib(2), deep_start=2)
+    assert [len(m) for m in cen.stats.means] == [2] * 5  # classes 0 and 1
     assert cen.deep_start == 2 and cen.stats.layer_count == 5  # layers 2..6
 
 
 def test_centroid_equals_per_image_stats():
     net = build_toy_classifier(seed=0)
-    calib = _calib_subset([3])
+    calib = _calib(4)
     cen = class_centroids(net, calib, deep_start=4)
-    img = calib.images[0:1]
+    img = calib.images[3:4]
     stats, _ = per_image_bns(net, img)
-    assert cen.classes == (3,)
+    assert [len(m) for m in cen.stats.means] == [4] * 3
     for i, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
-        np.testing.assert_array_equal(cen.stats.means[i][0], stats.means[l - 1][0])
-        np.testing.assert_array_equal(cen.stats.variances[i][0], stats.variances[l - 1][0])
+        np.testing.assert_array_equal(cen.stats.means[i][3], stats.means[l - 1][0])
+        np.testing.assert_array_equal(cen.stats.variances[i][3], stats.variances[l - 1][0])
 
 
 def test_centroids_are_the_per_image_rows_of_every_class():
     net = build_toy_classifier(seed=1)
-    calib = _calib_subset([0, 2, 5, 7])
+    calib = _calib(8)
     cen = class_centroids(net, calib, deep_start=2)
     ref_means, ref_vars = batch_one_bns(net, calib.images)
-    assert cen.classes == (0, 2, 5, 7)
-    for row, c in enumerate(calib.labels):
+    assert calib.labels.tolist() == list(range(8))
+    for c in range(8):
         for k, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
-            i = cen.classes.index(int(c))
-            np.testing.assert_array_equal(cen.stats.means[k][i], ref_means[l - 1][row])
-            np.testing.assert_array_equal(cen.stats.variances[k][i], ref_vars[l - 1][row])
+            np.testing.assert_array_equal(cen.stats.means[k][c], ref_means[l - 1][c])
+            np.testing.assert_array_equal(cen.stats.variances[k][c], ref_vars[l - 1][c])
 
 
 def test_empty_calibration_gives_empty_centroids():
     # a run with no calibration images (per_image_bns needs one) starts with
     # no centroid rows and no teacher logits
     spec = ToyDatasetSpec(samples_per_class=2)
-    settings = RunSettings(dataset=spec, classes=(),
+    settings = RunSettings(dataset=spec, classes=0,
                            train=TrainConfig(warmup_epochs=0, batch_size=4))
     net = build_toy_classifier(seed=0)
     state, _ = start_run(settings, net, make_toy_dataset(spec)[0])
     cen = state.centroids
-    assert cen.classes == () and cen.deep_start == 1
+    assert cen.deep_start == 1
     assert [m.shape for m in cen.stats.means] == [(0, c) for c in _bn_channels(net)]
     assert [v.shape for v in cen.stats.variances] == [(0, c) for c in _bn_channels(net)]
     assert state.teacher_calib.shape == (0, 8)
-
-
-@pytest.mark.parametrize("classes", [(1, 0), (2, 2)], ids=["unsorted", "duplicate"])
-def test_centroid_classes_must_be_sorted_and_unique(classes):
-    rows = (np.zeros((2, 3)),)
-    with pytest.raises(ValueError, match="not sorted and unique"):
-        ClassCentroids(1, classes, BnStats(rows, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -437,26 +429,27 @@ def test_bns_loss_nonnegative_random():
 # distorted
 # ---------------------------------------------------------------------------
 
-def _simple_centroids(deep_start=2, layer_count=3, channels=2, classes=(0, 1), seed=5):
+def _simple_centroids(deep_start=2, layer_count=3, channels=2, count=2, seed=5):
+    """Random centroids for classes 0..count-1."""
     rng = np.random.default_rng(seed)
     deep = range(deep_start, layer_count + 1)
-    means = tuple(rng.normal(size=(len(classes), channels)) for _ in deep)
-    variances = tuple(rng.uniform(0.5, 2.0, size=(len(classes), channels)) for _ in deep)
-    return ClassCentroids(deep_start, tuple(classes), BnStats(means, variances))
+    means = tuple(rng.normal(size=(count, channels)) for _ in deep)
+    variances = tuple(rng.uniform(0.5, 2.0, size=(count, channels)) for _ in deep)
+    return ClassCentroids(deep_start, BnStats(means, variances))
 
 
 def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, seed=13):
-    """Dense BN inputs with one sample per distinct label, and centroids that
-    the samples of each class hit exactly (a lone dense sample has zero
-    variance)."""
+    """Dense BN inputs with one sample per label, the labels an order of
+    0..len(labels)-1, and centroids that the samples of each class hit
+    exactly (a lone dense sample has zero variance)."""
+    assert sorted(labels.tolist()) == list(range(len(labels)))
     rng = np.random.default_rng(seed)
     inputs = [t64(rng.normal(size=(len(labels), channels))) for _ in range(layer_count)]
     order = np.argsort(labels)
     deep = range(deep_start, layer_count + 1)
     return inputs, ClassCentroids(
-        deep_start, tuple(int(c) for c in labels[order]),
-        BnStats(tuple(inputs[l - 1].data[order] for l in deep),
-                tuple(np.zeros((len(labels), channels)) for _ in deep)))
+        deep_start, BnStats(tuple(inputs[l - 1].data[order] for l in deep),
+                            tuple(np.zeros((len(labels), channels)) for _ in deep)))
 
 
 def _conv_inputs(labels, layer_count=3, channels=2, seed=14):
@@ -469,10 +462,10 @@ def _oracle_cbns(inputs, labels, cen):
     the batch that have a centroid."""
     total = 0.0
     for k, l in enumerate(range(cen.deep_start, len(inputs) + 1)):
-        for i, c in enumerate(cen.classes):
+        for c in range(len(cen.stats.means[k])):
             if c in labels:
                 m, v = ref_batch_stats(inputs[l - 1].data[labels == c])
-                total += sq_dist([(m, v)], [(cen.stats.means[k][i], cen.stats.variances[k][i])])
+                total += sq_dist([(m, v)], [(cen.stats.means[k][c], cen.stats.variances[k][c])])
     return total
 
 
@@ -490,13 +483,13 @@ def test_cbns_ignores_shallow_layers():
 
 
 def test_cbns_hand_value():
-    cen = ClassCentroids(1, (0,), BnStats((np.zeros((1, 2)),), (np.ones((1, 2)),)))
+    cen = ClassCentroids(1, BnStats((np.zeros((1, 2)),), (np.ones((1, 2)),)))
     x = t64([[[[0.0, 2.0]], [[2.0, 0.0]]]])  # each channel: mean 1, variance 1
     assert centroid_terms([x], [0], cen)["cbns"] == pytest.approx(2.0)
 
 
 def test_cbns_decomposes_over_classes_and_layers():
-    cen = _simple_centroids(deep_start=1, layer_count=2, classes=(0, 1, 2))
+    cen = _simple_centroids(deep_start=1, layer_count=2, count=3)
     labels = np.array([2, 0, 1, 1, 0, 2])
     inputs = _conv_inputs(labels, layer_count=2)
     expect = _oracle_cbns(inputs, labels, cen)
@@ -504,10 +497,10 @@ def test_cbns_decomposes_over_classes_and_layers():
 
 
 def test_cbns_skips_classes_without_centroid():
-    labels = np.array([0, 5])
+    labels = np.array([0, 1])
     inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
-    # class 5 has no centroid: silently skipped
-    cen = ClassCentroids(cen.deep_start, (0,),
+    # drop the last class's centroid: class 1 is then silently skipped
+    cen = ClassCentroids(cen.deep_start,
                          BnStats(tuple(m[:1] for m in cen.stats.means),
                                  tuple(v[:1] for v in cen.stats.variances)))
     assert centroid_terms(inputs, labels, cen)["cbns"] == 0.0
@@ -573,7 +566,7 @@ def test_loss_gradients_match_finite_differences():
     labels = np.array([0, 1, 1, 0, 1])
     xs = [t64(x.data, rg=True) for x in _conv_inputs(labels, seed=9)]
     xs[1] = t64(np.random.default_rng(10).normal(size=(5, 3)), rg=True)  # a dense layer
-    cen = ClassCentroids(2, (0, 1), BnStats(
+    cen = ClassCentroids(2, BnStats(
         (np.ones((2, 3)), np.zeros((2, 2))), (np.full((2, 3), 0.5), np.ones((2, 2)))))
     rng = np.random.default_rng(9)
     running = BnStats(tuple(rng.normal(size=x.shape[1]) for x in xs),
@@ -593,9 +586,9 @@ def test_generator_loss_gradient_matches_finite_differences():
     f = astype(build_toy_classifier(in_shape=(1, 8, 8), seed=3), np.float64)
     f.set_requires_grad(False)
     rng = np.random.default_rng(6)
-    calib = LabeledImages(rng.uniform(-1, 1, size=(2, 1, 8, 8)), np.array([0, 2]))
+    calib = LabeledImages(rng.uniform(-1, 1, size=(2, 1, 8, 8)), np.array([0, 1]))
     cen = class_centroids(f, calib, deep_start=3)
-    labels = np.array([0, 2, 7, 0])
+    labels = np.array([0, 1, 7, 0])
     images = t64(rng.uniform(-1, 1, size=(4, 1, 8, 8)), rg=True)
 
     def loss():
@@ -615,7 +608,7 @@ def test_per_class_stats_match_direct_computation():
     t1 = Tensor(rng.normal(size=(6, 3, 2, 2)).astype(np.float64))
     t2 = Tensor(rng.normal(size=(6, 4)).astype(np.float64))
     labels = np.array([0, 1, 0, 2, 1, 0])
-    cen = ClassCentroids(1, (0, 1, 2), BnStats(
+    cen = ClassCentroids(1, BnStats(
         (rng.normal(size=(3, 3)), rng.normal(size=(3, 4))),
         (rng.uniform(0.5, 2, size=(3, 3)), rng.uniform(0.5, 2, size=(3, 4)))))
     got = centroid_terms([t1, t2], labels, cen)["cbns"]
@@ -627,15 +620,15 @@ def test_per_class_stats_skip_absent_and_deep_start():
     t1 = Tensor(rng.normal(size=(4, 2, 2, 2)).astype(np.float64))
     t2 = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
     labels = np.array([0, 0, 1, 1])
-    # layer 1 (2 channels) is below the cutoff; layer 2 (3 channels) is in
-    cen = _simple_centroids(deep_start=2, layer_count=2, channels=3, classes=(0, 1, 5))
+    # layer 1 (2 channels) is below the cutoff; layer 2 (3 channels) is in;
+    # class 2 has a centroid but no sample
+    cen = _simple_centroids(deep_start=2, layer_count=2, channels=3, count=3)
     got = centroid_terms([t1, t2], labels, cen)["cbns"]
     assert got == pytest.approx(_oracle_cbns([t1, t2], labels, cen), rel=1e-10)
     # no class of the batch has a centroid: both centroid terms are absent
     # and no noise is drawn
-    absent = _simple_centroids(deep_start=2, layer_count=2, channels=3, classes=(5,))
     rng = np.random.default_rng(3)
-    _, terms = align([t1, t2], labels, centroids=absent, rng=rng)
+    _, terms = align([t1, t2], labels + 3, centroids=cen, rng=rng)
     assert set(terms) == {"bns"}
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
@@ -644,7 +637,7 @@ def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
     """Plain-numpy cbns and dbns: a loop over the deep layers and the classes
     present in the batch, drawing each layer's noise as one matrix for the
     means, then one for the variances, a row per class."""
-    present = sorted(set(cen.classes) & set(labels.tolist()))
+    present = sorted(set(range(len(cen.stats.means[0]))) & set(labels.tolist()))
     cbns = dbns = 0.0
     for k, l in enumerate(range(cen.deep_start, len(bn_inputs) + 1)):
         shape = (len(present), cen.stats.means[k].shape[1])
@@ -653,8 +646,7 @@ def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
         for row, c in enumerate(present):
             x = bn_inputs[l - 1].data[labels == c].astype(np.float64)
             m, v = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-            i = cen.classes.index(c)
-            tm, tv = cen.stats.means[k][i], cen.stats.variances[k][i]
+            tm, tv = cen.stats.means[k][c], cen.stats.variances[k][c]
             cbns += ((m - tm) ** 2).sum() + ((v - tv) ** 2).sum()
             dbns += ((m - tm - nm[row]) ** 2).sum() + ((v - tv - nv[row]) ** 2).sum()
     return cbns, dbns
@@ -669,7 +661,7 @@ def test_stacked_and_map_losses_agree():
     rng = np.random.default_rng(12)
     imgs = Tensor(rng.uniform(-1, 1, size=(16, 1, 16, 16)).astype(np.float32))
     labels = np.tile(np.arange(8), 2)
-    calib = _calib_subset(list(range(8)))
+    calib = _calib(8)
     cen = class_centroids(net, calib, deep_start=3)
     running = collect_running_stats(net)
     d = DistortionParams(0.5, 1.0)

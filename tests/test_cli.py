@@ -193,10 +193,13 @@ def test_validation_failure_exits_nonzero(pretrained, capsys):
              2, "default_bits must be an integer in [2, 8], got 11", absent=[root / "bad"])
 
 
-def test_missing_model_exits_nonzero(tiny_cfg, capsys):
+def test_missing_model_exits_nonzero(tiny_cfg, capsys, tmp_path):
     root, cfg = tiny_cfg
     _refused(capsys, ["eval", "--config", str(cfg), "--model", str(root / "missing.fdda")],
              1, "missing.fdda")
+    out_dir = tmp_path / "run"
+    _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(root / "missing.fdda"),
+                      "--out", str(out_dir)], 1, "missing.fdda", absent=[out_dir])
 
 
 def _rewrite_manifest(src, dst, edit):
@@ -385,7 +388,7 @@ def test_diverged_run_exits_3_with_one_line_and_no_report(pretrained, capsys, mo
 
 
 @pytest.mark.parametrize("flags,sections,match", [
-    (["--classes", "9"], {}, "--classes must lie in [0, 8], got 9"),
+    (["--classes", "9"], {}, "classes must lie in [0, 8], got 9"),
     ([], {"train": {"steps_per_epoch": 0}}, "steps_per_epoch and batch_size must be positive"),
 ], ids=["classes-out-of-range", "invalid-config"])
 def test_refused_run_exits_2_and_leaves_no_earlier_outputs(pretrained, capsys, tmp_path,
@@ -483,7 +486,7 @@ def test_no_data_run_exits_2_with_one_line_and_no_outputs(pretrained, capsys, tm
     out_dir = tmp_path / "run"
     _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
                       "--out", str(out_dir), "--classes", "0", "--no-synthetic"],
-             2, "no training data", absent=[out_dir / "report.json", out_dir / "quantized.fdda"])
+             2, "no training data", absent=[out_dir])
 
 
 @pytest.mark.parametrize("dataset,config_shape", [
@@ -499,6 +502,8 @@ def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_out
     argv = [command, "--config", str(_config_with(tmp_path, cfg, dataset=dataset)),
             "--model", str(model)]
     if command == "quantize":
+        fresh = tmp_path / "fresh"
+        _refused(capsys, argv + ["--out", str(fresh)], 2, "classifies 8 classes", absent=[fresh])
         argv += ["--out", str(out_dir)]
         # an earlier run's outputs in the same directory
         assert main(["quantize", "--config", str(cfg), "--model", str(model),
@@ -516,16 +521,16 @@ def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_out
     ({"train": {"generator_schedule": "step"}}, "unknown key(s) in 'train': generator_schedule"),
     ({"train": {"quantized_schedule": "cosine"}}, "unknown key(s) in 'train': quantized_schedule"),
     ({"dataset": {"image_size": 5}}, "'dataset' key 'image_size' must be of type"),
-    ({"classes": 5}, "the config key 'classes' must be of type"),
+    ({"classes": [0, 1]}, "the config key 'classes' must be of type int | None, got [0, 1]"),
     ({"train": [1]}, "'train' must be an object"),
     ({"train": {"steps_per_epoch": 1.5}}, "'train' key 'steps_per_epoch' must be of type int"),
     ({"policy": {"default_bits": 2.5}}, "'policy' key 'default_bits' must be of type int"),
     ({"policy": {"default_bits": True}}, "'policy' key 'default_bits' must be of type int"),
     ({"dataset": {"samples_per_class": 1}}, "need at least two samples per class"),
     ({"predict_labels": True}, "unknown key(s) in the config: predict_labels"),
-    ({"classes": [2, 0, 0]}, "classes must be strictly increasing, got [2, 0, 0]"),
-    ({"classes": [0, 0, 2]}, "classes must be strictly increasing, got [0, 0, 2]"),
-    ({"classes": [2, 0]}, "classes must be strictly increasing, got [2, 0]"),
+    ({"classes": 9}, "invalid value in the config: classes must lie in [0, 8], got 9"),
+    ({"classes": -1}, "invalid value in the config: classes must lie in [0, 8], got -1"),
+    ({"classes": 0, "train": {"mix_ratio": 1}}, "invalid value in the config: no training data"),
     ({"train": {"seed": -1}}, "invalid value in 'train': seed must be >= 0, got -1"),
     ({"dataset": {"seed": -1}}, "invalid value in 'dataset': seed must be >= 0, got -1"),
     ({"train": {"momentum": 0.9}}, "unknown key(s) in 'train': momentum"),
@@ -533,7 +538,7 @@ def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_out
 ], ids=["use_cbns", "use_dbns", "use_synthetic", "generator_schedule", "quantized_schedule",
         "image-size-not-a-list", "classes-not-a-list", "section-not-an-object",
         "float-steps", "float-bits", "bool-bits", "one-sample-per-class", "predict_labels",
-        "classes-unsorted-repeated", "classes-repeated", "classes-unsorted", "negative-train-seed",
+        "classes-too-many", "classes-negative", "classes-no-data", "negative-train-seed",
         "negative-dataset-seed", "momentum", "weight-decay"])
 def test_bad_config_exits_2_with_one_line(pretrained, capsys, tmp_path, raw, match):
     root, _, model = pretrained
@@ -559,7 +564,7 @@ def test_classes_out_of_range_exits_2(pretrained, capsys, tmp_path, n):
     root, cfg, model = pretrained
     _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
                       "--out", str(tmp_path / "run"), "--classes", n],
-             2, f"--classes must lie in [0, 8], got {n}", absent=[tmp_path / "run"])
+             2, f"classes must lie in [0, 8], got {n}", absent=[tmp_path / "run"])
 
 
 @pytest.mark.parametrize("dataset", [

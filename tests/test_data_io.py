@@ -43,7 +43,7 @@ from fdda.network import (
 )
 from fdda.quantizer import FakeQuantRuntime, QuantPolicy
 
-from helpers import class_centroids, state_equal
+from helpers import state_equal
 
 
 # ---------------------------------------------------------------------------
@@ -107,47 +107,22 @@ def test_calibration_full_and_subset():
     assert len(calib) == 8
     assert set(calib.labels) == set(range(8))
 
-    sub = extract_calibration(train, 8, classes=[0, 1, 2, 3, 4, 5])
-    assert len(sub) == 6
-    assert set(sub.labels) == set(range(6))
+    sub = extract_calibration(train, 6)
+    assert sub.labels.tolist() == list(range(6))
 
 
 def test_calibration_empty_subset():
     train, _ = make_toy_dataset(ToyDatasetSpec())
-    calib = extract_calibration(train, 8, classes=[])
+    calib = extract_calibration(train, 0)
     assert len(calib) == 0
     assert set(calib.labels) == set()
 
 
 def test_calibration_takes_first_indexed_sample():
     train, _ = make_toy_dataset(ToyDatasetSpec())
-    calib = extract_calibration(train, 8, classes=[3])
+    calib = extract_calibration(train, 4)
     first_idx = np.nonzero(train.labels == 3)[0][0]
-    assert np.array_equal(calib.images[0], train.images[first_idx])
-
-
-def test_calibration_missing_class_errors():
-    train, _ = make_toy_dataset(ToyDatasetSpec())
-    with pytest.raises(ValueError):
-        extract_calibration(train, 8, classes=[11])
-
-
-def test_centroids_reject_a_calibration_request_out_of_class_order():
-    # the request is the set that is used, so it is not sorted or deduplicated;
-    # centroid rows are in calibration order, so that order must be class order
-    train, _ = make_toy_dataset(ToyDatasetSpec())
-    net = build_toy_classifier(seed=0)
-    for classes in [(5, 0, 2), (0, 5, 5)]:
-        calib = extract_calibration(train, 8, classes=classes)
-        assert calib.labels.tolist() == list(classes)
-        with pytest.raises(ValueError, match="not sorted and unique"):
-            class_centroids(net, calib, deep_start=1)
-
-
-@pytest.mark.parametrize("classes", [(2, 0, 0), (0, 0, 2), (2, 0)])
-def test_settings_reject_classes_out_of_class_order(classes):
-    with pytest.raises(ConfigError, match=r"classes must be strictly increasing, got \["):
-        RunSettings(classes=classes)
+    assert np.array_equal(calib.images[3], train.images[first_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +623,7 @@ def test_config_bad_json(tmp_path):
 
 
 def test_settings_to_dict_roundtrip():
-    s = RunSettings(classes=(0, 1, 2))
+    s = RunSettings(classes=2)
     d = s.to_dict()
     s2 = settings_from_dict(json.loads(json.dumps(d)))
     assert s2 == s
@@ -659,7 +634,7 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-_BASE = json.loads(json.dumps(RunSettings(classes=(0, 1)).to_dict()))
+_BASE = json.loads(json.dumps(RunSettings(classes=2).to_dict()))
 _SECTIONS = [k for k, v in _BASE.items() if isinstance(v, dict)]
 _KEYS = [(k,) for k in _BASE] + [(s, k) for s in _SECTIONS for k in _BASE[s]]
 
@@ -709,8 +684,8 @@ def test_null_classes_loads_as_every_class(config_path):
 
 def _loads_with_types_of_base(s) -> bool:
     """Whether loaded settings have the types of `_BASE`. `classes` defaults
-    to None (every class); `_BASE` sets it only to type its entries, so None
-    fits it too."""
+    to None (every class); `_BASE` sets it only to type it, so None fits it
+    too."""
     d = s.to_dict()
     if d["classes"] is None:
         d["classes"] = _BASE["classes"]

@@ -182,7 +182,7 @@ def test_coarse_reduction_matches_manual_sum(setup):
 def test_missing_centroids_skip_their_classes(setup):
     f, g, running, _ = setup
     train, _ = make_toy_dataset(ToyDatasetSpec())
-    calib5 = extract_calibration(train, 8, classes=[0, 1, 2, 3, 4])
+    calib5 = extract_calibration(train, 5)
     cen5 = class_centroids(f, calib5, deep_layer_start(f.bn_layer_count))
     labels = np.arange(8)
     w = LossWeights(dbns=0.0)
@@ -197,5 +197,5 @@ def test_missing_centroids_skip_their_classes(setup):
             Tensor(images.data[:5]), labels[:5], f, running, cen5, w,
             DistortionParams(), np.random.default_rng(13),
         )
-    assert sorted(set(labels) - set(cen5.classes)) == [5, 6, 7]
+    assert len(cen5.stats.means[0]) == 5  # classes 5, 6 and 7 have no centroid
     assert parts["cbns"] == pytest.approx(parts_kept["cbns"], rel=1e-5)

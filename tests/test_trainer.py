@@ -15,11 +15,13 @@ from fdda import autodiff as ad
 from fdda import bns, trainer
 from fdda.autodiff import Tensor
 from fdda.bns import (
+    BnStats,
+    ClassCentroids,
     DistortionParams,
     collect_running_stats,
     deep_layer_start,
 )
-from fdda.config import RunSettings, TrainConfig
+from fdda.config import ConfigError, RunSettings, TrainConfig
 from fdda.data import LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
 from fdda.generator import LossWeights, generate, generator_total_loss, sample_labels
 from fdda.models import build_generator, build_toy_classifier
@@ -29,7 +31,6 @@ from fdda.quantizer import QuantPolicy, calibrate_activation_bounds
 from fdda.trainer import (
     TrainingDiverged,
     _mixed_batch,
-    batch_split,
     cosine_lr,
     evaluate,
     quantized_model_loss,
@@ -160,7 +161,7 @@ def test_activation_bounds_come_from_the_calibration_images(world):
 
 
 def test_zero_shot_activation_bounds_come_from_a_synthetic_batch_after_the_warm_up(world):
-    settings = tiny_settings(classes=())
+    settings = tiny_settings(classes=0)
     cfg = settings.train
     state = run_state(world, settings)
     assert len(state.calib) == 0
@@ -269,29 +270,30 @@ def test_no_synthetic_uses_calibration_batches(world):
     assert metrics["lossQ"] is not None
 
 
-@pytest.mark.parametrize("mix_ratio,n_calib,split", [
-    (0.25, 8, (4, 12)),
+@pytest.mark.parametrize("mix_ratio,classes,split", [
+    (0.25, None, (4, 12)),
     (0.25, 0, (0, 16)),
     (0.0, 8, (0, 16)),
-    (1.0, 8, (16, 0)),
+    (1.0, 1, (16, 0)),
     (0.99, 8, (16, 0)),  # rounds to a whole batch: no synthetic rows
     (0.99, 0, None),
     (1.0, 0, None),
 ], ids=["mixed", "no-calibration", "synthetic-only", "calibration-only", "rounds-to-calibration-only",
         "no-data-after-rounding", "no-data"])
-def test_batch_split(mix_ratio, n_calib, split):
+def test_batch_split(mix_ratio, classes, split):
+    # the settings refuse a split with no data source when they are built
     cfg = TrainConfig(batch_size=16, mix_ratio=mix_ratio)
     if split is None:
-        with pytest.raises(ValueError, match="no training data"):
-            batch_split(cfg, n_calib)
+        with pytest.raises(ConfigError, match="no training data"):
+            RunSettings(train=cfg, classes=classes)
     else:
-        assert batch_split(cfg, n_calib) == split
+        assert RunSettings(train=cfg, classes=classes).batch_split() == split
 
 
 def test_calibration_only_run_has_no_generator(world):
     settings = tiny_settings(calibration_only=True)
     state = run_state(world, settings)
-    assert state.g_net is None and state.split == (16, 0)
+    assert state.g_net is None and settings.batch_split() == (16, 0)
     images, rows, _, _ = _mixed_batch(state, None)
     # 16 rows drawn from the 8 calibration images, each image run once
     assert len(rows) == 16 and images.shape[0] == len(np.unique(rows)) <= 8
@@ -313,7 +315,7 @@ def test_quantized_step_trains_on_the_first_rows_of_the_generator_steps_batch(
         world, monkeypatch):
     settings = tiny_settings()
     state = run_state(world, settings)
-    n_cal, n_syn = state.split
+    n_cal, n_syn = settings.batch_split()
     assert n_cal > 0 and n_syn > 0
     events = []
     loss_fn, q_loss_fn = trainer.generator_total_loss, trainer.quantized_model_loss
@@ -362,9 +364,9 @@ def test_quantized_step_runs_neither_generator_nor_teacher(world, monkeypatch):
 
 
 def test_zero_shot_batch_is_the_whole_generator_batch(world):
-    settings = tiny_settings(classes=())
+    settings = tiny_settings(classes=0)
     state = run_state(world, settings)
-    assert state.split == (0, settings.train.batch_size)
+    assert settings.batch_split() == (0, settings.train.batch_size)
     _, _, synthetic = trainer._generator_step(state, 1e-3)
     images, rows, labels, teacher = _mixed_batch(state, synthetic)
     np.testing.assert_array_equal(rows, np.arange(settings.train.batch_size))
@@ -439,7 +441,7 @@ def test_teacher_table_not_built_without_calibration_rows(world, monkeypatch):
         raise AssertionError("teacher pass over no calibration images")
 
     monkeypatch.setattr(trainer, "per_image_bns", refuse)
-    state = run_state(world, tiny_settings(classes=()))
+    state = run_state(world, tiny_settings(classes=0))
     assert state.teacher_calib.shape == (0, 8)
     train_epoch(state, epoch=0)
 
@@ -481,7 +483,7 @@ def test_start_run_centroids_do_not_depend_on_the_batch_size(world, batch_size):
     state = run_state(world, tiny_settings(calibration_only=True,
                                            train_kw={"batch_size": batch_size}))
     want = class_centroids(f, state.calib, state.centroids.deep_start)
-    assert state.centroids.classes == want.classes
+    assert [m.shape for m in state.centroids.stats.means] == [m.shape for m in want.stats.means]
     for got, ref in zip(state.centroids.stats.means + state.centroids.stats.variances,
                         want.stats.means + want.stats.variances):
         assert got.tobytes() == ref.tobytes()
@@ -507,7 +509,7 @@ def _batch64(world, calibration_only):
 @SPLITS
 def test_mixed_batch_keeps_the_draws_and_runs_each_image_once(world, calibration_only):
     state, synthetic = _batch64(world, calibration_only)
-    n_cal, n_syn = state.split
+    n_cal, n_syn = state.settings.batch_split()
     calib = state.calib
     pick = np.random.default_rng([state.settings.train.seed, 6]).integers(
         0, len(calib), size=n_cal)
@@ -555,7 +557,7 @@ def test_step_loss_equals_a_pass_over_every_row(world, calibration_only):
 @SPLITS
 def test_student_forward_gets_one_row_per_distinct_image(world, monkeypatch, calibration_only):
     state, synthetic = _batch64(world, calibration_only)
-    n_cal, n_syn = state.split
+    n_cal, n_syn = state.settings.batch_split()
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_mix.bit_generator.state
     distinct = len(np.unique(rng.integers(0, len(state.calib), size=n_cal)))
@@ -725,17 +727,17 @@ def test_decay_targets_kernels_only():
 # ---------------------------------------------------------------------------
 
 def test_missing_class_changes_only_its_own_terms(world):
-    # removing class c's centroid changes the loss by exactly c's centroid
-    # contribution (verified in float64 with a frozen noise draw)
+    # removing the last class's centroid changes the loss by exactly that
+    # class's centroid contribution (verified in float64 with a frozen noise
+    # draw)
     f64 = astype(world[0], np.float64)
     f64.set_requires_grad(False)
     train, _ = make_toy_dataset(SPEC)
     calib = extract_calibration(train, 8)
     K = deep_layer_start(f64.bn_layer_count)
     cen_full = class_centroids(f64, calib, K)
-    drop = 5
-    cen_wo = class_centroids(
-        f64, extract_calibration(train, 8, [c for c in range(8) if c != drop]), K)
+    drop = 7
+    cen_wo = class_centroids(f64, extract_calibration(train, drop), K)
 
     g = astype(build_generator(seed=1), np.float64)
     labels = sample_labels(8, 32, np.random.default_rng(2))
@@ -754,19 +756,23 @@ def test_missing_class_changes_only_its_own_terms(world):
     # ce and bns are untouched by the missing class
     assert parts_full["ce"] == pytest.approx(parts_wo["ce"], rel=1e-12)
     assert parts_full["bns"] == pytest.approx(parts_wo["bns"], rel=1e-12)
-    assert set(labels) - set(cen_wo.classes) == {drop}
+    assert drop in labels and len(cen_wo.stats.means[0]) == drop
 
     # per-class decomposition: difference equals class `drop`'s own terms
     from fdda.bns import alignment_loss
     from fdda.network import forward as fwd
 
-    cen_only = class_centroids(f64, extract_calibration(train, 8, [drop]), K)
+    # class `drop`'s own term: its samples as class 0, the one class of a
+    # one-row centroid set
+    cen_only = ClassCentroids(K, BnStats(tuple(m[drop:] for m in cen_full.stats.means),
+                                         tuple(v[drop:] for v in cen_full.stats.variances)))
+    only_labels = np.where(labels == drop, 0, 8)
     with ad.no_grad():
         cap = fwd(f64, images, train=False, capture_bn=True)
         cb_full, cb_wo, cb_only = (
-            alignment_loss(cap.bn_inputs, labels, collect_running_stats(f64), cen, d,
+            alignment_loss(cap.bn_inputs, lab, collect_running_stats(f64), cen, d,
                            np.random.default_rng(7), w_bns=0.0, w_cbns=1.0, w_dbns=0.0)[1]["cbns"]
-            for cen in (cen_full, cen_wo, cen_only))
+            for lab, cen in ((labels, cen_full), (labels, cen_wo), (only_labels, cen_only)))
     assert cb_full - cb_wo == pytest.approx(cb_only, rel=1e-9, abs=1e-12)
 
 
