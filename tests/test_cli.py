@@ -522,6 +522,9 @@ def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_out
     ({"train": {"quantized_schedule": "cosine"}}, "unknown key(s) in 'train': quantized_schedule"),
     ({"dataset": {"image_size": 5}}, "'dataset' key 'image_size' must be of type"),
     ({"classes": [0, 1]}, "the config key 'classes' must be of type int | None, got [0, 1]"),
+    ({"classes": [2, 0, 0]}, "the config key 'classes' must be of type int | None, got [2, 0, 0]"),
+    ({"classes": [0, 0, 2]}, "the config key 'classes' must be of type int | None, got [0, 0, 2]"),
+    ({"classes": [2, 0]}, "the config key 'classes' must be of type int | None, got [2, 0]"),
     ({"train": [1]}, "'train' must be an object"),
     ({"train": {"steps_per_epoch": 1.5}}, "'train' key 'steps_per_epoch' must be of type int"),
     ({"policy": {"default_bits": 2.5}}, "'policy' key 'default_bits' must be of type int"),
@@ -536,7 +539,8 @@ def test_config_dataset_other_than_the_archives_exits_2_with_one_line_and_no_out
     ({"train": {"momentum": 0.9}}, "unknown key(s) in 'train': momentum"),
     ({"train": {"weight_decay": 0.0}}, "unknown key(s) in 'train': weight_decay"),
 ], ids=["use_cbns", "use_dbns", "use_synthetic", "generator_schedule", "quantized_schedule",
-        "image-size-not-a-list", "classes-not-a-list", "section-not-an-object",
+        "image-size-not-a-list", "classes-not-a-list", "classes-unsorted-repeated",
+        "classes-repeated", "classes-unsorted", "section-not-an-object",
         "float-steps", "float-bits", "bool-bits", "one-sample-per-class", "predict_labels",
         "classes-too-many", "classes-negative", "classes-no-data", "negative-train-seed",
         "negative-dataset-seed", "momentum", "weight-decay"])

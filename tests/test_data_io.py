@@ -125,6 +125,18 @@ def test_calibration_takes_first_indexed_sample():
     assert np.array_equal(calib.images[3], train.images[first_idx])
 
 
+# the bound is the dataset's class count, not the default 8
+@pytest.mark.parametrize("classes", [None, 0, 5], ids=["every-class", "none", "all-five"])
+def test_settings_take_a_class_count_up_to_the_datasets(classes):
+    assert RunSettings(dataset=ToyDatasetSpec(num_classes=5), classes=classes).classes == classes
+
+
+@pytest.mark.parametrize("classes", [-1, 6], ids=["negative", "one-too-many"])
+def test_settings_reject_a_class_count_outside_the_dataset(classes):
+    with pytest.raises(ConfigError, match=rf"^classes must lie in \[0, 5\], got {classes}$"):
+        RunSettings(dataset=ToyDatasetSpec(num_classes=5), classes=classes)
+
+
 # ---------------------------------------------------------------------------
 # archive
 # ---------------------------------------------------------------------------
