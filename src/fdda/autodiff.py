@@ -23,23 +23,33 @@ layout, and the ops that write a gradient array themselves (``avg_pool2d``,
 ``bns.alignment_loss``, which is taped through ``record_op``) write it in
 their input's layout, so every array a conv reads after a network's first
 conv is batch-innermost. ``reshape`` returns a C-contiguous array,
-copying when its input is not. The conv's im2col copies its input once into
-a zero-padded (C, H + 2*pad, W + 2*pad, N) buffer, then each of the k*k
-taps out of it into the (C*k*k, Ho*Wo*N) column matrix as runs of Wo*N
-floats; the GEMM's (O, Ho*Wo*N) result is the output with no copy.
+copying when its input is not. A conv copies its input once into a
+zero-padded (C, H + 2*pad, W + 2*pad, N) buffer. For each block of output
+rows it copies the k*k taps out of that buffer, through one strided view of
+every window, into a (C*k*k, rows*Wo*N) column block as runs of Wo*N
+floats, and one GEMM writes the block's columns of the (O, Ho*Wo*N)
+output, which is the output with no copy. A conv whose weight gradient
+reads the column matrix (its weight requires a gradient and gradients are
+enabled) runs as one block of all rows and keeps that matrix. Every other
+conv runs in blocks of about ``BLOCK_FLOATS`` floats, which stay in cache:
+the convs of a frozen network such as the teacher, every input-gradient
+conv in backward, and every ``no_grad`` pass.
 
 Numerics: the forward and input-gradient GEMMs keep the plain formula's sum
 over C*k*k for each output value and only permute the columns, so outputs
-and input gradients equal a sliding-window im2col's bit for bit. (OpenBLAS
-computes the last column-count mod 16 columns with another kernel; every
-model conv's GEMMs have a multiple of 16 columns.) ``avg_pool2d`` adds width
-first, then height, the order of ``reshape(...).mean`` over the block axes
-of a C-contiguous array, whatever its input's layout. What adds in another
-order than a channel-major layout did: the conv weight gradient, whose GEMM
-sums its N*Ho*Wo products in (Ho, Wo, N) column order, and numpy's
-reductions over the batch and spatial axes of a batch-innermost array (the
-conv bias gradient, batch-norm statistics and their gradients), which
-follow memory order. The tests keep the plain formulas as references.
+and input gradients equal a sliding-window im2col's bit for bit. OpenBLAS
+computes the last column-count mod 16 columns with another kernel, so a
+blocked conv's blocks each have a multiple of 16 columns, or the conv runs
+as one block; every output column is then summed as in the one-block GEMM.
+(Every model conv but the phase-grid ones below has a multiple of 16
+columns at any batch size.) ``avg_pool2d`` adds width first, then height,
+the order of ``reshape(...).mean`` over the block axes of a C-contiguous
+array, whatever its input's layout. What adds in another order than a
+channel-major layout did: the conv weight gradient, whose GEMM sums its
+N*Ho*Wo products in (Ho, Wo, N) column order, and numpy's reductions
+over the batch and spatial axes of a batch-innermost array (the conv bias
+gradient, batch-norm statistics and their gradients), which follow memory
+order. The tests keep the plain formulas as references.
 
 The conv on a 2x-upsampled input, ``conv2d(x, w, b, pad=1,
 upsample=True)``, never builds the upsampled map: a 3x3 kernel on it reads
@@ -60,6 +70,7 @@ gradient a cross-correlation too.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -307,27 +318,54 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return record_op(x.data @ w.data.T + b.data, (x, w, b), bwd)
 
 
-def _im2col(x: np.ndarray, k: int, pad: int):
-    # x: (N, C, H, W) in any layout -> (C*k*k, Ho*Wo*N), a single-GEMM layout
+# floats in one column block of a conv that keeps no column matrix: 256 KB
+# in float32, so a block and the output columns its GEMM writes stay in L2
+BLOCK_FLOATS = 1 << 16
+
+
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """x (N, C, H, W) in any layout, zero-padded by pad on each side, as a
+    C-contiguous (C, H + 2*pad, W + 2*pad, N) array: the one read of a
+    conv's input."""
     n, c, h, w = x.shape
-    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
     padded[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
-    cols = np.empty((c, k, k, ho, wo, n), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = padded[:, i : i + ho, j : j + wo]
-    return cols.reshape(c * k * k, ho * wo * n), ho, wo
+    return padded
 
 
-def _conv_raw(x: np.ndarray, w: np.ndarray, pad: int):
+def _conv_raw(x: np.ndarray, w: np.ndarray, pad: int, keep_cols: bool = False):
     """Cross-correlation on raw arrays; returns (out, cols), out (N,O,Ho,Wo)
-    laid out (O, Ho, Wo, N) in memory."""
+    laid out (O, Ho, Wo, N) in memory, cols the (C*k*k, Ho*Wo*N) column
+    matrix with ``keep_cols``, else None.
+
+    Each block of output rows copies its windows of the padded input into
+    a column block in one copy and runs one GEMM into its columns of the
+    output. The
+    block is all rows with ``keep_cols`` or when the conv's column count is
+    not a multiple of 16; else the fewest rows whose columns are a multiple
+    of 16 and, where one row allows, about BLOCK_FLOATS floats."""
     n = x.shape[0]
     o, c, k, _ = w.shape
-    cols, ho, wo = _im2col(x, k, pad)
-    out = (w.reshape(o, c * k * k) @ cols).reshape(o, ho, wo, n)
-    return out.transpose(3, 0, 1, 2), cols
+    padded = _padded(x, pad)
+    ho, wo = padded.shape[1] - k + 1, padded.shape[2] - k + 1
+    row = wo * n  # the columns of one output row
+    rows = ho
+    if not keep_cols and ho * row % 16 == 0:
+        step = 16 // math.gcd(row, 16)
+        rows = min(ho, -(-max(1, BLOCK_FLOATS // (c * k * k * row)) // step) * step)
+    # every k x k window of the padded input, as a (C, k, k, Ho, Wo, N) view
+    sc, sh, sw, sn = padded.strides
+    taps = np.ndarray((c, k, k, ho, wo, n), padded.dtype, padded, 0, (sc, sh, sw, sh, sw, sn))
+    buf = np.empty(c * k * k * rows * row, dtype=x.dtype)
+    out = np.empty((o, ho * row), dtype=np.result_type(x, w))
+    w_mat = w.reshape(o, c * k * k)
+    for r0 in range(0, ho, rows):
+        r = min(rows, ho - r0)
+        cols = buf[: c * k * k * r * row].reshape(c, k, k, r, wo, n)
+        cols[...] = taps[:, :, :, r0 : r0 + r]
+        cols = cols.reshape(c * k * k, r * row)
+        np.matmul(w_mat, cols, out=out[:, r0 * row : (r0 + r) * row])
+    return out.reshape(o, ho, wo, n).transpose(3, 0, 1, 2), (cols if keep_cols else None)
 
 
 # An output row of parity a (0 even, 1 odd) on a 2x-upsampled axis reads, with
@@ -403,11 +441,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0, upsample: bool = False
         raise ValueError(f"kernel {k} larger than padded input {(h + 2 * pad, wd + 2 * pad)}")
     # the conv actually run: the phase kernels at pad 1, or w itself
     kern, kpad = (_phase_kernels(w.data), 1) if upsample else (w.data, pad)
-    out, cols = _conv_raw(x.data, kern, kpad)
+    # only the weight gradient reads the column matrix
+    out, cols = _conv_raw(x.data, kern, kpad, keep_cols=_grad_enabled and w.requires_grad)
     if upsample:
         out = _interleave(out)
-    if not w.requires_grad:
-        cols = None  # only the weight gradient reads the column matrix
     out += b.data.reshape(1, o, 1, 1)  # out is this op's own array
 
     def bwd(g):

@@ -57,11 +57,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _settings(args: argparse.Namespace) -> RunSettings:
     """The config file's settings under the flags given, each flag whose
     ``dest`` is a config key (dotted for a key of a section) overriding that
-    key."""
+    key. The flags are applied in turn, so a refusal names the first flag
+    that the settings cannot take, with its value: ``--classes 9: ...``."""
     keys = {f.name for f in dataclasses.fields(RunSettings)}
     overrides = {dest: value for dest, value in vars(args).items()
                  if dest.split(".")[0] in keys and value is not None}
-    return load_settings(args.config, overrides)
+    settings, applied = load_settings(args.config), {}
+    for dest, value in overrides.items():
+        applied[dest] = value
+        try:
+            settings = load_settings(args.config, applied)
+        except ConfigError as exc:
+            action = args.flags[dest]
+            flag = action.option_strings[0] + ("" if action.nargs == 0 else f" {value}")
+            raise ConfigError(f"{flag}: {exc.__cause__ or exc}") from None
+    return settings
 
 
 def _classifier(args, settings: RunSettings) -> tuple[ModelArchive, LabeledImages, LabeledImages]:
@@ -199,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.set_defaults(func=cmd_eval)
 
+    for p in sub.choices.values():  # each flag's action by dest, to name it in errors
+        p.set_defaults(flags={a.dest: a for a in p._actions})
     return parser
 
 

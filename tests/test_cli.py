@@ -489,6 +489,21 @@ def test_no_data_run_exits_2_with_one_line_and_no_outputs(pretrained, capsys, tm
              2, "no training data", absent=[out_dir])
 
 
+def test_refused_flag_is_named_and_a_refused_config_is_not(pretrained, capsys, tmp_path):
+    # the first flag the config cannot take is named, with no value for a
+    # flag that takes none; a config refused on its own names no flag
+    root, cfg, model = pretrained
+    argv = ["quantize", "--model", str(model), "--out", str(tmp_path / "run"), "--seed", "1"]
+    raw = json.loads(cfg.read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "classes": 0}))
+    line = _refused(capsys, argv + ["--config", str(path), "--no-synthetic"], 2, "no training data")
+    assert line.startswith("error: --no-synthetic: no training data: ")
+    path.write_text(json.dumps({**raw, "classes": 9}))
+    line = _refused(capsys, argv + ["--config", str(path), "--wbits", "3"], 2, "got 9")
+    assert line == "error: invalid value in the config: classes must lie in [0, 8], got 9"
+
+
 @pytest.mark.parametrize("dataset,config_shape", [
     ({"num_classes": 4}, "4 classes of [1, 16, 16]"),
     ({"num_classes": 10}, "10 classes of [1, 16, 16]"),
@@ -560,7 +575,7 @@ def test_negative_seed_exits_2_before_any_output(pretrained, capsys, tmp_path, c
     out = tmp_path / "out"
     argv = [command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]
     _refused(capsys, argv + (["--model", str(model)] if command == "quantize" else []),
-             2, "invalid value in 'train': seed must be >= 0, got -1", absent=[out])
+             2, "--seed -1: seed must be >= 0, got -1", absent=[out])
 
 
 @pytest.mark.parametrize("n", ["-1", "9"])
@@ -568,7 +583,8 @@ def test_classes_out_of_range_exits_2(pretrained, capsys, tmp_path, n):
     root, cfg, model = pretrained
     _refused(capsys, ["quantize", "--config", str(cfg), "--model", str(model),
                       "--out", str(tmp_path / "run"), "--classes", n],
-             2, f"classes must lie in [0, 8], got {n}", absent=[tmp_path / "run"])
+             2, f"error: --classes {n}: classes must lie in [0, 8], got {n}",
+             absent=[tmp_path / "run"])
 
 
 @pytest.mark.parametrize("dataset", [

@@ -22,8 +22,9 @@ import pytest
 
 from fdda import autodiff as ad
 from fdda.autodiff import Tensor
-from fdda.models import build_generator, build_toy_classifier
-from fdda.network import Conv2d
+from fdda.generator import generate
+from fdda.models import build_generator, build_toy_classifier, toy_classifier_layers
+from fdda.network import AvgPool2d, Conv2d, Reshape, forward
 
 from helpers import batch_innermost, grad_check, is_batch_innermost
 
@@ -114,27 +115,42 @@ def _taped(op, *arrays, g):
 # conv2d
 # ---------------------------------------------------------------------------
 
-# (layer, input shape at batch 64, out channels): every conv of both models.
-# gconv1 and gconv2 upsample their input first: they are listed at the
-# upsampled shape the plain conv would read, and the models run them as
-# sub-pixel convs on the half-size input (UPSAMPLE_CONVS below)
+def _model_convs():
+    """(layer spec, the (C, H, W) map it reads) of every conv of both models,
+    walking each model's layer specs from its input shape; an upsampling
+    conv reads the half-size map it upsamples."""
+    convs = []
+    for layers, shape in [(toy_classifier_layers(8, (1, 16, 16)), (1, 16, 16)),
+                          (build_generator().layers, None)]:
+        for layer in layers:
+            if isinstance(layer, Reshape):
+                shape = layer.shape
+            elif isinstance(layer, AvgPool2d):
+                shape = (shape[0], shape[1] // layer.kernel, shape[2] // layer.kernel)
+            elif isinstance(layer, Conv2d):
+                convs.append((layer, shape))
+                h, w = (2 * e + 2 * layer.pad - layer.kernel + 1 if layer.upsample
+                        else e + 2 * layer.pad - layer.kernel + 1 for e in shape[1:])
+                shape = (layer.out_channels, h, w)
+    return convs
+
+
+MODEL_CONV_SPECS = _model_convs()
+
+# (layer, input shape at batch 64, out channels, kernel, pad): every conv of
+# both models. gconv1 and gconv2 upsample their input first: they are listed
+# at the upsampled shape the plain conv would read, and the models run them
+# as sub-pixel convs on the half-size input (UPSAMPLE_CONVS below)
 MODEL_CONVS = [
-    ("conv1", (64, 1, 16, 16), 8),
-    ("conv2", (64, 8, 8, 8), 16),
-    ("conv3", (64, 16, 8, 8), 16),
-    ("conv4", (64, 16, 4, 4), 24),
-    ("conv5", (64, 24, 4, 4), 32),
-    ("conv6", (64, 32, 4, 4), 32),
-    ("gconv1", (64, 32, 8, 8), 16),
-    ("gconv2", (64, 16, 16, 16), 8),
-    ("gconv3", (64, 8, 16, 16), 1),
+    (l.name, (64, c) + ((2 * h, 2 * w) if l.upsample else (h, w)), l.out_channels, l.kernel, l.pad)
+    for l, (c, h, w) in MODEL_CONV_SPECS
 ]
 
 # (case, x shape, out channels, kernel, pad)
 CONV_CASES = (
-    [(name, shape, o, 3, 1) for name, shape, o in MODEL_CONVS]
-    + [(f"{name}-batch1", (1,) + shape[1:], o, 3, 1)
-       for name, shape, o in MODEL_CONVS if name.startswith("conv")]
+    MODEL_CONVS
+    + [(f"{name}-batch1", (1,) + shape[1:], o, k, pad)
+       for name, shape, o, k, pad in MODEL_CONVS if name.startswith("conv")]
     + [
         ("one-channel-k1", (4, 1, 5, 5), 3, 1, 0),
         ("non-square", (3, 2, 5, 7), 4, 3, 1),
@@ -151,13 +167,22 @@ CONV_CASES = (
 )
 
 
-def test_model_conv_table_covers_both_models():
-    specs = [l for net in (build_toy_classifier(), build_generator())
-             for l in net.layers if isinstance(l, Conv2d)]
-    assert [(l.name, l.in_channels, l.out_channels) for l in specs] == \
-        [(name, shape[1], o) for name, shape, o in MODEL_CONVS]
-    assert all((l.kernel, l.pad) == (3, 1) for l in specs)
-    assert [l.name for l in specs if l.upsample] == ["gconv1", "gconv2"]
+def test_model_conv_table_covers_both_models(monkeypatch):
+    # the walk over the layer specs gives every conv the map a forward pass
+    # hands it
+    seen, conv2d = [], ad.conv2d
+
+    def spy(x, w, b, pad=0, upsample=False):
+        seen.append((x.shape[1:], w.shape[0], w.shape[2], pad, upsample))
+        return conv2d(x, w, b, pad=pad, upsample=upsample)
+
+    monkeypatch.setattr(ad, "conv2d", spy)
+    with ad.no_grad():
+        forward(build_toy_classifier(), Tensor(np.zeros((2, 1, 16, 16), np.float32)), train=False)
+        generate(build_generator(), np.arange(2), np.random.default_rng(0))
+    assert seen == [(shape, l.out_channels, l.kernel, l.pad, l.upsample)
+                    for l, shape in MODEL_CONV_SPECS]
+    assert [l.name for l, _ in MODEL_CONV_SPECS if l.upsample] == ["gconv1", "gconv2"]
 
 
 def _conv_case(xshape, o, k, pad, layout, dtype=np.float32):
@@ -197,7 +222,7 @@ def test_conv2d_forward_and_grads_equal_reference(case, xshape, o, k, pad, layou
     np.testing.assert_array_equal(gx, ref_gx)
     np.testing.assert_array_equal(gb, ref_gb)
     old_out, old_gx, old_gw, _ = ref_conv(x, w, b, g, pad)
-    if case.split("-")[0] in {name for name, _, _ in MODEL_CONVS}:
+    if case.split("-")[0] in {conv[0] for conv in MODEL_CONVS}:
         # and so the earlier conv's: OpenBLAS computes a column alike at any
         # position but the last (columns mod 16), and every model conv's
         # GEMMs have a multiple of 16 columns at any batch size
@@ -215,6 +240,55 @@ def test_conv2d_weight_gradient_matches_reference_in_float64(case, xshape, o, k,
                                              dtype=np.float64)
     ref_gw = ref_conv(x, w, b, g, pad)[2]
     assert np.abs(gw - ref_gw).max() <= 1e-12 * np.abs(ref_gw).max()
+
+
+def _raw_convs(monkeypatch, layer, shape, batch):
+    """(x, kernel, pad, keep_cols) of each raw conv that one model conv with
+    a frozen weight runs at ``batch``: its forward conv and its
+    input-gradient conv, on the phase grid for an upsampling conv."""
+    rng = np.random.default_rng(batch)
+    c, h, w = shape
+    x = Tensor(batch_innermost(_rand(rng, (batch, c, h, w))), requires_grad=True)
+    wt = Tensor(_rand(rng, (layer.out_channels, c, layer.kernel, layer.kernel)))
+    b = Tensor(np.zeros(layer.out_channels, np.float32))
+    calls, conv_raw = [], ad._conv_raw
+
+    def spy(x, w, pad, keep_cols=False):
+        calls.append((x, w, pad, keep_cols))
+        return conv_raw(x, w, pad, keep_cols)
+
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_conv_raw", spy)
+        out = ad.conv2d(x, wt, b, pad=layer.pad, upsample=layer.upsample)
+        ad.backward((out * Tensor(batch_innermost(_rand(rng, out.shape)))).sum())
+    return calls
+
+
+@pytest.mark.parametrize("batch", [1, 7, 8, 55, 64, 160, 256])
+@pytest.mark.parametrize("layer,shape", MODEL_CONV_SPECS, ids=[l.name for l, _ in MODEL_CONV_SPECS])
+def test_blocked_conv_equals_one_block_bit_for_bit(monkeypatch, layer, shape, batch):
+    # a conv that keeps no column matrix runs in blocks of output rows; each
+    # output column sums C*k*k products in the one-block GEMM's order when
+    # every block has a multiple of 16 columns (OpenBLAS computes the last
+    # columns mod 16 with another kernel), so the blocks must have that many
+    # or the conv must run as one block
+    calls = _raw_convs(monkeypatch, layer, shape, batch)
+    assert [keep_cols for *_, keep_cols in calls] == [False, False]
+    for x, w, pad, _ in calls:
+        blocks, matmul = [], np.matmul
+
+        def spy(a, b, out):
+            blocks.append(out.shape[1])
+            return matmul(a, b, out=out)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", spy)
+            blocked, cols = ad._conv_raw(x, w, pad)
+        one_block, _ = ad._conv_raw(x, w, pad, keep_cols=True)
+        assert cols is None and is_batch_innermost(blocked)
+        np.testing.assert_array_equal(blocked, one_block)
+        assert len(blocks) == 1 or all(n % 16 == 0 for n in blocks), blocks
+        assert sum(blocks) == one_block[:, 0].size
 
 
 # ---------------------------------------------------------------------------
@@ -353,27 +427,50 @@ def test_upsample_conv_needs_kernel_3_and_pad_1(kernel, pad):
 
 
 # ---------------------------------------------------------------------------
-# im2col memory
+# conv memory
 # ---------------------------------------------------------------------------
 
-def test_im2col_peak_memory_is_columns_plus_one_padded_buffer():
-    # a 16-channel 16x16 map at batch 64: the column matrix and the
-    # zero-padded (C, H+2p, W+2p, N) copy of the input that every tap reads
+def _conv_peak_bytes(c, o, weight_grad):
+    """Peak traced bytes of a 3x3 pad-1 conv of a batch-innermost (64, C,
+    16, 16) input to O channels, and the byte counts of its (O, 16, 16, 64)
+    output, zero-padded (C, 18, 18, 64) input copy and (C*9, 16*16*64)
+    column matrix."""
     import tracemalloc
 
-    n, c, h, w, k, pad = 64, 16, 16, 16, 3, 1
-    x = batch_innermost(_rand(np.random.default_rng(0), (n, c, h, w)))
-    itemsize = x.dtype.itemsize
-    cols_bytes = c * k * k * n * h * w * itemsize
-    padded_bytes = c * (h + 2 * pad) * (w + 2 * pad) * n * itemsize
+    n, h, k = 64, 16, 3
+    rng = np.random.default_rng(0)
+    x = Tensor(batch_innermost(_rand(rng, (n, c, h, h))), requires_grad=True)
+    w = Tensor(_rand(rng, (o, c, k, k)), requires_grad=weight_grad)
+    b = Tensor(np.zeros(o, dtype=np.float32))
     tracemalloc.start()
     try:
-        cols, _, _ = ad._im2col(x, k, pad)
+        ad.conv2d(x, w, b, pad=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cols.nbytes == cols_bytes
-    assert cols_bytes + padded_bytes <= peak <= 1.1 * (cols_bytes + padded_bytes)
+        ad._tape.clear()
+    return peak, o * h * h * n * 4, c * (h + 2) ** 2 * n * 4, c * k * k * h * h * n * 4
+
+
+def test_im2col_peak_memory_is_columns_plus_one_padded_buffer():
+    # a conv whose weight gradient reads the column matrix builds it whole:
+    # a 16-channel 16x16 map at batch 64, the column matrix and the
+    # zero-padded (C, H+2p, W+2p, N) copy of the input that every tap reads,
+    # and the output its one GEMM writes
+    peak, out_bytes, padded_bytes, cols_bytes = _conv_peak_bytes(16, 8, weight_grad=True)
+    total = out_bytes + padded_bytes + cols_bytes
+    assert total <= peak <= 1.1 * total
+
+
+def test_frozen_weight_conv_peak_memory_is_output_padded_copy_and_one_block():
+    # gconv3's input in a generator step, (64, 8, 16, 16), through a frozen
+    # weight: one output row's (72, 16*64) column block at a time, not the
+    # 4.7 MB column matrix
+    peak, out_bytes, padded_bytes, cols_bytes = _conv_peak_bytes(8, 8, weight_grad=False)
+    block_bytes = cols_bytes // 16
+    total = out_bytes + padded_bytes + block_bytes
+    assert total <= peak <= 1.1 * total
+    assert peak < cols_bytes / 3
 
 
 # ---------------------------------------------------------------------------

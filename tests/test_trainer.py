@@ -623,10 +623,12 @@ def _step_peak_bytes(name, state):
 
 
 def test_generator_step_peak_memory_at_batch_64(world):
-    # about 17.7 MB: the taped forward at backward's start, with the
+    # about 17.3 MB: the taped forward at backward's start, with the
     # generator's column matrices (about 7 MB), which its weight gradients
-    # read. A backward that copied every gradient an op returned made it
-    # 18.2 MB, and 19.5 MB while the BN-statistics op also kept all its
+    # read; 17.7 MB while the teacher's and the input-gradient convs built
+    # whole column matrices too, instead of cache-sized blocks. A backward
+    # that copied every gradient an op returned made it 18.2 MB, and
+    # 19.5 MB while the BN-statistics op also kept all its
     # per-layer deviations until backward had copied their gradients out.
     # Convs that read a 2x-upsampled map instead of sub-pixel convs on the
     # low-resolution input made the step about 33 MB; teacher convs that
@@ -638,12 +640,13 @@ def test_generator_step_peak_memory_at_batch_64(world):
 
 
 def test_quantized_step_peak_memory_at_batch_64(world):
-    # about 13.5 MB, with the generator step's batch made beforehand: the
+    # about 12.9 MB, with the generator step's batch made beforehand: the
     # student runs 48 synthetic rows and the 5-8 distinct images of the 16
-    # calibration rows (15.4 MB when it ran all 64 rows)
+    # calibration rows (15.4 MB when it ran all 64 rows, 13.5 MB while its
+    # input-gradient convs built whole column matrices)
     settings = tiny_settings(train_kw={"batch_size": 64})
     state = run_state(world, settings)
-    assert _step_peak_bytes("_quantized_step", state) < 17e6
+    assert _step_peak_bytes("_quantized_step", state) < 14e6
 
 
 def test_calibration_only_step_peak_memory_at_batch_64(world):
@@ -658,25 +661,26 @@ def test_calibration_only_step_peak_memory_at_batch_64(world):
 # memory layout of a training step
 # ---------------------------------------------------------------------------
 
-def _im2col_inputs(monkeypatch, name, state):
-    """Every array a step hands to a conv's im2col, and the subset that are
-    forward inputs of an exempt conv: a classifier's first conv, which reads
-    the network's input images (one channel), and the generator's first,
-    which reads the normalized output of its Reshape layer (upsampling)."""
+def _conv_inputs(monkeypatch, name, state):
+    """Every array a step's convs read, through the zero-padded copy each
+    conv makes of its input, and the subset that are forward inputs of an
+    exempt conv: a classifier's first conv, which reads the network's input
+    images (one channel), and the generator's first, which reads the
+    normalized output of its Reshape layer (upsampling)."""
     step = _step(name, state)
     seen, exempt = [], []
-    im2col, conv2d = ad._im2col, ad.conv2d
+    padded, conv2d = ad._padded, ad.conv2d
 
-    def spy_im2col(x, k, pad):
+    def spy_padded(x, pad):
         seen.append(x)
-        return im2col(x, k, pad)
+        return padded(x, pad)
 
     def spy_conv2d(x, w, b, pad=0, upsample=False):
         if x.shape[1] == 1 or (upsample and x.shape[1] == state.g_net.params["gconv1.w"].shape[1]):
             exempt.append(x.data)
         return conv2d(x, w, b, pad=pad, upsample=upsample)
 
-    monkeypatch.setattr(ad, "_im2col", spy_im2col)
+    monkeypatch.setattr(ad, "_padded", spy_padded)
     monkeypatch.setattr(ad, "conv2d", spy_conv2d)
     step()
     return seen, exempt
@@ -693,7 +697,7 @@ def _im2col_inputs(monkeypatch, name, state):
 def test_step_hands_im2col_batch_innermost_arrays(world, monkeypatch, step, n_calls):
     settings = tiny_settings(train_kw={"batch_size": 64})
     state = run_state(world, settings)
-    seen, exempt = _im2col_inputs(monkeypatch, step, state)
+    seen, exempt = _conv_inputs(monkeypatch, step, state)
     assert len(seen) == n_calls
     odd = [x for x in seen if not is_batch_innermost(x)]
     assert all(any(x is e for e in exempt) for x in odd)
