@@ -8,14 +8,14 @@ asymmetry lives entirely in (l, u). Ties round half away from zero.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .network import Network, forward, quant_point_count
 
 # bounds collapsed to a point are widened by this margin on each side
 DEGENERATE_MARGIN = 1e-3
@@ -155,58 +155,52 @@ def channel_bounds(w: np.ndarray, bits: int) -> QuantParams:
 
 class FakeQuantRuntime:
     """Quantization hooks for ``network.forward``: weights are re-bounded from
-    the current float values on every pass, activations use frozen calibrated
-    bounds, one ``(lower, upper)`` pair per quantization point, each point at
-    the bit-width ``policy`` gives it."""
+    the current float values on every pass, activations use the runtime's
+    current bounds, one ``(lower, upper)`` pair per quantization point, each
+    point at the bit-width ``policy`` gives it. Passes inside :meth:`observe`
+    set those bounds; no other pass changes them."""
 
     def __init__(self, policy: QuantPolicy, bounds: Sequence[tuple]):
         self.policy = policy
+        # point -> (min, max) seen so far inside observe(), else None
+        self._observed: dict[int, tuple[float, float]] | None = None
+        self._set_bounds(bounds)
+
+    def _set_bounds(self, bounds: Sequence[tuple]) -> None:
         n = len(bounds)
-        self.act_params = tuple(QuantParams(policy.activation_bits(point, n), lower, upper)
+        self.act_params = tuple(QuantParams(self.policy.activation_bits(point, n), lower, upper)
                                 for point, (lower, upper) in enumerate(bounds))
         # (point, dtype) -> the point's prepared scalar bounds; they broadcast
         # against an input of any rank
         self._act_levels: dict[tuple, tuple[np.ndarray, ...]] = {}
 
+    @contextmanager
+    def observe(self) -> Iterator[None]:
+        """A scope whose passes run activations unquantized (weights stay
+        fake-quantized) and record each point's min and max. When the block
+        ends without an error, the observed ranges, widened where they collapse
+        to a point (:func:`observed_bounds`), become the activation bounds;
+        an error leaves the previous bounds. The points are the network input
+        first, then one per activation in layer order."""
+        self._observed = {}
+        try:
+            yield
+            observed = self._observed
+        finally:
+            self._observed = None
+        if not observed:
+            raise ValueError("observe() saw no activations")
+        self._set_bounds([observed_bounds(lo, hi) for lo, hi in observed.values()])
+
     def on_weight(self, w: Tensor, index: int, total: int) -> Tensor:
         return fake_quantize_ste(w, channel_bounds(w.data, self.policy.weight_bits(index, total)))
 
     def on_activation(self, x: Tensor, point: int) -> Tensor:
+        if self._observed is not None:
+            lo, hi = self._observed.get(point, (np.inf, -np.inf))
+            self._observed[point] = (min(lo, float(x.data.min())), max(hi, float(x.data.max())))
+            return x
         key = (point, x.dtype)
         if key not in self._act_levels:
             self._act_levels[key] = _levels(self.act_params[point], x.dtype, 0)
         return _fake_quantize(x, self._act_levels[key])
-
-
-class RangeCalibrator(FakeQuantRuntime):
-    """Observes per-point activation min/max while weights run fake-quantized
-    exactly as in :class:`FakeQuantRuntime`."""
-
-    def __init__(self, policy: QuantPolicy, n_points: int):
-        super().__init__(policy, ())
-        self.lo = [np.inf] * n_points
-        self.hi = [-np.inf] * n_points
-
-    def on_activation(self, x: Tensor, point: int) -> Tensor:
-        self.lo[point] = min(self.lo[point], float(x.data.min()))
-        self.hi[point] = max(self.hi[point], float(x.data.max()))
-        return x
-
-
-def calibrate_activation_bounds(net: Network, data: np.ndarray,
-                                policy: QuantPolicy) -> FakeQuantRuntime:
-    """The runtime of ``policy`` whose activation bounds are the (min, max)
-    of each quant point over one eval-mode pass over ``data``.
-
-    Bounds that collapse to a point are widened by +-1e-3. The points are
-    ordered network input first, then one per activation in layer order.
-    """
-    data = np.asarray(data)
-    if data.shape[0] == 0:
-        raise ValueError("cannot calibrate on an empty batch")
-    calib = RangeCalibrator(policy, quant_point_count(net))
-    with ad.no_grad():
-        forward(net, Tensor(data), train=False, quant=calib)
-    if not np.isfinite(calib.lo + calib.hi).all():
-        raise ValueError("calibration saw no activations at some point")
-    return FakeQuantRuntime(policy, [observed_bounds(lo, hi) for lo, hi in zip(calib.lo, calib.hi)])

@@ -1,6 +1,6 @@
 """The full fine-tuning pipeline: classifier pretraining, a run's set-up
-(calibration set, centroids and teacher logits, generator warm-up,
-activation calibration), alternating generator / quantized-model updates,
+(calibration set, centroids and teacher logits, generator warm-up, the
+student's observe pass), alternating generator / quantized-model updates,
 per-epoch evaluation, and the end-to-end run with its JSON report.
 
 The pre-trained classifier is frozen throughout; the quantized copy trains
@@ -25,7 +25,7 @@ from .generator import LossWeights, generate, generator_total_loss, sample_label
 from .models import build_generator, build_toy_classifier
 from .network import EVAL_BATCH, Network, forward
 from .optim import Adam, NesterovSGD
-from .quantizer import FakeQuantRuntime, calibrate_activation_bounds
+from .quantizer import FakeQuantRuntime
 
 
 def step_lr(lr0: float, epoch: int) -> float:
@@ -109,11 +109,11 @@ class TrainState:
     running: BnStats
     centroids: ClassCentroids
     calib: LabeledImages
-    quant: FakeQuantRuntime | None  # None until the warm-up is over
+    quant: FakeQuantRuntime  # the student's quantizers; bounds set after the warm-up
     g_opt: Adam | None
     q_opt: NesterovSGD
     # labels and noise of each generator step, and of the synthetic batch
-    # that calibrates activations when there are no calibration images
+    # the observe pass runs on when there are no calibration images
     rng_labels: np.random.Generator
     rng_noise: np.random.Generator
     rng_distort: np.random.Generator  # distorted centroids of each generator step
@@ -286,9 +286,10 @@ def start_run(settings: RunSettings, f_net: Network,
     pass of the teacher over it gives both the class centroids and the table
     of its teacher logits: in passes of ``batch_size`` rows, as the steps'
     own passes, when the run trains, and in the fewest passes when no step
-    reads the table. After the generator's warm-up it sets the activation
-    bounds; a run with no calibration images calibrates them on a synthetic
-    batch drawn from the warmed-up generator instead.
+    reads the table. After the warm-up, one eval pass of the student (still
+    a copy of the teacher) in ``quant.observe()`` sets the activation bounds,
+    over a synthetic batch from the warmed-up generator when there are no
+    calibration images.
     """
     cfg = settings.train
     f_net.set_requires_grad(False)
@@ -321,7 +322,7 @@ def start_run(settings: RunSettings, f_net: Network,
         running=collect_running_stats(f_net),
         centroids=centroids,
         calib=calib,
-        quant=None,
+        quant=FakeQuantRuntime(settings.policy, ()),
         g_opt=Adam(g_net.params) if g_net is not None else None,
         q_opt=NesterovSGD(q_net.params),
         rng_labels=np.random.default_rng([cfg.seed, 3]),
@@ -340,7 +341,8 @@ def start_run(settings: RunSettings, f_net: Network,
                                state.rng_labels)
         with ad.no_grad():
             calib_images = generate(g_net, labels, state.rng_noise).data
-    state.quant = calibrate_activation_bounds(f_net, calib_images, settings.policy)
+    with ad.no_grad(), state.quant.observe():
+        forward(q_net, Tensor(calib_images), train=False, quant=state.quant)
     return state, warmup_losses
 
 

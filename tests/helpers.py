@@ -1,8 +1,8 @@
 """Helpers that only the tests use: a finite-difference gradient check,
 float64 copies of networks, bitwise comparison of networks, a tensor cut
-off the tape, the batch-innermost memory layout of 4-D arrays, and the
-class centroids of a calibration set. No command needs them, so they live
-here and not in the package."""
+off the tape, the batch-innermost memory layout of 4-D arrays, the class
+centroids of a calibration set, and a quantizer runtime observed on a batch.
+No command needs them, so they live here and not in the package."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from fdda import autodiff as ad
 from fdda.autodiff import Tensor
 from fdda.bns import ClassCentroids, build_class_centroids, per_image_bns
 from fdda.data import LabeledImages
-from fdda.network import Network
+from fdda.network import Network, forward
+from fdda.quantizer import FakeQuantRuntime, QuantPolicy
 
 
 def detach(t: Tensor) -> Tensor:
@@ -37,6 +38,15 @@ def class_centroids(net: Network, calib: LabeledImages, deep_start: int) -> Clas
     """The centroids of a non-empty calibration set whose image i is of class
     i, from the per-image statistics of one default pass over its images."""
     return build_class_centroids(per_image_bns(net, calib.images)[0], deep_start)
+
+
+def observed_runtime(net: Network, images: np.ndarray, policy: QuantPolicy) -> FakeQuantRuntime:
+    """A runtime of ``policy`` whose activation bounds come from one observe
+    pass of ``net`` over ``images``."""
+    runtime = FakeQuantRuntime(policy, ())
+    with ad.no_grad(), runtime.observe():
+        forward(net, Tensor(images), train=False, quant=runtime)
+    return runtime
 
 
 def astype(net: Network, dtype) -> Network:

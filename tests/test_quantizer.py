@@ -1,5 +1,6 @@
 """Quantizer semantics: scale/round/clip arithmetic, the straight-through
-gradient, per-channel bounds, and activation calibration."""
+gradient, per-channel bounds, and activation calibration in the runtime's
+observe scope."""
 
 import numpy as np
 import pytest
@@ -7,14 +8,16 @@ import pytest
 from fdda import autodiff as ad
 from fdda.autodiff import Tensor
 from fdda.models import build_toy_classifier
+from fdda.network import forward, quant_point_count
 from fdda.quantizer import (
     FakeQuantRuntime,
     QuantParams,
     QuantPolicy,
-    calibrate_activation_bounds,
     channel_bounds,
     fake_quantize_ste,
 )
+
+from helpers import observed_runtime
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +347,7 @@ def test_calibration_observes_min_max():
     net = build_toy_classifier(seed=0)
     rng = np.random.default_rng(4)
     data = rng.uniform(-1, 1, size=(8, 1, 16, 16)).astype(np.float32)
-    params = calibrate_activation_bounds(net, data, QuantPolicy(default_bits=4)).act_params
+    params = observed_runtime(net, data, QuantPolicy(default_bits=4)).act_params
     assert params[0].lower == pytest.approx(float(data.min()))
     assert params[0].upper == pytest.approx(float(data.max()))
     # post-relu points have nonnegative bounds, with zero present
@@ -356,8 +359,7 @@ def test_calibration_observes_min_max():
 def test_calibration_empty_batch_errors():
     net = build_toy_classifier(seed=0)
     with pytest.raises(ValueError):
-        calibrate_activation_bounds(net, np.zeros((0, 1, 16, 16), dtype=np.float32),
-                                    QuantPolicy())
+        observed_runtime(net, np.zeros((0, 1, 16, 16), dtype=np.float32), QuantPolicy())
 
 
 def test_calibration_degenerate_constant_activation():
@@ -365,6 +367,33 @@ def test_calibration_degenerate_constant_activation():
     # the network's input, here constant, is the first quantization point
     net = build_toy_classifier(seed=0)
     data = np.full((2, 1, 16, 16), 5.0, dtype=np.float32)
-    qp = calibrate_activation_bounds(net, data, QuantPolicy(default_bits=4)).act_params[0]
+    qp = observed_runtime(net, data, QuantPolicy(default_bits=4)).act_params[0]
     assert qp.lower == pytest.approx(4.999)
     assert qp.upper == pytest.approx(5.001)
+
+
+def test_observe_accumulates_over_passes_in_point_order():
+    # two passes in one scope give the range of their union, the points in
+    # network order
+    net = build_toy_classifier(seed=0)
+    rng = np.random.default_rng(5)
+    a, b = (rng.uniform(lo, hi, size=(4, 1, 16, 16)).astype(np.float32)
+            for lo, hi in [(-1, 0.5), (-0.5, 2)])
+    runtime = FakeQuantRuntime(QuantPolicy(default_bits=4), ())
+    with ad.no_grad(), runtime.observe():
+        for data in (a, b):
+            forward(net, Tensor(data), train=False, quant=runtime)
+    both = observed_runtime(net, np.concatenate([a, b]), QuantPolicy(default_bits=4))
+    assert len(runtime.act_params) == quant_point_count(net)
+    assert [(q.lower, q.upper) for q in runtime.act_params] == \
+        [(q.lower, q.upper) for q in both.act_params]
+    assert runtime.act_params[0].lower == float(a.min())
+    assert runtime.act_params[0].upper == float(b.max())
+
+
+def test_observe_without_a_pass_errors_and_keeps_the_bounds():
+    runtime = FakeQuantRuntime(QuantPolicy(), [(-1.0, 1.0)])
+    with pytest.raises(ValueError, match="no activations"):
+        with runtime.observe():
+            pass
+    assert [(q.lower, q.upper) for q in runtime.act_params] == [(-1.0, 1.0)]

@@ -1,9 +1,11 @@
 """Training-loop contracts: schedules, the quantized-model loss, a run's
-set-up, frozen teacher, the quantized step's reuse of the generator step's
-batch, a generator independent of the student, the teacher-logit table of
-the calibration images, null updates, divergence, selective weight decay,
-and the missing-class rule."""
+set-up and the observe pass that sets its activation bounds, frozen
+teacher, the quantized step's reuse of the generator step's batch, a
+generator independent of the student, the teacher-logit table of the
+calibration images, null updates, divergence, selective weight decay, and
+the missing-class rule."""
 
+import contextlib
 import dataclasses
 import inspect
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 
 from fdda import autodiff as ad
 from fdda import bns, trainer
+from fdda.archive import ModelArchive, load_model, save_model
 from fdda.autodiff import Tensor
 from fdda.bns import (
     BnStats,
@@ -27,7 +30,7 @@ from fdda.generator import LossWeights, generate, generator_total_loss, sample_l
 from fdda.models import build_generator, build_toy_classifier
 from fdda.network import forward
 from fdda.optim import Adam, decays_weight
-from fdda.quantizer import QuantPolicy, calibrate_activation_bounds
+from fdda.quantizer import FakeQuantRuntime, QuantPolicy
 from fdda.trainer import (
     TrainingDiverged,
     _mixed_batch,
@@ -39,7 +42,7 @@ from fdda.trainer import (
     train_epoch,
 )
 
-from helpers import astype, class_centroids, is_batch_innermost
+from helpers import astype, class_centroids, is_batch_innermost, observed_runtime
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +107,8 @@ def tiny_settings(calibration_only=False, **kw):
 # ---------------------------------------------------------------------------
 
 def _runtime8(f, images):
-    """An 8-bit runtime whose activation bounds are calibrated on ``images``."""
-    return calibrate_activation_bounds(f, images, QuantPolicy(default_bits=8))
+    """An 8-bit runtime whose activation bounds are observed on ``images``."""
+    return observed_runtime(f, images, QuantPolicy(default_bits=8))
 
 
 def test_qloss_identity_case_kd_zero(world):
@@ -156,7 +159,8 @@ def test_activation_bounds_come_from_the_calibration_images(world):
     f, train, _ = world
     settings = tiny_settings(policy=QuantPolicy(default_bits=3, first_layer_bits=8))
     state = run_state(world, settings)
-    ref = calibrate_activation_bounds(f, extract_calibration(train, 8).images, settings.policy)
+    # the student is observed while it is still a copy of the teacher
+    ref = observed_runtime(f, extract_calibration(train, 8).images, settings.policy)
     assert _act_bounds(state.quant) == _act_bounds(ref)
 
 
@@ -172,8 +176,80 @@ def test_zero_shot_activation_bounds_come_from_a_synthetic_batch_after_the_warm_
         labels = sample_labels(8, cfg.batch_size, rng_labels)
         with ad.no_grad():
             images = generate(state.g_net, labels, rng_noise).data
-    ref = calibrate_activation_bounds(world[0], images, settings.policy)
+    ref = observed_runtime(world[0], images, settings.policy)
     assert _act_bounds(state.quant) == _act_bounds(ref)
+
+
+def test_start_run_observes_the_student_once_over_the_calibration_images(world, monkeypatch):
+    passes, inside = [], []
+    fwd, observe = trainer.forward, FakeQuantRuntime.observe
+
+    def spy_forward(net, x, *args, **kw):
+        if inside:
+            passes.append((net, x.data.copy(), kw))
+        return fwd(net, x, *args, **kw)
+
+    @contextlib.contextmanager
+    def spy_observe(self):
+        with observe(self):
+            inside.append(True)
+            try:
+                yield
+            finally:
+                inside.clear()
+
+    monkeypatch.setattr(trainer, "forward", spy_forward)
+    monkeypatch.setattr(FakeQuantRuntime, "observe", spy_observe)
+    state = run_state(world, tiny_settings())
+    [(net, images, kw)] = passes
+    assert net is state.q_net
+    np.testing.assert_array_equal(images, state.calib.images)
+    assert kw == {"train": False, "quant": state.quant}
+
+
+def test_eval_and_quantized_steps_leave_the_activation_bounds(world):
+    _, _, test = world
+    state = run_state(world, tiny_settings(calibration_only=True))
+    before = state.quant.act_params
+    evaluate(state.q_net, test, quant=state.quant)
+    trainer._quantized_step(state, 0.01, None)
+    assert state.quant.act_params is before
+
+
+def test_an_error_inside_observe_keeps_the_bounds_and_quantizes_again(world):
+    _, train, test = world
+    state = run_state(world, tiny_settings(calibration_only=True))
+    before = state.quant.act_params
+    x = Tensor(test.images[:16])
+    with ad.no_grad():
+        out = forward(state.q_net, x, train=False, quant=state.quant).output.data
+        with pytest.raises(RuntimeError, match="mid-pass"):
+            with state.quant.observe():
+                forward(state.q_net, Tensor(3.0 * train.images[:16]), train=False,
+                        quant=state.quant)
+                raise RuntimeError("mid-pass")
+        again = forward(state.q_net, x, train=False, quant=state.quant).output.data
+    assert state.quant.act_params is before
+    np.testing.assert_array_equal(again, out)
+    with ad.no_grad():  # a float pass gives other logits: the student is quantized
+        assert not np.array_equal(forward(state.q_net, x, train=False).output.data, out)
+
+
+def test_observing_other_data_moves_the_quantizers_and_the_archive(world, tmp_path):
+    _, train, _ = world
+    state = run_state(world, tiny_settings(calibration_only=True))
+    x = Tensor(train.images[:16] * 2.0)
+    first = state.quant.on_activation(x, 0).data  # fills the point's level cache
+    wide = 3.0 * train.images[:16]
+    with ad.no_grad(), state.quant.observe():
+        forward(state.q_net, Tensor(wide), train=False, quant=state.quant)
+    assert state.quant.act_params[0].upper == float(wide.max())
+    fresh = observed_runtime(state.q_net, wide, state.settings.policy)
+    moved = state.quant.on_activation(x, 0).data
+    assert not np.array_equal(moved, first)
+    np.testing.assert_array_equal(moved, fresh.on_activation(x, 0).data)
+    save_model(tmp_path / "q.fdda", ModelArchive(state.q_net, state.quant))
+    assert _act_bounds(load_model(tmp_path / "q.fdda").quant) == _act_bounds(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +527,7 @@ def test_teacher_table_not_built_without_calibration_rows(world, monkeypatch):
 def test_start_run_is_the_one_teacher_pass_over_the_calibration_images(
         world, monkeypatch, calibration_only, batch_size):
     # per_image_bns's passes, counted wherever the teacher's eval forward
-    # runs outside the generator and the activation calibration
+    # runs outside the generator; the observe pass runs on the student
     f, train, _ = world
     calib = {x.tobytes() for x in extract_calibration(train, 8).images}
     passes = []
