@@ -5,7 +5,6 @@ generator, and low-bit fine-tuning through a straight-through estimator."""
 from .autodiff import Tensor, backward, no_grad
 from .bns import (
     BnStats,
-    ClassCentroids,
     DistortionParams,
     alignment_loss,
     collect_running_stats,
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "backward", "no_grad",
-    "BnStats", "ClassCentroids", "DistortionParams",
+    "BnStats", "DistortionParams",
     "alignment_loss", "collect_running_stats", "deep_layer_start", "per_image_bns",
     "RunSettings", "TrainConfig",
     "LossWeights", "generate", "generator_total_loss",

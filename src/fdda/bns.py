@@ -58,19 +58,6 @@ class DistortionParams:
             raise ValueError("distortion stds must be >= 0")
 
 
-@dataclass(frozen=True)
-class ClassCentroids:
-    """Per-class BN-statistics targets for the deep layers, deep_start..L.
-
-    ``stats`` holds, for each deep layer in order, a (K, C_l) mean and
-    variance matrix whose row i is the centroid of class i; classes K and up
-    have none.
-    """
-
-    deep_start: int
-    stats: BnStats
-
-
 def deep_layer_start(layer_count: int) -> int:
     """First layer treated as deep: ceil(L/2) - 2, clamped to at least 1."""
     if layer_count < 1:
@@ -138,12 +125,12 @@ def per_image_bns(net: Network, images: np.ndarray,
     return BnStats(means, variances), np.concatenate(logits)
 
 
-def build_class_centroids(stats: BnStats, deep_start: int) -> ClassCentroids:
+def build_class_centroids(stats: BnStats, deep_start: int) -> BnStats:
     """Per-class targets from the per-image statistics of the calibration set,
-    whose image i is of class i: each centroid is its image's statistics at
-    the deep layers."""
-    deep = slice(deep_start - 1, None)
-    return ClassCentroids(deep_start, BnStats(stats.means[deep], stats.variances[deep]))
+    whose image i is of class i: the statistics of layers deep_start..L, a
+    (K, C_l) mean and variance matrix per layer whose row i is the centroid
+    of class i; classes K and up have none."""
+    return BnStats(stats.means[deep_start - 1:], stats.variances[deep_start - 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +138,7 @@ def build_class_centroids(stats: BnStats, deep_start: int) -> ClassCentroids:
 # ---------------------------------------------------------------------------
 
 def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnStats,
-                   centroids: ClassCentroids, distortion: DistortionParams,
+                   centroids: BnStats, distortion: DistortionParams,
                    rng: np.random.Generator, *, w_bns: float, w_cbns: float,
                    w_dbns: float) -> tuple[Tensor, dict[str, float]]:
     """The weighted sum of the three BN-statistics terms of a batch, as one
@@ -163,8 +150,9 @@ def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnS
     cast to the inputs' dtype:
 
     * ``bns``: the batch statistics of every layer against ``running``;
-    * ``cbns``: the per-class statistics of the deep layers against the
-      centroid rows, over the batch's classes that have a centroid;
+    * ``cbns``: the per-class statistics of the last ``centroids.layer_count``
+      layers against the centroid rows, over the batch's classes that have a
+      centroid;
     * ``dbns``: the same against the centroid rows plus fresh Gaussian noise
       (std ``mean_std`` for means, ``var_std`` for variances), drawn layer by
       layer: one matrix for the means, then one for the variances. Distorted
@@ -192,7 +180,7 @@ def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnS
 
     # the averaging matrix: row 0 the batch, then one row per present class
     # that has a centroid (classes 0..k-1), in class order
-    k = len(centroids.stats.means[0]) if w_cbns or w_dbns else 0
+    k = len(centroids.means[0]) if w_cbns or w_dbns else 0
     present = np.unique(labels[labels < k])
     member = np.concatenate([np.ones((1, len(labels)), bool), labels == present[:, None]])
     avg = (member / member.sum(axis=1, keepdims=True)).astype(dtype)
@@ -205,21 +193,22 @@ def alignment_loss(bn_inputs: Sequence[Tensor], labels: np.ndarray, running: BnS
     total = w_bns * terms["bns"]
 
     if len(present):
-        deep = sum(d.shape[1] for d in devs[:centroids.deep_start - 1])  # first deep column
+        # first deep column
+        deep = sum(d.shape[1] for d in devs[:len(devs) - centroids.layer_count])
         mean_c = mean[1:, deep:]
         # each sample's deviation from its class mean; a sample in no class
         # group weighs 0 in every class row
         dev_c = m[:, deep:] - member[1:].T.astype(dtype) @ mean_c
         var_c = avg[1:] @ (v[:, deep:] + dev_c * dev_c)
-        cen_m = np.concatenate([c[present] for c in centroids.stats.means], axis=1)
-        cen_v = np.concatenate([c[present] for c in centroids.stats.variances], axis=1)
+        cen_m = np.concatenate([c[present] for c in centroids.means], axis=1)
+        cen_v = np.concatenate([c[present] for c in centroids.variances], axis=1)
         # each centroid term's weight and mean and variance targets
         targets = {}
         if w_cbns:
             targets["cbns"] = (w_cbns, cen_m, cen_v)
         if w_dbns:
             noise_m, noise_v = [], []
-            for c in centroids.stats.means:
+            for c in centroids.means:
                 noise_m.append(rng.normal(0.0, distortion.mean_std, size=(len(present), c.shape[1])))
                 noise_v.append(rng.normal(0.0, distortion.var_std, size=(len(present), c.shape[1])))
             targets["dbns"] = (w_dbns, cen_m + np.concatenate(noise_m, axis=1),

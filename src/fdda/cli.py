@@ -88,6 +88,8 @@ def _classifier(args, settings: RunSettings) -> tuple[ModelArchive, LabeledImage
 
 def cmd_pretrain(args) -> int:
     settings = _settings(args)
+    if args.epochs < 0:
+        raise ConfigError(f"--epochs {args.epochs}: epochs must be >= 0, got {args.epochs}")
     cfg = settings.train
     net, report = pretrain_classifier(
         settings.dataset, epochs=args.epochs, steps_per_epoch=cfg.steps_per_epoch,

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bns import BnStats, ClassCentroids, DistortionParams, alignment_loss
+from .bns import BnStats, DistortionParams, alignment_loss
 from .network import Network, forward
 
 
@@ -66,7 +66,7 @@ def generator_total_loss(
     labels: np.ndarray,
     f_net: Network,
     running: BnStats,
-    centroids: ClassCentroids,
+    centroids: BnStats,
     w: LossWeights,
     distortion: DistortionParams,
     rng: np.random.Generator,

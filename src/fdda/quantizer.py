@@ -41,6 +41,19 @@ class QuantParams:
             raise ValueError(f"upper bound {self.upper} must exceed lower bound {self.lower}")
         object.__setattr__(self, "scale", (self.upper - self.lower) / (2**self.bits - 1))
 
+    def levels(self, dtype, ndim: int) -> tuple[np.ndarray, ...]:
+        """The bounds, the scale and the level window [qmin, qmin + 2^bits - 1]
+        in ``dtype``, shaped so that array bounds apply along axis 0 of an
+        ``ndim``-D input. qmin = round(l / s), half away from zero, comes from
+        the float64 bounds whatever their shape. round(clip(x)/s) alone can
+        reach 2^bits + 1 integers when both ends fall on rounding ties; the
+        window restores the level budget, keeping the error within scale/2."""
+        shape = np.shape(self.lower) + (1,) * (ndim - np.ndim(self.lower))
+        ratio = np.asarray(self.lower, np.float64) / np.asarray(self.scale, np.float64)
+        qmin = np.copysign(np.floor(np.abs(ratio) + 0.5), ratio)
+        return tuple(np.reshape(v, shape).astype(dtype) for v in
+                     (self.lower, self.upper, self.scale, qmin, qmin + (2**self.bits - 1)))
+
 
 def observed_bounds(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """The bounds of an observed [lo, hi] (scalars or per-channel arrays),
@@ -85,30 +98,6 @@ class QuantPolicy:
         return self.act_bits if self.act_bits is not None else self.default_bits
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
-def _level_window(lower, scale, bits: int):
-    """Integer level range [qmin, qmax] spanning exactly 2^bits values.
-
-    round(clip(x)/s) alone can reach 2^bits + 1 integers when both interval
-    ends fall on rounding ties; clamping into this window restores the level
-    budget while keeping the reconstruction error within scale/2.
-    """
-    qmin = _round_half_away(np.asarray(lower, dtype=np.float64) / np.asarray(scale, dtype=np.float64))
-    return qmin, qmin + (2**bits - 1)
-
-
-def _levels(q: QuantParams, dtype, ndim: int) -> tuple[np.ndarray, ...]:
-    """``q``'s lower and upper bounds, scale and level window in ``dtype``,
-    shaped so that array bounds apply along axis 0 of an ``ndim``-D input.
-    The window comes from the float64 bounds whatever the bounds' shape."""
-    shape = np.shape(q.lower) + (1,) * (ndim - np.ndim(q.lower))
-    qmin, qmax = _level_window(np.reshape(q.lower, shape), np.reshape(q.scale, shape), q.bits)
-    return tuple(np.reshape(v, shape).astype(dtype) for v in (q.lower, q.upper, q.scale, qmin, qmax))
-
-
 def fake_quantize_ste(x: Tensor, q: QuantParams) -> Tensor:
     """Quantize-dequantize in float with a clipped straight-through gradient.
 
@@ -119,11 +108,11 @@ def fake_quantize_ste(x: Tensor, q: QuantParams) -> Tensor:
     the bounds' shape, so bounds on a rounding tie (l = -1, u = 1 at any
     bit-width) give one window for a layer and for a channel.
     """
-    return _fake_quantize(x, _levels(q, x.dtype, x.ndim))
+    return _fake_quantize(x, q.levels(x.dtype, x.ndim))
 
 
 def _fake_quantize(x: Tensor, levels: tuple[np.ndarray, ...]) -> Tensor:
-    """:func:`fake_quantize_ste` on bounds already cast and shaped by :func:`_levels`."""
+    """:func:`fake_quantize_ste` on bounds already cast and shaped by :meth:`QuantParams.levels`."""
     lower, upper, scale, qmin, qmax = levels
     # in x's dtype: clip into a new array, then in place divide, round half
     # away from zero, clamp to the level window, scale back
@@ -202,5 +191,5 @@ class FakeQuantRuntime:
             return x
         key = (point, x.dtype)
         if key not in self._act_levels:
-            self._act_levels[key] = _levels(self.act_params[point], x.dtype, 0)
+            self._act_levels[key] = self.act_params[point].levels(x.dtype, 0)
         return _fake_quantize(x, self._act_levels[key])

@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from .archive import ModelArchive
 from .autodiff import Tensor
-from .bns import (BnStats, ClassCentroids, build_class_centroids, collect_running_stats,
-                  deep_layer_start, per_image_bns)
+from .bns import (BnStats, build_class_centroids, collect_running_stats, deep_layer_start,
+                  per_image_bns)
 from .config import RunSettings, TrainConfig
 from .data import LabeledImages, ToyDatasetSpec, extract_calibration, make_toy_dataset
 from .generator import LossWeights, generate, generator_total_loss, sample_labels
@@ -107,7 +107,7 @@ class TrainState:
     q_net: Network
     f_net: Network
     running: BnStats
-    centroids: ClassCentroids
+    centroids: BnStats
     calib: LabeledImages
     quant: FakeQuantRuntime  # the student's quantizers; bounds set after the warm-up
     g_opt: Adam | None

@@ -12,7 +12,7 @@ import numpy as np
 
 from fdda import autodiff as ad
 from fdda.autodiff import Tensor
-from fdda.bns import ClassCentroids, build_class_centroids, per_image_bns
+from fdda.bns import BnStats, build_class_centroids, per_image_bns
 from fdda.data import LabeledImages
 from fdda.network import Network, forward
 from fdda.quantizer import FakeQuantRuntime, QuantPolicy
@@ -34,7 +34,7 @@ def is_batch_innermost(x: np.ndarray) -> bool:
     return x.ndim == 4 and x.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
-def class_centroids(net: Network, calib: LabeledImages, deep_start: int) -> ClassCentroids:
+def class_centroids(net: Network, calib: LabeledImages, deep_start: int) -> BnStats:
     """The centroids of a non-empty calibration set whose image i is of class
     i, from the per-image statistics of one default pass over its images."""
     return build_class_centroids(per_image_bns(net, calib.images)[0], deep_start)

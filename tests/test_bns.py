@@ -13,7 +13,6 @@ from fdda import autodiff as ad
 from fdda.autodiff import Tensor
 from fdda.bns import (
     BnStats,
-    ClassCentroids,
     DistortionParams,
     alignment_loss,
     collect_running_stats,
@@ -49,7 +48,7 @@ def ref_class_stats(x, labels, classes):
     return np.stack([m for m, _ in stats]), np.stack([v for _, v in stats])
 
 
-NO_CENTROIDS = ClassCentroids(1, BnStats((np.zeros((0, 1)),), (np.zeros((0, 1)),)))  # K = 0
+NO_CENTROIDS = BnStats((np.zeros((0, 1)),), (np.zeros((0, 1)),))  # K = 0
 
 
 def align(inputs, labels, running=None, centroids=NO_CENTROIDS, d=DistortionParams(),
@@ -300,12 +299,11 @@ def test_class_groups_are_the_per_class_statistics(shape):
     x = rng.normal(1.0, 2.0, size=shape).astype(np.float32)
     labels = np.array([2, 0, 2, 1, 0, 2, 1, 1, 2, 0, 3, 2])
     # centroids for classes 0..2; class 3 has none
-    cen = ClassCentroids(1, BnStats((rng.normal(size=(3, shape[1])),),
-                                    (rng.uniform(0.5, 2, size=(3, shape[1])),)))
+    cen = BnStats((rng.normal(size=(3, shape[1])),), (rng.uniform(0.5, 2, size=(3, shape[1])),))
     d = DistortionParams(0.0, 0.0)
     terms = centroid_terms([Tensor(x)], labels, cen, d)
     ref_m, ref_v = ref_class_stats(x.astype(np.float64), labels, range(3))
-    expect = sq_dist(zip(ref_m, ref_v), zip(cen.stats.means[0], cen.stats.variances[0]))
+    expect = sq_dist(zip(ref_m, ref_v), zip(cen.means[0], cen.variances[0]))
     assert terms["cbns"] == pytest.approx(expect, rel=1e-5)
     assert terms["dbns"] == terms["cbns"]
 
@@ -316,8 +314,7 @@ def test_group_moments_gradient_matches_finite_differences():
     rng = np.random.default_rng(22)
     x = t64(rng.normal(size=(6, 2, 2, 3)), rg=True)
     labels = np.array([1, 0, 4, 1, 1, 0])
-    cen = ClassCentroids(1, BnStats((rng.normal(size=(2, 2)),),
-                                    (rng.uniform(0.5, 2, size=(2, 2)),)))
+    cen = BnStats((rng.normal(size=(2, 2)),), (rng.uniform(0.5, 2, size=(2, 2)),))
 
     def loss():
         return align([x], labels, centroids=cen, rng=np.random.default_rng(5),
@@ -339,8 +336,8 @@ def _calib(num_classes):
 def test_centroids_available_classes():
     net = build_toy_classifier(seed=0)
     cen = class_centroids(net, _calib(2), deep_start=2)
-    assert [len(m) for m in cen.stats.means] == [2] * 5  # classes 0 and 1
-    assert cen.deep_start == 2 and cen.stats.layer_count == 5  # layers 2..6
+    assert [len(m) for m in cen.means] == [2] * 5  # classes 0 and 1
+    assert net.bn_layer_count - cen.layer_count + 1 == 2 and cen.layer_count == 5  # layers 2..6
 
 
 def test_centroid_equals_per_image_stats():
@@ -349,10 +346,11 @@ def test_centroid_equals_per_image_stats():
     cen = class_centroids(net, calib, deep_start=4)
     img = calib.images[3:4]
     stats, _ = per_image_bns(net, img)
-    assert [len(m) for m in cen.stats.means] == [4] * 3
-    for i, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
-        np.testing.assert_array_equal(cen.stats.means[i][3], stats.means[l - 1][0])
-        np.testing.assert_array_equal(cen.stats.variances[i][3], stats.variances[l - 1][0])
+    assert [len(m) for m in cen.means] == [4] * 3
+    L = net.bn_layer_count
+    for i, l in enumerate(range(L - cen.layer_count + 1, L + 1)):
+        np.testing.assert_array_equal(cen.means[i][3], stats.means[l - 1][0])
+        np.testing.assert_array_equal(cen.variances[i][3], stats.variances[l - 1][0])
 
 
 def test_centroids_are_the_per_image_rows_of_every_class():
@@ -361,10 +359,11 @@ def test_centroids_are_the_per_image_rows_of_every_class():
     cen = class_centroids(net, calib, deep_start=2)
     ref_means, ref_vars = batch_one_bns(net, calib.images)
     assert calib.labels.tolist() == list(range(8))
+    L = net.bn_layer_count
     for c in range(8):
-        for k, l in enumerate(range(cen.deep_start, net.bn_layer_count + 1)):
-            np.testing.assert_array_equal(cen.stats.means[k][c], ref_means[l - 1][c])
-            np.testing.assert_array_equal(cen.stats.variances[k][c], ref_vars[l - 1][c])
+        for k, l in enumerate(range(L - cen.layer_count + 1, L + 1)):
+            np.testing.assert_array_equal(cen.means[k][c], ref_means[l - 1][c])
+            np.testing.assert_array_equal(cen.variances[k][c], ref_vars[l - 1][c])
 
 
 def test_empty_calibration_gives_empty_centroids():
@@ -376,9 +375,9 @@ def test_empty_calibration_gives_empty_centroids():
     net = build_toy_classifier(seed=0)
     state, _ = start_run(settings, net, make_toy_dataset(spec)[0])
     cen = state.centroids
-    assert cen.deep_start == 1
-    assert [m.shape for m in cen.stats.means] == [(0, c) for c in _bn_channels(net)]
-    assert [v.shape for v in cen.stats.variances] == [(0, c) for c in _bn_channels(net)]
+    assert net.bn_layer_count - cen.layer_count + 1 == 1
+    assert [m.shape for m in cen.means] == [(0, c) for c in _bn_channels(net)]
+    assert [v.shape for v in cen.variances] == [(0, c) for c in _bn_channels(net)]
     assert state.teacher_calib.shape == (0, 8)
 
 
@@ -435,7 +434,7 @@ def _simple_centroids(deep_start=2, layer_count=3, channels=2, count=2, seed=5):
     deep = range(deep_start, layer_count + 1)
     means = tuple(rng.normal(size=(count, channels)) for _ in deep)
     variances = tuple(rng.uniform(0.5, 2.0, size=(count, channels)) for _ in deep)
-    return ClassCentroids(deep_start, BnStats(means, variances))
+    return BnStats(means, variances)
 
 
 def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, seed=13):
@@ -447,9 +446,8 @@ def _dense_inputs_and_centroids(labels, layer_count, deep_start, channels=2, see
     inputs = [t64(rng.normal(size=(len(labels), channels))) for _ in range(layer_count)]
     order = np.argsort(labels)
     deep = range(deep_start, layer_count + 1)
-    return inputs, ClassCentroids(
-        deep_start, BnStats(tuple(inputs[l - 1].data[order] for l in deep),
-                            tuple(np.zeros((len(labels), channels)) for _ in deep)))
+    return inputs, BnStats(tuple(inputs[l - 1].data[order] for l in deep),
+                           tuple(np.zeros((len(labels), channels)) for _ in deep))
 
 
 def _conv_inputs(labels, layer_count=3, channels=2, seed=14):
@@ -461,11 +459,11 @@ def _oracle_cbns(inputs, labels, cen):
     """Plain numpy: a loop over the deep layers and the classes present in
     the batch that have a centroid."""
     total = 0.0
-    for k, l in enumerate(range(cen.deep_start, len(inputs) + 1)):
-        for c in range(len(cen.stats.means[k])):
+    for k, l in enumerate(range(len(inputs) - cen.layer_count + 1, len(inputs) + 1)):
+        for c in range(len(cen.means[k])):
             if c in labels:
                 m, v = ref_batch_stats(inputs[l - 1].data[labels == c])
-                total += sq_dist([(m, v)], [(cen.stats.means[k][c], cen.stats.variances[k][c])])
+                total += sq_dist([(m, v)], [(cen.means[k][c], cen.variances[k][c])])
     return total
 
 
@@ -483,7 +481,7 @@ def test_cbns_ignores_shallow_layers():
 
 
 def test_cbns_hand_value():
-    cen = ClassCentroids(1, BnStats((np.zeros((1, 2)),), (np.ones((1, 2)),)))
+    cen = BnStats((np.zeros((1, 2)),), (np.ones((1, 2)),))
     x = t64([[[[0.0, 2.0]], [[2.0, 0.0]]]])  # each channel: mean 1, variance 1
     assert centroid_terms([x], [0], cen)["cbns"] == pytest.approx(2.0)
 
@@ -500,9 +498,7 @@ def test_cbns_skips_classes_without_centroid():
     labels = np.array([0, 1])
     inputs, cen = _dense_inputs_and_centroids(labels, layer_count=3, deep_start=2)
     # drop the last class's centroid: class 1 is then silently skipped
-    cen = ClassCentroids(cen.deep_start,
-                         BnStats(tuple(m[:1] for m in cen.stats.means),
-                                 tuple(v[:1] for v in cen.stats.variances)))
+    cen = BnStats(tuple(m[:1] for m in cen.means), tuple(v[:1] for v in cen.variances))
     assert centroid_terms(inputs, labels, cen)["cbns"] == 0.0
 
 
@@ -566,8 +562,7 @@ def test_loss_gradients_match_finite_differences():
     labels = np.array([0, 1, 1, 0, 1])
     xs = [t64(x.data, rg=True) for x in _conv_inputs(labels, seed=9)]
     xs[1] = t64(np.random.default_rng(10).normal(size=(5, 3)), rg=True)  # a dense layer
-    cen = ClassCentroids(2, BnStats(
-        (np.ones((2, 3)), np.zeros((2, 2))), (np.full((2, 3), 0.5), np.ones((2, 2)))))
+    cen = BnStats((np.ones((2, 3)), np.zeros((2, 2))), (np.full((2, 3), 0.5), np.ones((2, 2))))
     rng = np.random.default_rng(9)
     running = BnStats(tuple(rng.normal(size=x.shape[1]) for x in xs),
                       tuple(rng.uniform(0.5, 2, size=x.shape[1]) for x in xs))
@@ -608,9 +603,8 @@ def test_per_class_stats_match_direct_computation():
     t1 = Tensor(rng.normal(size=(6, 3, 2, 2)).astype(np.float64))
     t2 = Tensor(rng.normal(size=(6, 4)).astype(np.float64))
     labels = np.array([0, 1, 0, 2, 1, 0])
-    cen = ClassCentroids(1, BnStats(
-        (rng.normal(size=(3, 3)), rng.normal(size=(3, 4))),
-        (rng.uniform(0.5, 2, size=(3, 3)), rng.uniform(0.5, 2, size=(3, 4)))))
+    cen = BnStats((rng.normal(size=(3, 3)), rng.normal(size=(3, 4))),
+                  (rng.uniform(0.5, 2, size=(3, 3)), rng.uniform(0.5, 2, size=(3, 4))))
     got = centroid_terms([t1, t2], labels, cen)["cbns"]
     assert got == pytest.approx(_oracle_cbns([t1, t2], labels, cen), rel=1e-10)
 
@@ -637,16 +631,16 @@ def _oracle_centroid_losses(bn_inputs, labels, cen, d, rng):
     """Plain-numpy cbns and dbns: a loop over the deep layers and the classes
     present in the batch, drawing each layer's noise as one matrix for the
     means, then one for the variances, a row per class."""
-    present = sorted(set(range(len(cen.stats.means[0]))) & set(labels.tolist()))
+    present = sorted(set(range(len(cen.means[0]))) & set(labels.tolist()))
     cbns = dbns = 0.0
-    for k, l in enumerate(range(cen.deep_start, len(bn_inputs) + 1)):
-        shape = (len(present), cen.stats.means[k].shape[1])
+    for k, l in enumerate(range(len(bn_inputs) - cen.layer_count + 1, len(bn_inputs) + 1)):
+        shape = (len(present), cen.means[k].shape[1])
         nm = rng.normal(0.0, d.mean_std, size=shape)
         nv = rng.normal(0.0, d.var_std, size=shape)
         for row, c in enumerate(present):
             x = bn_inputs[l - 1].data[labels == c].astype(np.float64)
             m, v = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-            tm, tv = cen.stats.means[k][c], cen.stats.variances[k][c]
+            tm, tv = cen.means[k][c], cen.variances[k][c]
             cbns += ((m - tm) ** 2).sum() + ((v - tv) ** 2).sum()
             dbns += ((m - tm - nm[row]) ** 2).sum() + ((v - tv - nv[row]) ** 2).sum()
     return cbns, dbns

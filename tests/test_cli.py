@@ -634,10 +634,16 @@ def test_pretrain_trains_with_the_config_training_step(tmp_path):
     assert state_equal(net, configured) and not state_equal(net, default)
 
 
-def test_pretrain_negative_epochs_exits_2_with_one_line(capsys, tmp_path):
+def test_pretrain_negative_epochs_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    # the command refuses the flag itself, before any training starts
+    def train(*args, **kwargs):
+        raise AssertionError("pretrain started with negative epochs")
+
+    monkeypatch.setattr(cli, "pretrain_classifier", train)
     out = tmp_path / "f.fdda"
-    _refused(capsys, ["pretrain", "--out", str(out), "--epochs", "-1"],
-             2, "epochs must be >= 0, got -1", absent=[out])
+    line = _refused(capsys, ["pretrain", "--out", str(out), "--epochs", "-1"],
+                    2, "epochs must be >= 0, got -1", absent=[out])
+    assert line == "error: --epochs -1: epochs must be >= 0, got -1"
 
 
 @pytest.mark.parametrize("command", ["pretrain", "quantize"])

@@ -197,5 +197,5 @@ def test_missing_centroids_skip_their_classes(setup):
             Tensor(images.data[:5]), labels[:5], f, running, cen5, w,
             DistortionParams(), np.random.default_rng(13),
         )
-    assert len(cen5.stats.means[0]) == 5  # classes 5, 6 and 7 have no centroid
+    assert len(cen5.means[0]) == 5  # classes 5, 6 and 7 have no centroid
     assert parts["cbns"] == pytest.approx(parts_kept["cbns"], rel=1e-5)

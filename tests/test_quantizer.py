@@ -55,14 +55,23 @@ def test_quant_params_recompute_scale_exactly():
 # quantize / dequantize: the integer-level spec that fake quantization follows
 # ---------------------------------------------------------------------------
 
+def round_half_away(x):
+    """Round to the nearest integer, ties away from zero."""
+    return np.where(x < 0, np.ceil(x - 0.5), np.floor(x + 0.5))
+
+
+def level_window(lower, scale, bits: int):
+    """The integer levels [qmin, qmin + 2^bits - 1], qmin = round(l / s) in float64."""
+    qmin = round_half_away(np.asarray(lower, np.float64) / np.asarray(scale, np.float64))
+    return qmin, qmin + (2**bits - 1)
+
+
 def quantize(x, q: QuantParams) -> np.ndarray:
     """Map values to integer levels: round(clip(x, l, u) / s), clamped to the
     2^bits-level window anchored at round(l / s)."""
-    from fdda.quantizer import _level_window, _round_half_away
-
     clipped = np.clip(np.asarray(x, dtype=np.float64), q.lower, q.upper)
-    qmin, qmax = _level_window(q.lower, q.scale, q.bits)
-    levels = np.clip(_round_half_away(clipped / q.scale), qmin, qmax)
+    qmin, qmax = level_window(q.lower, q.scale, q.bits)
+    levels = np.clip(round_half_away(clipped / q.scale), qmin, qmax)
     return levels.astype(np.int64)
 
 
@@ -153,17 +162,15 @@ def ref_fake_quantize(x, q):
     cast back to x's dtype; and its straight-through mask. Scalar bounds stay
     Python floats; per-channel bounds lie along axis 0, cast to x's dtype
     after the level window is taken from them in float64."""
-    from fdda.quantizer import _level_window, _round_half_away
-
     lower, upper, scale = q.lower, q.upper, q.scale
     if np.ndim(lower):
         shape = (-1,) + (1,) * (x.ndim - 1)
         lower, upper, scale = (v.reshape(shape) for v in (lower, upper, scale))
-    qmin, qmax = _level_window(lower, scale, q.bits)
+    qmin, qmax = level_window(lower, scale, q.bits)
     if np.ndim(lower):
         lower, upper, scale = (v.astype(x.dtype) for v in (lower, upper, scale))
     clipped = np.clip(x, lower, upper)
-    levels = np.clip(_round_half_away(clipped / scale), qmin.astype(x.dtype), qmax.astype(x.dtype))
+    levels = np.clip(round_half_away(clipped / scale), qmin.astype(x.dtype), qmax.astype(x.dtype))
     return (levels * scale).astype(x.dtype), (x >= lower) & (x <= upper)
 
 

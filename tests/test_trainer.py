@@ -19,7 +19,6 @@ from fdda.archive import ModelArchive, load_model, save_model
 from fdda.autodiff import Tensor
 from fdda.bns import (
     BnStats,
-    ClassCentroids,
     DistortionParams,
     collect_running_stats,
     deep_layer_start,
@@ -558,10 +557,10 @@ def test_start_run_centroids_do_not_depend_on_the_batch_size(world, batch_size):
     f, train, _ = world
     state = run_state(world, tiny_settings(calibration_only=True,
                                            train_kw={"batch_size": batch_size}))
-    want = class_centroids(f, state.calib, state.centroids.deep_start)
-    assert [m.shape for m in state.centroids.stats.means] == [m.shape for m in want.stats.means]
-    for got, ref in zip(state.centroids.stats.means + state.centroids.stats.variances,
-                        want.stats.means + want.stats.variances):
+    want = class_centroids(f, state.calib, f.bn_layer_count - state.centroids.layer_count + 1)
+    assert [m.shape for m in state.centroids.means] == [m.shape for m in want.means]
+    for got, ref in zip(state.centroids.means + state.centroids.variances,
+                        want.means + want.variances):
         assert got.tobytes() == ref.tobytes()
 
 
@@ -790,6 +789,12 @@ def test_pretrain_steps_per_epoch_default_is_the_train_config_default():
     assert params["steps_per_epoch"].default == TrainConfig.steps_per_epoch
 
 
+def test_pretrain_refuses_negative_epochs():
+    # library callers get the check the command line makes before it
+    with pytest.raises(ValueError, match=r"^epochs must be >= 0, got -1$"):
+        trainer.pretrain_classifier(SPEC, epochs=-1)
+
+
 # ---------------------------------------------------------------------------
 # weight decay targeting
 # ---------------------------------------------------------------------------
@@ -836,7 +841,7 @@ def test_missing_class_changes_only_its_own_terms(world):
     # ce and bns are untouched by the missing class
     assert parts_full["ce"] == pytest.approx(parts_wo["ce"], rel=1e-12)
     assert parts_full["bns"] == pytest.approx(parts_wo["bns"], rel=1e-12)
-    assert drop in labels and len(cen_wo.stats.means[0]) == drop
+    assert drop in labels and len(cen_wo.means[0]) == drop
 
     # per-class decomposition: difference equals class `drop`'s own terms
     from fdda.bns import alignment_loss
@@ -844,8 +849,8 @@ def test_missing_class_changes_only_its_own_terms(world):
 
     # class `drop`'s own term: its samples as class 0, the one class of a
     # one-row centroid set
-    cen_only = ClassCentroids(K, BnStats(tuple(m[drop:] for m in cen_full.stats.means),
-                                         tuple(v[drop:] for v in cen_full.stats.variances)))
+    cen_only = BnStats(tuple(m[drop:] for m in cen_full.means),
+                       tuple(v[drop:] for v in cen_full.variances))
     only_labels = np.where(labels == drop, 0, 8)
     with ad.no_grad():
         cap = fwd(f64, images, train=False, capture_bn=True)
